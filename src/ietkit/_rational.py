@@ -31,11 +31,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec(m: Mat, v: Sequence) -> Vec:
     return tuple(sum(x * Fraction(y) for x, y in zip(row, v)) for row in m)
 

@@ -11,15 +11,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
-from .induction import Iet, VisitationMatrix
+from .induction import Iet, IntegerIet, VisitationMatrix
 from .perm import LabeledPermutation, rauzy_move, TOP_WINS, BOTTOM_WINS
-from .simplex_geometry import PlaneFamily, ProjectiveSimplex, illuminated, section
+from .simplex_geometry import (
+    PlaneFamily,
+    Polygon2D,
+    ProjectiveSimplex,
+    illuminated,
+    section,
+)
 from . import _rational
 
 GRID = 1 << 53  # denominator grid for exact random samples
@@ -344,34 +350,18 @@ def birkhoff_separation(
     else:
         lo, hi = Fraction(0), Fraction(observable)
     out: dict[Fraction, float] = {}
-    denom = math.lcm(
-        lo.denominator, hi.denominator,
-        *(x.denominator for x in T.lengths),
-        *(p.denominator for p in points),
-    )
-    lengths = [int(x * denom) for x in T.lengths]
-    lo_i, hi_i = int(lo * denom), int(hi * denom)
-    tops: list[tuple[int, int]] = []
-    acc = 0
-    for s in T.perm.top:
-        before_bottom = sum(
-            lengths[t - 1] for t in T.perm.bottom[: T.perm.bottom_position(s)]
-        )
-        tops.append((acc + lengths[s - 1], before_bottom - acc))
-        acc += lengths[s - 1]
-    total = acc
+    grid = IntegerIet(T, lo, hi, *points)
+    lo_i, hi_i = grid.scale(lo), grid.scale(hi)
+    advance = grid.step
     for p0 in points:
-        p = int(p0 * denom)
-        if not 0 <= p < total:
+        p = grid.scale(p0)
+        if not 0 <= p < grid.rights[-1]:
             raise UsageError(f"point {p0} outside the domain")
         hits = 0
         for _ in range(n):
             if lo_i <= p < hi_i:
                 hits += 1
-            for right, disp in tops:
-                if p < right:
-                    p += disp
-                    break
+            p = advance(p)
         out[p0] = hits / n
     return out
 
@@ -437,29 +427,14 @@ class KeaneReport:
 def keane_check(T: Iet, N: int) -> KeaneReport:
     """Exact i.d.o.c. scan: orbits of 0 and the interior discontinuities
     must avoid the interior discontinuities for n = 1..N."""
-    denom = math.lcm(*(x.denominator for x in T.lengths))
-    lengths = [int(x * denom) for x in T.lengths]
-    discs = []
-    acc = 0
-    for s in T.perm.top[:-1]:
-        acc += lengths[s - 1]
-        discs.append(acc)
+    grid = IntegerIet(T)
+    discs = grid.rights[:-1]
     targets = set(discs)
-    tops: list[tuple[int, int]] = []
-    acc = 0
-    for s in T.perm.top:
-        before_bottom = sum(
-            lengths[t - 1] for t in T.perm.bottom[: T.perm.bottom_position(s)]
-        )
-        tops.append((acc + lengths[s - 1], before_bottom - acc))
-        acc += lengths[s - 1]
+    advance = grid.step
     for idx, start in enumerate([0] + discs):
         p = start
         for n in range(1, N + 1):
-            for right, disp in tops:
-                if p < right:
-                    p += disp
-                    break
+            p = advance(p)
             if p in targets:
                 return KeaneReport(False, N, (idx, n))
     return KeaneReport(True, N, None)
@@ -467,42 +442,6 @@ def keane_check(T: Iet, N: int) -> KeaneReport:
 
 # ---------------------------------------------------------------------------
 # nested plane families and dimension estimators
-
-
-@dataclass(frozen=True)
-class Polygon2D:
-    vertices: np.ndarray  # (n, 2), convex, counterclockwise or clockwise
-
-    @property
-    def area(self) -> float:
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * abs(
-            float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        )
-
-    @property
-    def diameter(self) -> float:
-        v = self.vertices
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1)).max())
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def contains(self, pt: np.ndarray, tol: float = 1e-10) -> bool:
-        v = self.vertices
-        n = len(v)
-        signs = []
-        for i in range(n):
-            a, b = v[i], v[(i + 1) % n]
-            cross = (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
-            signs.append(cross)
-        return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
-
-    def contains_polygon(self, other: "Polygon2D", tol: float = 1e-10) -> bool:
-        return all(self.contains(p, tol) for p in other.vertices)
 
 
 @dataclass(frozen=True)
@@ -616,7 +555,7 @@ def build_nested_family(
             if sec is None or sec.area <= 0:
                 ok = lv >= 2  # keep chains that survived at least two levels
                 break
-            levels.append([Polygon2D(np.asarray(sec.vertices, dtype=float))])
+            levels.append([sec])
             parents.append([None if lv == 0 else 0])
         if not levels or len(levels) < 2 or not ok:
             continue

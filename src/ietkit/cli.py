@@ -556,9 +556,9 @@ def cmd_estimate_dim(args) -> int:
             r_grid = list(fro.radii)
         try:
             fit = box_dimension(pts, r_grid)
-            box_est, box_counts = fit.estimate, list(fit.counts)
+            box_est = fit.estimate
         except IetkitError:
-            box_est, box_counts = None, []
+            box_est = None
         reports.append(
             {
                 "plane": idx,
@@ -571,7 +571,7 @@ def cmd_estimate_dim(args) -> int:
             }
         )
         for r, m in zip(fro.radii, fro.masses):
-            rows.append([idx, repr(r), repr(m)] + ([""] if not box_counts else [""]))
+            rows.append([idx, repr(r), repr(m), ""])
     doc["families"] = reports
     _dump_json(doc, out / "estimate_dim.json")
     with (out / "dim_fit.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -652,6 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # outputs are exact rationals whose digits grow without bound; lift the
+    # int/str conversion cap of Python 3.11+ (4300 digits) for them
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

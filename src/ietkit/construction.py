@@ -16,10 +16,10 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -35,7 +35,6 @@ from .perm import (
     TOP_WINS,
     LabeledPermutation,
     RauzyEdge,
-    hyperelliptic_class,
     hyperelliptic_permutation,
     rauzy_move,
     special_permutations,
@@ -235,10 +234,6 @@ class PhasePath:
     runs: tuple[tuple[int, int, str, int], ...]  # (winner, loser, side, count)
     matrix: VisitationMatrix
     warnings: tuple[str, ...] = ()
-
-    @property
-    def edge_count(self) -> int:
-        return sum(c for _, _, _, c in self.runs)
 
     def winners(self) -> set[int]:
         return {w for w, _, _, c in self.runs if c}
@@ -659,8 +654,6 @@ class LimitInfo:
     intra_rhs: float
     inter: float  # min angle between clusters
     representative: Iet
-    candidate_lhs: Iet
-    candidate_rhs: Iet
 
 
 @dataclass(frozen=True)
@@ -813,16 +806,7 @@ def _extract_limit(M: VisitationMatrix, d: int, tol: float) -> LimitInfo:
     total = sum(w)
     representative = Iet(tuple(x / total for x in w), pi_l)
 
-    def rationalize(v: tuple[float, ...]) -> Iet:
-        fr = [Fraction(x).limit_denominator(10**12) for x in v]
-        fr = [max(f, Fraction(1, 10**13)) for f in fr]
-        t = sum(fr)
-        return Iet(tuple(f / t for f in fr), pi_l)
-
-    return LimitInfo(
-        lhs, rhs, intra_lhs, intra_rhs, inter, representative,
-        rationalize(lhs), rationalize(rhs),
-    )
+    return LimitInfo(lhs, rhs, intra_lhs, intra_rhs, inter, representative)
 
 
 # ---------------------------------------------------------------------------

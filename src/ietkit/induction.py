@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import _rational
 from .errors import BudgetExceededError, InductionUndefinedError, UsageError
@@ -194,8 +195,8 @@ class InductionTrace:
         return json.dumps(doc, sort_keys=True)
 
 
-def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
-    """One induction step; the longer of the two last intervals wins."""
+def _advance(T: Iet) -> tuple[Iet, RauzyEdge]:
+    """One induction step without the elementary matrix."""
     i, j = T.perm.top[-1], T.perm.bottom[-1]
     xi, xj = T.lengths[i - 1], T.lengths[j - 1]
     if xi == xj:
@@ -206,28 +207,32 @@ def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
     edge = rauzy_move(T.perm, side)
     new_lengths = list(T.lengths)
     new_lengths[edge.winner - 1] -= T.lengths[edge.loser - 1]
-    induced = Iet(tuple(new_lengths), edge.target)
-    E = VisitationMatrix.elementary(T.d, edge.winner, edge.loser)
-    return induced, edge, E
+    return Iet(tuple(new_lengths), edge.target), edge
 
 
-def normalized_step(T: Iet) -> Iet:
-    induced, _, _ = step(T)
-    return induced.normalized()
+def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
+    """One induction step; the longer of the two last intervals wins."""
+    induced, edge = _advance(T)
+    return induced, edge, VisitationMatrix.elementary(T.d, edge.winner, edge.loser)
 
 
-def induct(T: Iet, n: int) -> InductionTrace:
-    """n induction steps with the running cocycle product.
-
-    Raises InductionUndefinedError carrying the partial trace if the equality
-    case interrupts before n steps.
-    """
+def _induct(
+    T: Iet,
+    done: Callable[[VisitationMatrix, LabeledPermutation, int], bool],
+    budget: int,
+) -> InductionTrace:
+    """The induction loop behind ``induct`` and ``induct_until``: step until
+    done(M, permutation, steps) holds; needing more than ``budget`` steps
+    raises BudgetExceededError."""
     edges: list[RauzyEdge] = []
     M = VisitationMatrix.identity(T.d)
     current = T
-    for k in range(n):
+    while not done(M, current.perm, len(edges)):
+        k = len(edges)
+        if k >= budget:
+            raise BudgetExceededError(f"step budget {budget} exhausted")
         try:
-            current, edge, _ = step(current)
+            current, edge = _advance(current)
         except InductionUndefinedError as exc:
             partial = InductionTrace(T, tuple(edges), M, current)
             raise InductionUndefinedError(
@@ -236,6 +241,15 @@ def induct(T: Iet, n: int) -> InductionTrace:
         edges.append(edge)
         M = M.apply_step(edge.winner, edge.loser)
     return InductionTrace(T, tuple(edges), M, current)
+
+
+def induct(T: Iet, n: int) -> InductionTrace:
+    """n induction steps with the running cocycle product.
+
+    Raises InductionUndefinedError carrying the partial trace if the equality
+    case interrupts before n steps.
+    """
+    return _induct(T, lambda M, pi, k: k >= n, n)
 
 
 def norm_at_least(N: int) -> Callable[[VisitationMatrix, LabeledPermutation], bool]:
@@ -255,43 +269,13 @@ def positive_matrix(M: VisitationMatrix, pi: LabeledPermutation) -> bool:
     return M.is_positive()
 
 
-def maximal_for(N: int):
-    """Stopping rule: first n with ||M(n)|| >= N/2 (so ||M(n-1)|| < N/2)."""
-    threshold = Fraction(N, 2)
-
-    def predicate(M: VisitationMatrix, pi: LabeledPermutation) -> bool:
-        return M.norm >= threshold
-
-    return predicate
-
-
 def induct_until(
     T: Iet,
     predicate: Callable[[VisitationMatrix, LabeledPermutation], bool],
     step_budget: int = 10**6,
 ) -> InductionTrace:
     """Shortest trace whose final (matrix, permutation) satisfies the predicate."""
-    edges: list[RauzyEdge] = []
-    M = VisitationMatrix.identity(T.d)
-    current = T
-    steps = 0
-    while True:
-        if predicate(M, current.perm):
-            return InductionTrace(T, tuple(edges), M, current)
-        if steps >= step_budget:
-            raise BudgetExceededError(f"step budget {step_budget} exhausted")
-        try:
-            current, edge, _ = step(current)
-        except InductionUndefinedError as exc:
-            partial = InductionTrace(T, tuple(edges), M, current)
-            raise InductionUndefinedError(
-                f"equality at step {steps}: {exc}",
-                steps_completed=steps,
-                partial=partial,
-            ) from None
-        edges.append(edge)
-        M = M.apply_step(edge.winner, edge.loser)
-        steps += 1
+    return _induct(T, lambda M, pi, k: predicate(M, pi), step_budget)
 
 
 def drive_path(
@@ -308,37 +292,49 @@ def drive_path(
     return M, pi, tuple(edges)
 
 
-def orbit(T: Iet, point, n: int) -> list[Fraction]:
-    """Forward orbit point, T(point), ..., T^n(point), exact.
+class IntegerIet:
+    """The exchange on the integer grid of a common denominator ``denom``.
 
-    Internally runs on integers over the common denominator of the data,
-    which is an order of magnitude faster than Fraction arithmetic when the
-    denominators are large but shared.
+    ``rights`` are the cumulative right endpoints of the top intervals and
+    ``shifts`` their displacements, so a step is a binary search and one
+    integer addition: an order of magnitude faster than Fraction arithmetic
+    when the denominators are large but shared.  ``points`` are further
+    rationals that must lie on the grid.
     """
+
+    __slots__ = ("denom", "rights", "shifts")
+
+    def __init__(self, T: Iet, *points: Fraction):
+        self.denom = math.lcm(*(x.denominator for x in (*T.lengths, *points)))
+        lengths = [self.scale(x) for x in T.lengths]
+        self.rights: list[int] = []
+        self.shifts: list[int] = []
+        acc = 0
+        for s in T.perm.top:
+            bottom_before = sum(
+                lengths[t - 1] for t in T.perm.bottom[: T.perm.bottom_position(s)]
+            )
+            self.shifts.append(bottom_before - acc)
+            acc += lengths[s - 1]
+            self.rights.append(acc)
+
+    def scale(self, x: Fraction) -> int:
+        """The grid integer of a rational on the grid."""
+        return int(x * self.denom)
+
+    def step(self, p: int) -> int:
+        return p + self.shifts[bisect_right(self.rights, p)]
+
+
+def orbit(T: Iet, point, n: int) -> list[Fraction]:
+    """Forward orbit point, T(point), ..., T^n(point), exact."""
     point = Fraction(point)
     if not 0 <= point < T.total:
         raise UsageError(f"point {point} outside [0, {T.total})")
-    return list(_orbit_iter(T, point, n))
-
-
-def _orbit_iter(T: Iet, point: Fraction, n: int) -> Iterator[Fraction]:
-    denom = math.lcm(point.denominator, *(x.denominator for x in T.lengths))
-    lengths = [int(x * denom) for x in T.lengths]
-    p = int(point * denom)
-    # cumulative top endpoints and per-symbol displacements, all integers
-    tops: list[tuple[int, int]] = []  # (right endpoint, displacement)
-    acc = 0
-    for s in T.perm.top:
-        before_bottom = sum(
-            lengths[t - 1] for t in T.perm.bottom[: T.perm.bottom_position(s)]
-        )
-        disp = before_bottom - acc
-        acc += lengths[s - 1]
-        tops.append((acc, disp))
-    yield Fraction(p, denom)
+    grid = IntegerIet(T, point)
+    p = grid.scale(point)
+    out = [Fraction(p, grid.denom)]
     for _ in range(n):
-        for right, disp in tops:
-            if p < right:
-                p += disp
-                break
-        yield Fraction(p, denom)
+        p = grid.step(p)
+        out.append(Fraction(p, grid.denom))
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, DegeneracyError, IetkitError, UsageError
@@ -78,9 +78,6 @@ class RauzyClassGraph:
     vertices: tuple[LabeledPermutation, ...]
     edges: tuple[RauzyEdge, ...]
     seed: LabeledPermutation
-
-    def index_of(self, pi: LabeledPermutation) -> int:
-        return self.vertices.index(pi)
 
     def __contains__(self, pi: LabeledPermutation) -> bool:
         return pi in set(self.vertices)

@@ -69,9 +69,6 @@ class ProjectiveSimplex:
             return False
         return all(c >= 0 for c in z)
 
-    def float_vertices(self) -> np.ndarray:
-        return np.array([[float(x) for x in v] for v in self.vertices()])
-
 
 @dataclass(frozen=True)
 class SliceDeltaC:
@@ -111,25 +108,6 @@ def simplex_volume_ratio(M1, M2) -> Fraction:
     for col in _columns(M2):
         p2 *= column_l1(col)
     return abs(d1) / abs(d2) * p2 / p1
-
-
-def face_volume_ratio(M, A1, A2, face: Sequence[int] | None = None) -> Fraction:
-    """Ratio of face volumes of V(M A1) vs V(M A2) from column norms.
-
-    ``face`` defaults to the first d-2 indices (the V face).  A1 and A2 must
-    leave the complementary columns untouched for the formula to mean what
-    the caller thinks it means; that contract is the caller's to honor.
-    """
-    d = M.d if isinstance(M, VisitationMatrix) else len(M)
-    face = tuple(face) if face is not None else tuple(range(1, d - 1))
-    prod1 = Fraction(1)
-    prod2 = Fraction(1)
-    c1 = _columns((M @ A1).rows if isinstance(M, VisitationMatrix) else M)
-    c2 = _columns((M @ A2).rows if isinstance(M, VisitationMatrix) else M)
-    for j in face:
-        prod1 *= column_l1(c1[j - 1])
-        prod2 *= column_l1(c2[j - 1])
-    return prod2 / prod1
 
 
 def jacobian(M, z: Sequence, exact: bool = False):
@@ -233,44 +211,41 @@ def plane_family(A1prime, B1, form: SymplecticForm) -> PlaneFamily:
 
 
 @dataclass(frozen=True)
-class SectionPolygon:
-    base_point: tuple[float, ...]
-    chart: np.ndarray  # 2 x d orthonormal directions
-    vertices: np.ndarray  # n x 2 chart coordinates, counterclockwise
+class Polygon2D:
+    """A convex polygon in plane-chart coordinates."""
 
-    @property
-    def diameter(self) -> float:
-        vs = self.vertices
-        if len(vs) < 2:
-            return 0.0
-        diffs = vs[:, None, :] - vs[None, :, :]
-        return float(np.sqrt((diffs**2).sum(-1)).max())
+    vertices: np.ndarray  # (n, 2), convex, counterclockwise or clockwise
 
     @property
     def area(self) -> float:
-        vs = self.vertices
-        if len(vs) < 3:
-            return 0.0
-        x, y = vs[:, 0], vs[:, 1]
-        return float(
-            abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2
+        v = self.vertices
+        x, y = v[:, 0], v[:, 1]
+        return 0.5 * abs(
+            float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         )
 
-    def ambient_vertices(self) -> np.ndarray:
-        return np.array(self.base_point) + self.vertices @ self.chart
+    @property
+    def diameter(self) -> float:
+        v = self.vertices
+        diff = v[:, None, :] - v[None, :, :]
+        return float(np.sqrt((diff**2).sum(-1)).max())
 
+    @property
     def centroid(self) -> np.ndarray:
-        """Area centroid in chart coordinates (vertex mean for degenerate)."""
-        vs = self.vertices
-        if len(vs) < 3 or self.area == 0.0:
-            return vs.mean(axis=0)
-        x, y = vs[:, 0], vs[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        a = cross.sum() / 2
-        cx = ((x + xn) * cross).sum() / (6 * a)
-        cy = ((y + yn) * cross).sum() / (6 * a)
-        return np.array([cx, cy])
+        return self.vertices.mean(axis=0)
+
+    def contains(self, pt: np.ndarray, tol: float = 1e-10) -> bool:
+        v = self.vertices
+        n = len(v)
+        signs = []
+        for i in range(n):
+            a, b = v[i], v[(i + 1) % n]
+            cross = (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
+            signs.append(cross)
+        return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
+
+    def contains_polygon(self, other: "Polygon2D", tol: float = 1e-10) -> bool:
+        return all(self.contains(p, tol) for p in other.vertices)
 
 
 def clip_halfplanes(
@@ -319,7 +294,7 @@ def clip_halfplanes(
     return np.array(poly)
 
 
-def section(M, base_point: Sequence, family: PlaneFamily) -> SectionPolygon | None:
+def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     """M Delta sliced by the plane through base_point; None when empty.
 
     The preimage condition M^{-1} x >= 0 turns into d half-planes in the
@@ -375,7 +350,7 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> SectionPolygon | No
         verts_ex, key=lambda v: math.atan2(float(v[1] - ct), float(v[0] - cs))
     )
     verts = np.array([[float(s), float(t)] for s, t in order])
-    return SectionPolygon(tuple(p0), chart, verts)
+    return Polygon2D(verts)
 
 
 def illuminated(y: Sequence, simplices: Sequence, phi: Sequence) -> bool:

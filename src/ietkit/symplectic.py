@@ -64,12 +64,6 @@ class SymplecticForm:
             y = tuple(yi - coeff * ki for yi, ki in zip(y, k))
         return y
 
-    def orthonormal_image(self) -> np.ndarray:
-        """Float orthonormal basis of Im(Omega), columns of a d x rank array."""
-        b = np.array(self.image_basis, dtype=float).T
-        q, _ = np.linalg.qr(b)
-        return q[:, : self.rank]
-
 
 def omega(pi: LabeledPermutation) -> SymplecticForm:
     """Build the skew form for a permutation pair."""

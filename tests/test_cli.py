@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -106,6 +108,28 @@ def test_induct_until_balanced(tmp_path):
     )
     assert code == EXIT_OK
     assert (out / "induct_trace.json").exists()
+
+
+def test_induct_big_rationals(tmp_path):
+    # five distinct 1000-digit denominators: the induced lengths and the
+    # trace's strings pass the interpreter's default 4300-digit int/str cap,
+    # which main lifts for the whole process, so the trace parses back here
+    rng = Random(5)
+    lengths = ",".join(
+        f"{rng.randrange(10**998, 10**999)}/{rng.randrange(10**999, 10**1000)}"
+        for _ in range(5)
+    )
+    code, out = run(
+        ["induct", "--lengths", lengths, "--perm", "s5", "--steps", "60"], tmp_path
+    )
+    assert code == EXIT_OK
+    trace = json.loads((out / "induct_trace.json").read_text())
+    assert trace["steps"] == 60
+    start = [Fraction(x) for x in trace["start"]["lengths"]]
+    induced = [Fraction(x) for x in trace["induced_lengths"]]
+    matrix = [[int(x) for x in row] for row in trace["matrix"]]
+    assert [sum(a * x for a, x in zip(row, induced)) for row in matrix] == start
+    assert max(len(str(x.denominator)) for x in induced) > 4300
 
 
 # -- construct --------------------------------------------------------------

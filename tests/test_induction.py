@@ -21,7 +21,7 @@ from ietkit.induction import (
     orbit,
     step,
 )
-from ietkit.perm import hyperelliptic_permutation
+from ietkit.perm import LabeledPermutation, hyperelliptic_permutation
 
 
 def fib_like() -> Iet:
@@ -146,3 +146,35 @@ def test_cocycle_identity_property(seed):
     assert trace.check_identity()
     assert trace.matrix.det() == 1
     assert all(x >= 0 for row in trace.matrix.rows for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_matches_fraction_reference(data):
+    """The integer orbit agrees with iterating the Fraction map, including
+    from the interval endpoints where a strict and a non-strict search differ."""
+    d = data.draw(st.integers(min_value=2, max_value=5))
+    lengths = data.draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 60), max_value=1, max_denominator=60),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    bottom = data.draw(st.permutations(range(1, d + 1)))
+    T = Iet.make(lengths, LabeledPermutation(tuple(range(1, d + 1)), tuple(bottom)))
+    k = data.draw(st.integers(min_value=0, max_value=d))
+    if k < d:
+        point = sum(T.lengths[:k], Fraction(0))  # left endpoint of interval k+1
+    else:
+        u = data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=97).filter(
+                lambda x: x < 1
+            )
+        )
+        point = u * T.total
+    n = data.draw(st.integers(min_value=0, max_value=30))
+    expected = [point]
+    for _ in range(n):
+        expected.append(T(expected[-1]))
+    assert orbit(T, point, n) == expected

@@ -12,6 +12,8 @@ from ietkit.errors import DegeneracyError, UsageError
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import hyperelliptic_permutation
 from ietkit.simplex_geometry import (
+    PlaneFamily,
+    Polygon2D,
     ProjectiveSimplex,
     SliceDeltaC,
     clip_halfplanes,
@@ -116,6 +118,22 @@ def test_clip_halfplanes_square():
 def test_clip_halfplanes_empty():
     cons = np.array([[1, 0, -2], [-1, 0, -2]], dtype=float)
     assert clip_halfplanes(cons) is None
+
+
+def test_section_through_barycenter_is_a_square():
+    family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
+    base = [Fraction(1, 4)] * 4
+    poly = section(VisitationMatrix.identity(4), base, family)
+    assert isinstance(poly, Polygon2D)
+    assert len(poly.vertices) == 4
+    assert poly.area == pytest.approx(0.5)
+    assert poly.diameter == pytest.approx(1.0)
+
+
+def test_section_off_the_simplex_plane_is_empty():
+    family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
+    base = [Fraction(1, 2)] * 4
+    assert section(VisitationMatrix.identity(4), base, family) is None
 
 
 def test_illuminated_interior_direction():

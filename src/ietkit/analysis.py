@@ -17,8 +17,8 @@ import numpy as np
 
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
-from .induction import Iet, IntegerIet, VisitationMatrix
-from .perm import LabeledPermutation, rauzy_move, TOP_WINS, BOTTOM_WINS
+from .induction import Iet, IntegerIet, VisitationMatrix, _step_lengths, _Walk
+from .perm import LabeledPermutation
 from .simplex_geometry import (
     PlaneFamily,
     Polygon2D,
@@ -100,33 +100,19 @@ def _balance_scan(
 ) -> int:
     """Norm at the first time the matrix is positive and zeta-balanced,
     or 0 when the scan dies (equality) or exceeds the norm limit."""
-    d = pi.d
-    lens = list(lengths)
-    cols = [[1 if i == j else 0 for i in range(d)] for j in range(d)]  # columns
-    norms = [1] * d
-    while True:
-        i, j = pi.top[-1], pi.bottom[-1]
-        a, b = lens[i - 1], lens[j - 1]
-        if a == b:
-            return 0
-        side = TOP_WINS if a > b else BOTTOM_WINS
-        edge = rauzy_move(pi, side)
-        w, l = edge.winner, edge.loser
-        lens[w - 1] -= lens[l - 1]
-        cw = cols[w - 1]
-        cl = cols[l - 1]
-        for r in range(d):
-            cl[r] += cw[r]
-        norms[l - 1] += norms[w - 1]
-        pi = edge.target
-        hi = max(norms)
-        if hi > limit:
-            return 0
-        if (
-            hi <= zeta * min(norms)
-            and all(x > 0 for col in cols for x in col)
-        ):
-            return hi
+    p, q = zeta.numerator, zeta.denominator
+
+    def stop(walk: _Walk, steps: int) -> bool:
+        hi = max(walk.norms)
+        return hi > limit or (
+            hi * q <= p * min(walk.norms)
+            and all(x > 0 for col in walk.cols for x in col)
+        )
+
+    walk = _Walk(pi)
+    _, generic = _step_lengths(walk, list(lengths), stop, math.inf)
+    hi = max(walk.norms)
+    return hi if generic and hi <= limit else 0
 
 
 def mc_balance(

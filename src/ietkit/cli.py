@@ -23,6 +23,7 @@ from random import Random
 import numpy as np
 
 from .analysis import (
+    INCONCLUSIVE,
     VIOLATED,
     box_dimension,
     build_nested_family,
@@ -141,10 +142,13 @@ def _parse_until(spec: str):
     if ":" not in spec:
         raise UsageError(f"cannot parse stopping predicate {spec!r}")
     name, arg = spec.split(":", 1)
-    if name == "balanced":
-        return balanced(Fraction(arg))
-    if name == "norm":
-        return norm_at_least(int(float(arg)))
+    try:
+        if name == "balanced":
+            return balanced(Fraction(arg))
+        if name == "norm":
+            return norm_at_least(int(float(arg)))
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad stopping predicate {spec!r}: {exc}") from None
     if name == "perm":
         return permutation_is(_parse_perm(arg))
     raise UsageError(f"unknown stopping predicate {name!r}")
@@ -367,16 +371,17 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _random_path(pi: LabeledPermutation, rng: Random, n: int):
+    """drive_path along n fair coin-flip sides from pi."""
+    return drive_path(pi, [rng.choice([TOP_WINS, BOTTOM_WINS]) for _ in range(n)])
+
+
 def _verify_symplectic(args, rng: Random) -> dict:
     graph = hyperelliptic_class(args.d)
     violations = 0
     for _ in range(args.paths):
         pi = graph.vertices[rng.randrange(len(graph.vertices))]
-        sides = [
-            rng.choice([TOP_WINS, BOTTOM_WINS])
-            for _ in range(rng.randrange(1, 31))
-        ]
-        M, pi_end, _ = drive_path(pi, sides)
+        M, pi_end, _ = _random_path(pi, rng, rng.randrange(1, 31))
         if not verify_invariance(M, pi, pi_end):
             violations += 1
     return {"paths": args.paths, "violations": violations,
@@ -387,11 +392,7 @@ def _verify_volume(args, rng: Random) -> dict:
     violations = 0
     pi0 = hyperelliptic_permutation(args.d)
     for _ in range(args.paths):
-        sides = [
-            rng.choice([TOP_WINS, BOTTOM_WINS])
-            for _ in range(rng.randrange(1, 21))
-        ]
-        M, _, _ = drive_path(pi0, sides)
+        M, _, _ = _random_path(pi0, rng, rng.randrange(1, 21))
         formula = simplex_volume_ratio(M, VisitationMatrix.identity(M.d))
         cols = [tuple(Fraction(x) for x in M.column(j)) for j in range(1, M.d + 1)]
         normed = [tuple(x / sum(c) for x in c) for c in cols]
@@ -405,11 +406,7 @@ def _verify_volume(args, rng: Random) -> dict:
 
 
 def _verify_jacobian(args, rng: Random) -> dict:
-    pi0 = hyperelliptic_permutation(args.d)
-    sides = [
-        rng.choice([TOP_WINS, BOTTOM_WINS]) for _ in range(10)
-    ]
-    M, _, _ = drive_path(pi0, sides)
+    M, _, _ = _random_path(hyperelliptic_permutation(args.d), rng, 10)
     rep = mc_jacobian_pushforward(M, half_simplex(args.d), args.samples, args.seed)
     return {
         "estimate": rep.estimate,
@@ -504,6 +501,8 @@ def cmd_verify(args) -> int:
     _dump_json(doc, out / report_file)
     _write_manifest(out, f"verify_{args.suite}", doc["config"], [report_file])
     status = "VIOLATED" if report.get("violated") else "ok"
+    if status == "ok" and report.get("verdict") == INCONCLUSIVE:
+        status = "inconclusive"
     print(f"verify {args.suite}: {status}")
     return EXIT_VIOLATED if report.get("violated") else EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
@@ -29,7 +29,7 @@ from .errors import (
     StageError,
     UsageError,
 )
-from .induction import Iet, VisitationMatrix
+from .induction import Iet, VisitationMatrix, _Walk
 from .perm import (
     BOTTOM_WINS,
     TOP_WINS,
@@ -241,25 +241,34 @@ class PhasePath:
     def losers(self) -> set[int]:
         return {l for _, l, _, c in self.runs if c}
 
+    def warn(self, message: str) -> "PhasePath":
+        return replace(self, warnings=self.warnings + (message,))
+
 
 class PathBuilder:
     """Accumulates runs and the phase matrix while walking the diagram."""
 
     def __init__(self, start: LabeledPermutation):
         self.start = start
-        self.pi = start
-        self.M = VisitationMatrix.identity(start.d)
+        self.walk = _Walk(start)
         self.runs: list[list] = []  # mutable [winner, loser, side, count]
         self.warnings: list[str] = []
 
-    def apply_side(self, side: str) -> RauzyEdge:
-        edge = rauzy_move(self.pi, side)
-        self.M = self.M.apply_step(edge.winner, edge.loser)
-        self.pi = edge.target
+    @property
+    def pi(self) -> LabeledPermutation:
+        return self.walk.perm
+
+    @property
+    def norm(self) -> int:
+        """Norm of the phase matrix so far."""
+        return max(self.walk.norms)
+
+    def apply_side(self, side: str, count: int = 1) -> RauzyEdge:
+        edge = self.walk.move(side, count)
         if self.runs and self.runs[-1][:3] == [edge.winner, edge.loser, side]:
-            self.runs[-1][3] += 1
+            self.runs[-1][3] += count
         else:
-            self.runs.append([edge.winner, edge.loser, side, 1])
+            self.runs.append([edge.winner, edge.loser, side, count])
         return edge
 
     def apply_winner(self, winner: int) -> RauzyEdge:
@@ -274,17 +283,9 @@ class PathBuilder:
 
     def apply_self_loop(self, side: str, count: int) -> None:
         """Closed form for a self-loop repeated ``count`` times."""
-        edge = rauzy_move(self.pi, side)
-        if edge.target != self.pi:
+        if self.walk.edge(side).target != self.pi:
             raise StageError("closed-form repetition needs a self-loop move")
-        rows = [list(r) for r in self.M.rows]
-        for r in rows:
-            r[edge.loser - 1] += count * r[edge.winner - 1]
-        self.M = VisitationMatrix(rows)
-        if self.runs and self.runs[-1][:3] == [edge.winner, edge.loser, side]:
-            self.runs[-1][3] += count
-        else:
-            self.runs.append([edge.winner, edge.loser, side, count])
+        self.apply_side(side, count)
 
     def finish(self, phase: str) -> PhasePath:
         return PhasePath(
@@ -292,7 +293,7 @@ class PathBuilder:
             self.start,
             self.pi,
             tuple(tuple(r) for r in self.runs),
-            self.M,
+            self.walk.matrix(),
             tuple(self.warnings),
         )
 
@@ -305,6 +306,42 @@ def _admissible_restriction_lhs(edge: RauzyEdge, d: int) -> bool:
     return edge.winner not in (1, d - 1, d) and edge.loser not in (d - 1, d)
 
 
+def _bfs_path(
+    pi: LabeledPermutation,
+    admissible: Callable[[RauzyEdge, int], bool],
+    tail: Callable[[LabeledPermutation], list[str] | None],
+    shuffle: Callable[[list[str]], None] | None = None,
+) -> list[str] | None:
+    """Shortest admissible side sequence from pi to the first vertex v with a
+    ``tail(v)``, followed by that tail; None if there is none.  ``shuffle``
+    orders the two sides at each vertex (goals are tested on discovery)."""
+    if (last := tail(pi)) is not None:
+        return last
+    d = pi.d
+    parents: dict[LabeledPermutation, tuple[LabeledPermutation, str]] = {}
+    queue = deque([pi])
+    seen = {pi}
+    while queue:
+        v = queue.popleft()
+        sides = [TOP_WINS, BOTTOM_WINS]
+        if shuffle is not None:
+            shuffle(sides)
+        for side in sides:
+            e = rauzy_move(v, side)
+            if not admissible(e, d) or e.target in seen:
+                continue
+            parents[e.target] = (v, side)
+            if (last := tail(e.target)) is not None:
+                path = [side]
+                while v != pi:
+                    v, s = parents[v]
+                    path.append(s)
+                return path[::-1] + last
+            seen.add(e.target)
+            queue.append(e.target)
+    return None
+
+
 def _steer(
     pi: LabeledPermutation,
     target: LabeledPermutation,
@@ -312,80 +349,59 @@ def _steer(
     rng: Random,
 ) -> list[str]:
     """Shortest admissible side-sequence from pi to target (BFS, rng ties)."""
-    d = pi.d
-    if pi == target:
-        return []
-    parents: dict[LabeledPermutation, tuple[LabeledPermutation, str]] = {}
-    queue = deque([pi])
-    seen = {pi}
-    while queue:
-        v = queue.popleft()
-        sides = [TOP_WINS, BOTTOM_WINS]
-        rng.shuffle(sides)
-        for side in sides:
-            e = rauzy_move(v, side)
-            if not admissible(e, d) or e.target in seen:
-                continue
-            parents[e.target] = (v, side)
-            if e.target == target:
-                path = [side]
-                cur = v
-                while cur != pi:
-                    prev, s = parents[cur]
-                    path.append(s)
-                    cur = prev
-                return path[::-1]
-            seen.add(e.target)
-            queue.append(e.target)
-    raise StageError(f"no admissible path from {pi} to {target}")
+    path = _bfs_path(pi, admissible, lambda v: [] if v == target else None, rng.shuffle)
+    if path is None:
+        raise StageError(f"no admissible path from {pi} to {target}")
+    return path
 
 
 def _steer_to_edge(
     pi: LabeledPermutation, winners: set[int], loser: int
 ) -> list[str]:
     """Shortest freedom-LHS move sequence ending with someone in ``winners``
-    beating ``loser``; BFS over the admissible part of the diagram."""
-    d = pi.d
+    beating ``loser``."""
 
-    def final_side(v: LabeledPermutation) -> str | None:
+    def final_side(v: LabeledPermutation) -> list[str] | None:
         for side in (TOP_WINS, BOTTOM_WINS):
             e = rauzy_move(v, side)
             if e.winner in winners and e.loser == loser:
-                return side
+                return [side]
         return None
 
-    if (side := final_side(pi)) is not None:
-        return [side]
-    parents: dict[LabeledPermutation, tuple[LabeledPermutation, str]] = {}
-    queue = deque([pi])
-    seen = {pi}
-    while queue:
-        v = queue.popleft()
-        for side in (TOP_WINS, BOTTOM_WINS):
-            e = rauzy_move(v, side)
-            if not _admissible_freedom_lhs(e, d) or e.target in seen:
-                continue
-            parents[e.target] = (v, side)
-            if (last := final_side(e.target)) is not None:
-                path = [last, side]
-                cur = v
-                while cur != pi:
-                    prev, s = parents[cur]
-                    path.append(s)
-                    cur = prev
-                return path[::-1]
-            seen.add(e.target)
-            queue.append(e.target)
-    raise StageError(f"no admissible route to a win against {loser}")
+    path = _bfs_path(pi, _admissible_freedom_lhs, final_side)
+    if path is None:
+        raise StageError(f"no admissible route to a win against {loser}")
+    return path
 
 
-def _window_check(builder: PathBuilder, window: Window, phase: str) -> None:
-    norm = builder.M.norm
+def _walk_to_window(
+    b: PathBuilder,
+    window: Window,
+    admissible: Callable[[RauzyEdge, int], bool],
+    end: LabeledPermutation,
+    rng: Random,
+    step_budget: int,
+    phase: str,
+) -> PhasePath:
+    """Random admissible moves until the norm reaches the window, then the
+    shortest admissible way to ``end``; an overshoot is kept as a warning."""
+    d = b.start.d
+    steps = 0
+    while b.norm < window.lo:
+        if steps >= step_budget:
+            raise BudgetExceededError(f"{phase} window unreachable within budget")
+        options = [s for s in (TOP_WINS, BOTTOM_WINS) if admissible(b.walk.edge(s), d)]
+        if not options:
+            raise StageError(f"{phase} walk stuck at {b.pi}")
+        b.apply_side(rng.choice(options))
+        steps += 1
+    for side in _steer(b.pi, end, admissible, rng):
+        b.apply_side(side)
+    norm = b.norm
     if norm > window.hi:
-        builder.warnings.append(
-            f"{phase}: norm {norm} overshot window {window}; widened"
-        )
+        b.warnings.append(f"{phase}: norm {norm} overshot window {window}; widened")
         log.warning("%s norm %d overshot window %s; widening", phase, norm, window)
+    return b.finish(phase)
 
 
 def gen_freedom_lhs(
@@ -407,21 +423,9 @@ def gen_freedom_lhs(
         raise UsageError("freedom on LHS starts at pi_L or pi_s")
     b = PathBuilder(start)
     b.apply_winner(1)  # 1 wins first; forced at pi_s, chosen at pi_L
-    steps = 1
-    while b.M.norm < window.lo:
-        if steps >= step_budget:
-            raise BudgetExceededError("freedom-LHS window unreachable within budget")
-        options = [
-            side
-            for side in (TOP_WINS, BOTTOM_WINS)
-            if _admissible_freedom_lhs(rauzy_move(b.pi, side), d)
-        ]
-        b.apply_side(rng.choice(options))
-        steps += 1
-    for side in _steer(b.pi, pi_s, _admissible_freedom_lhs, rng):
-        b.apply_side(side)
-    _window_check(b, window, FREEDOM_LHS)
-    return b.finish(FREEDOM_LHS)
+    return _walk_to_window(  # the first win counts against the budget
+        b, window, _admissible_freedom_lhs, pi_s, rng, step_budget - 1, FREEDOM_LHS
+    )
 
 
 def gen_restriction_lhs(
@@ -445,25 +449,9 @@ def gen_restriction_lhs(
         count = rng.randint(window.lo - 1, window.hi - 1)
         b.apply_self_loop(TOP_WINS, count)  # 2 beats 1, repeatedly
         return b.finish(RESTRICTION_LHS)
-    steps = 0
-    while b.M.norm < window.lo:
-        if steps >= step_budget:
-            raise BudgetExceededError(
-                "restriction-LHS window unreachable within budget"
-            )
-        options = [
-            side
-            for side in (TOP_WINS, BOTTOM_WINS)
-            if _admissible_restriction_lhs(rauzy_move(b.pi, side), d)
-        ]
-        if not options:
-            raise StageError(f"restricted walk stuck at {b.pi}")
-        b.apply_side(rng.choice(options))
-        steps += 1
-    for side in _steer(b.pi, pi_l, _admissible_restriction_lhs, rng):
-        b.apply_side(side)
-    _window_check(b, window, RESTRICTION_LHS)
-    return b.finish(RESTRICTION_LHS)
+    return _walk_to_window(
+        b, window, _admissible_restriction_lhs, pi_l, rng, step_budget, RESTRICTION_LHS
+    )
 
 
 def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
@@ -483,61 +471,33 @@ def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
     return b.finish(TRANSITION)
 
 
-def gen_freedom_rhs(
-    start: LabeledPermutation,
-    loops: int,
-    pattern: Sequence[int],
-    rng: Random | None = None,
-) -> PhasePath:
-    """Freedom on the right: d sweeps 1..d-2, then loops at pi_R.
-
-    Each loop is pattern[i] moves of d-1 beating d, one move of d beating
-    d-1, then d beating 1,..,d-2 again; the loop returns to pi_R.
-    """
-    d = start.d
-    pi_s = hyperelliptic_permutation(d)
-    if start != pi_s:
-        raise UsageError("freedom on RHS starts at pi_s")
-    if len(pattern) != loops:
-        raise UsageError("pattern length must equal the loop count")
-    b = PathBuilder(start)
-    for sym in range(1, d - 1):
-        b.apply_winner(d)  # d beats 1, ..., d-2
-    for m in pattern:
-        if m < 0:
-            raise UsageError("pattern counts must be non-negative")
-        if m:
-            b.apply_self_loop(BOTTOM_WINS, m)  # d-1 beats d at pi_R
-        b.apply_winner(d)  # d beats d-1, back toward pi_s
-        for sym in range(1, d - 1):
-            b.apply_winner(d)
-    return b.finish(FREEDOM_RHS)
-
-
 def freedom_rhs_for_window(
     start: LabeledPermutation, window: Window, rng: Random, max_loops: int = 10**6
 ) -> PhasePath:
-    """Drive gen_freedom_rhs loop by loop until the norm enters the window."""
-    pattern: list[int] = []
-    while True:
-        path = gen_freedom_rhs(start, len(pattern), pattern)
-        if path.matrix.norm >= window.lo:
-            if path.matrix.norm > window.hi:
-                path = PhasePath(
-                    path.phase,
-                    path.start,
-                    path.end,
-                    path.runs,
-                    path.matrix,
-                    path.warnings
-                    + (
-                        f"freedom-RHS: norm {path.matrix.norm} overshot {window}; widened",
-                    ),
-                )
-            return path
-        if len(pattern) >= max_loops:
+    """Freedom on the right: d sweeps 1..d-2, then loops at pi_R until the
+    norm enters the window.
+
+    Each loop is 1 to 3 (drawn) moves of d-1 beating d, one move of d beating
+    d-1, then d beating 1,..,d-2 again; the loop returns to pi_R.
+    """
+    d = start.d
+    if start != hyperelliptic_permutation(d):
+        raise UsageError("freedom on RHS starts at pi_s")
+    b = PathBuilder(start)
+    for _ in range(1, d - 1):
+        b.apply_winner(d)  # d beats 1, ..., d-2
+    loops = 0
+    while b.norm < window.lo:
+        if loops >= max_loops:
             raise BudgetExceededError("freedom-RHS window unreachable")
-        pattern.append(rng.randint(1, 3))
+        b.apply_self_loop(BOTTOM_WINS, rng.randint(1, 3))  # d-1 beats d at pi_R
+        for _ in range(d - 1):
+            b.apply_winner(d)  # d beats d-1, then 1, ..., d-2
+        loops += 1
+    path = b.finish(FREEDOM_RHS)
+    if b.norm > window.hi:
+        path = path.warn(f"freedom-RHS: norm {b.norm} overshot {window}; widened")
+    return path
 
 
 def gen_restriction_rhs(start: LabeledPermutation, ell: int, stage: StageWindows) -> PhasePath:
@@ -744,11 +704,8 @@ def run_construction(
             checkpoints["Aprime"] = cum
             path = gen_transition(current, rng)
             if path.matrix.norm > w.T_cap:
-                path = PhasePath(
-                    path.phase, path.start, path.end, path.runs, path.matrix,
-                    path.warnings + (
-                        f"transition norm {path.matrix.norm} above cap 10^{w.T_cap_exp:g}",
-                    ),
+                path = path.warn(
+                    f"transition norm {path.matrix.norm} above cap 10^{w.T_cap_exp:g}"
                 )
             phases["T"] = path
             cum = cum @ path.matrix
@@ -840,12 +797,7 @@ def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> li
             c1_ratio = float(a.matrix.balance_ratio(range(1, d - 1)))
             c1_pass = c1_ratio < zeta
         ap = st.phase("Aprime").matrix @ st.phase("T").matrix
-        c2_ratio = float(
-            Fraction(
-                max(ap.column_norm(j) for j in range(1, d - 1)),
-                min(ap.column_norm(j) for j in range(1, d - 1)),
-            )
-        )
+        c2_ratio = float(ap.balance_ratio(range(1, d - 1)))
         c2_threshold = run.schedule.star2_threshold(st.k)
         b = st.phase("B").matrix
         c3_ratio = float(b.balance_ratio((d - 1, d)))
@@ -938,12 +890,7 @@ def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
         upper = (u_prev * ap_prev.norm * t_prev.norm + v_prev) * a.norm
         measured = float(st.stats["U"])
         apt = ap_prev @ t_prev
-        bal_apt = float(
-            Fraction(
-                max(apt.column_norm(j) for j in range(1, d - 1)),
-                min(apt.column_norm(j) for j in range(1, d - 1)),
-            )
-        )
+        bal_apt = float(apt.balance_ratio(range(1, d - 1)))
         bal_b = float(prev.phase("B").matrix.balance_ratio((d - 1, d)))
         bal_a = float(a.balance_ratio(range(1, d - 1)))
         lower = (
@@ -1062,7 +1009,7 @@ def hyperplane_avoiding_paths(
                 b.apply_winner(d - 2)
 
     def col_dist(j: int) -> float:
-        col = [float(x) for x in b.M.column(j)]
+        col = [float(x) for x in b.walk.cols[j - 1]]
         t = sum(col)
         return math.sqrt(
             sum((x / t - (1.0 if idx == i - 1 else 0.0)) ** 2 for idx, x in enumerate(col))

@@ -1,9 +1,11 @@
 """Exact Rauzy-Veech induction and the visitation-matrix cocycle.
 
-Lengths are ``Fraction``s throughout; a step subtracts the shorter of the two
-last intervals from the longer one, so floating point would destroy the
-cocycle identity x = M(n) x' that everything downstream relies on.  The
-matrices are plain python integers and may grow without bound.
+Lengths are exact: a step subtracts the shorter of the two last intervals
+from the longer one, so floating point would destroy the cocycle identity
+x = M(n) x' that everything downstream relies on.  The API speaks
+``Fraction``s; the induction loop keeps integer numerators over one common
+denominator and walks a lazily compiled Rauzy diagram.  The matrices are
+plain python integers and may grow without bound.
 """
 from __future__ import annotations
 
@@ -195,52 +197,128 @@ class InductionTrace:
         return json.dumps(doc, sort_keys=True)
 
 
-def _advance(T: Iet) -> tuple[Iet, RauzyEdge]:
-    """One induction step without the elementary matrix."""
+def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
+    """One induction step; the longer of the two last intervals wins.
+
+    The Fraction reference for the integer loop behind ``induct``.
+    """
     i, j = T.perm.top[-1], T.perm.bottom[-1]
     xi, xj = T.lengths[i - 1], T.lengths[j - 1]
     if xi == xj:
         raise InductionUndefinedError(
             f"equal last lengths x_{i} = x_{j} = {xi}: induction undefined"
         )
-    side = TOP_WINS if xi > xj else BOTTOM_WINS
-    edge = rauzy_move(T.perm, side)
+    edge = rauzy_move(T.perm, TOP_WINS if xi > xj else BOTTOM_WINS)
     new_lengths = list(T.lengths)
     new_lengths[edge.winner - 1] -= T.lengths[edge.loser - 1]
-    return Iet(tuple(new_lengths), edge.target), edge
+    E = VisitationMatrix.elementary(T.d, edge.winner, edge.loser)
+    return Iet(tuple(new_lengths), edge.target), edge, E
 
 
-def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
-    """One induction step; the longer of the two last intervals wins."""
-    induced, edge = _advance(T)
-    return induced, edge, VisitationMatrix.elementary(T.d, edge.winner, edge.loser)
+class _RauzyDiagram:
+    """The Rauzy diagram, compiled to integer vertex ids as walks reach it.
+
+    Per id: the permutation, its 0-based last symbols and, per side, the move
+    (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
+    first taken; irreducibility is checked once per vertex and side."""
+
+    def __init__(self):
+        self.ids: dict[LabeledPermutation, int] = {}
+        self.perms: list[LabeledPermutation] = []
+        self.last: list[tuple[int, int]] = []
+        self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
+
+    def vertex(self, pi: LabeledPermutation) -> int:
+        if pi not in self.ids:
+            self.ids[pi] = len(self.perms)
+            self.perms.append(pi)
+            self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
+            self.moves.append({})
+        return self.ids[pi]
+
+    def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
+        moves = self.moves[v]
+        if side not in moves:
+            e = rauzy_move(self.perms[v], side)
+            moves[side] = (self.vertex(e.target), e.winner - 1, e.loser - 1, e)
+        return moves[side]
 
 
-def _induct(
-    T: Iet,
-    done: Callable[[VisitationMatrix, LabeledPermutation, int], bool],
-    budget: int,
-) -> InductionTrace:
-    """The induction loop behind ``induct`` and ``induct_until``: step until
-    done(M, permutation, steps) holds; needing more than ``budget`` steps
-    raises BudgetExceededError."""
+_DIAGRAM = _RauzyDiagram()  # a pure cache, shared by every walk in the process
+
+
+class _Walk:
+    """A path through the compiled diagram with its cocycle product, kept as
+    integer columns ``cols`` and their sums ``norms``."""
+
+    __slots__ = ("v", "cols", "norms")
+
+    def __init__(self, pi: LabeledPermutation):
+        self.v = _DIAGRAM.vertex(pi)
+        self.cols = [[int(i == j) for i in range(pi.d)] for j in range(pi.d)]
+        self.norms = [1] * pi.d
+
+    @property
+    def perm(self) -> LabeledPermutation:
+        return _DIAGRAM.perms[self.v]
+
+    def edge(self, side: str) -> RauzyEdge:
+        """The move from here on ``side``, not taken."""
+        return _DIAGRAM.move(self.v, side)[3]
+
+    def move(self, side: str, count: int = 1) -> RauzyEdge:
+        """Take the move on ``side`` ``count`` times; only self-loops repeat."""
+        self.v, w, l, edge = _DIAGRAM.move(self.v, side)
+        self.cols[l] = [x + count * y for x, y in zip(self.cols[l], self.cols[w])]
+        self.norms[l] += count * self.norms[w]
+        return edge
+
+    def matrix(self) -> VisitationMatrix:
+        return VisitationMatrix(zip(*self.cols))
+
+
+def _step_lengths(
+    walk: _Walk, lens: list[int], stop: Callable[[_Walk, int], bool], budget: float
+) -> tuple[list[RauzyEdge], bool]:
+    """The induction loop: step by the integer lengths ``lens`` (updated in
+    place; the winner is strictly longer, so they stay positive) until
+    stop(walk, steps).  Returns the edges and False if the equality case
+    came first; more than ``budget`` steps raise BudgetExceededError."""
     edges: list[RauzyEdge] = []
-    M = VisitationMatrix.identity(T.d)
-    current = T
-    while not done(M, current.perm, len(edges)):
-        k = len(edges)
-        if k >= budget:
+    last = _DIAGRAM.last
+    while not stop(walk, len(edges)):
+        if len(edges) >= budget:
             raise BudgetExceededError(f"step budget {budget} exhausted")
-        try:
-            current, edge = _advance(current)
-        except InductionUndefinedError as exc:
-            partial = InductionTrace(T, tuple(edges), M, current)
-            raise InductionUndefinedError(
-                f"equality at step {k}: {exc}", steps_completed=k, partial=partial
-            ) from None
-        edges.append(edge)
-        M = M.apply_step(edge.winner, edge.loser)
-    return InductionTrace(T, tuple(edges), M, current)
+        i, j = last[walk.v]
+        if lens[i] > lens[j]:
+            lens[i] -= lens[j]
+            edges.append(walk.move(TOP_WINS))
+        elif lens[j] > lens[i]:
+            lens[j] -= lens[i]
+            edges.append(walk.move(BOTTOM_WINS))
+        else:
+            return edges, False
+    return edges, True
+
+
+def _induct(T: Iet, stop: Callable[[_Walk, int], bool], budget: int) -> InductionTrace:
+    """The loop on T's lengths as integers over their least common
+    denominator; Fractions are built once, for the trace."""
+    denom = math.lcm(*(x.denominator for x in T.lengths))
+    lens = [x.numerator * (denom // x.denominator) for x in T.lengths]
+    walk = _Walk(T.perm)
+    edges, generic = _step_lengths(walk, lens, stop, budget)
+    induced = Iet(tuple(Fraction(x, denom) for x in lens), walk.perm)
+    trace = InductionTrace(T, tuple(edges), walk.matrix(), induced)
+    if not generic:
+        k, i, j = len(edges), walk.perm.top[-1], walk.perm.bottom[-1]
+        raise InductionUndefinedError(
+            f"equality at step {k}: equal last lengths x_{i} = x_{j} = "
+            f"{induced.lengths[i - 1]}: induction undefined",
+            steps_completed=k,
+            partial=trace,
+        )
+    return trace
 
 
 def induct(T: Iet, n: int) -> InductionTrace:
@@ -249,7 +327,7 @@ def induct(T: Iet, n: int) -> InductionTrace:
     Raises InductionUndefinedError carrying the partial trace if the equality
     case interrupts before n steps.
     """
-    return _induct(T, lambda M, pi, k: k >= n, n)
+    return _induct(T, lambda walk, k: k >= n, n)
 
 
 def norm_at_least(N: int) -> Callable[[VisitationMatrix, LabeledPermutation], bool]:
@@ -275,21 +353,16 @@ def induct_until(
     step_budget: int = 10**6,
 ) -> InductionTrace:
     """Shortest trace whose final (matrix, permutation) satisfies the predicate."""
-    return _induct(T, lambda M, pi, k: predicate(M, pi), step_budget)
+    return _induct(T, lambda walk, k: predicate(walk.matrix(), walk.perm), step_budget)
 
 
 def drive_path(
     pi: LabeledPermutation, sides: Sequence[str]
 ) -> tuple[VisitationMatrix, LabeledPermutation, tuple[RauzyEdge, ...]]:
     """Cocycle product along a path given by winning sides (no lengths needed)."""
-    M = VisitationMatrix.identity(pi.d)
-    edges = []
-    for side in sides:
-        edge = rauzy_move(pi, side)
-        edges.append(edge)
-        M = M.apply_step(edge.winner, edge.loser)
-        pi = edge.target
-    return M, pi, tuple(edges)
+    walk = _Walk(pi)
+    edges = tuple(walk.move(side) for side in sides)
+    return walk.matrix(), walk.perm, edges
 
 
 class IntegerIet:

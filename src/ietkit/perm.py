@@ -15,13 +15,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError, DegeneracyError, IetkitError, UsageError
+from .errors import BudgetExceededError, DegeneracyError, UsageError
 
 TOP_WINS = "top-wins"
 BOTTOM_WINS = "bottom-wins"
 
 
-class ReducibilityError(IetkitError):
+class ReducibilityError(UsageError):
     """The permutation splits into two smaller exchanges."""
 
 

@@ -51,6 +51,12 @@ def test_classes_needs_a_seed(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_classes_reducible_seed_is_usage(tmp_path, capsys):
+    code, _ = run(["classes", "--seed-perm", "1,2,3/1,2,3"], tmp_path)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: reducible")
+
+
 def test_bad_subcommand_is_usage(tmp_path):
     assert main(["no-such-command"]) == EXIT_USAGE
 
@@ -89,6 +95,26 @@ def test_induct_needs_exactly_one_stop(tmp_path):
         tmp_path,
     )
     assert code == EXIT_USAGE
+
+
+def test_induct_reducible_perm_is_usage(tmp_path, capsys):
+    code, _ = run(
+        ["induct", "--perm", "1,2,3/1,3,2", "--lengths", "1/3,1/2,1/6",
+         "--steps", "3"],
+        tmp_path,
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: reducible")
+
+
+@pytest.mark.parametrize("until", ["norm:abc", "balanced:abc"])
+def test_induct_malformed_until_is_usage(tmp_path, capsys, until):
+    code, _ = run(
+        ["induct", "--lengths", "2/3,1/3", "--perm", "s2", "--until", until],
+        tmp_path,
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_induct_budget_exceeded(tmp_path):
@@ -223,6 +249,16 @@ def test_verify_balance_ok(tmp_path):
     assert code == EXIT_OK
     doc = json.loads((out / "verify_balance.json").read_text())
     assert doc["report"]["sigma_hat"] < 1
+
+
+def test_verify_inconclusive_is_not_ok(tmp_path, capsys):
+    code, out = run(
+        ["verify", "jacobian", "--samples", "0", "--d", "4"], tmp_path
+    )
+    assert code == EXIT_OK
+    doc = json.loads((out / "verify_jacobian.json").read_text())
+    assert doc["report"]["verdict"] == "inconclusive"
+    assert capsys.readouterr().out == "verify jacobian: inconclusive\n"
 
 
 def test_verify_unknown_suite(tmp_path):

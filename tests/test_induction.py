@@ -5,9 +5,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ietkit.errors import BudgetExceededError, InductionUndefinedError
+from ietkit.analysis import GRID, _balance_scan, sample_simplex_exact
+from ietkit.errors import BudgetExceededError, InductionUndefinedError, UsageError
 from ietkit.induction import (
     BOTTOM_WINS,
     TOP_WINS,
@@ -21,7 +22,7 @@ from ietkit.induction import (
     orbit,
     step,
 )
-from ietkit.perm import LabeledPermutation, hyperelliptic_permutation
+from ietkit.perm import LabeledPermutation, hyperelliptic_permutation, rauzy_move
 
 
 def fib_like() -> Iet:
@@ -178,3 +179,146 @@ def test_orbit_matches_fraction_reference(data):
     for _ in range(n):
         expected.append(T(expected[-1]))
     assert orbit(T, point, n) == expected
+
+
+# -- the integer kernel against the Fraction reference ----------------------
+
+
+def irreducible_perms(d: int):
+    """Irreducible pairs with top 1..d and a drawn bottom row."""
+    return st.permutations(range(1, d + 1)).map(
+        lambda bottom: LabeledPermutation(tuple(range(1, d + 1)), tuple(bottom))
+    ).filter(LabeledPermutation.is_irreducible)
+
+
+def reference_induct(T: Iet, n: int):
+    """Up to n calls of ``step`` with the product of the elementary matrices;
+    the last item is the equality error when it cut the walk short."""
+    M = VisitationMatrix.identity(T.d)
+    edges = []
+    for _ in range(n):
+        try:
+            T, edge, E = step(T)
+        except InductionUndefinedError as exc:
+            return edges, M, T, exc
+        edges.append(edge)
+        M = M @ E
+    return edges, M, T, None
+
+
+@st.composite
+def iets_with_distinct_denominators(draw):
+    d = draw(st.integers(min_value=2, max_value=6))
+    pi = draw(irreducible_perms(d))
+    dens = draw(st.lists(st.integers(2, 10**12), min_size=d, max_size=d, unique=True))
+    lengths = [Fraction(draw(st.integers(1, 10**12)), q) for q in dens]
+    return Iet.make(lengths, pi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(iets_with_distinct_denominators(), st.integers(min_value=0, max_value=60))
+def test_induct_matches_step_reference(T, n):
+    edges, M, induced, error = reference_induct(T, n)
+    if error is not None:
+        with pytest.raises(InductionUndefinedError) as exc:
+            induct(T, n)
+        assert exc.value.steps_completed == len(edges)
+        trace = exc.value.partial
+    else:
+        trace = induct(T, n)
+    assert trace.start == T
+    assert trace.edges == tuple(edges)
+    assert trace.matrix == M
+    assert trace.induced.lengths == induced.lengths
+    assert trace.induced.perm == induced.perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equality_case_matches_step_reference(data):
+    """Small numerators over one denominator collide often; the kernel stops
+    at the same step, with the same message and partial trace."""
+    d = data.draw(st.integers(min_value=2, max_value=5))
+    pi = data.draw(irreducible_perms(d))
+    nums = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    T = Iet.make([Fraction(x, 7) for x in nums], pi)
+    edges, M, induced, error = reference_induct(T, 50)
+    assume(error is not None)
+    with pytest.raises(InductionUndefinedError) as exc:
+        induct(T, 50)
+    k = len(edges)
+    assert exc.value.steps_completed == k
+    assert str(exc.value) == f"equality at step {k}: {error}"
+    partial = exc.value.partial
+    assert (partial.start, partial.edges, partial.matrix, partial.induced) == (
+        T, tuple(edges), M, induced
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(iets_with_distinct_denominators(), st.integers(min_value=1, max_value=10**4))
+def test_induct_until_norm_is_shortest(T, N):
+    M = VisitationMatrix.identity(T.d)
+    current, edges = T, []
+    while M.norm < N:
+        assume(len(edges) < 1000)
+        try:
+            current, edge, E = step(current)
+        except InductionUndefinedError:
+            assume(False)
+        edges.append(edge)
+        M = M @ E
+    trace = induct_until(T, norm_at_least(N), step_budget=len(edges))
+    assert trace.edges == tuple(edges)
+    assert trace.matrix == M
+    assert trace.induced == current
+    if edges:
+        with pytest.raises(BudgetExceededError):
+            induct_until(T, norm_at_least(N), step_budget=len(edges) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drive_path_matches_rauzy_move_fold(data):
+    d = data.draw(st.integers(min_value=2, max_value=6))
+    pi = data.draw(irreducible_perms(d))
+    sides = data.draw(st.lists(st.sampled_from([TOP_WINS, BOTTOM_WINS]), max_size=40))
+    M, end, edges = VisitationMatrix.identity(d), pi, []
+    for side in sides:
+        edge = rauzy_move(end, side)
+        edges.append(edge)
+        M = M.apply_step(edge.winner, edge.loser)
+        end = edge.target
+    assert drive_path(pi, sides) == (M, end, tuple(edges))
+
+
+def test_drive_path_rejects_unknown_side():
+    with pytest.raises(UsageError):
+        drive_path(hyperelliptic_permutation(4), [TOP_WINS, "sideways"])
+
+
+def reference_balance_scan(pi, nums, zeta, limit) -> int:
+    """The balance scan on exact Fraction lengths through ``step``."""
+    T = Iet(tuple(Fraction(n, GRID) for n in nums), pi)
+    M = VisitationMatrix.identity(pi.d)
+    while True:
+        try:
+            T, edge, _ = step(T)
+        except InductionUndefinedError:
+            return 0
+        M = M.apply_step(edge.winner, edge.loser)
+        if M.norm > limit:
+            return 0
+        if M.balance_ratio() <= zeta and M.is_positive():
+            return M.norm
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_balance_scan_matches_step_reference(d):
+    rng = Random(d)
+    pi = hyperelliptic_permutation(d)
+    for k in range(200):
+        zeta = (Fraction(20), Fraction(7, 2))[k % 2]
+        nums = [x.numerator for x in sample_simplex_exact(d, rng)]
+        expected = reference_balance_scan(pi, nums, zeta, 4**8)
+        assert _balance_scan(pi, nums, zeta, 4**8) == expected

@@ -24,8 +24,10 @@ from .simplex_geometry import (
     Polygon2D,
     ProjectiveSimplex,
     illuminated,
+    plane_family,
     section,
 )
+from .symplectic import omega
 from . import _rational
 
 GRID = 1 << 53  # denominator grid for exact random samples
@@ -272,8 +274,12 @@ def prob_decay_sim(
         raise UsageError("rho must be in (0, 1/2)")
     if dependence not in ("independent", "adversarial-markov"):
         raise UsageError(f"unknown dependence {dependence!r}")
-    rng = np.random.default_rng(seed)
     window = min(window, N)
+    bounds = tuple((1 - rho) ** j for j in range(1, window + 1))
+    if samples == 0:
+        rep = McReport(float("nan"), float("inf"), 0, seed, bounds[-1], INCONCLUSIVE)
+        return ProbDecayReport(rep, (), bounds, float("nan"), float("nan"))
+    rng = np.random.default_rng(seed)
     if dependence == "independent":
         seqs = rng.random((samples, N)) < rho
     else:
@@ -286,7 +292,6 @@ def prob_decay_sim(
             no_success &= ~seqs[:, t]
     prefix_fail = np.cumprod(~seqs[:, :window], axis=1)
     probs = tuple(float(x) for x in prefix_fail.mean(axis=0))
-    bounds = tuple((1 - rho) ** j for j in range(1, window + 1))
     counts = seqs.sum(axis=1)
     tail = float(np.mean(counts < (1 - eps) * rho * N))
     # decay of the count tail across sub-horizons
@@ -300,7 +305,6 @@ def prob_decay_sim(
         tau_hat = math.exp(float(slope))
     else:
         tau_hat = 0.0
-    j = window
     est = probs[-1]
     se = math.sqrt(max(est * (1 - est), 1.0 / samples) / samples)
     two_sided = dependence == "independent"
@@ -502,6 +506,17 @@ def _square(x: float, y: float, s: float) -> Polygon2D:
     )
 
 
+def stage_one_planes(run: ConstructionRun) -> PlaneFamily:
+    """The plane family cut by the first stage's A' and B phases, under the
+    form at the start of A'."""
+    first = run.stages[0]
+    return plane_family(
+        first.phases["Aprime"].matrix,
+        first.phases["B"].matrix,
+        omega(first.phases["Aprime"].start),
+    )
+
+
 def build_nested_family(
     run: ConstructionRun,
     family: PlaneFamily,
@@ -690,15 +705,7 @@ def illumination_proportion(
         )
         for vm in members_vm
     ]
-    from .simplex_geometry import plane_family as _pf
-    from .symplectic import omega as _omega
-
-    fam = _pf(
-        run.stages[0].phase("Aprime").matrix,
-        run.stages[0].phase("B").matrix,
-        _omega(run.stages[0].phase("Aprime").start),
-    )
-    phi = fam.phi
+    phi = stage_one_planes(run).phi
     float_members = [
         np.array(vm.rows, dtype=float) / np.array(vm.rows, dtype=float).sum(axis=0)
         for vm in members_vm

@@ -6,9 +6,10 @@ flag set: keys are sorted, no timestamps are recorded, rationals are
 serialized as "p/q" strings and big integers as decimal strings, so
 repeated runs produce byte-identical files.
 
-Exit codes: 0 success, 1 usage error, 2 budget exceeded, 3 induction hit
-the equality case, 4 construction stage failure, 5 a verification verdict
-was "violated".
+Exit codes: 0 success (an inconclusive verification included), 1 usage
+error or any other package error, 2 budget exceeded, 3 induction hit the
+equality case, 4 construction stage failure, 5 a verification verdict was
+"violated".  Errors print one line on stderr, never a traceback.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .analysis import (
     mc_balance,
     mc_jacobian_pushforward,
     prob_decay_sim,
+    stage_one_planes,
 )
 from .construction import (
     ExponentScale,
@@ -70,12 +72,8 @@ from .perm import (
     rauzy_class,
     special_permutations,
 )
-from .simplex_geometry import (
-    plane_family,
-    plane_section_concavity_test,
-    simplex_volume_ratio,
-)
-from .symplectic import omega, verify_invariance
+from .simplex_geometry import plane_section_concavity_test, simplex_volume_ratio
+from .symplectic import verify_invariance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -461,12 +459,14 @@ def _verify_balance(args, rng: Random) -> dict:
         hyperelliptic_permutation(args.d), zeta=20.0, K=4.0, m=8,
         samples=args.samples, seed=args.seed,
     )
-    return {
+    doc = {
         "fractions": list(rep.fractions),
         "sigma_hat": rep.sigma_hat,
         "sigma_ci_upper": rep.sigma_ci_upper,
-        "violated": not rep.sigma_ci_upper < 1.0,
     }
+    if rep.report.verdict == INCONCLUSIVE:  # no samples: no decay to judge
+        return {**doc, "verdict": INCONCLUSIVE, "violated": False}
+    return {**doc, "violated": not rep.sigma_ci_upper < 1.0}
 
 
 _SUITES = {
@@ -500,8 +500,9 @@ def cmd_verify(args) -> int:
     report_file = f"verify_{args.suite}.json"
     _dump_json(doc, out / report_file)
     _write_manifest(out, f"verify_{args.suite}", doc["config"], [report_file])
+    parts = [report, *(v for v in report.values() if isinstance(v, dict))]
     status = "VIOLATED" if report.get("violated") else "ok"
-    if status == "ok" and report.get("verdict") == INCONCLUSIVE:
+    if status == "ok" and any(p.get("verdict") == INCONCLUSIVE for p in parts):
         status = "inconclusive"
     print(f"verify {args.suite}: {status}")
     return EXIT_VIOLATED if report.get("violated") else EXIT_OK
@@ -532,14 +533,8 @@ def cmd_estimate_dim(args) -> int:
             print("manifest records a failed run", file=sys.stderr)
             return EXIT_USAGE
         run = _rebuild_run(manifest["config"])
-        st1 = run.stages[0]
-        fam_planes = plane_family(
-            st1.phases["Aprime"].matrix,
-            st1.phases["B"].matrix,
-            omega(st1.phases["Aprime"].start),
-        )
         families = build_nested_family(
-            run, fam_planes, planes=args.planes, seed=args.seed
+            run, stage_one_planes(run), planes=args.planes, seed=args.seed
         )
     else:
         print("manifest is not a construct or synthetic-cantor manifest",
@@ -680,6 +675,9 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE
+    except IetkitError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -31,12 +31,13 @@ from .errors import (
 )
 from .induction import Iet, VisitationMatrix, _Walk
 from .perm import (
+    _DIAGRAM,
     BOTTOM_WINS,
     TOP_WINS,
     LabeledPermutation,
     RauzyEdge,
     hyperelliptic_permutation,
-    rauzy_move,
+    restricted_lhs_move,
     special_permutations,
 )
 
@@ -302,43 +303,41 @@ def _admissible_freedom_lhs(edge: RauzyEdge, d: int) -> bool:
     return edge.winner <= d - 2
 
 
-def _admissible_restriction_lhs(edge: RauzyEdge, d: int) -> bool:
-    return edge.winner not in (1, d - 1, d) and edge.loser not in (d - 1, d)
-
-
 def _bfs_path(
     pi: LabeledPermutation,
     admissible: Callable[[RauzyEdge, int], bool],
-    tail: Callable[[LabeledPermutation], list[str] | None],
+    tail: Callable[[int], list[str] | None],
     shuffle: Callable[[list[str]], None] | None = None,
 ) -> list[str] | None:
-    """Shortest admissible side sequence from pi to the first vertex v with a
-    ``tail(v)``, followed by that tail; None if there is none.  ``shuffle``
-    orders the two sides at each vertex (goals are tested on discovery)."""
-    if (last := tail(pi)) is not None:
+    """Shortest admissible side sequence from pi to the first diagram vertex
+    v with a ``tail(v)``, followed by that tail; None if there is none.
+    ``shuffle`` orders the two sides at each vertex (goals are tested on
+    discovery)."""
+    root = _DIAGRAM.vertex(pi)
+    if (last := tail(root)) is not None:
         return last
     d = pi.d
-    parents: dict[LabeledPermutation, tuple[LabeledPermutation, str]] = {}
-    queue = deque([pi])
-    seen = {pi}
+    parents: dict[int, tuple[int, str]] = {}
+    queue = deque([root])
+    seen = {root}
     while queue:
         v = queue.popleft()
         sides = [TOP_WINS, BOTTOM_WINS]
         if shuffle is not None:
             shuffle(sides)
         for side in sides:
-            e = rauzy_move(v, side)
-            if not admissible(e, d) or e.target in seen:
+            t, _, _, e = _DIAGRAM.move(v, side)
+            if not admissible(e, d) or t in seen:
                 continue
-            parents[e.target] = (v, side)
-            if (last := tail(e.target)) is not None:
+            parents[t] = (v, side)
+            if (last := tail(t)) is not None:
                 path = [side]
-                while v != pi:
+                while v != root:
                     v, s = parents[v]
                     path.append(s)
                 return path[::-1] + last
-            seen.add(e.target)
-            queue.append(e.target)
+            seen.add(t)
+            queue.append(t)
     return None
 
 
@@ -349,7 +348,8 @@ def _steer(
     rng: Random,
 ) -> list[str]:
     """Shortest admissible side-sequence from pi to target (BFS, rng ties)."""
-    path = _bfs_path(pi, admissible, lambda v: [] if v == target else None, rng.shuffle)
+    goal = _DIAGRAM.vertex(target)
+    path = _bfs_path(pi, admissible, lambda v: [] if v == goal else None, rng.shuffle)
     if path is None:
         raise StageError(f"no admissible path from {pi} to {target}")
     return path
@@ -361,9 +361,9 @@ def _steer_to_edge(
     """Shortest freedom-LHS move sequence ending with someone in ``winners``
     beating ``loser``."""
 
-    def final_side(v: LabeledPermutation) -> list[str] | None:
+    def final_side(v: int) -> list[str] | None:
         for side in (TOP_WINS, BOTTOM_WINS):
-            e = rauzy_move(v, side)
+            e = _DIAGRAM.move(v, side)[3]
             if e.winner in winners and e.loser == loser:
                 return [side]
         return None
@@ -450,7 +450,7 @@ def gen_restriction_lhs(
         b.apply_self_loop(TOP_WINS, count)  # 2 beats 1, repeatedly
         return b.finish(RESTRICTION_LHS)
     return _walk_to_window(
-        b, window, _admissible_restriction_lhs, pi_l, rng, step_budget, RESTRICTION_LHS
+        b, window, restricted_lhs_move, pi_l, rng, step_budget, RESTRICTION_LHS
     )
 
 
@@ -461,12 +461,8 @@ def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
     pi_s = hyperelliptic_permutation(d)
     if start != pi_l:
         raise UsageError("transition starts at pi_L")
-
-    def admissible(edge: RauzyEdge, _d: int) -> bool:
-        return edge.target != pi_l
-
     b = PathBuilder(start)
-    for side in _steer(start, pi_s, admissible, rng):
+    for side in _steer(start, pi_s, lambda e, _d: e.target != pi_l, rng):
         b.apply_side(side)
     return b.finish(TRANSITION)
 

@@ -4,8 +4,8 @@ Lengths are exact: a step subtracts the shorter of the two last intervals
 from the longer one, so floating point would destroy the cocycle identity
 x = M(n) x' that everything downstream relies on.  The API speaks
 ``Fraction``s; the induction loop keeps integer numerators over one common
-denominator and walks a lazily compiled Rauzy diagram.  The matrices are
-plain python integers and may grow without bound.
+denominator and walks the compiled Rauzy diagram of ``perm``.  The matrices
+are plain python integers and may grow without bound.
 """
 from __future__ import annotations
 
@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 from . import _rational
 from .errors import BudgetExceededError, InductionUndefinedError, UsageError
-from .perm import BOTTOM_WINS, TOP_WINS, LabeledPermutation, RauzyEdge, rauzy_move
+from .perm import (
+    _DIAGRAM, BOTTOM_WINS, TOP_WINS, LabeledPermutation, RauzyEdge, rauzy_move,
+)
 
 
 @dataclass(frozen=True)
@@ -213,38 +215,6 @@ def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
     new_lengths[edge.winner - 1] -= T.lengths[edge.loser - 1]
     E = VisitationMatrix.elementary(T.d, edge.winner, edge.loser)
     return Iet(tuple(new_lengths), edge.target), edge, E
-
-
-class _RauzyDiagram:
-    """The Rauzy diagram, compiled to integer vertex ids as walks reach it.
-
-    Per id: the permutation, its 0-based last symbols and, per side, the move
-    (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
-    first taken; irreducibility is checked once per vertex and side."""
-
-    def __init__(self):
-        self.ids: dict[LabeledPermutation, int] = {}
-        self.perms: list[LabeledPermutation] = []
-        self.last: list[tuple[int, int]] = []
-        self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
-
-    def vertex(self, pi: LabeledPermutation) -> int:
-        if pi not in self.ids:
-            self.ids[pi] = len(self.perms)
-            self.perms.append(pi)
-            self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
-            self.moves.append({})
-        return self.ids[pi]
-
-    def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
-        moves = self.moves[v]
-        if side not in moves:
-            e = rauzy_move(self.perms[v], side)
-            moves[side] = (self.vertex(e.target), e.winner - 1, e.loser - 1, e)
-        return moves[side]
-
-
-_DIAGRAM = _RauzyDiagram()  # a pure cache, shared by every walk in the process
 
 
 class _Walk:

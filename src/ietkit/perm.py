@@ -4,16 +4,18 @@ A labeled permutation is a pair of orderings (top row, bottom row) of the
 symbols 1..d.  The two Rauzy moves compare the last symbol of each row: the
 "winner" keeps its row fixed while the loser is reinserted immediately to the
 right of the winner's position in the other row.  Classes are the connected
-components of the resulting directed graph; this module enumerates them by
-breadth-first search and extracts the restricted sub-diagram used by the
-staged construction.
+components of the resulting directed graph.  This module owns that graph:
+one process-wide compiled diagram makes each move once, and class
+enumeration, the restricted sub-diagram used by the staged construction,
+the construction's path searches and the induction loop all walk it.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from typing import Callable
 
 from .errors import BudgetExceededError, DegeneracyError, UsageError
 
@@ -79,14 +81,23 @@ class RauzyClassGraph:
     edges: tuple[RauzyEdge, ...]
     seed: LabeledPermutation
 
+    @cached_property
+    def _adjacency(self) -> dict[LabeledPermutation, tuple[list, list]]:
+        """Per vertex, its out-edges and its in-edges, in edge order."""
+        adj = {v: ([], []) for v in self.vertices}
+        for e in self.edges:
+            adj[e.source][0].append(e)
+            adj[e.target][1].append(e)
+        return adj
+
     def __contains__(self, pi: LabeledPermutation) -> bool:
-        return pi in set(self.vertices)
+        return pi in self._adjacency
 
     def out_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
-        return [e for e in self.edges if e.source == pi]
+        return list(self._adjacency.get(pi, ((), ()))[0])
 
     def in_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
-        return [e for e in self.edges if e.target == pi]
+        return list(self._adjacency.get(pi, ((), ()))[1])
 
     def to_json(self) -> str:
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -153,53 +164,86 @@ def rauzy_move(pi: LabeledPermutation, side: str) -> RauzyEdge:
     return RauzyEdge(pi, target, winner, loser, side)
 
 
-def rauzy_class(
-    seed: LabeledPermutation, vertex_budget: int = 10**6
-) -> RauzyClassGraph:
-    """Breadth-first closure of the seed under both moves.
+class _RauzyDiagram:
+    """The Rauzy diagram, compiled to integer vertex ids as walks reach it.
 
-    Vertex order in the result is lexicographic on (top, bottom) so that
-    exports are deterministic regardless of discovery order.
-    """
-    if not seed.is_irreducible():
-        raise ReducibilityError(f"reducible seed {seed}")
-    seen = {seed}
-    queue = deque([seed])
+    Per id: the permutation, its 0-based last symbols and, per side, the move
+    (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
+    first taken; irreducibility is checked once per vertex and side."""
+
+    def __init__(self):
+        self.ids: dict[LabeledPermutation, int] = {}
+        self.perms: list[LabeledPermutation] = []
+        self.last: list[tuple[int, int]] = []
+        self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
+
+    def vertex(self, pi: LabeledPermutation) -> int:
+        if pi not in self.ids:
+            self.ids[pi] = len(self.perms)
+            self.perms.append(pi)
+            self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
+            self.moves.append({})
+        return self.ids[pi]
+
+    def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
+        moves = self.moves[v]
+        if side not in moves:
+            e = rauzy_move(self.perms[v], side)
+            moves[side] = (self.vertex(e.target), e.winner - 1, e.loser - 1, e)
+        return moves[side]
+
+
+_DIAGRAM = _RauzyDiagram()  # a pure cache, shared by every walk in the process
+
+
+def restricted_lhs_move(edge: RauzyEdge, d: int) -> bool:
+    """The restriction rule: symbol 1 never wins and d-1, d are never compared."""
+    return edge.winner not in (1, d - 1, d) and edge.loser not in (d - 1, d)
+
+
+def _closure(
+    seed: LabeledPermutation, keep: Callable[[RauzyEdge], bool], vertex_budget: int
+) -> RauzyClassGraph:
+    """The seed's closure under the moves that pass ``keep``, breadth first
+    through the compiled diagram.  Vertices are sorted lexicographically on
+    (top, bottom) and edges by source and side, so that exports do not
+    depend on discovery order."""
+    root = _DIAGRAM.vertex(seed)
+    seen = {root}
+    queue = deque([root])
     edges: list[RauzyEdge] = []
     while queue:
-        pi = queue.popleft()
+        v = queue.popleft()
         for side in (TOP_WINS, BOTTOM_WINS):
-            edge = rauzy_move(pi, side)
+            t, _, _, edge = _DIAGRAM.move(v, side)
+            if not keep(edge):
+                continue
             edges.append(edge)
-            if edge.target not in seen:
+            if t not in seen:
                 if len(seen) >= vertex_budget:
                     raise BudgetExceededError(
                         f"class enumeration exceeded vertex budget {vertex_budget}"
                     )
-                seen.add(edge.target)
-                queue.append(edge.target)
-    vertices = tuple(sorted(seen, key=lambda v: (v.top, v.bottom)))
+                seen.add(t)
+                queue.append(t)
+    vertices = sorted(
+        (_DIAGRAM.perms[v] for v in seen), key=lambda v: (v.top, v.bottom)
+    )
     edges.sort(key=lambda e: (e.source.top, e.source.bottom, e.side))
-    return RauzyClassGraph(vertices, tuple(edges), seed)
+    return RauzyClassGraph(tuple(vertices), tuple(edges), seed)
 
 
-@lru_cache(maxsize=None)
-def _cached_class(seed: LabeledPermutation) -> RauzyClassGraph:
-    return rauzy_class(seed)
+def rauzy_class(
+    seed: LabeledPermutation, vertex_budget: int = 10**6
+) -> RauzyClassGraph:
+    """Breadth-first closure of the seed under both moves."""
+    if not seed.is_irreducible():
+        raise ReducibilityError(f"reducible seed {seed}")
+    return _closure(seed, lambda e: True, vertex_budget)
 
 
 def hyperelliptic_class(d: int) -> RauzyClassGraph:
-    return _cached_class(hyperelliptic_permutation(d))
-
-
-def _lhs_restricted_moves(pi: LabeledPermutation, d: int) -> list[RauzyEdge]:
-    """Moves where 1 never wins and d-1, d are not involved at all."""
-    out = []
-    for side in (TOP_WINS, BOTTOM_WINS):
-        edge = rauzy_move(pi, side)
-        if edge.winner != 1 and not {edge.winner, edge.loser} & {d - 1, d}:
-            out.append(edge)
-    return out
+    return rauzy_class(hyperelliptic_permutation(d))
 
 
 def restriction_subgraph(d: int, collapse: bool = False) -> RauzyClassGraph:
@@ -215,30 +259,16 @@ def restriction_subgraph(d: int, collapse: bool = False) -> RauzyClassGraph:
             "restriction sub-diagram is degenerate (single self-loop) for d < 5"
         )
     pi_l, _, _ = special_permutations(d)
-    seen = {pi_l}
-    queue = deque([pi_l])
-    edges: list[RauzyEdge] = []
-    while queue:
-        pi = queue.popleft()
-        for edge in _lhs_restricted_moves(pi, d):
-            edges.append(edge)
-            if edge.target not in seen:
-                seen.add(edge.target)
-                queue.append(edge.target)
-    if collapse:
-        ins = [e for e in edges if e.target == pi_l]
-        outs = [e for e in edges if e.source == pi_l]
-        if len(ins) == 1 and len(outs) == 1:
-            spliced = RauzyEdge(
-                ins[0].source, outs[0].target, ins[0].winner, ins[0].loser, ins[0].side
-            )
-            edges = [e for e in edges if pi_l not in (e.source, e.target)]
-            edges.append(spliced)
-            seen.discard(pi_l)
-    vertices = tuple(sorted(seen, key=lambda v: (v.top, v.bottom)))
-    edges.sort(key=lambda e: (e.source.top, e.source.bottom, e.side))
-    seed = pi_l if pi_l in seen else vertices[0]
-    return RauzyClassGraph(vertices, tuple(edges), seed)
+    graph = _closure(pi_l, lambda e: restricted_lhs_move(e, d), 10**6)
+    ins, outs = graph.in_edges(pi_l), graph.out_edges(pi_l)
+    if not collapse or len(ins) != 1 or len(outs) != 1:
+        return graph
+    (into,), (out,) = ins, outs
+    # the splice keeps the in-edge's source and side, so the order holds
+    spliced = RauzyEdge(into.source, out.target, into.winner, into.loser, into.side)
+    edges = tuple(spliced if e == into else e for e in graph.edges if e != out)
+    vertices = tuple(v for v in graph.vertices if v != pi_l)
+    return RauzyClassGraph(vertices, edges, vertices[0])
 
 
 def graphs_isomorphic(a: RauzyClassGraph, b: RauzyClassGraph) -> bool:
@@ -253,16 +283,13 @@ def graphs_isomorphic(a: RauzyClassGraph, b: RauzyClassGraph) -> bool:
         order = {root: 0}
         queue = deque([root])
         out = []
-        adj: dict[LabeledPermutation, list[tuple[str, LabeledPermutation]]] = {}
-        for e in g.edges:
-            side = relabel.get(e.side, e.side)
-            adj.setdefault(e.source, []).append((side, e.target))
         while queue:
             v = queue.popleft()
             row = []
             # one out-edge per side, so sorting by side alone is deterministic
             # and independent of the symbol labels
-            for side, t in sorted(adj.get(v, []), key=lambda st: st[0]):
+            moves = [(relabel.get(e.side, e.side), e.target) for e in g.out_edges(v)]
+            for side, t in sorted(moves, key=lambda st: st[0]):
                 if t not in order:
                     order[t] = len(order)
                     queue.append(t)

@@ -65,34 +65,34 @@ class SymplecticForm:
         return y
 
 
-def omega(pi: LabeledPermutation) -> SymplecticForm:
-    """Build the skew form for a permutation pair."""
+def _skew_matrix(pi: LabeledPermutation) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix of the form, by the convention above."""
     if not pi.is_irreducible():
         raise ReducibilityError(f"reducible permutation {pi}")
-    d = pi.d
-    m = [[0] * d for _ in range(d)]
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            if a == b:
-                continue
-            before_top = pi.top_position(a) < pi.top_position(b)
-            before_bottom = pi.bottom_position(a) < pi.bottom_position(b)
-            if before_top and not before_bottom:
-                m[a - 1][b - 1] = 1
-            elif not before_top and before_bottom:
-                m[a - 1][b - 1] = -1
+    top = {s: k for k, s in enumerate(pi.top)}
+    bottom = {s: k for k, s in enumerate(pi.bottom)}
+    symbols = range(1, pi.d + 1)
+    return tuple(
+        tuple((top[a] < top[b]) - (bottom[a] < bottom[b]) for b in symbols)
+        for a in symbols
+    )
+
+
+def omega(pi: LabeledPermutation) -> SymplecticForm:
+    """Build the skew form for a permutation pair."""
+    m = _skew_matrix(pi)
     mat = _rational.mat(m)
     kernel = _rational.nullspace(mat)
     image = _rational.column_space_basis(mat)
-    return SymplecticForm(pi, tuple(tuple(r) for r in m), tuple(image), tuple(kernel))
+    return SymplecticForm(pi, m, tuple(image), tuple(kernel))
 
 
 def verify_invariance(
     M: VisitationMatrix, pi: LabeledPermutation, pi_prime: LabeledPermutation
 ) -> bool:
     """Exact integer check of M^T Omega_pi M == Omega_pi'."""
-    om = omega(pi).matrix
-    om_prime = omega(pi_prime).matrix
+    om = _skew_matrix(pi)
+    om_prime = _skew_matrix(pi_prime)
     d = M.d
     rows = M.rows
     # (M^T Omega M)[i][j] = sum_{a,b} M[a][i] Omega[a][b] M[b][j]

@@ -27,6 +27,7 @@ from ietkit.analysis import (
     prob_decay_sim,
     sample_simplex,
     sample_simplex_exact,
+    stage_one_planes,
 )
 from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.errors import DegeneracyError, UsageError
@@ -50,6 +51,10 @@ def reference_planes(reference_run):
         st1.phases["B"].matrix,
         omega(st1.phases["Aprime"].start),
     )
+
+
+def test_stage_one_planes_matches_fixture(reference_run, reference_planes):
+    assert stage_one_planes(reference_run) == reference_planes
 
 
 # -- sampling ---------------------------------------------------------------

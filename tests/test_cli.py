@@ -261,6 +261,29 @@ def test_verify_inconclusive_is_not_ok(tmp_path, capsys):
     assert capsys.readouterr().out == "verify jacobian: inconclusive\n"
 
 
+@pytest.mark.parametrize("suite", ["balance", "probdecay"])
+def test_verify_without_samples_is_inconclusive(tmp_path, capsys, suite):
+    code, out = run(["verify", suite, "--samples", "0"], tmp_path)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"verify {suite}: inconclusive\n"
+    doc = json.loads((out / f"verify_{suite}.json").read_text())
+    assert doc["report"]["violated"] is False
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "concavity", "--samples", "0"],  # DegeneracyError
+        ["construct", "--scale", "linear:0,0,0,0"],  # ScheduleError
+    ],
+)
+def test_other_package_errors_exit_one(tmp_path, capsys, args):
+    code, _ = run(args, tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite(tmp_path):
     code, _ = run(["verify", "astrology"], tmp_path)
     assert code == EXIT_USAGE

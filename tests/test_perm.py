@@ -127,3 +127,71 @@ def test_walks_stay_in_class_property(d, seed):
         pi = rauzy_move(pi, side).target
         assert pi in graph
     assert set(rauzy_class(pi).vertices) == set(graph.vertices)
+
+
+SEED_1386 = LabeledPermutation((1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 6, 5, 7, 1))
+
+
+def oracle_closure(seed, keep=lambda e: True):
+    """Plain breadth-first closure, one ``rauzy_move`` per expansion."""
+    seen, queue, edges = {seed}, [seed], []
+    while queue:
+        pi = queue.pop(0)
+        for side in (TOP_WINS, BOTTOM_WINS):
+            e = rauzy_move(pi, side)
+            if keep(e):
+                edges.append(e)
+                if e.target not in seen:
+                    seen.add(e.target)
+                    queue.append(e.target)
+    return (sorted(seen, key=lambda v: (v.top, v.bottom)),
+            sorted(edges, key=lambda e: (e.source.top, e.source.bottom, e.side)))
+
+
+@pytest.mark.parametrize(
+    "seed", [hyperelliptic_permutation(d) for d in (4, 5, 6, 7)] + [SEED_1386],
+    ids=repr,
+)
+def test_class_matches_move_oracle(seed):
+    vertices, edges = oracle_closure(seed)
+    graph = rauzy_class(seed)
+    assert list(graph.vertices) == vertices
+    assert list(graph.edges) == edges
+    assert graph.seed == seed
+    for v in vertices:
+        assert v in graph
+        assert graph.out_edges(v) == [e for e in edges if e.source == v]
+        assert graph.in_edges(v) == [e for e in edges if e.target == v]
+    outsider = LabeledPermutation(seed.top, seed.top)  # reducible: in no class
+    assert outsider not in graph
+    assert graph.out_edges(outsider) == [] and graph.in_edges(outsider) == []
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_restriction_subgraph_matches_move_oracle(d):
+    pi_l = special_permutations(d)[0]
+
+    def restricted(e):
+        return e.winner != 1 and not {e.winner, e.loser} & {d - 1, d}
+
+    vertices, edges = oracle_closure(pi_l, restricted)
+    sub = restriction_subgraph(d)
+    assert (list(sub.vertices), list(sub.edges), sub.seed) == (vertices, edges, pi_l)
+
+
+def test_second_enumeration_makes_no_moves(monkeypatch):
+    import ietkit.perm as perm
+
+    calls = []
+
+    def counting(pi, side):
+        calls.append(pi)
+        return rauzy_move(pi, side)
+
+    monkeypatch.setattr(perm, "rauzy_move", counting)
+    first = rauzy_class(SEED_1386)
+    assert len(calls) <= 2 * len(first.vertices)
+    calls.clear()
+    again = rauzy_class(SEED_1386)
+    assert calls == []
+    assert again == first

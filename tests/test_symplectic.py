@@ -128,3 +128,17 @@ def test_angle_report_on_positive_matrix():
     assert rep.top_input_vs_last_column < np.pi / 2
     assert rep.column_angles.shape == (4, 4)
     assert np.allclose(rep.column_angles, rep.column_angles.T)
+
+
+def test_invariance_check_builds_no_bases(monkeypatch):
+    from ietkit import _rational
+
+    def forbidden(*args):
+        raise AssertionError("verify_invariance reduced a matrix it never reads")
+
+    monkeypatch.setattr(_rational, "nullspace", forbidden)
+    monkeypatch.setattr(_rational, "column_space_basis", forbidden)
+    M, pi, pi_end = random_path(6, 20, 1)
+    assert verify_invariance(M, pi, pi_end)
+    with pytest.raises(ReducibilityError):
+        verify_invariance(M, LabeledPermutation((1, 2, 3), (2, 1, 3)), pi_end)

@@ -447,7 +447,7 @@ class NestedFamily:
                 continue
             for poly, par in zip(polys, pars):
                 parent = self.levels[lv - 1][par]
-                if not parent.contains_polygon(poly, tol=1e-8):
+                if not parent.contains_polygon(poly):
                     raise UsageError(f"level {lv}: child escapes its parent")
 
     @property

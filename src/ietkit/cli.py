@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from typing import Callable
 
 import numpy as np
 
@@ -163,6 +164,21 @@ def _parse_scale(spec: str) -> ExponentScale:
     if spec == "tower":
         return ExponentScale.tower()
     raise UsageError(f"unknown scale spec {spec!r}")
+
+
+def _count(parse: Callable[[str], int]) -> Callable[[str], int]:
+    """An argparse type: a count read by ``parse``, refused when negative."""
+
+    def count(text: str) -> int:
+        try:
+            n = parse(text)
+        except OverflowError:  # int(float("inf"))
+            raise UsageError(f"count out of range: {text!r}") from None
+        if n < 0:
+            raise UsageError(f"count must be non-negative, got {text!r}")
+        return n
+
+    return count
 
 
 def _out_dir(args) -> Path:
@@ -628,15 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="|".join(sorted(_SUITES)))
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--samples", type=lambda s: int(float(s)), default=10**5)
+    p.add_argument("--paths", type=_count(int), default=1000)
+    p.add_argument("--samples", type=_count(lambda s: int(float(s))),
+                   default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate-dim", help="dimension estimates from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--planes", type=int, default=5)
+    p.add_argument("--planes", type=_count(int), default=5)
     p.add_argument("--r-grid", default=None, help="comma-separated radii")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
@@ -655,6 +672,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except UsageError as exc:  # raised by the _count argument types
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "classes":
         if args.seed_perm is None:
             if args.d is None:

@@ -3,10 +3,15 @@
 A non-negative matrix M acts on the standard simplex by x -> Mx/|Mx|; the
 image is the sub-simplex spanned by the normalized columns.  Identities
 (volume ratios, Jacobian values, orthogonality of the plane directions) are
-exact rationals; polygon sections and diameters are floating point.
+exact rationals.  Plane sections are exact up to their vertices and run in
+integers: one cached integer inverse per matrix, integer constraint rows and
+an integer vertex test, with Fractions only for the vertices that survive
+and floats only for the returned polygon; a singular matrix has no section.
+Polygon areas and diameters are floating point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,8 +249,20 @@ class Polygon2D:
             signs.append(cross)
         return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
 
-    def contains_polygon(self, other: "Polygon2D", tol: float = 1e-10) -> bool:
-        return all(self.contains(p, tol) for p in other.vertices)
+    def contains_polygon(self, other: "Polygon2D", tol: float = 1e-9) -> bool:
+        """Every vertex of ``other`` lies in this polygon, up to ``tol``
+        relative to this polygon's diameter.
+
+        Both are moved to this polygon's first vertex and divided by its
+        diameter first, so cross products are O(1) at every scale; sections
+        1e-150 across would otherwise give products that underflow.  The
+        diameter is taken with ``hypot``, since squaring it underflows too.
+        """
+        v = self.vertices
+        diff = v[:, None, :] - v[None, :, :]
+        scale = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+        unit = Polygon2D((v - v[0]) / scale)
+        return all(unit.contains((p - v[0]) / scale, tol) for p in other.vertices)
 
 
 def clip_halfplanes(
@@ -294,54 +311,87 @@ def clip_halfplanes(
     return np.array(poly)
 
 
+@functools.lru_cache(maxsize=64)
+def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """D * M^-1 as an integer matrix, for some integer D > 0; None when M is
+    singular.
+
+    A visitation matrix is a product of elementary Rauzy-Veech matrices, so
+    its determinant is 1 and D is 1.  Cached per process, keyed on the rows:
+    a nested family slices the same few stage matrices for every plane.
+    """
+    try:
+        inv = _rational.inverse(_rational.mat(rows))
+    except ZeroDivisionError:
+        return None
+    D = math.lcm(*(x.denominator for row in inv for x in row))
+    return tuple(
+        tuple(x.numerator * (D // x.denominator) for x in row) for row in inv
+    )
+
+
+def _numerators(values: Sequence) -> list[int]:
+    """The rationals ``values`` (floats read exactly) as integer numerators
+    over their least common denominator."""
+    fs = [Fraction(v) for v in values]
+    q = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (q // f.denominator) for f in fs]
+
+
 def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     """M Delta sliced by the plane through base_point; None when empty.
 
-    The preimage condition M^{-1} x >= 0 turns into d half-planes in the
-    plane's own chart, so no d-dimensional vertex enumeration happens.
+    The preimage condition M^-1 x >= 0 turns into d half-planes
+    a*s + b*t + c >= 0 in the plane's own chart, so no d-dimensional vertex
+    enumeration happens.  Everything up to the vertices is integer: M^-1
+    comes from one cached exact inverse per matrix as D * M^-1, the base
+    point and the chart rows (floats, read exactly) are numerators over one
+    common denominator, and each half-plane is kept scaled by that positive
+    integer, which moves no vertex.  A candidate vertex is the integer
+    Cramer triple (s_n, t_n, det) of two half-plane boundaries, signs
+    flipped so that det > 0; it is feasible when a*s_n + b*t_n + c*det >= 0
+    for every half-plane, and only the feasible ones become Fractions.  A
+    singular M, which no construction produces, gives None.
     """
     rows = M.rows if isinstance(M, VisitationMatrix) else M
     p0 = np.array([float(x) for x in base_point])
     if abs(p0.sum() - 1.0) > 1e-9:
         return None  # plane misses the affine hull of the simplex entirely
     chart = family.chart()
-    # constraint rows: (M^-1 p0)_r + s (M^-1 b1)_r + t (M^-1 b2)_r >= 0.
     # M^-1 has entries of size ~ norm(M)^(d-1), so forming it in floats and
     # multiplying cancels catastrophically once the section is much smaller
-    # than the simplex; solve the three systems exactly instead.
-    m = _rational.mat(rows)
-    sols = []
-    for rhs in (base_point, chart[0], chart[1]):
-        x = _rational.solve(m, [Fraction(v) for v in rhs])
-        if x is None:
-            return None
-        sols.append(x)
-    c_ex, a_ex, b_ex = sols
-    rows_abc = [
-        (a, b, c)
-        for a, b, c in zip(a_ex, b_ex, c_ex)
-        if a != 0 or b != 0
-    ]
-    if any(
-        c < 0 for a, b, c in zip(a_ex, b_ex, c_ex) if a == 0 and b == 0
-    ):
+    # than the simplex; apply it exactly instead
+    inv = _scaled_inverse(tuple(map(tuple, rows)))
+    if inv is None:
         return None
+    d = len(inv)
+    nums = _numerators([*base_point, *chart[0], *chart[1]])
+    base_n, u_n, v_n = nums[:d], nums[d : 2 * d], nums[2 * d :]
+    constraints = [
+        (sum(x * y for x, y in zip(row, u_n)),
+         sum(x * y for x, y in zip(row, v_n)),
+         sum(x * y for x, y in zip(row, base_n)))
+        for row in inv
+    ]
+    if any(c < 0 for a, b, c in constraints if a == 0 and b == 0):
+        return None
+    rows_abc = [(a, b, c) for a, b, c in constraints if a != 0 or b != 0]
     # vertex enumeration stays exact: the section can sit 20+ orders of
     # magnitude below the chart scale, where any float clipping collapses
     verts_ex: list[tuple[Fraction, Fraction]] = []
-    n = len(rows_abc)
-    for i in range(n):
-        a1, b1, c1 = rows_abc[i]
-        for j in range(i + 1, n):
-            a2, b2, c2 = rows_abc[j]
+    for i, (a1, b1, c1) in enumerate(rows_abc):
+        for a2, b2, c2 in rows_abc[i + 1 :]:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
-            s = (-c1 * b2 + c2 * b1) / det
-            t = (-a1 * c2 + a2 * c1) / det
-            if all(a * s + b * t + c >= 0 for a, b, c in rows_abc):
-                if not any(s == ps and t == pt for ps, pt in verts_ex):
-                    verts_ex.append((s, t))
+            s_n = c2 * b1 - c1 * b2
+            t_n = a2 * c1 - a1 * c2
+            if det < 0:
+                s_n, t_n, det = -s_n, -t_n, -det
+            if all(a * s_n + b * t_n + c * det >= 0 for a, b, c in rows_abc):
+                vert = (Fraction(s_n, det), Fraction(t_n, det))
+                if vert not in verts_ex:
+                    verts_ex.append(vert)
     if len(verts_ex) < 3:
         return None
     cs = sum(s for s, _ in verts_ex) / len(verts_ex)

@@ -224,6 +224,18 @@ def test_nested_family_rejects_escaping_child():
         make_nested_family([[outer], [escape]], [[None], [0]])
 
 
+@pytest.mark.parametrize("side", [1e-40, 1e-156])
+def test_nested_family_containment_is_scale_relative(side):
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    outer = Polygon2D(side * unit)
+    inner = Polygon2D(side * (0.5 * unit + 0.25))
+    make_nested_family([[outer], [inner]], [[None], [0]])
+    # a child sticking out of its parent by 1% of the parent's side
+    shifted = Polygon2D(side * (0.5 * unit + [-0.01, 0.25]))
+    with pytest.raises(UsageError):
+        make_nested_family([[outer], [shifted]], [[None], [0]])
+
+
 def test_cantor_product_family_shape():
     fam = cantor_product_family(3)
     assert fam.depth == 4

@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` patches each ``TARGETS`` entry after import, so a
 rename in the package would silently drop a per-layer metric.  It also sums
 the self time and steps of ``induct`` and ``induct_until``; if one called the
-other, the steps would be counted twice.
+other, the steps would be counted twice.  Its section count means sections
+per nesting level tried, so ``build_nested_family`` must call ``section``
+once per level, and the stage matrices' inverses must come from the cache.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ietkit import induction
+from ietkit import _rational, analysis, induction, simplex_geometry
+from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.perm import hyperelliptic_permutation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,3 +51,48 @@ def test_induct_does_not_call_induct_until(monkeypatch):
         hyperelliptic_permutation(4),
     )
     assert induction.induct(T, 10).steps == 10
+
+
+def test_nested_family_sections_once_per_level(monkeypatch):
+    run = run_construction(
+        4, make_schedule(1, ExponentScale.linear(), stages=3), seed=11
+    )
+    stages = [st.cumulative for st in run.stages]
+    calls, inverted = [], []
+    real_section, real_inverse = analysis.section, _rational.inverse
+
+    def counting_section(M, base_point, family):
+        polygon = real_section(M, base_point, family)
+        calls.append((M, tuple(base_point), polygon))
+        return polygon
+
+    def counting_inverse(m):
+        inverted.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(analysis, "section", counting_section)
+    monkeypatch.setattr(_rational, "inverse", counting_inverse)
+    simplex_geometry._scaled_inverse.cache_clear()
+    families = analysis.build_nested_family(
+        run, analysis.stage_one_planes(run), planes=4, seed=3
+    )
+    assert len(families) == 4
+    # one attempt per base point: the stages in order from the first, until
+    # an empty section or the last stage
+    attempts: dict[tuple, list] = {}
+    for M, base, polygon in calls:
+        attempts.setdefault(base, []).append((M, polygon))
+    for tried in attempts.values():
+        assert [M for M, _ in tried] == stages[: len(tried)]
+        hits = [p is not None and p.area > 0 for _, p in tried]
+        assert all(hits[:-1]) and (not hits[-1] or len(tried) == len(stages))
+    # each family holds the sections of one attempt, level by level
+    for nf in families:
+        assert any(
+            len(tried) >= nf.depth
+            and all(tried[lv][1] is nf.levels[lv][0] for lv in range(nf.depth))
+            for tried in attempts.values()
+        )
+    # one exact inverse per distinct stage matrix, however many planes
+    assert len(inverted) == len(set(inverted))
+    assert len(inverted) == len({M.rows for M, _, _ in calls}) <= len(stages)

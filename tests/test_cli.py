@@ -284,6 +284,23 @@ def test_other_package_errors_exit_one(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "jacobian", "--samples", "-1"],
+        ["verify", "jacobian", "--samples", "inf"],  # was an OverflowError
+        ["verify", "balance", "--samples", "-1"],
+        ["verify", "symplectic", "--paths", "-1"],
+        ["estimate-dim", "--manifest", "missing.json", "--planes", "-3"],
+    ],
+)
+def test_negative_counts_are_usage(tmp_path, capsys, args):
+    code, out = run(args, tmp_path)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_verify_unknown_suite(tmp_path):
     code, _ = run(["verify", "astrology"], tmp_path)
     assert code == EXIT_USAGE

@@ -1,11 +1,13 @@
 """Projective simplices, volume formulas, sections, and illumination."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ietkit import _rational
 from ietkit.errors import DegeneracyError, UsageError
@@ -134,6 +136,108 @@ def test_section_off_the_simplex_plane_is_empty():
     family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
     base = [Fraction(1, 2)] * 4
     assert section(VisitationMatrix.identity(4), base, family) is None
+
+
+def reference_section(M, base_point, family):
+    """The Fraction algorithm: three exact solves against M, then a pairwise
+    vertex search over the half-planes; the vertex array, or None."""
+    rows = M.rows if isinstance(M, VisitationMatrix) else M
+    if abs(np.array([float(x) for x in base_point]).sum() - 1.0) > 1e-9:
+        return None
+    chart = family.chart()
+    m = _rational.mat(rows)
+    sols = []
+    for rhs in (base_point, chart[0], chart[1]):
+        x = _rational.solve(m, [Fraction(v) for v in rhs])
+        if x is None:
+            return None
+        sols.append(x)
+    c_ex, a_ex, b_ex = sols
+    if any(c < 0 for a, b, c in zip(a_ex, b_ex, c_ex) if a == 0 and b == 0):
+        return None
+    rows_abc = [
+        (a, b, c) for a, b, c in zip(a_ex, b_ex, c_ex) if a != 0 or b != 0
+    ]
+    verts = []
+    for i, (a1, b1, c1) in enumerate(rows_abc):
+        for a2, b2, c2 in rows_abc[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            s = (-c1 * b2 + c2 * b1) / det
+            t = (-a1 * c2 + a2 * c1) / det
+            if all(a * s + b * t + c >= 0 for a, b, c in rows_abc):
+                if (s, t) not in verts:
+                    verts.append((s, t))
+    if len(verts) < 3:
+        return None
+    cs = sum(s for s, _ in verts) / len(verts)
+    ct = sum(t for _, t in verts) / len(verts)
+    order = sorted(
+        verts, key=lambda v: math.atan2(float(v[1] - ct), float(v[0] - cs))
+    )
+    return np.array([[float(s), float(t)] for s, t in order])
+
+
+@st.composite
+def section_inputs(draw):
+    """M, a rational base point M w / |M w| and a plane family.
+
+    M is a product of 1-40 elementary Rauzy-Veech matrices, or raw integer
+    rows with any non-zero determinant.  With every weight w_j positive the
+    base point lies inside M Delta; a negative one may put it outside, so
+    both empty and non-empty sections are compared.
+    """
+    d = draw(st.integers(4, 6))
+    if draw(st.booleans()):
+        M = VisitationMatrix.identity(d)
+        for _ in range(draw(st.integers(1, 40))):
+            winner, loser = draw(st.permutations(range(1, d + 1)))[:2]
+            M = M @ VisitationMatrix.elementary(d, winner, loser)
+        rows = M.rows
+    else:
+        rows = draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=d, max_size=d),
+            min_size=d, max_size=d,
+        ))
+        assume(_rational.det(_rational.mat(rows)) != 0)
+        M = rows
+    w = draw(st.lists(st.integers(-30, 60), min_size=d, max_size=d))
+    x = [sum(r * wj for r, wj in zip(row, w)) for row in rows]
+    assume(sum(x) > 0)
+    base = [Fraction(xi, sum(x)) for xi in x]
+
+    def direction():
+        raw = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+        return tuple(d * r - sum(raw) for r in raw)  # in the sum-zero plane
+
+    u, v = direction(), direction()
+    assume(any(u) and any(v))
+    family = PlaneFamily(d, u, v)
+    try:
+        family.chart()
+    except DegeneracyError:
+        assume(False)
+    return M, base, family
+
+
+@settings(max_examples=150, deadline=None)
+@given(section_inputs())
+def test_section_matches_fraction_reference(inputs):
+    M, base, family = inputs
+    want = reference_section(M, base, family)
+    for matrix in (M, [list(r) for r in getattr(M, "rows", M)]):
+        got = section(matrix, base, family)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.vertices, want)
+
+
+def test_section_of_a_singular_matrix_is_none():
+    rows = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
+    base = [Fraction(1, 4)] * 4  # in the image of the cone: M (1, 1, 2, 2) / 8
+    assert section(rows, base, family) is None
 
 
 def test_illuminated_interior_direction():

@@ -24,6 +24,10 @@ analysis
     dimension estimation.
 cli
     Batch command-line frontend with reproducible manifests.
+
+numpy is imported inside the functions that compute in floats, never at
+module level, so importing any module and running the exact computations
+loads neither numpy nor scipy.
 """
 from __future__ import annotations
 

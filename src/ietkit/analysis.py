@@ -13,8 +13,6 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
 from .induction import Iet, IntegerIet, VisitationMatrix, _step_lengths, _Walk
@@ -127,6 +125,8 @@ def mc_balance(
 ) -> BalanceReport:
     """Failure fractions of reaching a positive zeta-balanced matrix before
     norm K^j, for j = 1..m, with a geometric-decay fit."""
+    import numpy as np
+
     if zeta <= 1 or K <= 1:
         raise UsageError("need zeta > 1 and K > 1")
     if samples == 0:
@@ -189,6 +189,8 @@ class SubSimplex:
         return len(self.vertices)
 
     def vertex_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in v] for v in self.vertices], dtype=float).T
 
 
@@ -211,6 +213,8 @@ def mc_jacobian_pushforward(
 ) -> McReport:
     """Fraction of uniform points of M-Delta whose preimage lies in W,
     against the exact ratio of image volumes (the jacobian integral)."""
+    import numpy as np
+
     d = M.d
     if W.d != d:
         raise UsageError("region dimension mismatch")
@@ -270,6 +274,8 @@ def prob_decay_sim(
     pays exactly rho while its past is all-failures and 0.9 afterwards, which
     makes the all-failure window bound (1-rho)^j tight.
     """
+    import numpy as np
+
     if not 0 < rho < 0.5:
         raise UsageError("rho must be in (0, 1/2)")
     if dependence not in ("independent", "adversarial-markov"):
@@ -501,6 +507,8 @@ def cantor_product_family(levels: int) -> NestedFamily:
 
 
 def _square(x: float, y: float, s: float) -> Polygon2D:
+    import numpy as np
+
     return Polygon2D(
         np.array([[x, y], [x + s, y], [x + s, y + s], [x, y + s]])
     )
@@ -529,6 +537,8 @@ def build_nested_family(
     cumulative simplex is sliced by the same plane, giving a single nested
     polygon per level for as long as the section stays non-empty.
     """
+    import numpy as np
+
     if len(run.stages) < 2:
         raise UsageError("need a run with at least two stages")
     rng = np.random.default_rng(seed)
@@ -577,6 +587,8 @@ class FrostmanMeasure:
 
 def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     """The inductive sibling-area measure plus a ball-mass exponent scan."""
+    import numpy as np
+
     if family.depth < 1 or not family.levels[0]:
         raise DegeneracyError("empty family")
     weights: list[list[float]] = []
@@ -651,17 +663,20 @@ class BoxDimensionFit:
 
 def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFit:
     """Least-squares slope of log N(r) against log(1/r) over occupied boxes."""
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     radii = sorted(float(r) for r in r_grid)
     counts = []
     for r in radii:
-        cells = np.floor(pts / r).astype(np.int64)
+        # float cell indices: an int64 cast wraps once pts / r passes 2^63
+        cells = np.floor(pts / r)
         counts.append(len({tuple(c) for c in cells}))
     usable = [(r, n) for r, n in zip(radii, counts) if n > 0]
-    if len(usable) < 2:
-        raise UsageError("need at least two non-empty scales")
+    if len({r for r, _ in usable}) < 2:
+        raise UsageError("need at least two distinct non-empty scales")
     xs = [math.log(1.0 / r) for r, _ in usable]
     ys = [math.log(n) for _, n in usable]
     coef = np.polyfit(xs, ys, 1)
@@ -686,6 +701,8 @@ def illumination_proportion(
     """Measured fraction of slice points of the stage family that the fixed
     direction phi joins to the first face; plus the t_k-neighborhood
     survival fraction in the extras."""
+    import numpy as np
+
     if not 0.1 <= c <= 0.9:
         raise UsageError("slice parameter must lie in [0.1, 0.9]")
     st = run.stages[stage - 1]

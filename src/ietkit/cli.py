@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 from typing import Callable
 
-import numpy as np
-
+from . import _rational
 from .analysis import (
     INCONCLUSIVE,
     VIOLATED,
@@ -109,22 +109,25 @@ def _frs(x) -> str:
 def _parse_perm(spec: str) -> LabeledPermutation:
     """Permutation specs: sN, hyperelliptic:N, pi_L:N, pi_R:N, pi_prime:N,
     or explicit "1,2,3/3,2,1"."""
-    if "/" in spec:
-        top_s, bottom_s = spec.split("/", 1)
-        top = tuple(int(x) for x in top_s.split(","))
-        bottom = tuple(int(x) for x in bottom_s.split(","))
-        return LabeledPermutation(top, bottom)
-    if spec.startswith("s") and spec[1:].isdigit():
-        return hyperelliptic_permutation(int(spec[1:]))
-    if ":" in spec:
-        name, d_s = spec.split(":", 1)
-        d = int(d_s)
-        if name == "hyperelliptic":
-            return hyperelliptic_permutation(d)
-        pi_l, pi_r, pi_prime = special_permutations(d)
-        table = {"pi_L": pi_l, "pi_R": pi_r, "pi_prime": pi_prime}
-        if name in table:
-            return table[name]
+    try:
+        if "/" in spec:
+            top_s, bottom_s = spec.split("/", 1)
+            top = tuple(int(x) for x in top_s.split(","))
+            bottom = tuple(int(x) for x in bottom_s.split(","))
+            return LabeledPermutation(top, bottom)
+        if spec.startswith("s") and spec[1:].isdigit():
+            return hyperelliptic_permutation(int(spec[1:]))
+        if ":" in spec:
+            name, d_s = spec.split(":", 1)
+            d = int(d_s)
+            if name == "hyperelliptic":
+                return hyperelliptic_permutation(d)
+            pi_l, pi_r, pi_prime = special_permutations(d)
+            table = {"pi_L": pi_l, "pi_R": pi_r, "pi_prime": pi_prime}
+            if name in table:
+                return table[name]
+    except ValueError:  # a label or size that is not an integer
+        pass
     raise UsageError(f"cannot parse permutation spec {spec!r}")
 
 
@@ -133,6 +136,18 @@ def _parse_lengths(spec: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(x) for x in spec.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse lengths {spec!r}: {exc}") from None
+
+
+def _parse_radii(spec: str) -> list[float]:
+    """Comma-separated box sizes: positive floats whose size and reciprocal
+    are both finite, so each has a finite log scale."""
+    try:
+        radii = [float(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"cannot parse radii {spec!r}: {exc}") from None
+    if not all(0 < r < math.inf and 1 / r < math.inf for r in radii):
+        raise UsageError(f"radii must be positive with finite log, got {spec!r}")
+    return radii
 
 
 def _parse_until(spec: str):
@@ -157,7 +172,12 @@ def _parse_scale(spec: str) -> ExponentScale:
     if spec == "linear":
         return ExponentScale.linear()
     if spec.startswith("linear:"):
-        coeffs = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        try:
+            coeffs = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        except ValueError as exc:
+            raise UsageError(f"cannot parse scale {spec!r}: {exc}") from None
+        if not all(map(math.isfinite, coeffs)):
+            raise UsageError(f"scale coefficients must be finite, got {spec!r}")
         if len(coeffs) != 4:
             raise UsageError("linear scale needs four coefficients c6,c4,c2,c23")
         return ExponentScale.linear(*coeffs)
@@ -410,8 +430,6 @@ def _verify_volume(args, rng: Random) -> dict:
         formula = simplex_volume_ratio(M, VisitationMatrix.identity(M.d))
         cols = [tuple(Fraction(x) for x in M.column(j)) for j in range(1, M.d + 1)]
         normed = [tuple(x / sum(c) for x in c) for c in cols]
-        from . import _rational
-
         det_ratio = abs(_rational.det(_rational.mat(list(zip(*normed)))))
         if formula != det_ratio:
             violations += 1
@@ -448,6 +466,8 @@ def _verify_probdecay(args, rng: Random) -> dict:
 
 
 def _verify_concavity(args, rng: Random) -> dict:
+    import numpy as np
+
     results = []
     violated = False
     frac, bound, ok = plane_section_concavity_test(
@@ -533,6 +553,9 @@ def _rebuild_run(config: dict):
 
 
 def cmd_estimate_dim(args) -> int:
+    import numpy as np
+
+    r_grid = _parse_radii(args.r_grid) if args.r_grid else None
     out = _out_dir(args)
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
@@ -560,12 +583,8 @@ def cmd_estimate_dim(args) -> int:
     for idx, nf in enumerate(families):
         fro = frostman_measure(nf)
         pts = np.array([p.centroid for p in nf.levels[-1]])
-        if args.r_grid:
-            r_grid = [float(x) for x in args.r_grid.split(",")]
-        else:
-            r_grid = list(fro.radii)
         try:
-            fit = box_dimension(pts, r_grid)
+            fit = box_dimension(pts, r_grid or list(fro.radii))
             box_est = fit.estimate
         except IetkitError:
             box_est = None
@@ -616,17 +635,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shorthand for --seed-perm hyperelliptic:D")
     p.add_argument("--seed-perm", default=None,
                    help="seed permutation spec (default hyperelliptic:D)")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_count(int), default=10**6)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("induct", help="run exact Rauzy-Veech induction")
     p.add_argument("--lengths", required=True, help='e.g. "2/3,1/3"')
     p.add_argument("--perm", required=True, help='e.g. "s2" or "1,2/2,1"')
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_count(int), default=None)
     p.add_argument("--until", default=None,
                    help="balanced:Z | norm:N | positive | perm:SPEC")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_count(int), default=10**6)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_induct)
 

@@ -55,12 +55,20 @@ AVOIDING = "avoiding"
 
 
 def _pow10(exp: float) -> int:
-    if exp > MAX_EXPONENT:
+    if not exp <= MAX_EXPONENT:  # NaN included
         raise ScheduleOverflowError(
             f"10^{exp:g} is beyond the representable budget (max 10^{MAX_EXPONENT}); "
             "this schedule exists for symbolic inspection only"
         )
     return max(1, round(10.0**exp))
+
+
+def _float_pow10(exp: float) -> float:
+    """10^exp as a float; a schedule overflow beyond the float range."""
+    try:
+        return 10.0**exp
+    except OverflowError:
+        raise ScheduleOverflowError(f"10^{exp:g} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ class StageWindows:
 
     @property
     def t(self) -> float:
-        return 10.0**self.t_exp
+        return _float_pow10(self.t_exp)
 
     @property
     def T_cap(self) -> int:
@@ -160,13 +168,13 @@ class Schedule:
 
     def star2_threshold(self, k: int) -> float:
         """Scaled analog of the first-column balance bound for A'_k T_k."""
-        return 10.0 ** (2 * self.scale.p2(k + self.k0))
+        return _float_pow10(2 * self.scale.p2(k + self.k0))
 
     def angle_threshold_lhs(self, k: int) -> float:
-        return 10.0 ** (-self.cstar * self.scale.p6(2 * k + self.k0))
+        return _float_pow10(-self.cstar * self.scale.p6(2 * k + self.k0))
 
     def angle_threshold_rhs(self, k: int) -> float:
-        return 10.0 ** (-self.cstar * self.scale.p6(2 * k + 1 + self.k0))
+        return _float_pow10(-self.cstar * self.scale.p6(2 * k + 1 + self.k0))
 
 
 def make_schedule(

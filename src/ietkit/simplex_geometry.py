@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import _rational
 from .errors import DegeneracyError, UsageError
 from .induction import VisitationMatrix
@@ -164,8 +162,13 @@ class PlaneFamily:
 
     def chart(self) -> np.ndarray:
         """Orthonormal 2 x d chart basis for the plane directions."""
+        import numpy as np
+
         b1 = np.array([float(x) for x in self.u])
-        b1 /= np.linalg.norm(b1)
+        n1 = np.linalg.norm(b1)
+        if not 0 < n1 < math.inf:
+            raise DegeneracyError("plane direction u has no float unit vector")
+        b1 /= n1
         b2 = np.array([float(x) for x in self.v])
         b2 -= np.dot(b2, b1) * b1
         n = np.linalg.norm(b2)
@@ -223,6 +226,8 @@ class Polygon2D:
 
     @property
     def area(self) -> float:
+        import numpy as np
+
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
         return 0.5 * abs(
@@ -231,6 +236,8 @@ class Polygon2D:
 
     @property
     def diameter(self) -> float:
+        import numpy as np
+
         v = self.vertices
         diff = v[:, None, :] - v[None, :, :]
         return float(np.sqrt((diff**2).sum(-1)).max())
@@ -258,6 +265,8 @@ class Polygon2D:
         1e-150 across would otherwise give products that underflow.  The
         diameter is taken with ``hypot``, since squaring it underflows too.
         """
+        import numpy as np
+
         v = self.vertices
         diff = v[:, None, :] - v[None, :, :]
         scale = float(np.hypot(diff[..., 0], diff[..., 1]).max())
@@ -273,6 +282,8 @@ def clip_halfplanes(
     Sutherland-Hodgman against a large initial box; returns vertices
     counterclockwise, or None when the intersection is empty.
     """
+    import numpy as np
+
     poly = [
         np.array([-box, -box]),
         np.array([box, -box]),
@@ -353,6 +364,8 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     for every half-plane, and only the feasible ones become Fractions.  A
     singular M, which no construction produces, gives None.
     """
+    import numpy as np
+
     rows = M.rows if isinstance(M, VisitationMatrix) else M
     p0 = np.array([float(x) for x in base_point])
     if abs(p0.sum() - 1.0) > 1e-9:
@@ -436,6 +449,8 @@ def illuminated(y: Sequence, simplices: Sequence, phi: Sequence) -> bool:
 
 def _polytope_halfspaces(body) -> tuple[np.ndarray, np.ndarray]:
     """(A, b) with body = {x : A x <= b}; accepts vertices or the pair itself."""
+    import numpy as np
+
     if isinstance(body, tuple) and len(body) == 2:
         return np.asarray(body[0], dtype=float), np.asarray(body[1], dtype=float)
     from scipy.spatial import ConvexHull
@@ -449,6 +464,8 @@ def polytope_section_area(
     A: np.ndarray, b: np.ndarray, point: np.ndarray, chart: np.ndarray
 ) -> float:
     """Area of {x : A x <= b} cut by the plane point + span(chart rows)."""
+    import numpy as np
+
     cons = np.column_stack(
         [-(A @ chart[0]), -(A @ chart[1]), b - A @ point]
     )
@@ -474,6 +491,8 @@ def plane_section_concavity_test(
     the orthocomplement.  Returns (fraction, bound, fraction <= bound) with
     bound = constant * sqrt(eps).
     """
+    import numpy as np
+
     if not 0 < eps <= 1:
         raise UsageError("eps must be in (0, 1]")
     if isinstance(body, dict) and "ball" in body:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _rational
 from .errors import DegeneracyError, IetkitError, UsageError
 from .induction import VisitationMatrix
@@ -120,6 +118,8 @@ def singular_data(M) -> SingularData:
     Each input direction is flipped so its first non-zero coordinate is
     positive; the output direction flips with it to keep M v = s u.
     """
+    import numpy as np
+
     a = np.array(M.rows if isinstance(M, VisitationMatrix) else M, dtype=float)
     if abs(np.linalg.det(a)) < 1e-300:
         raise DegeneracyError("singular matrix has no full decomposition")
@@ -204,6 +204,8 @@ def reciprocal_pairing(
     Small singular values are recovered as reciprocals of the large singular
     values of the exact inverse, which keeps their relative accuracy.
     """
+    import numpy as np
+
     if not verify_invariance(M, pi, pi_prime):
         raise UsageError("invariance M^T Omega M = Omega' fails for this path")
     form, form_prime = omega(pi), omega(pi_prime)
@@ -259,6 +261,8 @@ class AngleReport:
 
 
 def vector_angle(u, v) -> float:
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     c = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -272,6 +276,8 @@ def angle_report(M) -> AngleReport:
     reports its angle to C_d and the angle of the second direction (projected
     off the first) to C_1.
     """
+    import numpy as np
+
     rows = M.rows if isinstance(M, VisitationMatrix) else M
     a = np.array(rows, dtype=float)
     d = a.shape[0]

@@ -344,6 +344,17 @@ def test_box_dimension_needs_two_scales():
         box_dimension(np.zeros((5, 1)), [10.0])
 
 
+def test_box_dimension_needs_two_distinct_scales():
+    with pytest.raises(UsageError):  # was a LinAlgError from the fit
+        box_dimension(cantor_midpoints(3).reshape(-1, 1), [0.5, 0.5])
+
+
+def test_box_dimension_counts_cells_past_the_int64_range():
+    # at r = 1e-30 every midpoint has its own cell, though pts / r > 2^63
+    fit = box_dimension(cantor_midpoints(3).reshape(-1, 1), [1e-30, 2.0])
+    assert fit.counts == (8, 1)
+
+
 # -- illumination -----------------------------------------------------------
 
 

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietkit.cli import (
     EXIT_BUDGET,
@@ -198,6 +200,18 @@ def test_construct_tower_scale_overflows(tmp_path):
     assert code == EXIT_BUDGET
 
 
+def test_construct_angle_threshold_overflow_is_budget(tmp_path, capsys):
+    # the schedule is valid, but 10^(-c* p6) of its angle thresholds is not
+    # a float; this was an OverflowError traceback
+    code, _ = run(
+        ["construct", "--d", "4", "--stages", "1",
+         "--scale", "linear:-7.5e12,1.5e13,0,0"],
+        tmp_path,
+    )
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_construct_unknown_scale_is_usage(tmp_path):
     code, _ = run(["construct", "--scale", "cubic"], tmp_path)
     assert code == EXIT_USAGE
@@ -301,6 +315,37 @@ def test_negative_counts_are_usage(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6", "--steps", "-1"],
+        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6",
+         "--until", "positive", "--budget", "-1"],
+        ["classes", "--d", "4", "--budget", "-1"],
+    ],
+)
+def test_negative_steps_and_budgets_are_usage(tmp_path, capsys, args):
+    code, out = run(args, tmp_path)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["induct", "--perm", "1,2/x", "--lengths", "1/3,2/3", "--steps", "1"],
+        ["induct", "--perm", "pi_L:four", "--lengths", "1/3,2/3", "--steps", "1"],
+        ["construct", "--scale", "linear:a,b,c,d"],
+        ["construct", "--scale", "linear:nan,1,1,1"],
+    ],
+)
+def test_malformed_specs_are_usage(tmp_path, capsys, args):
+    code, _ = run(args, tmp_path)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_verify_unknown_suite(tmp_path):
     code, _ = run(["verify", "astrology"], tmp_path)
     assert code == EXIT_USAGE
@@ -338,6 +383,38 @@ def test_estimate_dim_synthetic_cantor(tmp_path):
     assert (out / "dim_fit.csv").exists()
 
 
+def cantor_manifest(tmp_path, levels=3):
+    manifest = tmp_path / "synthetic.json"
+    manifest.write_text(
+        json.dumps({"command": "synthetic-cantor", "config": {"levels": levels}})
+    )
+    return manifest
+
+
+@pytest.mark.parametrize("grid", ["abc", "0,-1", "nan,inf", "1e-400", "0.5,,0.1"])
+def test_estimate_dim_bad_r_grid_is_usage(tmp_path, capsys, grid):
+    code, out = run(
+        ["estimate-dim", "--manifest", str(cantor_manifest(tmp_path)),
+         "--r-grid", grid],
+        tmp_path,
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+def test_estimate_dim_uses_the_given_r_grid(tmp_path):
+    code, out = run(
+        ["estimate-dim", "--manifest", str(cantor_manifest(tmp_path)),
+         "--r-grid", f"1.5,0.5,{1 / 6},{1 / 18}"],
+        tmp_path,
+    )
+    assert code == EXIT_OK
+    fam = json.loads((out / "estimate_dim.json").read_text())["families"][0]
+    # cells of side 3/2, 1/2, 1/6 and 1/18 meet 1, 4, 16 and 64 level-3 squares
+    assert fam["box_dimension"] == pytest.approx(math.log(4) / math.log(3))
+
+
 def test_estimate_dim_from_construct_manifest(tmp_path):
     _, cdir = run(construct_args(), tmp_path, "c")
     code, out = run(
@@ -351,3 +428,80 @@ def test_estimate_dim_from_construct_manifest(tmp_path):
     for fam in doc["families"]:
         assert fam["depth"] >= 2
         assert all(0 < a <= 1 for a in fam["a"])
+
+
+# -- value flags under arbitrary input --------------------------------------
+
+# Malformed values are drawn freely; well-formed ones stay tiny (counts up to
+# 40, free text up to four characters) so that no draw asks for a long run.
+NOISE = st.text(alphabet="0123456789-+./,:eEnaifs_xLR", max_size=4)
+PERMS = st.one_of(
+    st.sampled_from([
+        "s2", "s3", "s4", "hyperelliptic:3", "pi_L:4", "pi_R:5", "pi_prime:4",
+        "1,2,3/3,2,1", "2,1/1,2", "1,2/1,2", "1,2/2,1,3", "1,1/2,2", "s1",
+        "pi_L:3", "pi_L:x", "1,2/x", "", "hyperelliptic:-2",
+    ]),
+    NOISE,
+)
+SMALL_COUNTS = st.one_of(
+    st.integers(-3, 40).map(str), st.sampled_from(["", "x", "1.5", "1e3", "inf"])
+)
+LENGTHS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(-2, 30), st.integers(0, 30)).map(
+            lambda pq: f"{pq[0]}/{pq[1]}"
+        ),
+        min_size=1, max_size=5,
+    ).map(",".join),
+    st.sampled_from(["1/2,1/3,1/6", "nan,1", "inf,1", "1e-5,1", "0.25,0.75"]),
+    NOISE,
+)
+UNTIL = st.one_of(
+    st.sampled_from(["positive", "balanced:2", "balanced:0", "balanced:1/0",
+                     "norm:1e300", "norm:inf", "norm:-5", "perm:s3", "bogus"]),
+    st.builds("perm:{}".format, PERMS),
+    NOISE,
+)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+RADII = st.one_of(
+    st.lists(st.one_of(FLOATS, st.sampled_from(["1e-400", "0.1", "-0"])),
+             min_size=1, max_size=4).map(",".join),
+    NOISE,
+)
+SCALES = st.one_of(
+    st.sampled_from(["linear", "tower", "linear:1,2", "linear:"]),
+    st.lists(FLOATS, min_size=4, max_size=4).map(
+        lambda cs: "linear:" + ",".join(cs)
+    ),
+    NOISE,
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """One subcommand with random values for its value flags."""
+    command = draw(st.sampled_from(["classes", "induct", "construct", "estimate-dim"]))
+    if command == "classes":
+        return ["classes", "--seed-perm", draw(PERMS), "--budget", draw(SMALL_COUNTS)]
+    if command == "induct":
+        argv = ["induct", "--lengths", draw(LENGTHS), "--perm", draw(PERMS)]
+        if draw(st.booleans()):
+            return argv + ["--steps", draw(SMALL_COUNTS)]
+        return argv + ["--until", draw(UNTIL), "--budget", draw(SMALL_COUNTS)]
+    if command == "construct":
+        return ["construct", "--d", "4", "--stages", "1", "--scale", draw(SCALES)]
+    return ["estimate-dim", "--r-grid", draw(RADII)]
+
+
+@pytest.fixture(scope="module")
+def flags_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("flags")
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=cli_argv())
+def test_value_flags_never_escape_the_exit_codes(flags_dir, argv):
+    if argv[0] == "estimate-dim":
+        argv += ["--manifest", str(cantor_manifest(flags_dir, levels=2))]
+    code = main(argv + ["--out", str(flags_dir / "out")])
+    assert isinstance(code, int) and 0 <= code <= 5

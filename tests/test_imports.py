@@ -1,0 +1,80 @@
+"""numpy stays off the start-up path, and every layer is still imported there.
+
+The exact subcommands never compute a float, so neither importing the CLI
+nor running them loads numpy or scipy; the float layers import numpy inside
+the functions that use it.  The benchmark's tracer patches only the modules
+loaded by ``import ietkit.cli``, so that import must still load every module
+its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
+test process has long since imported numpy.
+"""
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ietkit
+
+SRC = Path(ietkit.__file__).resolve().parents[1]
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# a tiny run of each subcommand that computes no float
+EXACT_RUNS = [
+    ["classes", "--d", "4"],
+    ["induct", "--perm", "s3", "--lengths", "5/11,4/11,2/11", "--steps", "2"],
+    ["induct", "--perm", "s4", "--lengths", "13/40,11/40,9/40,7/40",
+     "--until", "norm:5"],
+    ["construct", "--d", "4", "--stages", "2"],
+    ["verify", "symplectic", "--paths", "5"],
+    ["verify", "volume", "--paths", "5"],
+]
+
+
+def fresh(code: str, cwd: Path):
+    """Run ``code`` in a new interpreter; return the JSON its last line prints."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after_cli_import(cwd: Path) -> set[str]:
+    return set(fresh(
+        "import json, sys\nimport ietkit.cli\nprint(json.dumps(sorted(sys.modules)))",
+        cwd,
+    ))
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    loaded = modules_after_cli_import(tmp_path)
+    assert "numpy" not in loaded
+    assert "scipy" not in loaded
+
+
+def test_exact_subcommands_load_no_numpy(tmp_path):
+    got = fresh(
+        "import json, sys\nfrom ietkit.cli import main\n"
+        f"codes = [main(argv + ['--out', 'out']) for argv in {EXACT_RUNS!r}]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules,"
+        " 'scipy': 'scipy' in sys.modules}))",
+        tmp_path,
+    )
+    assert got == {"codes": [0] * len(EXACT_RUNS), "numpy": False, "scipy": False}
+
+
+def test_cli_import_loads_every_tracer_module(tmp_path):
+    if not TRACER.exists():
+        pytest.skip("perfbench/ is not part of this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {module for module, _, _ in tracer.TARGETS.values()}
+    assert wanted <= modules_after_cli_import(tmp_path)

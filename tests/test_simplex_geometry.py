@@ -233,6 +233,19 @@ def test_section_matches_fraction_reference(inputs):
             assert np.array_equal(got.vertices, want)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        (0, 0, 0, 0),
+        (Fraction(1, 10**400), Fraction(-1, 10**400), 0, 0),  # 0.0 in floats
+    ],
+)
+def test_chart_of_a_zero_u_is_degenerate(u):
+    family = PlaneFamily(4, u, (0, 0, 1, -1))
+    with pytest.raises(DegeneracyError):
+        family.chart()
+
+
 def test_section_of_a_singular_matrix_is_none():
     rows = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))

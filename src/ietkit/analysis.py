@@ -149,8 +149,9 @@ def mc_balance(
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]
     ys = [math.log(f) for f in fracs if 0 < f < 0.99]
     if len(xs) >= 2:
-        slope, _ = np.polyfit(xs, ys, 1)
-        resid = np.array(ys) - np.polyval(np.polyfit(xs, ys, 1), xs)
+        fit = np.polyfit(xs, ys, 1)
+        slope = fit[0]
+        resid = np.array(ys) - np.polyval(fit, xs)
         se_slope = (
             math.sqrt(float(resid @ resid) / max(1, len(xs) - 2))
             / math.sqrt(float(np.sum((np.array(xs) - np.mean(xs)) ** 2)))

@@ -157,12 +157,15 @@ def _parse_until(spec: str):
         raise UsageError(f"cannot parse stopping predicate {spec!r}")
     name, arg = spec.split(":", 1)
     try:
-        if name == "balanced":
-            return balanced(Fraction(arg))
-        if name == "norm":
-            return norm_at_least(int(float(arg)))
+        if name == "balanced" and (zeta := Fraction(arg)) >= 1:
+            return balanced(zeta)
+        if name == "norm" and (N := int(float(arg))) >= 1:
+            return norm_at_least(N)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise UsageError(f"bad stopping predicate {spec!r}: {exc}") from None
+    if name in ("balanced", "norm"):  # below 1: never holds, or holds at once
+        raise UsageError(f"bad stopping predicate {spec!r}: every matrix has "
+                         "norm and balance ratio >= 1")
     if name == "perm":
         return permutation_is(_parse_perm(arg))
     raise UsageError(f"unknown stopping predicate {name!r}")

@@ -44,6 +44,8 @@ from .perm import (
 log = logging.getLogger(__name__)
 
 MAX_EXPONENT = 18  # largest base-10 exponent we will instantiate as an int
+PHASE_BUDGET = 10**6  # moves (or freedom-RHS loops) a phase may take to its window
+CSTAR = 0.5  # the constant in the angle condition thresholds
 
 FREEDOM_LHS = "freedom-LHS"
 FREEDOM_LHS_BRIDGE = "freedom-LHS-bridge"
@@ -125,10 +127,6 @@ class ExponentScale:
             name="tower",
         )
 
-    @staticmethod
-    def uniform(f: Callable[[float], float], name="uniform") -> "ExponentScale":
-        return ExponentScale(f, f, f, f, name=name)
-
 
 @dataclass(frozen=True)
 class StageWindows:
@@ -161,7 +159,6 @@ class Schedule:
     scale: ExponentScale
     windows: tuple[StageWindows, ...]
     zeta: float = 32.0
-    cstar: float = 0.5  # the constant in the angle condition thresholds
 
     def stage(self, k: int) -> StageWindows:
         return self.windows[k - 1]
@@ -171,10 +168,10 @@ class Schedule:
         return _float_pow10(2 * self.scale.p2(k + self.k0))
 
     def angle_threshold_lhs(self, k: int) -> float:
-        return _float_pow10(-self.cstar * self.scale.p6(2 * k + self.k0))
+        return _float_pow10(-CSTAR * self.scale.p6(2 * k + self.k0))
 
     def angle_threshold_rhs(self, k: int) -> float:
-        return _float_pow10(-self.cstar * self.scale.p6(2 * k + 1 + self.k0))
+        return _float_pow10(-CSTAR * self.scale.p6(2 * k + 1 + self.k0))
 
 
 def make_schedule(
@@ -412,12 +409,7 @@ def _walk_to_window(
     return b.finish(phase)
 
 
-def gen_freedom_lhs(
-    start: LabeledPermutation,
-    window: Window,
-    rng: Random,
-    step_budget: int = 10**6,
-) -> PhasePath:
+def gen_freedom_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
     """Freedom on the left: only 1..d-2 win, 1 wins first, ends at pi_s.
 
     ``start`` may be pi_L (the canonical start) or pi_s (the state the
@@ -432,16 +424,11 @@ def gen_freedom_lhs(
     b = PathBuilder(start)
     b.apply_winner(1)  # 1 wins first; forced at pi_s, chosen at pi_L
     return _walk_to_window(  # the first win counts against the budget
-        b, window, _admissible_freedom_lhs, pi_s, rng, step_budget - 1, FREEDOM_LHS
+        b, window, _admissible_freedom_lhs, pi_s, rng, PHASE_BUDGET - 1, FREEDOM_LHS
     )
 
 
-def gen_restriction_lhs(
-    start: LabeledPermutation,
-    window: Window,
-    rng: Random,
-    step_budget: int = 10**6,
-) -> PhasePath:
+def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
     """Restriction on the left: 1 never wins, d-1 and d are never compared.
 
     For d=4 the restricted diagram is the single self-loop where 2 beats 1,
@@ -458,7 +445,7 @@ def gen_restriction_lhs(
         b.apply_self_loop(TOP_WINS, count)  # 2 beats 1, repeatedly
         return b.finish(RESTRICTION_LHS)
     return _walk_to_window(
-        b, window, restricted_lhs_move, pi_l, rng, step_budget, RESTRICTION_LHS
+        b, window, restricted_lhs_move, pi_l, rng, PHASE_BUDGET, RESTRICTION_LHS
     )
 
 
@@ -476,7 +463,7 @@ def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
 
 
 def freedom_rhs_for_window(
-    start: LabeledPermutation, window: Window, rng: Random, max_loops: int = 10**6
+    start: LabeledPermutation, window: Window, rng: Random
 ) -> PhasePath:
     """Freedom on the right: d sweeps 1..d-2, then loops at pi_R until the
     norm enters the window.
@@ -492,7 +479,7 @@ def freedom_rhs_for_window(
         b.apply_winner(d)  # d beats 1, ..., d-2
     loops = 0
     while b.norm < window.lo:
-        if loops >= max_loops:
+        if loops >= PHASE_BUDGET:
             raise BudgetExceededError("freedom-RHS window unreachable")
         b.apply_self_loop(BOTTOM_WINS, rng.randint(1, 3))  # d-1 beats d at pi_R
         for _ in range(d - 1):
@@ -665,9 +652,7 @@ def _stage_stats(
     return stats
 
 
-def run_construction(
-    d: int, schedule: Schedule, seed: int, angle_tol: float = 1e-9
-) -> ConstructionRun:
+def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
     """Drive all stages and report the limiting vertex clusters."""
     if d < 4:
         raise UsageError("the construction needs d >= 4")
@@ -734,11 +719,11 @@ def run_construction(
         raise StageError(
             f"stage {len(stages) + 1} failed: {exc}", partial=tuple(stages)
         ) from exc
-    limit = _extract_limit(stages[-1].cumulative, d, angle_tol)
+    limit = _extract_limit(stages[-1].cumulative, d)
     return ConstructionRun(d, schedule, seed, tuple(stages), limit)
 
 
-def _extract_limit(M: VisitationMatrix, d: int, tol: float) -> LimitInfo:
+def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
     verts = []
     for j in range(1, d + 1):
         col = M.column(j)

@@ -3,11 +3,11 @@
 A non-negative matrix M acts on the standard simplex by x -> Mx/|Mx|; the
 image is the sub-simplex spanned by the normalized columns.  Identities
 (volume ratios, Jacobian values, orthogonality of the plane directions) are
-exact rationals.  Plane sections are exact up to their vertices and run in
-integers: one cached integer inverse per matrix, integer constraint rows and
-an integer vertex test, with Fractions only for the vertices that survive
-and floats only for the returned polygon; a singular matrix has no section.
-Polygon areas and diameters are floating point.
+exact rationals.  ``section`` is exact up to its vertices: an integer inverse
+per matrix and an integer vertex test, with Fractions for the surviving
+vertices and floats for the returned polygon.  The float sections of the
+concavity test come from one numpy half-plane intersector that clips all
+sampled planes of a body at once, a block of planes at a time.
 """
 from __future__ import annotations
 
@@ -274,52 +274,65 @@ class Polygon2D:
         return all(unit.contains((p - v[0]) / scale, tol) for p in other.vertices)
 
 
-def clip_halfplanes(
-    constraints: np.ndarray, box: float = 16.0
-) -> np.ndarray | None:
-    """Intersect half-planes a*s + b*t + c >= 0 given as rows (a, b, c).
+_REL_TOL = 1e-12  # a residual or gap below this share of its terms is rounding
+_BLOCK = 1 << 17  # residuals (1 MB) per block of planes, so memory stays flat
 
-    Sutherland-Hodgman against a large initial box; returns vertices
-    counterclockwise, or None when the intersection is empty.
+
+def _clip_planes(normals: np.ndarray, offsets: np.ndarray):
+    """Convex polygons {(s, t) : a*s + b*t + c >= 0 for every row} for P
+    planes that share the rows' (a, b), ``normals`` (m, 2); ``offsets``
+    (P, m) holds each plane's c.  Returns (pts, keep, area): pts (N, 2)
+    lists, plane by plane and counterclockwise, the Cramer intersections of
+    two boundaries that meet every row up to _REL_TOL; keep drops repeats of
+    the vertex before and all of a plane with fewer than three distinct
+    vertices, which is empty.
     """
     import numpy as np
 
-    poly = [
-        np.array([-box, -box]),
-        np.array([box, -box]),
-        np.array([box, box]),
-        np.array([-box, box]),
-    ]
-    for a, b, c in constraints:
-        if not poly:
-            return None
-        nrm = float(np.hypot(a, b))
-        if nrm < 1e-300:
-            if c < 0:
-                return None
-            continue
-        new_poly = []
-        vals = [a * p[0] + b * p[1] + c for p in poly]
-        n = len(poly)
-        for i in range(n):
-            p, q = poly[i], poly[(i + 1) % n]
-            vp, vq = vals[i], vals[(i + 1) % n]
-            if vp >= 0:
-                new_poly.append(p)
-            if (vp > 0) != (vq > 0) and vp != vq:
-                t = vp / (vp - vq)
-                if 0 < t < 1:
-                    new_poly.append(p + t * (q - p))
-        # drop duplicate points
-        poly = []
-        for p in new_poly:
-            if not poly or np.linalg.norm(p - poly[-1]) > 1e-13:
-                poly.append(p)
-        if len(poly) > 1 and np.linalg.norm(poly[0] - poly[-1]) <= 1e-13:
-            poly.pop()
-    if len(poly) < 3:
-        return None
-    return np.array(poly)
+    P = len(offsets)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unit = np.hypot(normals[:, 0], normals[:, 1])
+        flat = unit < 1e-300  # no direction: holds everywhere (c >= 0) or nowhere
+        ab = np.where(flat[:, None], 0.0, normals / unit[:, None])
+        c = np.where(flat, np.where(offsets < 0, -np.inf, 0.0), offsets / unit)
+        i, j = np.triu_indices(len(ab), 1)  # parallel pairs give no finite vertex
+        det = ab[i, 0] * ab[j, 1] - ab[j, 0] * ab[i, 1]
+        s = t = 0.0  # Cramer, then again on its residuals: each vertex is on its
+        for _ in range(2):  # two lines to rounding, however near parallel they are
+            ri, rj = (c[:, k] + ab[k, 0] * s + ab[k, 1] * t for k in (i, j))  # (P, pairs)
+            s = s + (rj * ab[i, 1] - ri * ab[j, 1]) / det
+            t = t + (ri * ab[j, 0] - rj * ab[i, 0]) / det
+        size = np.abs(s) + np.abs(t)
+        res = np.stack([s, t], -1) @ ab.T  # (P, pairs, m)
+        res += (c + _REL_TOL * np.abs(c))[:, None]
+        ok = (res >= -_REL_TOL * size[..., None]).all(-1) & np.isfinite(size)
+    span = np.where(ok, size, 0.0).max(1, initial=0.0)
+    plane, k = np.nonzero(ok)
+    pts, n = np.stack([s[plane, k], t[plane, k]], -1), np.bincount(plane, minlength=P)
+    centre = np.stack([np.bincount(plane, x, P) for x in pts.T], -1) / np.maximum(n, 1)[:, None]
+    rel = pts - centre[plane]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), plane))
+    pts, rel, at = pts[order], rel[order], np.arange(len(plane))
+    # the vertex before each, cyclically within its plane
+    prev = np.where(at == (np.cumsum(n) - n)[plane], at + n[plane] - 1, at - 1)
+    keep = np.abs(rel - rel[prev]).max(-1) > _REL_TOL * span[plane]
+    full = np.bincount(plane, keep, P) >= 3
+    cross = rel[prev, 0] * rel[:, 1] - rel[prev, 1] * rel[:, 0]  # shoelace
+    return pts, keep & full[plane], np.where(full, abs(np.bincount(plane, cross, P)) / 2, 0.0)
+
+
+def clip_halfplanes(constraints: np.ndarray, box: float = 16.0) -> np.ndarray | None:
+    """Intersect half-planes a*s + b*t + c >= 0 given as rows (a, b, c).
+
+    Four more rows cut at |s|, |t| <= box, so an unbounded intersection is
+    bounded there; returns vertices counterclockwise, or None when empty.
+    """
+    import numpy as np
+
+    square = [[1, 0, box], [-1, 0, box], [0, 1, box], [0, -1, box]]
+    rows = np.vstack([square, np.asarray(constraints, dtype=float).reshape(-1, 3)])
+    pts, keep, _ = _clip_planes(rows[:, :2], rows[None, :, 2])
+    return pts[keep] if keep.any() else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -464,16 +477,7 @@ def polytope_section_area(
     A: np.ndarray, b: np.ndarray, point: np.ndarray, chart: np.ndarray
 ) -> float:
     """Area of {x : A x <= b} cut by the plane point + span(chart rows)."""
-    import numpy as np
-
-    cons = np.column_stack(
-        [-(A @ chart[0]), -(A @ chart[1]), b - A @ point]
-    )
-    verts = clip_halfplanes(cons, box=1e3)
-    if verts is None:
-        return 0.0
-    x, y = verts[:, 0], verts[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
+    return float(_clip_planes(-(A @ chart.T), (b - A @ point)[None])[2][0])
 
 
 def plane_section_concavity_test(
@@ -495,50 +499,45 @@ def plane_section_concavity_test(
 
     if not 0 < eps <= 1:
         raise UsageError("eps must be in (0, 1]")
+    rng = np.random.default_rng(seed)
     if isinstance(body, dict) and "ball" in body:
         # exact ball sections: area pi (R^2 - r^2) at offset radius r
         radius = float(body["ball"])
         n = int(body["dim"])
-        rng = np.random.default_rng(seed)
         offsets = rng.uniform(-radius, radius, size=(samples, n - 2))
         r2 = (offsets**2).sum(axis=1)
         areas = np.pi * np.clip(radius**2 - r2, 0.0, None)
-        hit = areas > 0
-        if not hit.any():
-            raise DegeneracyError("no sampled plane met the ball")
-        fraction = float((areas[hit] < eps * areas.max()).mean())
-        bound = constant * float(np.sqrt(eps))
-        return fraction, bound, fraction <= bound
-    A, b = _polytope_halfspaces(body)
-    n = A.shape[1]
-    chart_q, _ = np.linalg.qr(np.asarray(directions, dtype=float).T)
-    chart = chart_q.T[:2]
-    # orthocomplement basis
-    full, _ = np.linalg.qr(np.hstack([chart.T, np.eye(n)]))
-    comp = full[:, 2:n].T
-    # bounding box of the body via support in +-each comp direction (LP-free:
-    # use vertices when given, else solve support by scipy linprog)
-    try:
-        vertices = np.asarray(body, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[1] != n:
-            raise ValueError
-        proj = vertices @ comp.T
-        lo, hi = proj.min(axis=0), proj.max(axis=0)
-    except (ValueError, TypeError):
-        from scipy.optimize import linprog
+    else:
+        A, b = _polytope_halfspaces(body)
+        n = A.shape[1]
+        chart_q, _ = np.linalg.qr(np.asarray(directions, dtype=float).T)
+        chart = chart_q.T[:2]
+        # orthocomplement basis
+        full, _ = np.linalg.qr(np.hstack([chart.T, np.eye(n)]))
+        comp = full[:, 2:n].T
+        # bounding box of the body via support in +-each comp direction (LP-free:
+        # use vertices when given, else solve support by scipy linprog)
+        try:
+            vertices = np.asarray(body, dtype=float)
+            if vertices.ndim != 2 or vertices.shape[1] != n:
+                raise ValueError
+            proj = vertices @ comp.T
+            lo, hi = proj.min(axis=0), proj.max(axis=0)
+        except (ValueError, TypeError):
+            from scipy.optimize import linprog
 
-        lo = np.empty(n - 2)
-        hi = np.empty(n - 2)
-        for i, c in enumerate(comp):
-            r1 = linprog(c, A_ub=A, b_ub=b, bounds=(None, None))
-            r2 = linprog(-c, A_ub=A, b_ub=b, bounds=(None, None))
-            lo[i], hi[i] = r1.fun, -r2.fun
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(lo, hi, size=(samples, n - 2))
-    areas = np.empty(samples)
-    for k in range(samples):
-        point = offsets[k] @ comp
-        areas[k] = polytope_section_area(A, b, point, chart)
+            lo = np.empty(n - 2)
+            hi = np.empty(n - 2)
+            for i, c in enumerate(comp):
+                r1 = linprog(c, A_ub=A, b_ub=b, bounds=(None, None))
+                r2 = linprog(-c, A_ub=A, b_ub=b, bounds=(None, None))
+                lo[i], hi[i] = r1.fun, -r2.fun
+        points = rng.uniform(lo, hi, size=(samples, n - 2)) @ comp
+        step = max(1, 2 * _BLOCK // len(A) ** 3)  # pairs * rows < m^3 / 2
+        areas = np.concatenate([np.zeros(0)] + [
+            _clip_planes(-(A @ chart.T), b - points[k : k + step] @ A.T)[2]
+            for k in range(0, samples, step)
+        ])
     hit = areas > 0
     if not hit.any():
         raise DegeneracyError("no sampled plane met the body")

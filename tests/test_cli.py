@@ -109,7 +109,10 @@ def test_induct_reducible_perm_is_usage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: reducible")
 
 
-@pytest.mark.parametrize("until", ["norm:abc", "balanced:abc"])
+@pytest.mark.parametrize(
+    "until",
+    ["norm:abc", "balanced:abc", "balanced:-1", "balanced:1/2", "norm:-5", "norm:0"],
+)
 def test_induct_malformed_until_is_usage(tmp_path, capsys, until):
     code, _ = run(
         ["induct", "--lengths", "2/3,1/3", "--perm", "s2", "--until", until],

@@ -2,9 +2,9 @@
 
 The exact subcommands never compute a float, so neither importing the CLI
 nor running them loads numpy or scipy; the float layers import numpy inside
-the functions that use it.  The benchmark's tracer patches only the modules
-loaded by ``import ietkit.cli``, so that import must still load every module
-its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
+the functions that use it, and only the concavity suite loads scipy.  The
+benchmark's tracer patches only the modules loaded by ``import ietkit.cli``,
+so that import must still load every module its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
 test process has long since imported numpy.
 """
 from __future__ import annotations
@@ -32,6 +32,16 @@ EXACT_RUNS = [
     ["construct", "--d", "4", "--stages", "2"],
     ["verify", "symplectic", "--paths", "5"],
     ["verify", "volume", "--paths", "5"],
+]
+
+# a tiny run of each float job that needs no scipy: all but verify concavity
+FLOAT_RUNS = [
+    ["construct", "--d", "4", "--stages", "2", "--out", "c"],
+    ["estimate-dim", "--manifest", "c/construct_manifest.json", "--planes", "2",
+     "--out", "e"],
+    ["verify", "balance", "--samples", "20", "--out", "v"],
+    ["verify", "jacobian", "--samples", "20", "--out", "v"],
+    ["verify", "probdecay", "--samples", "20", "--out", "v"],
 ]
 
 
@@ -68,6 +78,16 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
         tmp_path,
     )
     assert got == {"codes": [0] * len(EXACT_RUNS), "numpy": False, "scipy": False}
+
+
+def test_float_jobs_but_concavity_load_no_scipy(tmp_path):
+    got = fresh(
+        "import json, sys\nfrom ietkit.cli import main\n"
+        f"codes = [main(argv) for argv in {FLOAT_RUNS!r}]\n"
+        "print(json.dumps({'codes': codes, 'scipy': 'scipy' in sys.modules}))",
+        tmp_path,
+    )
+    assert got == {"codes": [0] * len(FLOAT_RUNS), "scipy": False}
 
 
 def test_cli_import_loads_every_tracer_module(tmp_path):

@@ -27,6 +27,7 @@ from ietkit.simplex_geometry import (
     section,
     simplex_volume_ratio,
 )
+from ietkit.simplex_geometry import _clip_planes, _polytope_halfspaces
 
 
 def random_matrix(d: int, length: int, seed: int) -> VisitationMatrix:
@@ -302,3 +303,99 @@ def test_concavity_polytope_bound():
             verts, np.eye(4)[:2], eps, 2000, seed=2
         )
         assert ok, f"fraction {frac} exceeded bound {bound} at eps {eps}"
+
+
+def test_clip_halfplanes_merges_repeated_vertices():
+    square = [[1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 1]]
+    # s + t >= 0 meets the square's corner (0, 0) only: three boundaries
+    # through one vertex, which is listed once
+    verts = clip_halfplanes(np.array(square + [[1, 1, 0]], dtype=float))
+    assert len(verts) == 4
+    # s + t <= 0 leaves only that corner, a point, which is empty
+    assert clip_halfplanes(np.array(square + [[-1, -1, 0]], dtype=float)) is None
+
+
+def sutherland_hodgman(constraints, box: float = 16.0, num=float):
+    """The scalar clipper the batched one replaced, kept as the reference:
+    half-planes a*s + b*t + c >= 0 cut one at a time from a large box.
+    ``num=Fraction`` runs it in exact arithmetic, merging equal points only.
+    """
+    poly = [(num(x), num(y)) for x, y in
+            ((-box, -box), (box, -box), (box, box), (-box, box))]
+    if num is Fraction:
+        apart = tuple.__ne__
+    else:
+        def apart(p, q):
+            return math.dist(p, q) > 1e-13
+    for a, b, c in constraints:
+        if not poly:
+            return None
+        a, b, c = num(a), num(b), num(c)
+        if math.hypot(a, b) < 1e-300:
+            if c < 0:
+                return None
+            continue
+        new_poly = []
+        vals = [a * x + b * y + c for x, y in poly]
+        n = len(poly)
+        for i in range(n):
+            (px, py), (qx, qy) = poly[i], poly[(i + 1) % n]
+            vp, vq = vals[i], vals[(i + 1) % n]
+            if vp >= 0:
+                new_poly.append((px, py))
+            if (vp > 0) != (vq > 0) and vp != vq:
+                t = vp / (vp - vq)
+                if 0 < t < 1:
+                    new_poly.append((px + t * (qx - px), py + t * (qy - py)))
+        poly = []
+        for p in new_poly:  # drop duplicate points
+            if not poly or apart(p, poly[-1]):
+                poly.append(p)
+        if len(poly) > 1 and not apart(poly[0], poly[-1]):
+            poly.pop()
+    return np.array(poly, dtype=float) if len(poly) >= 3 else None
+
+
+def shoelace(verts) -> float:
+    if verts is None:
+        return 0.0
+    x, y = verts[:, 0], verts[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(8, 16), st.integers(0, 2**32 - 1))
+def test_batched_sections_match_the_scalar_clipper(n, npoints, seed):
+    rng = np.random.default_rng(seed)
+    body = rng.standard_normal((npoints, n))
+    A, b = _polytope_halfspaces(body)
+    chart = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    # plane origins over the body's bounding box widened by half on each
+    # side, so that some planes miss it; the first passes through its middle
+    lo, hi = body.min(0), body.max(0)
+    points = rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2, size=(60, n))
+    points[0] = body.mean(0)
+    ref = np.array([
+        shoelace(sutherland_hodgman(
+            np.column_stack([-(A @ chart[0]), -(A @ chart[1]), b - A @ p]), box=1e3
+        ))
+        for p in points
+    ])
+    _, _, got = _clip_planes(-(A @ chart.T), b - points @ A.T)
+    assert ((got > 0) == (ref > 0)).all()
+    assert np.abs(got - ref).max() <= 1e-10 * ref.max()
+    assert got[0] == pytest.approx(polytope_section_area(A, b, points[0], chart))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-40, 40))
+def test_clip_halfplanes_unbounded_matches_the_scalar_clipper(a, b, c):
+    # exact: in floats the reference loses a vertex when the line passes
+    # within rounding of a box corner (s + t >= 1e-20 gives None)
+    ref = sutherland_hodgman([(a, b, c)], num=Fraction)
+    got = clip_halfplanes(np.array([[a, b, c]]))
+    assert (got is None) == (ref is None)
+    if ref is not None:  # the same vertices, up to merging, cut by the same box
+        gaps = np.abs(got[:, None] - ref[None]).max(-1)
+        assert gaps.min(0).max() <= 1e-9 and gaps.min(1).max() <= 1e-9
+        assert shoelace(got) == pytest.approx(shoelace(ref), rel=1e-12, abs=1e-9)

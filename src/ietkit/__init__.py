@@ -27,7 +27,11 @@ cli
 
 numpy is imported inside the functions that compute in floats, never at
 module level, so importing any module and running the exact computations
-loads neither numpy nor scipy.
+loads neither numpy nor scipy; the balance-decay fit is a closed-form line,
+so ``analysis.mc_balance`` needs no numpy either.  The records are plain
+classes with ``__slots__``, immutable by convention, and ``logging`` is
+imported by the first construction warning, so start-up loads neither
+``dataclasses`` nor ``logging``.
 """
 from __future__ import annotations
 

@@ -8,7 +8,6 @@ used wherever a downstream check needs identities to hold on the nose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
@@ -35,15 +34,27 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class McReport:
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
-    claim_bound: float
-    verdict: str
-    extras: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("estimate", "stderr", "samples", "seed", "claim_bound", "verdict",
+                 "extras")
+
+    def __init__(
+        self,
+        estimate: float,
+        stderr: float,
+        samples: int,
+        seed: int,
+        claim_bound: float,
+        verdict: str,
+        extras: dict | None = None,  # a new empty dict when not given
+    ):
+        self.estimate = estimate
+        self.stderr = stderr
+        self.samples = samples
+        self.seed = seed
+        self.claim_bound = claim_bound
+        self.verdict = verdict
+        self.extras = {} if extras is None else extras
 
 
 def _verdict(estimate: float, stderr: float, bound: float, two_sided: bool = False) -> str:
@@ -87,12 +98,20 @@ def sample_simplex_exact(d: int, rng: Random) -> tuple[Fraction, ...]:
 # balance decay
 
 
-@dataclass(frozen=True)
 class BalanceReport:
-    report: McReport
-    fractions: tuple[float, ...]  # failure fraction for m = 1..m_max
-    sigma_hat: float
-    sigma_ci_upper: float  # 95% upper confidence bound on the decay ratio
+    __slots__ = ("report", "fractions", "sigma_hat", "sigma_ci_upper")
+
+    def __init__(
+        self,
+        report: McReport,
+        fractions: tuple[float, ...],  # failure fraction for m = 1..m_max
+        sigma_hat: float,
+        sigma_ci_upper: float,  # 95% upper confidence bound on the decay ratio
+    ):
+        self.report = report
+        self.fractions = fractions
+        self.sigma_hat = sigma_hat
+        self.sigma_ci_upper = sigma_ci_upper
 
 
 def _balance_scan(
@@ -115,6 +134,20 @@ def _balance_scan(
     return hi if generic and hi <= limit else 0
 
 
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line through (xs, ys) in closed form: its slope, and
+    the slope's standard error from the residuals (0.0 with two points)."""
+    n = len(xs)
+    x_bar, y_bar = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - x_bar) ** 2 for x in xs)
+    slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx
+    if n == 2:
+        return slope, 0.0
+    intercept = y_bar - slope * x_bar
+    sse = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    return slope, math.sqrt(sse / (n - 2)) / math.sqrt(sxx)
+
+
 def mc_balance(
     pi: LabeledPermutation,
     zeta: float,
@@ -125,8 +158,6 @@ def mc_balance(
 ) -> BalanceReport:
     """Failure fractions of reaching a positive zeta-balanced matrix before
     norm K^j, for j = 1..m, with a geometric-decay fit."""
-    import numpy as np
-
     if zeta <= 1 or K <= 1:
         raise UsageError("need zeta > 1 and K > 1")
     if samples == 0:
@@ -139,7 +170,7 @@ def mc_balance(
     failures = [0] * m
     for _ in range(samples):
         x = sample_simplex_exact(pi.d, rng)
-        nums = [f.numerator for f in x]  # common denominator GRID
+        nums = [int(f * GRID) for f in x]  # over GRID; each Fraction is reduced
         reached = _balance_scan(pi, nums, zeta_f, limit)
         for j, t in enumerate(thresholds):
             if reached == 0 or reached > t:
@@ -149,17 +180,9 @@ def mc_balance(
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]
     ys = [math.log(f) for f in fracs if 0 < f < 0.99]
     if len(xs) >= 2:
-        fit = np.polyfit(xs, ys, 1)
-        slope = fit[0]
-        resid = np.array(ys) - np.polyval(fit, xs)
-        se_slope = (
-            math.sqrt(float(resid @ resid) / max(1, len(xs) - 2))
-            / math.sqrt(float(np.sum((np.array(xs) - np.mean(xs)) ** 2)))
-            if len(xs) > 2
-            else 0.0
-        )
-        sigma_hat = math.exp(float(slope))
-        sigma_up = math.exp(float(slope) + 1.645 * se_slope)
+        slope, se_slope = _line_fit(xs, ys)
+        sigma_hat = math.exp(slope)
+        sigma_up = math.exp(slope + 1.645 * se_slope)
     elif fracs and fracs[-1] == 0.0:
         sigma_hat, sigma_up = 0.0, 0.0
     else:
@@ -174,13 +197,13 @@ def mc_balance(
 # jacobian pushforward
 
 
-@dataclass(frozen=True)
 class SubSimplex:
     """Region of the simplex spanned by rational vertices (each summing 1)."""
 
-    vertices: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[tuple[Fraction, ...], ...]):
+        self.vertices = vertices
         for v in self.vertices:
             if sum(v) != 1:
                 raise UsageError("sub-simplex vertices must lie on the simplex")
@@ -251,13 +274,22 @@ def mc_jacobian_pushforward(
 # probability decay
 
 
-@dataclass(frozen=True)
 class ProbDecayReport:
-    report: McReport
-    window_probs: tuple[float, ...]  # empirical P(first j trials all fail)
-    window_bounds: tuple[float, ...]  # (1-rho)^j
-    tau_hat: float  # fitted decay of P(count < (1-eps) rho N)
-    count_tail: float
+    __slots__ = ("report", "window_probs", "window_bounds", "tau_hat", "count_tail")
+
+    def __init__(
+        self,
+        report: McReport,
+        window_probs: tuple[float, ...],  # empirical P(first j trials all fail)
+        window_bounds: tuple[float, ...],  # (1-rho)^j
+        tau_hat: float,  # fitted decay of P(count < (1-eps) rho N)
+        count_tail: float,
+    ):
+        self.report = report
+        self.window_probs = window_probs
+        self.window_bounds = window_bounds
+        self.tau_hat = tau_hat
+        self.count_tail = count_tail
 
 
 def prob_decay_sim(
@@ -414,11 +446,18 @@ def limit_tower_points(
     )
 
 
-@dataclass(frozen=True)
 class KeaneReport:
-    satisfied: bool
-    steps: int
-    collision: tuple[int, int] | None  # (discontinuity index, orbit step)
+    __slots__ = ("satisfied", "steps", "collision")
+
+    def __init__(
+        self,
+        satisfied: bool,
+        steps: int,
+        collision: tuple[int, int] | None,  # (discontinuity index, orbit step)
+    ):
+        self.satisfied = satisfied
+        self.steps = steps
+        self.collision = collision
 
 
 def keane_check(T: Iet, N: int) -> KeaneReport:
@@ -441,14 +480,20 @@ def keane_check(T: Iet, N: int) -> KeaneReport:
 # nested plane families and dimension estimators
 
 
-@dataclass(frozen=True)
 class NestedFamily:
-    levels: tuple[tuple[Polygon2D, ...], ...]
-    parents: tuple[tuple[int | None, ...], ...]  # index into previous level
-    a: tuple[float, ...]  # retained-measure fraction per level > 0
-    radii: tuple[tuple[float, float], ...]  # (max diameter, min diameter)
+    __slots__ = ("levels", "parents", "a", "radii")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        levels: tuple[tuple[Polygon2D, ...], ...],
+        parents: tuple[tuple[int | None, ...], ...],  # index into previous level
+        a: tuple[float, ...],  # retained-measure fraction per level > 0
+        radii: tuple[tuple[float, float], ...],  # (max diameter, min diameter)
+    ):
+        self.levels = levels
+        self.parents = parents
+        self.a = a
+        self.radii = radii
         for lv, (polys, pars) in enumerate(zip(self.levels, self.parents)):
             if lv == 0:
                 continue
@@ -578,12 +623,20 @@ def build_nested_family(
     return out
 
 
-@dataclass(frozen=True)
 class FrostmanMeasure:
-    weights: tuple[tuple[float, ...], ...]  # per level, per polygon
-    exponent: float  # fitted s with sup-ball-mass ~ r^s
-    radii: tuple[float, ...]
-    masses: tuple[float, ...]  # sup over probe points of mu(B(x, r))
+    __slots__ = ("weights", "exponent", "radii", "masses")
+
+    def __init__(
+        self,
+        weights: tuple[tuple[float, ...], ...],  # per level, per polygon
+        exponent: float,  # fitted s with sup-ball-mass ~ r^s
+        radii: tuple[float, ...],
+        masses: tuple[float, ...],  # sup over probe points of mu(B(x, r))
+    ):
+        self.weights = weights
+        self.exponent = exponent
+        self.radii = radii
+        self.masses = masses
 
 
 def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
@@ -654,12 +707,20 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     )
 
 
-@dataclass(frozen=True)
 class BoxDimensionFit:
-    estimate: float
-    counts: tuple[int, ...]
-    radii: tuple[float, ...]
-    residual: float  # max absolute fit residual in log-log space
+    __slots__ = ("estimate", "counts", "radii", "residual")
+
+    def __init__(
+        self,
+        estimate: float,
+        counts: tuple[int, ...],
+        radii: tuple[float, ...],
+        residual: float,  # max absolute fit residual in log-log space
+    ):
+        self.estimate = estimate
+        self.counts = counts
+        self.radii = radii
+        self.residual = residual
 
 
 def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFit:

@@ -159,8 +159,8 @@ def _parse_until(spec: str):
     try:
         if name == "balanced" and (zeta := Fraction(arg)) >= 1:
             return balanced(zeta)
-        if name == "norm" and (N := int(float(arg))) >= 1:
-            return norm_at_least(N)
+        if name == "norm" and (n := float(arg)) >= 1:
+            return norm_at_least(math.ceil(n))  # norm:2.5 stops at norm >= 3
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise UsageError(f"bad stopping predicate {spec!r}: {exc}") from None
     if name in ("balanced", "norm"):  # below 1: never holds, or holds at once

@@ -13,10 +13,8 @@ millions of times, and a run applies to the matrix in closed form.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
@@ -40,8 +38,6 @@ from .perm import (
     restricted_lhs_move,
     special_permutations,
 )
-
-log = logging.getLogger(__name__)
 
 MAX_EXPONENT = 18  # largest base-10 exponent we will instantiate as an int
 PHASE_BUDGET = 10**6  # moves (or freedom-RHS loops) a phase may take to its window
@@ -73,13 +69,15 @@ def _float_pow10(exp: float) -> float:
         raise ScheduleOverflowError(f"10^{exp:g} is beyond the float range") from None
 
 
-@dataclass(frozen=True)
 class Window:
     """Norm window [10^lo_exp, 10^hi_exp] (or [L, 2L] when doubled)."""
 
-    lo_exp: float
-    hi_exp: float
-    double: bool = False
+    __slots__ = ("lo_exp", "hi_exp", "double")
+
+    def __init__(self, lo_exp: float, hi_exp: float, double: bool = False):
+        self.lo_exp = lo_exp
+        self.hi_exp = hi_exp
+        self.double = double
 
     @property
     def lo(self) -> int:
@@ -96,15 +94,24 @@ class Window:
         return f"[10^{self.lo_exp:g}, {'2x' if self.double else ''}10^{self.hi_exp:g}]"
 
 
-@dataclass(frozen=True)
 class ExponentScale:
     """The four exponent maps standing in for the unscaled powers 6, 4, 2, 2.3."""
 
-    p6: Callable[[float], float]
-    p4: Callable[[float], float]
-    p2: Callable[[float], float]
-    p23: Callable[[float], float]
-    name: str = "custom"
+    __slots__ = ("p6", "p4", "p2", "p23", "name")
+
+    def __init__(
+        self,
+        p6: Callable[[float], float],
+        p4: Callable[[float], float],
+        p2: Callable[[float], float],
+        p23: Callable[[float], float],
+        name: str = "custom",
+    ):
+        self.p6 = p6
+        self.p4 = p4
+        self.p2 = p2
+        self.p23 = p23
+        self.name = name
 
     @staticmethod
     def linear(c6=0.7, c4=0.35, c2=0.2, c23=0.1) -> "ExponentScale":
@@ -128,16 +135,28 @@ class ExponentScale:
         )
 
 
-@dataclass(frozen=True)
 class StageWindows:
-    k: int
-    A: Window | None  # absent at stage 1
-    Aprime: Window
-    T_cap_exp: float
-    B: Window
-    Bprime: Window
-    s_exp: float
-    t_exp: float  # negative
+    __slots__ = ("k", "A", "Aprime", "T_cap_exp", "B", "Bprime", "s_exp", "t_exp")
+
+    def __init__(
+        self,
+        k: int,
+        A: Window | None,  # absent at stage 1
+        Aprime: Window,
+        T_cap_exp: float,
+        B: Window,
+        Bprime: Window,
+        s_exp: float,
+        t_exp: float,  # negative
+    ):
+        self.k = k
+        self.A = A
+        self.Aprime = Aprime
+        self.T_cap_exp = T_cap_exp
+        self.B = B
+        self.Bprime = Bprime
+        self.s_exp = s_exp
+        self.t_exp = t_exp
 
     @property
     def s(self) -> int:
@@ -152,13 +171,22 @@ class StageWindows:
         return _pow10(self.T_cap_exp)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    k0: int
-    stages: int
-    scale: ExponentScale
-    windows: tuple[StageWindows, ...]
-    zeta: float = 32.0
+    __slots__ = ("k0", "stages", "scale", "windows", "zeta")
+
+    def __init__(
+        self,
+        k0: int,
+        stages: int,
+        scale: ExponentScale,
+        windows: tuple[StageWindows, ...],
+        zeta: float = 32.0,
+    ):
+        self.k0 = k0
+        self.stages = stages
+        self.scale = scale
+        self.windows = windows
+        self.zeta = zeta
 
     def stage(self, k: int) -> StageWindows:
         return self.windows[k - 1]
@@ -232,14 +260,24 @@ def _validate_schedule(s: Schedule) -> None:
 # phase paths
 
 
-@dataclass(frozen=True)
 class PhasePath:
-    phase: str
-    start: LabeledPermutation
-    end: LabeledPermutation
-    runs: tuple[tuple[int, int, str, int], ...]  # (winner, loser, side, count)
-    matrix: VisitationMatrix
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("phase", "start", "end", "runs", "matrix", "warnings")
+
+    def __init__(
+        self,
+        phase: str,
+        start: LabeledPermutation,
+        end: LabeledPermutation,
+        runs: tuple[tuple[int, int, str, int], ...],  # (winner, loser, side, count)
+        matrix: VisitationMatrix,
+        warnings: tuple[str, ...] = (),
+    ):
+        self.phase = phase
+        self.start = start
+        self.end = end
+        self.runs = runs
+        self.matrix = matrix
+        self.warnings = warnings
 
     def winners(self) -> set[int]:
         return {w for w, _, _, c in self.runs if c}
@@ -248,7 +286,8 @@ class PhasePath:
         return {l for _, l, _, c in self.runs if c}
 
     def warn(self, message: str) -> "PhasePath":
-        return replace(self, warnings=self.warnings + (message,))
+        return PhasePath(self.phase, self.start, self.end, self.runs, self.matrix,
+                         self.warnings + (message,))
 
 
 class PathBuilder:
@@ -405,7 +444,11 @@ def _walk_to_window(
     norm = b.norm
     if norm > window.hi:
         b.warnings.append(f"{phase}: norm {norm} overshot window {window}; widened")
-        log.warning("%s norm %d overshot window %s; widening", phase, norm, window)
+        import logging  # loaded on the first warning, not at start-up
+
+        logging.getLogger(__name__).warning(
+            "%s norm %d overshot window %s; widening", phase, norm, window
+        )
     return b.finish(phase)
 
 
@@ -585,35 +628,65 @@ def _column_angle(a: Sequence[int], b: Sequence[int]) -> float:
     return math.acos(c)
 
 
-@dataclass(frozen=True)
 class StageTrace:
-    k: int
-    phases: dict[str, PhasePath | None]
-    checkpoints: dict[str, VisitationMatrix]  # cumulative after each phase
-    cumulative: VisitationMatrix
-    stats: dict
+    __slots__ = ("k", "phases", "checkpoints", "cumulative", "stats")
+
+    def __init__(
+        self,
+        k: int,
+        phases: dict[str, PhasePath | None],
+        checkpoints: dict[str, VisitationMatrix],  # cumulative after each phase
+        cumulative: VisitationMatrix,
+        stats: dict,
+    ):
+        self.k = k
+        self.phases = phases
+        self.checkpoints = checkpoints
+        self.cumulative = cumulative
+        self.stats = stats
 
     def phase(self, name: str) -> PhasePath | None:
         return self.phases[name]
 
 
-@dataclass(frozen=True)
 class LimitInfo:
-    vertex_lhs: tuple[float, ...]  # cluster average of first d-2 vertices
-    vertex_rhs: tuple[float, ...]
-    intra_lhs: float  # max angle within the first cluster, radians
-    intra_rhs: float
-    inter: float  # min angle between clusters
-    representative: Iet
+    __slots__ = (
+        "vertex_lhs", "vertex_rhs", "intra_lhs", "intra_rhs", "inter", "representative",
+    )
+
+    def __init__(
+        self,
+        vertex_lhs: tuple[float, ...],  # cluster average of first d-2 vertices
+        vertex_rhs: tuple[float, ...],
+        intra_lhs: float,  # max angle within the first cluster, radians
+        intra_rhs: float,
+        inter: float,  # min angle between clusters
+        representative: Iet,
+    ):
+        self.vertex_lhs = vertex_lhs
+        self.vertex_rhs = vertex_rhs
+        self.intra_lhs = intra_lhs
+        self.intra_rhs = intra_rhs
+        self.inter = inter
+        self.representative = representative
 
 
-@dataclass(frozen=True)
 class ConstructionRun:
-    d: int
-    schedule: Schedule
-    seed: int
-    stages: tuple[StageTrace, ...]
-    limit: LimitInfo
+    __slots__ = ("d", "schedule", "seed", "stages", "limit")
+
+    def __init__(
+        self,
+        d: int,
+        schedule: Schedule,
+        seed: int,
+        stages: tuple[StageTrace, ...],
+        limit: LimitInfo,
+    ):
+        self.d = d
+        self.schedule = schedule
+        self.seed = seed
+        self.stages = stages
+        self.limit = limit
 
     @property
     def cumulative(self) -> VisitationMatrix:
@@ -759,18 +832,35 @@ def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
 # condition checks
 
 
-@dataclass(frozen=True)
 class StarReport:
-    stage: int
-    c1_ratio: float | None
-    c1_pass: bool | None
-    c2_ratio: float
-    c2_threshold: float
-    c2_pass: bool
-    c3_ratio: float
-    c3_pass: bool
-    c4_ratio: float
-    c4_pass: bool
+    __slots__ = (
+        "stage", "c1_ratio", "c1_pass", "c2_ratio", "c2_threshold", "c2_pass",
+        "c3_ratio", "c3_pass", "c4_ratio", "c4_pass",
+    )
+
+    def __init__(
+        self,
+        stage: int,
+        c1_ratio: float | None,
+        c1_pass: bool | None,
+        c2_ratio: float,
+        c2_threshold: float,
+        c2_pass: bool,
+        c3_ratio: float,
+        c3_pass: bool,
+        c4_ratio: float,
+        c4_pass: bool,
+    ):
+        self.stage = stage
+        self.c1_ratio = c1_ratio
+        self.c1_pass = c1_pass
+        self.c2_ratio = c2_ratio
+        self.c2_threshold = c2_threshold
+        self.c2_pass = c2_pass
+        self.c3_ratio = c3_ratio
+        self.c3_pass = c3_pass
+        self.c4_ratio = c4_ratio
+        self.c4_pass = c4_pass
 
 
 def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> list[StarReport]:
@@ -809,15 +899,29 @@ def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> li
     return out
 
 
-@dataclass(frozen=True)
 class DoubleStarReport:
-    stage: int
-    lhs_angle: float | None
-    lhs_threshold: float | None
-    lhs_pass: bool | None
-    rhs_angle: float
-    rhs_threshold: float
-    rhs_pass: bool
+    __slots__ = (
+        "stage", "lhs_angle", "lhs_threshold", "lhs_pass",
+        "rhs_angle", "rhs_threshold", "rhs_pass",
+    )
+
+    def __init__(
+        self,
+        stage: int,
+        lhs_angle: float | None,
+        lhs_threshold: float | None,
+        lhs_pass: bool | None,
+        rhs_angle: float,
+        rhs_threshold: float,
+        rhs_pass: bool,
+    ):
+        self.stage = stage
+        self.lhs_angle = lhs_angle
+        self.lhs_threshold = lhs_threshold
+        self.lhs_pass = lhs_pass
+        self.rhs_angle = rhs_angle
+        self.rhs_threshold = rhs_threshold
+        self.rhs_pass = rhs_pass
 
 
 def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
@@ -848,15 +952,29 @@ def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
     return out
 
 
-@dataclass(frozen=True)
 class SizeReport:
-    stage: int
-    upper_bound: float
-    measured_U: float
-    upper_pass: bool
-    lower_estimate: float
-    lower_pass: bool
-    sandwich_ratio: float  # V_{k-1} / (U_{k-1} * B-window-low), want >= 1/zeta
+    __slots__ = (
+        "stage", "upper_bound", "measured_U", "upper_pass",
+        "lower_estimate", "lower_pass", "sandwich_ratio",
+    )
+
+    def __init__(
+        self,
+        stage: int,
+        upper_bound: float,
+        measured_U: float,
+        upper_pass: bool,
+        lower_estimate: float,
+        lower_pass: bool,
+        sandwich_ratio: float,  # V_{k-1} / (U_{k-1} * B-window-low), want >= 1/zeta
+    ):
+        self.stage = stage
+        self.upper_bound = upper_bound
+        self.measured_U = measured_U
+        self.upper_pass = upper_pass
+        self.lower_estimate = lower_estimate
+        self.lower_pass = lower_pass
+        self.sandwich_ratio = sandwich_ratio
 
 
 def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
@@ -901,13 +1019,22 @@ def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
     return out
 
 
-@dataclass(frozen=True)
 class AngleMonotonicityReport:
-    stage: int
-    lhs_angles: tuple[float, ...]  # entry, [after A], after A'
-    lhs_monotone: bool
-    rhs_angles: tuple[float, ...]  # after T, after B, after B'
-    rhs_monotone: bool
+    __slots__ = ("stage", "lhs_angles", "lhs_monotone", "rhs_angles", "rhs_monotone")
+
+    def __init__(
+        self,
+        stage: int,
+        lhs_angles: tuple[float, ...],  # entry, [after A], after A'
+        lhs_monotone: bool,
+        rhs_angles: tuple[float, ...],  # after T, after B, after B'
+        rhs_monotone: bool,
+    ):
+        self.stage = stage
+        self.lhs_angles = lhs_angles
+        self.lhs_monotone = lhs_monotone
+        self.rhs_angles = rhs_angles
+        self.rhs_monotone = rhs_monotone
 
 
 def check_nue_angles(

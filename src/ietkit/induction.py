@@ -12,25 +12,26 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _rational
+from ._record import Value
 from .errors import BudgetExceededError, InductionUndefinedError, UsageError
 from .perm import (
     _DIAGRAM, BOTTOM_WINS, TOP_WINS, LabeledPermutation, RauzyEdge, rauzy_move,
 )
 
 
-@dataclass(frozen=True)
-class Iet:
+class Iet(Value):
     """Length vector plus permutation pair; the full datum of an exchange."""
 
-    lengths: tuple[Fraction, ...]
-    perm: LabeledPermutation
+    __slots__ = ("lengths", "perm")
+    _fields = __slots__
 
-    def __post_init__(self):
+    def __init__(self, lengths: tuple[Fraction, ...], perm: LabeledPermutation):
+        self.lengths = lengths
+        self.perm = perm
         if len(self.lengths) != self.perm.d:
             raise UsageError("length vector size does not match permutation")
         if any(x <= 0 for x in self.lengths):
@@ -167,12 +168,21 @@ class VisitationMatrix:
         return f"VisitationMatrix({[list(r) for r in self.rows]})"
 
 
-@dataclass(frozen=True)
-class InductionTrace:
-    start: Iet
-    edges: tuple[RauzyEdge, ...]
-    matrix: VisitationMatrix
-    induced: Iet  # unnormalized
+class InductionTrace(Value):
+    __slots__ = ("start", "edges", "matrix", "induced")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        start: Iet,
+        edges: tuple[RauzyEdge, ...],
+        matrix: VisitationMatrix,
+        induced: Iet,  # unnormalized
+    ):
+        self.start = start
+        self.edges = edges
+        self.matrix = matrix
+        self.induced = induced
 
     @property
     def steps(self) -> int:

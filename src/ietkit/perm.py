@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
+from ._record import Value
 from .errors import BudgetExceededError, DegeneracyError, UsageError
 
 TOP_WINS = "top-wins"
@@ -27,14 +26,16 @@ class ReducibilityError(UsageError):
     """The permutation splits into two smaller exchanges."""
 
 
-@dataclass(frozen=True, order=True)
-class LabeledPermutation:
-    """A pair of orderings of {1..d}; the combinatorial half of an IET."""
+class LabeledPermutation(Value):
+    """A pair of orderings of {1..d}; the combinatorial half of an IET.
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    Equal, hashed and ordered as the tuple (top, bottom)."""
 
-    def __post_init__(self):
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]):
+        self.top = top
+        self.bottom = bottom
         d = len(self.top)
         if d < 2 or sorted(self.top) != list(range(1, d + 1)) or sorted(
             self.bottom
@@ -62,42 +63,85 @@ class LabeledPermutation:
     def bottom_position(self, symbol: int) -> int:
         return self.bottom.index(symbol)
 
+    def _key(self) -> tuple:
+        return self.top, self.bottom
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
+
     def __repr__(self):
         return f"({','.join(map(str, self.top))} / {','.join(map(str, self.bottom))})"
 
 
-@dataclass(frozen=True)
-class RauzyEdge:
-    source: LabeledPermutation
-    target: LabeledPermutation
-    winner: int
-    loser: int
-    side: str  # TOP_WINS or BOTTOM_WINS
+class RauzyEdge(Value):
+    __slots__ = ("source", "target", "winner", "loser", "side")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        source: LabeledPermutation,
+        target: LabeledPermutation,
+        winner: int,
+        loser: int,
+        side: str,  # TOP_WINS or BOTTOM_WINS
+    ):
+        self.source = source
+        self.target = target
+        self.winner = winner
+        self.loser = loser
+        self.side = side
 
 
-@dataclass(frozen=True)
-class RauzyClassGraph:
-    vertices: tuple[LabeledPermutation, ...]
-    edges: tuple[RauzyEdge, ...]
-    seed: LabeledPermutation
+class RauzyClassGraph(Value):
+    __slots__ = ("vertices", "edges", "seed", "_adj")
+    _fields = ("vertices", "edges", "seed")
 
-    @cached_property
+    def __init__(
+        self,
+        vertices: tuple[LabeledPermutation, ...],
+        edges: tuple[RauzyEdge, ...],
+        seed: LabeledPermutation,
+    ):
+        self.vertices = vertices
+        self.edges = edges
+        self.seed = seed
+        self._adj: dict[LabeledPermutation, tuple[list, list]] | None = None
+
     def _adjacency(self) -> dict[LabeledPermutation, tuple[list, list]]:
-        """Per vertex, its out-edges and its in-edges, in edge order."""
-        adj = {v: ([], []) for v in self.vertices}
-        for e in self.edges:
-            adj[e.source][0].append(e)
-            adj[e.target][1].append(e)
-        return adj
+        """Per vertex, its out-edges and its in-edges, in edge order; built
+        on the first query."""
+        if self._adj is None:
+            self._adj = {v: ([], []) for v in self.vertices}
+            for e in self.edges:
+                self._adj[e.source][0].append(e)
+                self._adj[e.target][1].append(e)
+        return self._adj
 
     def __contains__(self, pi: LabeledPermutation) -> bool:
-        return pi in self._adjacency
+        return pi in self._adjacency()
 
     def out_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
-        return list(self._adjacency.get(pi, ((), ()))[0])
+        return list(self._adjacency().get(pi, ((), ()))[0])
 
     def in_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
-        return list(self._adjacency.get(pi, ((), ()))[1])
+        return list(self._adjacency().get(pi, ((), ()))[1])
 
     def to_json(self) -> str:
         index = {v: i for i, v in enumerate(self.vertices)}

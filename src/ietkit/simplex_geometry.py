@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _rational
+from ._record import Value
 from .errors import DegeneracyError, UsageError
 from .induction import VisitationMatrix
 from .symplectic import SymplecticForm
@@ -35,11 +35,13 @@ def column_l1(col: Sequence[Fraction]) -> Fraction:
     return sum(Fraction(x) for x in col)
 
 
-@dataclass(frozen=True)
 class ProjectiveSimplex:
     """The image of the standard simplex under a non-negative matrix."""
 
-    generator: tuple[tuple[Fraction, ...], ...]  # rows
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: tuple[tuple[Fraction, ...], ...]):  # rows
+        self.generator = generator
 
     @staticmethod
     def from_matrix(M) -> "ProjectiveSimplex":
@@ -73,12 +75,14 @@ class ProjectiveSimplex:
         return all(c >= 0 for c in z)
 
 
-@dataclass(frozen=True)
 class SliceDeltaC:
     """The slice {x in Delta : x_{d-1} + x_d = c}."""
 
-    d: int
-    c: Fraction
+    __slots__ = ("d", "c")
+
+    def __init__(self, d: int, c: Fraction):
+        self.d = d
+        self.c = c
 
     def contains(self, point: Sequence) -> bool:
         p = _rational.vec(point)
@@ -142,19 +146,22 @@ def face_jacobian(M, u: Sequence, face: Sequence[int]):
     return float(s) ** (-len(face))
 
 
-@dataclass(frozen=True)
-class PlaneFamily:
+class PlaneFamily(Value):
     """Parallel 2-planes spanned by the construction's two special directions.
 
     u and v live in the direction space of the slice (coordinates sum to
     zero, last two coordinates sum to zero) and are each orthogonal to the
     restricted-inverse image of the other defining column.  phi, the
-    illumination direction, is u.
+    illumination direction, is u.  Equal when d, u and v are.
     """
 
-    d: int
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
+    __slots__ = ("d", "u", "v")
+    _fields = __slots__
+
+    def __init__(self, d: int, u: tuple[Fraction, ...], v: tuple[Fraction, ...]):
+        self.d = d
+        self.u = u
+        self.v = v
 
     @property
     def phi(self) -> tuple[Fraction, ...]:
@@ -218,11 +225,13 @@ def plane_family(A1prime, B1, form: SymplecticForm) -> PlaneFamily:
     return PlaneFamily(d, u, v)
 
 
-@dataclass(frozen=True)
 class Polygon2D:
     """A convex polygon in plane-chart coordinates."""
 
-    vertices: np.ndarray  # (n, 2), convex, counterclockwise or clockwise
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: np.ndarray):  # (n, 2), convex, either orientation
+        self.vertices = vertices
 
     @property
     def area(self) -> float:

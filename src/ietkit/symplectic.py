@@ -9,7 +9,6 @@ exact change to Darboux coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _rational
@@ -18,12 +17,20 @@ from .induction import VisitationMatrix
 from .perm import LabeledPermutation, ReducibilityError
 
 
-@dataclass(frozen=True)
 class SymplecticForm:
-    perm: LabeledPermutation
-    matrix: tuple[tuple[int, ...], ...]  # skew integer matrix
-    image_basis: tuple[tuple[Fraction, ...], ...]  # rational, spans Im
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("perm", "matrix", "image_basis", "kernel_basis")
+
+    def __init__(
+        self,
+        perm: LabeledPermutation,
+        matrix: tuple[tuple[int, ...], ...],  # skew integer matrix
+        image_basis: tuple[tuple[Fraction, ...], ...],  # rational, spans Im
+        kernel_basis: tuple[tuple[Fraction, ...], ...],
+    ):
+        self.perm = perm
+        self.matrix = matrix
+        self.image_basis = image_basis
+        self.kernel_basis = kernel_basis
 
     @property
     def d(self) -> int:
@@ -105,11 +112,18 @@ def verify_invariance(
     return all(lhs[i][j] == om_prime[i][j] for i in range(d) for j in range(d))
 
 
-@dataclass(frozen=True)
 class SingularData:
-    values: tuple[float, ...]  # descending
-    input_dirs: np.ndarray  # rows are right-singular vectors
-    output_dirs: np.ndarray  # rows are left-singular vectors
+    __slots__ = ("values", "input_dirs", "output_dirs")
+
+    def __init__(
+        self,
+        values: tuple[float, ...],  # descending
+        input_dirs: np.ndarray,  # rows are right-singular vectors
+        output_dirs: np.ndarray,  # rows are left-singular vectors
+    ):
+        self.values = values
+        self.input_dirs = input_dirs
+        self.output_dirs = output_dirs
 
 
 def singular_data(M) -> SingularData:
@@ -160,13 +174,22 @@ def darboux_basis(form: SymplecticForm) -> list[tuple[Fraction, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class PairingReport:
-    values: tuple[float, ...]
-    pairs: tuple[tuple[int, int], ...]
-    defect: float
-    kernel_scale: Fraction | None  # |c| with M k' = c k on 1-dim kernels
-    restricted_det: float
+    __slots__ = ("values", "pairs", "defect", "kernel_scale", "restricted_det")
+
+    def __init__(
+        self,
+        values: tuple[float, ...],
+        pairs: tuple[tuple[int, int], ...],
+        defect: float,
+        kernel_scale: Fraction | None,  # |c| with M k' = c k on 1-dim kernels
+        restricted_det: float,
+    ):
+        self.values = values
+        self.pairs = pairs
+        self.defect = defect
+        self.kernel_scale = kernel_scale
+        self.restricted_det = restricted_det
 
 
 def _restricted_matrix(
@@ -253,11 +276,20 @@ def reciprocal_pairing(
     return PairingReport(values, tuple(pairs), defect, kernel_scale, restricted_det)
 
 
-@dataclass(frozen=True)
 class AngleReport:
-    column_angles: np.ndarray  # d x d symmetric, radians
-    top_input_vs_last_column: float
-    second_input_vs_first_column: float
+    __slots__ = (
+        "column_angles", "top_input_vs_last_column", "second_input_vs_first_column",
+    )
+
+    def __init__(
+        self,
+        column_angles: np.ndarray,  # d x d symmetric, radians
+        top_input_vs_last_column: float,
+        second_input_vs_first_column: float,
+    ):
+        self.column_angles = column_angles
+        self.top_input_vs_last_column = top_input_vs_last_column
+        self.second_input_vs_first_column = second_input_vs_first_column
 
 
 def vector_angle(u, v) -> float:

@@ -7,6 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietkit.analysis import (
     CONSISTENT,
@@ -81,6 +82,63 @@ def test_balance_decay_d2():
     )
     assert rep.sigma_hat < 1
     assert rep.fractions == tuple(sorted(rep.fractions, reverse=True))
+
+
+def test_balance_scan_gets_the_sample_over_grid(monkeypatch):
+    # every sample reaches the scan as integer lengths over the one grid
+    # GRID, proportional to the sampled point: a reduced Fraction's
+    # numerator would divide each even gap by its power of two
+    import ietkit.analysis as analysis
+
+    samples, lengths = [], []
+    draw, scan = analysis.sample_simplex_exact, analysis._balance_scan
+
+    def recorded_draw(d, rng):
+        samples.append(draw(d, rng))
+        return samples[-1]
+
+    def recorded_scan(pi, lens, zeta, limit):
+        lengths.append(list(lens))
+        return scan(pi, lens, zeta, limit)
+
+    monkeypatch.setattr(analysis, "sample_simplex_exact", recorded_draw)
+    monkeypatch.setattr(analysis, "_balance_scan", recorded_scan)
+    mc_balance(hyperelliptic_permutation(4), zeta=20.0, K=4.0, m=3, samples=40,
+               seed=1)
+    assert len(lengths) == len(samples) == 40
+    for x, lens in zip(samples, lengths):
+        assert sum(lens) == analysis.GRID
+        assert [Fraction(n, analysis.GRID) for n in lens] == list(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=1, max_value=5),
+            st.lists(st.floats(min_value=-40.0, max_value=0.0), min_size=n, max_size=n),
+        )
+    )
+)
+def test_line_fit_matches_polyfit(data):
+    # the balance fit's closed-form line against numpy's least squares,
+    # on consecutive stage indices as mc_balance fits them
+    from ietkit.analysis import _line_fit
+
+    start, ys = data
+    xs = list(range(start, start + len(ys)))
+    slope, se = _line_fit(xs, ys)
+    fit = np.polyfit(xs, ys, 1)
+    resid = np.array(ys) - np.polyval(fit, xs)
+    se_np = (
+        math.sqrt(float(resid @ resid) / (len(xs) - 2))
+        / math.sqrt(float(np.sum((np.array(xs) - np.mean(xs)) ** 2)))
+        if len(xs) > 2
+        else 0.0
+    )
+    scale = max(1.0, max(abs(y) for y in ys))  # cancellation is relative to |y|
+    assert math.isclose(slope, float(fit[0]), rel_tol=1e-12, abs_tol=1e-12 * scale)
+    assert math.isclose(se, se_np, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 def test_balance_zero_samples_inconclusive():

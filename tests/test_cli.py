@@ -131,6 +131,30 @@ def test_induct_budget_exceeded(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("until", ["norm:2.5", "norm:3", "norm:2.0000001"])
+def test_induct_until_fractional_norm_rounds_up(tmp_path, until):
+    # norm:N stops at the first matrix of norm >= N, so a fractional N acts
+    # as the next integer: 3 steps to norm 3 here, never 1 step to norm 2
+    code, out = run(
+        ["induct", "--perm", "s3", "--lengths", "5/11,4/11,2/11", "--until", until],
+        tmp_path,
+    )
+    assert code == EXIT_OK
+    trace = json.loads((out / "induct_trace.json").read_text())
+    norm = max(sum(int(row[j]) for row in trace["matrix"]) for j in range(3))
+    assert (trace["steps"], norm) == (3, 3)
+
+
+def test_induct_until_norm_below_one_is_usage(tmp_path, capsys):
+    code, _ = run(
+        ["induct", "--perm", "s3", "--lengths", "5/11,4/11,2/11",
+         "--until", "norm:0.5"],
+        tmp_path,
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_induct_until_balanced(tmp_path):
     code, out = run(
         ["induct", "--lengths", "509/1009,251/1009,151/1009,98/1009",

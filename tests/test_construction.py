@@ -1,6 +1,7 @@
 """Staged path generation, schedules, and the per-stage conditions."""
 from __future__ import annotations
 
+import logging
 import math
 from random import Random
 
@@ -191,3 +192,18 @@ def test_avoiding_path_hugs_target_vertex(d, i):
         )
         assert dist <= eps0
     assert phase.end == hyperelliptic_permutation(d)
+
+
+def test_window_overshoot_is_logged(caplog):
+    # the benchmark's tracer counts these records on this logger by their text
+    schedule = make_schedule(1, ExponentScale.linear(), stages=2)
+    with caplog.at_level(logging.WARNING, logger="ietkit.construction"):
+        run = run_construction(5, schedule, seed=0)
+    overshoots = [r for r in caplog.records if "overshot window" in str(r.msg)]
+    assert [r.name for r in overshoots] == ["ietkit.construction"]
+    assert overshoots[0].getMessage() == (
+        "freedom-LHS norm 799 overshot window [10^2.45, 10^2.75]; widening"
+    )
+    assert run.stages[1].phase("A").warnings == (
+        "freedom-LHS: norm 799 overshot window [10^2.45, 10^2.75]; widened",
+    )

@@ -2,7 +2,9 @@
 
 The exact subcommands never compute a float, so neither importing the CLI
 nor running them loads numpy or scipy; the float layers import numpy inside
-the functions that use it, and only the concavity suite loads scipy.  The
+the functions that use it, `verify balance` fits its decay line without it,
+and only the concavity suite loads scipy.  Start-up loads neither
+``dataclasses`` nor ``logging`` either.  The
 benchmark's tracer patches only the modules loaded by ``import ietkit.cli``,
 so that import must still load every module its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
 test process has long since imported numpy.
@@ -67,6 +69,24 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
     loaded = modules_after_cli_import(tmp_path)
     assert "numpy" not in loaded
     assert "scipy" not in loaded
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_logging(tmp_path):
+    # the records are plain slotted classes, and the construction imports
+    # logging at its first warning
+    loaded = modules_after_cli_import(tmp_path)
+    assert not {"dataclasses", "inspect", "logging"} & loaded
+
+
+def test_verify_balance_loads_no_numpy(tmp_path):
+    got = fresh(
+        "import json, sys\nfrom ietkit.cli import main\n"
+        "code = main(['verify', 'balance', '--d', '4', '--samples', '50',"
+        " '--out', 'v'])\n"
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))",
+        tmp_path,
+    )
+    assert got == {"code": 0, "numpy": False}
 
 
 def test_exact_subcommands_load_no_numpy(tmp_path):

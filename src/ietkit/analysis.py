@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
-from .induction import Iet, IntegerIet, VisitationMatrix, _step_lengths, _Walk
-from .perm import LabeledPermutation
+from .induction import (
+    Iet, IntegerIet, VisitationMatrix, _step_lengths, _StopRule, _Walk,
+)
+from .perm import LabeledPermutation, _RunCycle
 from .simplex_geometry import (
     PlaneFamily,
     Polygon2D,
@@ -114,22 +116,79 @@ class BalanceReport:
         self.sigma_ci_upper = sigma_ci_upper
 
 
+class _Balanced(_StopRule):
+    """Stop at the first positive zeta-balanced matrix, zeta = p/q, or once
+    the norm passes ``limit``.  Matrix entries are non-negative, so a
+    column is positive when it holds no 0."""
+
+    def __init__(self, zeta: Fraction, limit: int):
+        self.p, self.q, self.limit = zeta.numerator, zeta.denominator, limit
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        hi = max(walk.norms)
+        return hi > self.limit or (
+            hi * self.q <= self.p * min(walk.norms)
+            and not any(0 in col for col in walk.cols)
+        )
+
+    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        t = self._first(walk, run, n)
+        walk.move(run.side, t or n)
+        return t or n, t is not None
+
+    def _first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
+        """The first t in 1..n at which the rule holds after t moves of
+        ``run``, or None.  On the norms alone: the winner's norm W stays
+        fixed and bounds the least norm, so balance is out of reach for the
+        rest of the run once max * q > p * W; the first step past the limit
+        is then a division per loser."""
+        p, q, limit = self.p, self.q, self.limit
+        norms, losers, k = walk.norms, run.losers, len(run.losers)
+        W = norms[run.winner]
+        hi = max(norms)
+        if hi * q <= p * W and (positive := _positive_from(walk, run)) is not None:
+            rising = [norms[l] for l in losers]
+            # the least norm the run leaves alone; W is one of them
+            fixed = min(x for j, x in enumerate(norms) if j not in losers)
+            t = 0
+            while hi * q <= p * W:
+                if t == n:
+                    return None
+                i = t % k
+                rising[i] += W
+                t += 1
+                if rising[i] > hi:
+                    hi = rising[i]
+                    if hi > limit:
+                        return t
+                if t >= positive and hi * q <= p * min(fixed, *rising):
+                    return t
+        # loser i passes the limit at its m-th loss, on step (m - 1) k + i + 1
+        past = min(((limit - norms[l]) // W) * k + i + 1 for i, l in enumerate(losers))
+        return past if past <= n else None
+
+
+def _positive_from(walk: _Walk, run: _RunCycle) -> int | None:
+    """The first t from which the walk's matrix is positive after t moves of
+    ``run``, or None if it is not positive within the run.  A move adds the
+    winner's column to the loser's, so a column with a 0 turns positive at
+    its first loss, if ever."""
+    wcol, t = walk.cols[run.winner], 0
+    for j, col in enumerate(walk.cols):
+        if 0 in col:
+            if j not in run.losers or 0 in [x + y for x, y in zip(col, wcol)]:
+                return None
+            t = max(t, run.losers.index(j) + 1)
+    return t
+
+
 def _balance_scan(
     pi: LabeledPermutation, lengths: Sequence[int], zeta: Fraction, limit: int
 ) -> int:
     """Norm at the first time the matrix is positive and zeta-balanced,
     or 0 when the scan dies (equality) or exceeds the norm limit."""
-    p, q = zeta.numerator, zeta.denominator
-
-    def stop(walk: _Walk, steps: int) -> bool:
-        hi = max(walk.norms)
-        return hi > limit or (
-            hi * q <= p * min(walk.norms)
-            and all(x > 0 for col in walk.cols for x in col)
-        )
-
     walk = _Walk(pi)
-    _, generic = _step_lengths(walk, list(lengths), stop, math.inf)
+    _, generic = _step_lengths(walk, list(lengths), _Balanced(zeta, limit), math.inf)
     hi = max(walk.norms)
     return hi if generic and hi <= limit else 0
 
@@ -189,7 +248,11 @@ def mc_balance(
         sigma_hat = sigma_up = float("nan")
     last = fracs[-1]
     se = math.sqrt(max(last * (1 - last), 1.0 / samples) / samples)
-    rep = McReport(last, se, samples, seed, 1.0, CONSISTENT if sigma_hat < 1 else VIOLATED)
+    if math.isnan(sigma_hat):  # fewer than two fractions in the fit window
+        verdict = INCONCLUSIVE
+    else:
+        verdict = CONSISTENT if sigma_hat < 1 else VIOLATED
+    rep = McReport(last, se, samples, seed, 1.0, verdict)
     return BalanceReport(rep, fracs, sigma_hat, sigma_up)
 
 

@@ -503,7 +503,7 @@ def _verify_balance(args, rng: Random) -> dict:
         "sigma_hat": rep.sigma_hat,
         "sigma_ci_upper": rep.sigma_ci_upper,
     }
-    if rep.report.verdict == INCONCLUSIVE:  # no samples: no decay to judge
+    if rep.report.verdict == INCONCLUSIVE:  # no samples, or no decay to fit
         return {**doc, "verdict": INCONCLUSIVE, "violated": False}
     return {**doc, "violated": not rep.sigma_ci_upper < 1.0}
 

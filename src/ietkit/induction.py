@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -19,7 +19,8 @@ from . import _rational
 from ._record import Value
 from .errors import BudgetExceededError, InductionUndefinedError, UsageError
 from .perm import (
-    _DIAGRAM, BOTTOM_WINS, TOP_WINS, LabeledPermutation, RauzyEdge, rauzy_move,
+    _DIAGRAM, BOTTOM_WINS, TOP_WINS, LabeledPermutation, RauzyEdge,
+    ReducibilityError, _RunCycle, rauzy_move,
 )
 
 
@@ -229,11 +230,14 @@ def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
 
 class _Walk:
     """A path through the compiled diagram with its cocycle product, kept as
-    integer columns ``cols`` and their sums ``norms``."""
+    integer columns ``cols`` and their sums ``norms``; a move adds the
+    winner's column to the loser's."""
 
     __slots__ = ("v", "cols", "norms")
 
     def __init__(self, pi: LabeledPermutation):
+        if not pi.is_irreducible():
+            raise ReducibilityError(f"reducible permutation {pi}")
         self.v = _DIAGRAM.vertex(pi)
         self.cols = [[int(i == j) for i in range(pi.d)] for j in range(pi.d)]
         self.norms = [1] * pi.d
@@ -247,41 +251,123 @@ class _Walk:
         return _DIAGRAM.move(self.v, side)[3]
 
     def move(self, side: str, count: int = 1) -> RauzyEdge:
-        """Take the move on ``side`` ``count`` times; only self-loops repeat."""
-        self.v, w, l, edge = _DIAGRAM.move(self.v, side)
-        self.cols[l] = [x + count * y for x, y in zip(self.cols[l], self.cols[w])]
-        self.norms[l] += count * self.norms[w]
-        return edge
+        """Take the move on ``side`` ``count`` times in a row and return the
+        last edge taken.  In closed form: the loser at position i of the run
+        cycle gets count // k + (i < count % k) copies of the winner's
+        column, which no move of the run changes."""
+        cols, norms = self.cols, self.norms
+        if count == 1:
+            self.v, w, l, edge = _DIAGRAM.move(self.v, side)
+            cols[l] = [x + y for x, y in zip(cols[l], cols[w])]
+            norms[l] += norms[w]
+            return edge
+        run = _DIAGRAM.cycle(self.v, side)
+        w, k = run.winner, len(run.losers)
+        q, r = divmod(count, k)
+        for i, l in enumerate(run.losers):
+            c = q + (i < r)
+            if c:
+                cols[l] = [x + c * y for x, y in zip(cols[l], cols[w])]
+                norms[l] += c * norms[w]
+        self.v = run.vertices[r]
+        return run.edges[(count - 1) % k]
 
     def matrix(self) -> VisitationMatrix:
-        return VisitationMatrix(zip(*self.cols))
+        M = VisitationMatrix.__new__(VisitationMatrix)  # the entries are ints
+        M.rows = tuple(zip(*self.cols))
+        return M
+
+
+class _StopRule:
+    """When the induction loop stops.  ``holds`` judges the walk as it
+    stands; ``advance`` takes the walk through one run up to the first
+    step at which the rule holds."""
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        raise NotImplementedError
+
+    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        """Move ``walk`` along ``run`` until the first t in 1..n after which
+        the rule holds, or n moves if none; return the moves made and
+        whether the rule holds.  By default, one move at a time."""
+        for t in range(1, n + 1):
+            walk.move(run.side)
+            if self.holds(walk, steps + t):
+                return t, True
+        return n, False
+
+
+class _AfterSteps(_StopRule):
+    """Stop after a fixed number of steps."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        return steps >= self.n
+
+    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        t = min(n, self.n - steps)
+        walk.move(run.side, t)
+        return t, steps + t >= self.n
+
+
+class _MatrixPredicate(_StopRule):
+    """Stop when a predicate of (matrix, permutation) holds."""
+
+    def __init__(self, predicate: Callable[[VisitationMatrix, LabeledPermutation], bool]):
+        self.predicate = predicate
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        return self.predicate(walk.matrix(), walk.perm)
 
 
 def _step_lengths(
-    walk: _Walk, lens: list[int], stop: Callable[[_Walk, int], bool], budget: float
+    walk: _Walk, lens: list[int], stop: _StopRule, budget: float
 ) -> tuple[list[RauzyEdge], bool]:
     """The induction loop: step by the integer lengths ``lens`` (updated in
     place; the winner is strictly longer, so they stay positive) until
-    stop(walk, steps).  Returns the edges and False if the equality case
-    came first; more than ``budget`` steps raise BudgetExceededError."""
+    ``stop`` holds.  Returns the edges and False if the equality case came
+    first; more than ``budget`` steps raise BudgetExceededError.
+
+    It goes one run at a time: the moves in a row on which one side wins.
+    With winner length L, the run has the largest n whose first n losers
+    (cycling through ``_RunCycle.losers``) sum below L; whole cycles of
+    that sum are counted by one division.  ``stop.advance`` moves the walk
+    through the run, or to the step inside it where the loop ends."""
     edges: list[RauzyEdge] = []
-    last = _DIAGRAM.last
-    while not stop(walk, len(edges)):
-        if len(edges) >= budget:
+    if stop.holds(walk, 0):
+        return edges, True
+    last, cycle = _DIAGRAM.last, _DIAGRAM.cycle
+    while True:
+        steps = len(edges)
+        if steps >= budget:
             raise BudgetExceededError(f"step budget {budget} exhausted")
         i, j = last[walk.v]
-        if lens[i] > lens[j]:
-            lens[i] -= lens[j]
-            edges.append(walk.move(TOP_WINS))
-        elif lens[j] > lens[i]:
-            lens[j] -= lens[i]
-            edges.append(walk.move(BOTTOM_WINS))
-        else:
+        if lens[i] == lens[j]:
             return edges, False
-    return edges, True
+        run = cycle(walk.v, TOP_WINS if lens[i] > lens[j] else BOTTOM_WINS)
+        losers, L = run.losers, lens[run.winner]
+        k = len(losers)
+        s, sums = 0, [0]  # sums[t]: the sum of the first t losers' lengths
+        for l in losers:
+            s += lens[l]
+            if s >= L:
+                n = len(sums) - 1
+                break
+            sums.append(s)
+        else:  # the run goes round the cycle: c whole cycles, then r moves
+            c = (L - 1) // s
+            n = c * k + bisect_left(sums, L - c * s) - 1
+        take, held = stop.advance(walk, steps, run, min(n, budget - steps))
+        c, r = divmod(take, k)
+        lens[run.winner] = L - c * sums[-1] - sums[r] if c else L - sums[r]
+        edges += run.edges * c + run.edges[:r]
+        if held:
+            return edges, True
 
 
-def _induct(T: Iet, stop: Callable[[_Walk, int], bool], budget: int) -> InductionTrace:
+def _induct(T: Iet, stop: _StopRule, budget: int) -> InductionTrace:
     """The loop on T's lengths as integers over their least common
     denominator; Fractions are built once, for the trace."""
     denom = math.lcm(*(x.denominator for x in T.lengths))
@@ -307,7 +393,7 @@ def induct(T: Iet, n: int) -> InductionTrace:
     Raises InductionUndefinedError carrying the partial trace if the equality
     case interrupts before n steps.
     """
-    return _induct(T, lambda walk, k: k >= n, n)
+    return _induct(T, _AfterSteps(n), n)
 
 
 def norm_at_least(N: int) -> Callable[[VisitationMatrix, LabeledPermutation], bool]:
@@ -333,7 +419,7 @@ def induct_until(
     step_budget: int = 10**6,
 ) -> InductionTrace:
     """Shortest trace whose final (matrix, permutation) satisfies the predicate."""
-    return _induct(T, lambda walk, k: predicate(walk.matrix(), walk.perm), step_budget)
+    return _induct(T, _MatrixPredicate(predicate), step_budget)
 
 
 def drive_path(

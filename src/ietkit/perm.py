@@ -208,18 +208,40 @@ def rauzy_move(pi: LabeledPermutation, side: str) -> RauzyEdge:
     return RauzyEdge(pi, target, winner, loser, side)
 
 
+class _RunCycle:
+    """The moves on one side from one vertex, as one period of a run.
+
+    While one side keeps winning, its winner stays fixed and the losers
+    cycle through the symbols right of it in the other row; after ``k``
+    moves the walk is back where it started.  Step t of a run (from 0)
+    starts at ``vertices[t % k]``, makes ``losers[t % k]`` lose and takes
+    ``edges[t % k]``.  Symbols are 0-based."""
+
+    __slots__ = ("side", "winner", "losers", "vertices", "edges")
+
+    def __init__(self, side: str, winner: int, losers: tuple[int, ...],
+                 vertices: tuple[int, ...], edges: tuple[RauzyEdge, ...]):
+        self.side = side
+        self.winner = winner
+        self.losers = losers
+        self.vertices = vertices
+        self.edges = edges
+
+
 class _RauzyDiagram:
     """The Rauzy diagram, compiled to integer vertex ids as walks reach it.
 
     Per id: the permutation, its 0-based last symbols and, per side, the move
     (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
-    first taken; irreducibility is checked once per vertex and side."""
+    first taken, and the run cycle on that side, made from the moves when
+    first asked for; irreducibility is checked once per vertex and side."""
 
     def __init__(self):
         self.ids: dict[LabeledPermutation, int] = {}
         self.perms: list[LabeledPermutation] = []
         self.last: list[tuple[int, int]] = []
         self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
+        self.cycles: list[dict[str, _RunCycle]] = []
 
     def vertex(self, pi: LabeledPermutation) -> int:
         if pi not in self.ids:
@@ -227,6 +249,7 @@ class _RauzyDiagram:
             self.perms.append(pi)
             self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
             self.moves.append({})
+            self.cycles.append({})
         return self.ids[pi]
 
     def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
@@ -235,6 +258,23 @@ class _RauzyDiagram:
             e = rauzy_move(self.perms[v], side)
             moves[side] = (self.vertex(e.target), e.winner - 1, e.loser - 1, e)
         return moves[side]
+
+    def cycle(self, v: int, side: str) -> _RunCycle:
+        cycles = self.cycles[v]
+        if side not in cycles:
+            losers, vertices, edges = [], [], []
+            u = v
+            while True:
+                t, w, l, e = self.move(u, side)
+                losers.append(l)
+                vertices.append(u)
+                edges.append(e)
+                if t == v:
+                    break
+                u = t
+            cycles[side] = _RunCycle(side, w, tuple(losers), tuple(vertices),
+                                     tuple(edges))
+        return cycles[side]
 
 
 _DIAGRAM = _RauzyDiagram()  # a pure cache, shared by every walk in the process

@@ -100,13 +100,18 @@ def test_induct_needs_exactly_one_stop(tmp_path):
 
 
 def test_induct_reducible_perm_is_usage(tmp_path, capsys):
-    code, _ = run(
-        ["induct", "--perm", "1,2,3/1,3,2", "--lengths", "1/3,1/2,1/6",
-         "--steps", "3"],
-        tmp_path,
-    )
-    assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: reducible")
+    # the last two inputs end both rows in the same symbol, which compares an
+    # interval with itself unless the walk checks irreducibility first
+    for perm, lengths, stop in [
+        ("1,2,3/1,3,2", "1/3,1/2,1/6", ["--steps", "3"]),
+        ("2,1,3/1,2,3", "1/3,1/2,1/6", ["--steps", "3"]),
+        ("1,2/1,2", "1/3,2/3", ["--until", "norm:5"]),
+    ]:
+        code, _ = run(
+            ["induct", "--perm", perm, "--lengths", lengths, *stop], tmp_path
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: reducible")
 
 
 @pytest.mark.parametrize(
@@ -300,6 +305,26 @@ def test_verify_inconclusive_is_not_ok(tmp_path, capsys):
     doc = json.loads((out / "verify_jacobian.json").read_text())
     assert doc["report"]["verdict"] == "inconclusive"
     assert capsys.readouterr().out == "verify jacobian: inconclusive\n"
+
+
+def test_verify_balance_without_a_decay_fit_is_inconclusive(tmp_path, capsys):
+    # at d=40 no scan balances below the norm limit: every fraction is 1.0
+    code, out = run(["verify", "balance", "--d", "40", "--samples", "3"], tmp_path)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "verify balance: inconclusive\n"
+    report = json.loads((out / "verify_balance.json").read_text())["report"]
+    assert report["fractions"] == [1.0] * 8
+    assert report["verdict"] == "inconclusive"
+    assert report["violated"] is False
+
+
+@pytest.mark.parametrize("zeta", ["nan", "inf", "-1", "1"])
+def test_construct_zeta_must_be_finite_above_one(tmp_path, capsys, zeta):
+    code, out = run(["construct", "--d", "4", "--stages", "1", "--zeta", zeta],
+                    tmp_path)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: zeta must be finite")
+    assert not (out / "construct_manifest.json").exists()
 
 
 @pytest.mark.parametrize("suite", ["balance", "probdecay"])
@@ -516,7 +541,8 @@ def cli_argv(draw):
             return argv + ["--steps", draw(SMALL_COUNTS)]
         return argv + ["--until", draw(UNTIL), "--budget", draw(SMALL_COUNTS)]
     if command == "construct":
-        return ["construct", "--d", "4", "--stages", "1", "--scale", draw(SCALES)]
+        return ["construct", "--d", "4", "--stages", "1", "--scale", draw(SCALES),
+                "--zeta", draw(FLOATS)]
     return ["estimate-dim", "--r-grid", draw(RADII)]
 
 

@@ -255,6 +255,81 @@ def test_equality_case_matches_step_reference(data):
     )
 
 
+@st.composite
+def long_run_iets(draw):
+    """One interval 10^3 to 10^6 times the others, so that the runs it wins
+    are thousands of steps long."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    pi = draw(irreducible_perms(d))
+    nums = draw(st.lists(st.integers(1, 30), min_size=d, max_size=d))
+    nums[draw(st.integers(0, d - 1))] *= draw(st.integers(10**3, 10**6))
+    den = draw(st.integers(1, 10**6))
+    return Iet.make([Fraction(x, den) for x in nums], pi)
+
+
+def run_cycle_losers(pi: LabeledPermutation, side: str) -> list[int]:
+    """The losers of the moves on ``side`` from pi until it comes back."""
+    losers, end = [], pi
+    while not losers or end != pi:
+        edge = rauzy_move(end, side)
+        losers.append(edge.loser)
+        end = edge.target
+    return losers
+
+
+@st.composite
+def iets_with_equality_at_run_end(draw):
+    """The winner of pi's first run is as long as the losers of its first n
+    steps and one more loser: a run of n steps, then the equality case."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    pi = draw(irreducible_perms(d))
+    side = draw(st.sampled_from([TOP_WINS, BOTTOM_WINS]))
+    winner = pi.top[-1] if side == TOP_WINS else pi.bottom[-1]
+    losers = run_cycle_losers(pi, side)
+    nums = draw(st.lists(st.integers(1, 30), min_size=d, max_size=d))
+    n = draw(st.integers(min_value=1, max_value=1500))
+    nums[winner - 1] = sum(nums[losers[t % len(losers)] - 1] for t in range(n + 1))
+    return Iet.make([Fraction(x, 31) for x in nums], pi), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_long_runs_match_step_reference(data):
+    """Whole runs at a time: cut by the step count, ended by the equality
+    case, and with an induct_until budget inside a run."""
+    equal_at = None
+    if data.draw(st.booleans()):
+        T, equal_at = data.draw(iets_with_equality_at_run_end())
+        cut = equal_at + 1
+    else:
+        T, cut = data.draw(long_run_iets()), data.draw(st.integers(0, 2000))
+    edges, M, induced, error = reference_induct(T, cut)
+    if error is not None:
+        with pytest.raises(InductionUndefinedError) as exc:
+            induct(T, cut)
+        assert exc.value.steps_completed == len(edges)
+        trace = exc.value.partial
+    else:
+        trace = induct(T, cut)
+    assert equal_at is None or (error is not None and len(edges) == equal_at)
+    assert (trace.edges, trace.matrix) == (tuple(edges), M)
+    assert (trace.induced.lengths, trace.induced.perm) == (induced.lengths, induced.perm)
+    if not edges:
+        return
+    # the shortest trace to the norm after a drawn prefix, and a budget one short
+    norms, P = [1], VisitationMatrix.identity(T.d)
+    for e in edges:
+        P = P.apply_step(e.winner, e.loser)
+        norms.append(P.norm)
+    N = norms[data.draw(st.integers(1, len(edges)))]
+    shortest = next(t for t, x in enumerate(norms) if x >= N)
+    until = induct_until(T, norm_at_least(N), step_budget=shortest)
+    assert until.edges == tuple(edges[:shortest])
+    assert until.matrix == drive_path(T.perm, [e.side for e in until.edges])[0]
+    with pytest.raises(BudgetExceededError):
+        induct_until(T, norm_at_least(N), step_budget=shortest - 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(iets_with_distinct_denominators(), st.integers(min_value=1, max_value=10**4))
 def test_induct_until_norm_is_shortest(T, N):
@@ -322,3 +397,13 @@ def test_balance_scan_matches_step_reference(d):
         nums = [x.numerator for x in sample_simplex_exact(d, rng)]
         expected = reference_balance_scan(pi, nums, zeta, 4**8)
         assert _balance_scan(pi, nums, zeta, 4**8) == expected
+    # long runs: one interval 10^2 to 10^3.5 times the others.  From the
+    # identity, the first run is balanced (not positive) until its losers'
+    # norms pass zeta times the winner's, so with zeta = 2 the window opens
+    # and closes within a run of hundreds of steps
+    for k in range(12):
+        zeta = (Fraction(20), Fraction(7, 2), Fraction(2))[k % 3]
+        nums = [x.numerator * (GRID // x.denominator) for x in sample_simplex_exact(d, rng)]
+        nums[rng.randrange(d)] *= rng.randrange(10**2, 10**3 * 3)
+        expected = reference_balance_scan(pi, nums, zeta, 4**7)
+        assert _balance_scan(pi, nums, zeta, 4**7) == expected

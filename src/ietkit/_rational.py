@@ -87,11 +87,6 @@ def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
     return rows, pivots
 
 
-def rank(m: Mat) -> int:
-    _, pivots = _row_reduce([list(row) for row in m])
-    return len(pivots)
-
-
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of {x : m x = 0}."""
     if not m:

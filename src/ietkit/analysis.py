@@ -67,11 +67,16 @@ def _verdict(estimate: float, stderr: float, bound: float, two_sided: bool = Fal
     return VIOLATED if estimate - 3 * stderr > bound else CONSISTENT
 
 
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error of a fraction p of n trials, floored at one trial."""
+    return math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+
+
 def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False, **extras) -> McReport:
     if n == 0:
         return McReport(float("nan"), float("inf"), 0, seed, bound, INCONCLUSIVE, extras)
     p = hits / n
-    se = math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+    se = _binomial_se(p, n)
     return McReport(p, se, n, seed, bound, _verdict(p, se, bound, two_sided), extras)
 
 
@@ -247,7 +252,7 @@ def mc_balance(
     else:
         sigma_hat = sigma_up = float("nan")
     last = fracs[-1]
-    se = math.sqrt(max(last * (1 - last), 1.0 / samples) / samples)
+    se = _binomial_se(last, samples)
     if math.isnan(sigma_hat):  # fewer than two fractions in the fit window
         verdict = INCONCLUSIVE
     else:
@@ -408,7 +413,7 @@ def prob_decay_sim(
     else:
         tau_hat = 0.0
     est = probs[-1]
-    se = math.sqrt(max(est * (1 - est), 1.0 / samples) / samples)
+    se = _binomial_se(est, samples)
     two_sided = dependence == "independent"
     rep = McReport(
         est, se, samples, seed, bounds[-1], _verdict(est, se, bounds[-1], two_sided)

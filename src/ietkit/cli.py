@@ -285,24 +285,29 @@ def cmd_induct(args) -> int:
     return EXIT_OK
 
 
-def _construct_manifest_doc(args, run, failed: bool, completed: int) -> dict:
+def _run_from_config(config: dict):
+    """The construction a ``construct`` config describes: ``construct`` runs
+    it, and ``estimate-dim`` rebuilds it from the manifest."""
+    scale = _parse_scale(config["scale"])
+    schedule = make_schedule(
+        config["k0"], scale, config["stages"], zeta=config["zeta"]
+    )
+    return run_construction(config["d"], schedule, config["seed"])
+
+
+def _construct_manifest_doc(config: dict, completed, run) -> dict:
+    """The manifest of a run with ``completed`` stages; a ``run`` of None
+    failed after them."""
     doc: dict = {
         "command": "construct",
-        "config": {
-            "d": args.d,
-            "k0": args.k0,
-            "scale": args.scale,
-            "stages": args.stages,
-            "seed": args.seed,
-            "zeta": args.zeta,
-        },
-        "failed": failed,
-        "stages_completed": completed,
+        "config": config,
+        "failed": run is None,
+        "stages_completed": len(completed),
     }
     if run is None:
         return doc
     stages = []
-    for st in run.stages:
+    for st in completed:
         stages.append(
             {
                 "k": st.k,
@@ -366,21 +371,22 @@ def _construct_manifest_doc(args, run, failed: bool, completed: int) -> dict:
 
 def cmd_construct(args) -> int:
     out = _out_dir(args)
-    scale = _parse_scale(args.scale)
+    config = {
+        "d": args.d,
+        "k0": args.k0,
+        "scale": args.scale,
+        "stages": args.stages,
+        "seed": args.seed,
+        "zeta": args.zeta,
+    }
     try:
-        schedule = make_schedule(args.k0, scale, args.stages, zeta=args.zeta)
-    except ScheduleOverflowError as exc:
-        print(f"schedule overflows the numeric budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        run = run_construction(args.d, schedule, args.seed)
-    except StageError as exc:
-        doc = _construct_manifest_doc(args, None, failed=True, completed=0)
+        run = _run_from_config(config)
+    except StageError as exc:  # main reports it; the manifest records it
+        doc = _construct_manifest_doc(config, exc.partial, None)
         doc["error"] = str(exc)
         _dump_json(doc, out / "construct_manifest.json")
-        print(f"stage failure: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    doc = _construct_manifest_doc(args, run, failed=False, completed=len(run.stages))
+        raise
+    doc = _construct_manifest_doc(config, run.stages, run)
     _dump_json(doc, out / "construct_manifest.json")
     with (out / "stages.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -547,14 +553,6 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATED if report.get("violated") else EXIT_OK
 
 
-def _rebuild_run(config: dict):
-    scale = _parse_scale(config["scale"])
-    schedule = make_schedule(
-        config["k0"], scale, config["stages"], zeta=config["zeta"]
-    )
-    return run_construction(config["d"], schedule, config["seed"])
-
-
 def cmd_estimate_dim(args) -> int:
     import numpy as np
 
@@ -574,7 +572,7 @@ def cmd_estimate_dim(args) -> int:
         if manifest.get("failed"):
             print("manifest records a failed run", file=sys.stderr)
             return EXIT_USAGE
-        run = _rebuild_run(manifest["config"])
+        run = _run_from_config(manifest["config"])
         families = build_nested_family(
             run, stage_one_planes(run), planes=args.planes, seed=args.seed
         )

@@ -212,23 +212,28 @@ def make_schedule(
         raise UsageError(f"zeta must be finite and > 1, got {zeta}")
     p6, p4, p2, p23 = scale.p6, scale.p4, scale.p2, scale.p23
     out = []
-    for k in range(1, stages + 1):
-        if k == 1:
-            a = None
-            ap = Window(p6(3 + k0), p6(3 + k0), double=True)
-        else:
-            lo = p6(2 * k + k0) - p4(k + k0)
-            a = Window(lo, lo + p23(k + k0))
-            lo = p6(2 * k + 1 + k0) + p4(k + k0)
-            ap = Window(lo, lo + p2(k + k0))
-        b_lo = p6(2 * k + 1 + k0) - p4(k + k0)
-        b = Window(b_lo, b_lo + p2(k + k0))
-        bp_lo = p6(2 * k + 2 + k0) + p4(k + k0)
-        bp = Window(bp_lo, bp_lo, double=True)
-        t_exp = -(p6(2 * k + 1 + k0) + p4(k + k0) + p2(k + k0) / 2)
-        out.append(
-            StageWindows(k, a, ap, p2(k + k0), b, bp, s_exp=bp_lo, t_exp=t_exp)
-        )
+    try:
+        for k in range(1, stages + 1):
+            if k == 1:
+                a = None
+                ap = Window(p6(3 + k0), p6(3 + k0), double=True)
+            else:
+                lo = p6(2 * k + k0) - p4(k + k0)
+                a = Window(lo, lo + p23(k + k0))
+                lo = p6(2 * k + 1 + k0) + p4(k + k0)
+                ap = Window(lo, lo + p2(k + k0))
+            b_lo = p6(2 * k + 1 + k0) - p4(k + k0)
+            b = Window(b_lo, b_lo + p2(k + k0))
+            bp_lo = p6(2 * k + 2 + k0) + p4(k + k0)
+            bp = Window(bp_lo, bp_lo, double=True)
+            t_exp = -(p6(2 * k + 1 + k0) + p4(k + k0) + p2(k + k0) / 2)
+            out.append(
+                StageWindows(k, a, ap, p2(k + k0), b, bp, s_exp=bp_lo, t_exp=t_exp)
+            )
+    except OverflowError:  # k0 (or the scale) beyond the float range
+        raise ScheduleOverflowError(
+            f"the {scale.name} exponents of k0 = {k0} are beyond the float range"
+        ) from None
     sched = Schedule(k0, stages, scale, tuple(out), zeta=zeta)
     _validate_schedule(sched)
     return sched
@@ -299,7 +304,6 @@ class PathBuilder:
         self.start = start
         self.walk = _Walk(start)
         self.runs: list[list] = []  # mutable [winner, loser, side, count]
-        self.warnings: list[str] = []
 
     @property
     def pi(self) -> LabeledPermutation:
@@ -341,7 +345,6 @@ class PathBuilder:
             self.pi,
             tuple(tuple(r) for r in self.runs),
             self.walk.matrix(),
-            tuple(self.warnings),
         )
 
 
@@ -420,6 +423,20 @@ def _steer_to_edge(
     return path
 
 
+def _check_window(path: PhasePath, window: Window) -> PhasePath:
+    """``path``, with a warning recorded on it and logged to this module's
+    logger when its norm overshoots ``window``."""
+    norm = path.matrix.norm
+    if norm <= window.hi:
+        return path
+    import logging  # loaded on the first warning, not at start-up
+
+    logging.getLogger(__name__).warning(
+        "%s norm %d overshot window %s; widening", path.phase, norm, window
+    )
+    return path.warn(f"{path.phase}: norm {norm} overshot window {window}; widened")
+
+
 def _walk_to_window(
     b: PathBuilder,
     window: Window,
@@ -443,15 +460,7 @@ def _walk_to_window(
         steps += 1
     for side in _steer(b.pi, end, admissible, rng):
         b.apply_side(side)
-    norm = b.norm
-    if norm > window.hi:
-        b.warnings.append(f"{phase}: norm {norm} overshot window {window}; widened")
-        import logging  # loaded on the first warning, not at start-up
-
-        logging.getLogger(__name__).warning(
-            "%s norm %d overshot window %s; widening", phase, norm, window
-        )
-    return b.finish(phase)
+    return _check_window(b.finish(phase), window)
 
 
 def gen_freedom_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
@@ -530,10 +539,7 @@ def freedom_rhs_for_window(
         for _ in range(d - 1):
             b.apply_winner(d)  # d beats d-1, then 1, ..., d-2
         loops += 1
-    path = b.finish(FREEDOM_RHS)
-    if b.norm > window.hi:
-        path = path.warn(f"freedom-RHS: norm {b.norm} overshot {window}; widened")
-    return path
+    return _check_window(b.finish(FREEDOM_RHS), window)
 
 
 def gen_restriction_rhs(start: LabeledPermutation, ell: int, stage: StageWindows) -> PhasePath:
@@ -650,6 +656,11 @@ class StageTrace:
     def phase(self, name: str) -> PhasePath | None:
         return self.phases[name]
 
+    @property
+    def end(self) -> LabeledPermutation:
+        """The vertex the stage's last phase ends at."""
+        return next(reversed(self.phases.values())).end
+
 
 class LimitInfo:
     __slots__ = (
@@ -695,106 +706,84 @@ class ConstructionRun:
         return self.stages[-1].cumulative
 
 
-def _stage_stats(
-    k: int, checkpoints: dict[str, VisitationMatrix], d: int
-) -> dict:
-    """U/u/V/v analogs plus checkpoint angle measurements."""
-    stats: dict = {}
-    after_a = checkpoints.get("A")
-    stats["U"] = (
-        max(after_a.column_norm(j) for j in range(1, d - 1)) if after_a else 1
-    )
-    ap = checkpoints["Aprime"]
-    stats["u"] = min(ap.column_norm(j) for j in range(1, d - 1))
-    after_b = checkpoints["B"]
-    stats["V"] = max(after_b.column_norm(j) for j in (d - 1, d))
-    after_bp = checkpoints["Bprime"]
-    stats["v"] = min(after_bp.column_norm(j) for j in (d - 1, d))
-    end = after_bp
-    stats["angle_first_to_span"] = max(
-        _span_angle(end.column(j), True, d) for j in range(1, d - 1)
-    )
-    stats["angle_last_to_span"] = max(
-        _span_angle(end.column(j), False, d) for j in (d - 1, d)
-    )
-    stats["angle_last_pair"] = _column_angle(end.column(d - 1), end.column(d))
-    if after_a is not None:
-        stats["angle_first_pair_after_A"] = max(
-            _column_angle(after_a.column(i), after_a.column(j))
-            for i in range(1, d - 1)
-            for j in range(i + 1, d - 1)
-        )
-    return stats
+def extend_stage(
+    cum: VisitationMatrix,
+    current: LabeledPermutation,
+    k: int,
+    schedule: Schedule,
+    rng: Random,
+) -> StageTrace:
+    """Stage ``k`` from the cumulative matrix ``cum`` at vertex ``current``.
+
+    The phases are freedom A and its bridge back to pi_L (from stage 2 on),
+    restriction A', the transition T, freedom B and restriction B'.  They
+    draw from ``rng`` in that order, so a run is a fold of this function
+    over one ``Random``, and a stage depends only on its parent's
+    ``(cum, current)`` and the state of ``rng``.
+    """
+    w = schedule.stage(k)
+    t_cap = Window(0, w.T_cap_exp)  # a transition's norm is only capped
+    pi_l = special_permutations(current.d)[0]
+
+    def bridge(start: LabeledPermutation) -> PhasePath:
+        # freedom ends at pi_s; restriction needs pi_L: route back with the
+        # same two 1-wins freedom itself would use
+        b = PathBuilder(start)
+        b.apply_winner(1)
+        b.apply_winner(1)
+        if b.pi != pi_l:
+            raise StageError("bridge to pi_L failed")
+        return b.finish(FREEDOM_LHS_BRIDGE)
+
+    steps: list[tuple[str, Callable[[LabeledPermutation], PhasePath]]] = []
+    if k > 1:
+        steps += [("A", lambda pi: gen_freedom_lhs(pi, w.A, rng)), ("A-bridge", bridge)]
+    steps += [
+        ("Aprime", lambda pi: gen_restriction_lhs(pi, w.Aprime, rng)),
+        ("T", lambda pi: _check_window(gen_transition(pi, rng), t_cap)),
+        ("B", lambda pi: freedom_rhs_for_window(pi, w.B, rng)),
+        ("Bprime", lambda pi: gen_restriction_rhs(pi, rng.randint(w.s, 2 * w.s), w)),
+    ]
+    phases: dict[str, PhasePath | None] = {"A": None}  # no freedom A at stage 1
+    checkpoints: dict[str, VisitationMatrix] = {"entry": cum}
+    for name, gen in steps:
+        path = gen(current)
+        phases[name] = path
+        cum = cum @ path.matrix
+        current = path.end
+        checkpoints[name] = cum
+    d, after_a = current.d, checkpoints.get("A")
+    first, last = range(1, d - 1), (d - 1, d)  # the two blocks of columns
+    stats = {  # U/u/V/v analogs, and the end's column angles to the spans
+        "U": max(after_a.column_norm(j) for j in first) if after_a else 1,
+        "u": min(checkpoints["Aprime"].column_norm(j) for j in first),
+        "V": max(checkpoints["B"].column_norm(j) for j in last),
+        "v": min(cum.column_norm(j) for j in last),
+        "angle_first_to_span": max(_span_angle(cum.column(j), True, d) for j in first),
+        "angle_last_to_span": max(_span_angle(cum.column(j), False, d) for j in last),
+        "ell": phases["Bprime"].runs[0][3],  # the times d-1 beats d in B'
+        "norm": cum.norm,
+    }
+    return StageTrace(k, phases, checkpoints, cum, stats)
 
 
 def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
-    """Drive all stages and report the limiting vertex clusters."""
+    """Fold ``extend_stage`` over all stages from the identity at pi_L, with
+    one ``Random(seed)``, and report the limiting vertex clusters."""
     if d < 4:
         raise UsageError("the construction needs d >= 4")
     rng = Random(seed)
-    pi_l, pi_r, _ = special_permutations(d)
-    pi_s = hyperelliptic_permutation(d)
-    cum = VisitationMatrix.identity(d)
+    cum, current = VisitationMatrix.identity(d), special_permutations(d)[0]
     stages: list[StageTrace] = []
-    current = pi_l
     try:
         for k in range(1, schedule.stages + 1):
-            w = schedule.stage(k)
-            phases: dict[str, PhasePath | None] = {}
-            checkpoints: dict[str, VisitationMatrix] = {"entry": cum}
-            if k == 1:
-                phases["A"] = None
-            else:
-                path = gen_freedom_lhs(current, w.A, rng)
-                phases["A"] = path
-                cum = cum @ path.matrix
-                current = path.end
-                checkpoints["A"] = cum
-                # freedom ends at pi_s; restriction needs pi_L: route back
-                # with the same two 1-wins freedom itself would use
-                bridge = PathBuilder(current)
-                bridge.apply_winner(1)
-                bridge.apply_winner(1)
-                if bridge.pi != pi_l:
-                    raise StageError("bridge to pi_L failed")
-                bpath = bridge.finish(FREEDOM_LHS_BRIDGE)
-                phases["A-bridge"] = bpath
-                cum = cum @ bpath.matrix
-                current = bpath.end
-            path = gen_restriction_lhs(current, w.Aprime, rng)
-            phases["Aprime"] = path
-            cum = cum @ path.matrix
-            current = path.end
-            checkpoints["Aprime"] = cum
-            path = gen_transition(current, rng)
-            if path.matrix.norm > w.T_cap:
-                path = path.warn(
-                    f"transition norm {path.matrix.norm} above cap 10^{w.T_cap_exp:g}"
-                )
-            phases["T"] = path
-            cum = cum @ path.matrix
-            current = path.end
-            checkpoints["T"] = cum
-            path = freedom_rhs_for_window(current, w.B, rng)
-            phases["B"] = path
-            cum = cum @ path.matrix
-            current = path.end
-            checkpoints["B"] = cum
-            ell = rng.randint(w.s, 2 * w.s)
-            path = gen_restriction_rhs(current, ell, w)
-            phases["Bprime"] = path
-            cum = cum @ path.matrix
-            current = path.end
-            checkpoints["Bprime"] = cum
-            stats = _stage_stats(k, checkpoints, d)
-            stats["ell"] = ell
-            stats["norm"] = cum.norm
-            stages.append(StageTrace(k, phases, checkpoints, cum, stats))
+            stages.append(extend_stage(cum, current, k, schedule, rng))
+            cum, current = stages[-1].cumulative, stages[-1].end
     except (BudgetExceededError, StageError) as exc:
         raise StageError(
             f"stage {len(stages) + 1} failed: {exc}", partial=tuple(stages)
         ) from exc
-    limit = _extract_limit(stages[-1].cumulative, d)
+    limit = _extract_limit(cum, d)
     return ConstructionRun(d, schedule, seed, tuple(stages), limit)
 
 

@@ -249,6 +249,37 @@ def test_construct_unknown_scale_is_usage(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_construct_failure_counts_completed_stages(tmp_path, capsys, monkeypatch):
+    from ietkit import construction
+
+    monkeypatch.setattr(construction, "PHASE_BUDGET", 40)  # stage 2's A' runs out
+    code, out = run(
+        ["construct", "--d", "5", "--stages", "3", "--seed", "0"], tmp_path
+    )
+    assert code == EXIT_STAGE
+    assert capsys.readouterr().err.startswith("stage failure: stage 2 failed: ")
+    doc = json.loads((out / "construct_manifest.json").read_text())
+    assert doc["failed"] and doc["stages_completed"] == 1
+    assert doc["error"].startswith("stage 2 failed: ")
+    assert doc["config"] == {"d": 5, "k0": 1, "scale": "linear", "seed": 0,
+                             "stages": 3, "zeta": 32.0}
+
+
+@pytest.mark.parametrize("k0,scale", [
+    (10**62, "tower"),  # float(k0) ** 6 overflows
+    (10**300, "linear"),  # a window beyond the integer budget
+    (10**309, "linear"),  # k0 itself is beyond the float range
+], ids=["tower-1e62", "linear-1e300", "linear-1e309"])
+def test_construct_huge_k0_is_budget(tmp_path, capsys, k0, scale):
+    code, out = run(
+        ["construct", "--stages", "1", "--k0", str(k0), "--scale", scale], tmp_path
+    )
+    assert code == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert not (out / "construct_manifest.json").exists()
+
+
 # -- JSON conventions -------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from ietkit.construction import (
     check_conditions_star,
     check_nue_angles,
     check_size_recursions,
+    extend_stage,
     gen_freedom_lhs,
     gen_restriction_rhs,
     gen_transition,
@@ -24,6 +25,7 @@ from ietkit.construction import (
     validate_phase,
 )
 from ietkit.errors import ScheduleOverflowError, UsageError
+from ietkit.induction import VisitationMatrix
 from ietkit.perm import hyperelliptic_permutation, special_permutations
 
 
@@ -207,3 +209,55 @@ def test_window_overshoot_is_logged(caplog):
     assert run.stages[1].phase("A").warnings == (
         "freedom-LHS: norm 799 overshot window [10^2.45, 10^2.75]; widened",
     )
+
+
+def test_every_phase_overshoot_is_logged(caplog):
+    # freedom-RHS and the transition cap warn as freedom-LHS does
+    schedule = make_schedule(1, ExponentScale.linear(), stages=2)
+    with caplog.at_level(logging.WARNING, logger="ietkit.construction"):
+        run = run_construction(4, schedule, seed=3)
+    assert "freedom-RHS norm 342 overshot window [10^2.1, 10^2.5]; widening" in [
+        r.getMessage() for r in caplog.records if r.name == "ietkit.construction"
+    ]
+    assert run.stages[0].phase("B").warnings == (
+        "freedom-RHS: norm 342 overshot window [10^2.1, 10^2.5]; widened",
+    )
+    schedule = make_schedule(1, ExponentScale.linear(), stages=1)
+    schedule.stage(1).T_cap_exp = 0  # a cap of 1: every transition overshoots
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ietkit.construction"):
+        t = run_construction(4, schedule, seed=3).stages[0].phase("T")
+    norm = t.matrix.norm
+    assert t.warnings == (f"transition: norm {norm} overshot window [10^0, 10^0]; widened",)
+    assert f"transition norm {norm} overshot window [10^0, 10^0]; widening" in [
+        r.getMessage() for r in caplog.records
+    ]
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_stage_depends_only_on_its_parent(d):
+    schedule = make_schedule(1, ExponentScale.linear(), stages=4)
+    run = run_construction(d, schedule, seed=3)
+    rng = Random(3)
+    cum, current = VisitationMatrix.identity(d), special_permutations(d)[0]
+    states = []  # the rng state before each stage of a hand fold
+    for k in range(1, schedule.stages + 1):
+        states.append(rng.getstate())
+        stage = extend_stage(cum, current, k, schedule, rng)
+        cum, current = stage.cumulative, stage.end
+    assert cum == run.cumulative
+    for k in range(schedule.stages - 1, 0, -1):  # resume from stage k, last first
+        parent, want = run.stages[k - 1], run.stages[k]
+        rng = Random()
+        rng.setstate(states[k])
+        got = extend_stage(parent.cumulative, parent.end, k + 1, schedule, rng)
+        assert got.k == want.k == k + 1
+        assert list(got.phases) == list(want.phases)
+        for name, path in want.phases.items():
+            again = got.phases[name]
+            assert (again.phase, again.start, again.end, again.runs, again.matrix,
+                    again.warnings) == (path.phase, path.start, path.end, path.runs,
+                                        path.matrix, path.warnings)
+        assert got.checkpoints == want.checkpoints
+        assert got.cumulative == want.cumulative
+        assert got.stats == want.stats

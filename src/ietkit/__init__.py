@@ -29,7 +29,8 @@ numpy is imported inside the functions that compute in floats, never at
 module level, so importing any module and running the exact computations
 loads neither numpy nor scipy; the balance-decay fit is a closed-form line,
 so ``analysis.mc_balance`` needs no numpy either.  The records are plain
-classes with ``__slots__``, immutable by convention, and ``logging`` is
+classes with ``__slots__``, immutable by convention; those that only store
+their arguments share one initialiser, ``_record.Record``.  ``logging`` is
 imported by the first construction warning, so start-up loads neither
 ``dataclasses`` nor ``logging``.
 """

@@ -12,6 +12,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
 from .induction import (
@@ -105,20 +106,13 @@ def sample_simplex_exact(d: int, rng: Random) -> tuple[Fraction, ...]:
 # balance decay
 
 
-class BalanceReport:
-    __slots__ = ("report", "fractions", "sigma_hat", "sigma_ci_upper")
-
-    def __init__(
-        self,
-        report: McReport,
-        fractions: tuple[float, ...],  # failure fraction for m = 1..m_max
-        sigma_hat: float,
-        sigma_ci_upper: float,  # 95% upper confidence bound on the decay ratio
-    ):
-        self.report = report
-        self.fractions = fractions
-        self.sigma_hat = sigma_hat
-        self.sigma_ci_upper = sigma_ci_upper
+class BalanceReport(Record):
+    __slots__ = (
+        "report",
+        "fractions",  # failure fraction for m = 1..m_max
+        "sigma_hat",
+        "sigma_ci_upper",  # 95% upper confidence bound on the decay ratio
+    )
 
 
 class _Balanced(_StopRule):
@@ -342,22 +336,14 @@ def mc_jacobian_pushforward(
 # probability decay
 
 
-class ProbDecayReport:
-    __slots__ = ("report", "window_probs", "window_bounds", "tau_hat", "count_tail")
-
-    def __init__(
-        self,
-        report: McReport,
-        window_probs: tuple[float, ...],  # empirical P(first j trials all fail)
-        window_bounds: tuple[float, ...],  # (1-rho)^j
-        tau_hat: float,  # fitted decay of P(count < (1-eps) rho N)
-        count_tail: float,
-    ):
-        self.report = report
-        self.window_probs = window_probs
-        self.window_bounds = window_bounds
-        self.tau_hat = tau_hat
-        self.count_tail = count_tail
+class ProbDecayReport(Record):
+    __slots__ = (
+        "report",
+        "window_probs",  # empirical P(first j trials all fail)
+        "window_bounds",  # (1-rho)^j
+        "tau_hat",  # fitted decay of P(count < (1-eps) rho N)
+        "count_tail",
+    )
 
 
 def prob_decay_sim(
@@ -514,18 +500,12 @@ def limit_tower_points(
     )
 
 
-class KeaneReport:
-    __slots__ = ("satisfied", "steps", "collision")
-
-    def __init__(
-        self,
-        satisfied: bool,
-        steps: int,
-        collision: tuple[int, int] | None,  # (discontinuity index, orbit step)
-    ):
-        self.satisfied = satisfied
-        self.steps = steps
-        self.collision = collision
+class KeaneReport(Record):
+    __slots__ = (
+        "satisfied",
+        "steps",
+        "collision",  # (discontinuity index, orbit step)
+    )
 
 
 def keane_check(T: Iet, N: int) -> KeaneReport:
@@ -691,20 +671,13 @@ def build_nested_family(
     return out
 
 
-class FrostmanMeasure:
-    __slots__ = ("weights", "exponent", "radii", "masses")
-
-    def __init__(
-        self,
-        weights: tuple[tuple[float, ...], ...],  # per level, per polygon
-        exponent: float,  # fitted s with sup-ball-mass ~ r^s
-        radii: tuple[float, ...],
-        masses: tuple[float, ...],  # sup over probe points of mu(B(x, r))
-    ):
-        self.weights = weights
-        self.exponent = exponent
-        self.radii = radii
-        self.masses = masses
+class FrostmanMeasure(Record):
+    __slots__ = (
+        "weights",  # per level, per polygon
+        "exponent",  # fitted s with sup-ball-mass ~ r^s
+        "radii",
+        "masses",  # sup over probe points of mu(B(x, r))
+    )
 
 
 def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
@@ -775,20 +748,13 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     )
 
 
-class BoxDimensionFit:
-    __slots__ = ("estimate", "counts", "radii", "residual")
-
-    def __init__(
-        self,
-        estimate: float,
-        counts: tuple[int, ...],
-        radii: tuple[float, ...],
-        residual: float,  # max absolute fit residual in log-log space
-    ):
-        self.estimate = estimate
-        self.counts = counts
-        self.radii = radii
-        self.residual = residual
+class BoxDimensionFit(Record):
+    __slots__ = (
+        "estimate",
+        "counts",
+        "radii",
+        "residual",  # max absolute fit residual in log-log space
+    )
 
 
 def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFit:

@@ -150,7 +150,9 @@ def _parse_radii(spec: str) -> list[float]:
     return radii
 
 
-def _parse_until(spec: str):
+def _parse_until(spec: str, d: int):
+    """The stop rule of ``--until``; a ``perm:`` target must have the size d
+    of the walk's permutation, since Rauzy moves keep the size."""
     if spec == "positive":
         return positive_matrix
     if ":" not in spec:
@@ -167,7 +169,11 @@ def _parse_until(spec: str):
         raise UsageError(f"bad stopping predicate {spec!r}: every matrix has "
                          "norm and balance ratio >= 1")
     if name == "perm":
-        return permutation_is(_parse_perm(arg))
+        target = _parse_perm(arg)
+        if target.d != d:
+            raise UsageError(f"stopping predicate {spec!r} has d = {target.d}, "
+                             f"but the walk stays at d = {d}")
+        return permutation_is(target)
     raise UsageError(f"unknown stopping predicate {name!r}")
 
 
@@ -255,7 +261,8 @@ def cmd_induct(args) -> int:
         if args.steps is not None:
             trace = induct(T, args.steps)
         else:
-            trace = induct_until(T, _parse_until(args.until), step_budget=args.budget)
+            stop = _parse_until(args.until, T.perm.d)
+            trace = induct_until(T, stop, step_budget=args.budget)
     except InductionUndefinedError as exc:
         if exc.partial is not None:
             (out / "induct_trace.json").write_text(
@@ -295,6 +302,10 @@ def _run_from_config(config: dict):
     return run_construction(config["d"], schedule, config["seed"])
 
 
+# the DoubleStarReport fields a manifest row holds: all but the thresholds
+_DOUBLE_STAR_FIELDS = ("stage", "lhs_angle", "lhs_pass", "rhs_angle", "rhs_pass")
+
+
 def _construct_manifest_doc(config: dict, completed, run) -> dict:
     """The manifest of a run with ``completed`` stages; a ``run`` of None
     failed after them."""
@@ -322,39 +333,14 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
         )
     doc["stages"] = stages
     doc["conditions_star"] = [
-        {
-            "stage": r.stage,
-            "c1_ratio": r.c1_ratio,
-            "c1_pass": r.c1_pass,
-            "c2_ratio": r.c2_ratio,
-            "c2_threshold": r.c2_threshold,
-            "c2_pass": r.c2_pass,
-            "c3_ratio": r.c3_ratio,
-            "c3_pass": r.c3_pass,
-            "c4_ratio": r.c4_ratio,
-            "c4_pass": r.c4_pass,
-        }
-        for r in check_conditions_star(run)
+        {f: getattr(r, f) for f in r.__slots__} for r in check_conditions_star(run)
     ]
     doc["conditions_double_star"] = [
-        {
-            "stage": r.stage,
-            "lhs_angle": r.lhs_angle,
-            "lhs_pass": r.lhs_pass,
-            "rhs_angle": r.rhs_angle,
-            "rhs_pass": r.rhs_pass,
-        }
+        {f: getattr(r, f) for f in _DOUBLE_STAR_FIELDS}
         for r in check_condition_double_star(run)
     ]
     doc["angle_monotonicity"] = [
-        {
-            "stage": r.stage,
-            "lhs_angles": list(r.lhs_angles),
-            "lhs_monotone": r.lhs_monotone,
-            "rhs_angles": list(r.rhs_angles),
-            "rhs_monotone": r.rhs_monotone,
-        }
-        for r in check_nue_angles(run)
+        {f: getattr(r, f) for f in r.__slots__} for r in check_nue_angles(run)
     ]
     doc["limit"] = {
         "vertex_lhs": list(run.limit.vertex_lhs),

@@ -19,6 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import (
     BudgetExceededError,
     CalibrationError,
@@ -69,15 +70,11 @@ def _float_pow10(exp: float) -> float:
         raise ScheduleOverflowError(f"10^{exp:g} is beyond the float range") from None
 
 
-class Window:
+class Window(Record):
     """Norm window [10^lo_exp, 10^hi_exp] (or [L, 2L] when doubled)."""
 
     __slots__ = ("lo_exp", "hi_exp", "double")
-
-    def __init__(self, lo_exp: float, hi_exp: float, double: bool = False):
-        self.lo_exp = lo_exp
-        self.hi_exp = hi_exp
-        self.double = double
+    _defaults = {"double": False}
 
     @property
     def lo(self) -> int:
@@ -94,24 +91,11 @@ class Window:
         return f"[10^{self.lo_exp:g}, {'2x' if self.double else ''}10^{self.hi_exp:g}]"
 
 
-class ExponentScale:
+class ExponentScale(Record):
     """The four exponent maps standing in for the unscaled powers 6, 4, 2, 2.3."""
 
     __slots__ = ("p6", "p4", "p2", "p23", "name")
-
-    def __init__(
-        self,
-        p6: Callable[[float], float],
-        p4: Callable[[float], float],
-        p2: Callable[[float], float],
-        p23: Callable[[float], float],
-        name: str = "custom",
-    ):
-        self.p6 = p6
-        self.p4 = p4
-        self.p2 = p2
-        self.p23 = p23
-        self.name = name
+    _defaults = {"name": "custom"}
 
     @staticmethod
     def linear(c6=0.7, c4=0.35, c2=0.2, c23=0.1) -> "ExponentScale":
@@ -135,28 +119,17 @@ class ExponentScale:
         )
 
 
-class StageWindows:
-    __slots__ = ("k", "A", "Aprime", "T_cap_exp", "B", "Bprime", "s_exp", "t_exp")
-
-    def __init__(
-        self,
-        k: int,
-        A: Window | None,  # absent at stage 1
-        Aprime: Window,
-        T_cap_exp: float,
-        B: Window,
-        Bprime: Window,
-        s_exp: float,
-        t_exp: float,  # negative
-    ):
-        self.k = k
-        self.A = A
-        self.Aprime = Aprime
-        self.T_cap_exp = T_cap_exp
-        self.B = B
-        self.Bprime = Bprime
-        self.s_exp = s_exp
-        self.t_exp = t_exp
+class StageWindows(Record):
+    __slots__ = (
+        "k",
+        "A",  # absent at stage 1
+        "Aprime",
+        "T_cap_exp",
+        "B",
+        "Bprime",
+        "s_exp",
+        "t_exp",  # negative
+    )
 
     @property
     def s(self) -> int:
@@ -166,27 +139,10 @@ class StageWindows:
     def t(self) -> float:
         return _float_pow10(self.t_exp)
 
-    @property
-    def T_cap(self) -> int:
-        return _pow10(self.T_cap_exp)
 
-
-class Schedule:
+class Schedule(Record):
     __slots__ = ("k0", "stages", "scale", "windows", "zeta")
-
-    def __init__(
-        self,
-        k0: int,
-        stages: int,
-        scale: ExponentScale,
-        windows: tuple[StageWindows, ...],
-        zeta: float = 32.0,
-    ):
-        self.k0 = k0
-        self.stages = stages
-        self.scale = scale
-        self.windows = windows
-        self.zeta = zeta
+    _defaults = {"zeta": 32.0}
 
     def stage(self, k: int) -> StageWindows:
         return self.windows[k - 1]
@@ -267,24 +223,16 @@ def _validate_schedule(s: Schedule) -> None:
 # phase paths
 
 
-class PhasePath:
-    __slots__ = ("phase", "start", "end", "runs", "matrix", "warnings")
-
-    def __init__(
-        self,
-        phase: str,
-        start: LabeledPermutation,
-        end: LabeledPermutation,
-        runs: tuple[tuple[int, int, str, int], ...],  # (winner, loser, side, count)
-        matrix: VisitationMatrix,
-        warnings: tuple[str, ...] = (),
-    ):
-        self.phase = phase
-        self.start = start
-        self.end = end
-        self.runs = runs
-        self.matrix = matrix
-        self.warnings = warnings
+class PhasePath(Record):
+    __slots__ = (
+        "phase",
+        "start",
+        "end",
+        "runs",  # (winner, loser, side, count)
+        "matrix",
+        "warnings",
+    )
+    _defaults = {"warnings": ()}
 
     def winners(self) -> set[int]:
         return {w for w, _, _, c in self.runs if c}
@@ -636,22 +584,14 @@ def _column_angle(a: Sequence[int], b: Sequence[int]) -> float:
     return math.acos(c)
 
 
-class StageTrace:
-    __slots__ = ("k", "phases", "checkpoints", "cumulative", "stats")
-
-    def __init__(
-        self,
-        k: int,
-        phases: dict[str, PhasePath | None],
-        checkpoints: dict[str, VisitationMatrix],  # cumulative after each phase
-        cumulative: VisitationMatrix,
-        stats: dict,
-    ):
-        self.k = k
-        self.phases = phases
-        self.checkpoints = checkpoints
-        self.cumulative = cumulative
-        self.stats = stats
+class StageTrace(Record):
+    __slots__ = (
+        "k",
+        "phases",
+        "checkpoints",  # cumulative after each phase
+        "cumulative",
+        "stats",
+    )
 
     def phase(self, name: str) -> PhasePath | None:
         return self.phases[name]
@@ -662,44 +602,19 @@ class StageTrace:
         return next(reversed(self.phases.values())).end
 
 
-class LimitInfo:
+class LimitInfo(Record):
     __slots__ = (
-        "vertex_lhs", "vertex_rhs", "intra_lhs", "intra_rhs", "inter", "representative",
+        "vertex_lhs",  # cluster average of first d-2 vertices
+        "vertex_rhs",
+        "intra_lhs",  # max angle within the first cluster, radians
+        "intra_rhs",
+        "inter",  # min angle between clusters
+        "representative",
     )
 
-    def __init__(
-        self,
-        vertex_lhs: tuple[float, ...],  # cluster average of first d-2 vertices
-        vertex_rhs: tuple[float, ...],
-        intra_lhs: float,  # max angle within the first cluster, radians
-        intra_rhs: float,
-        inter: float,  # min angle between clusters
-        representative: Iet,
-    ):
-        self.vertex_lhs = vertex_lhs
-        self.vertex_rhs = vertex_rhs
-        self.intra_lhs = intra_lhs
-        self.intra_rhs = intra_rhs
-        self.inter = inter
-        self.representative = representative
 
-
-class ConstructionRun:
+class ConstructionRun(Record):
     __slots__ = ("d", "schedule", "seed", "stages", "limit")
-
-    def __init__(
-        self,
-        d: int,
-        schedule: Schedule,
-        seed: int,
-        stages: tuple[StageTrace, ...],
-        limit: LimitInfo,
-    ):
-        self.d = d
-        self.schedule = schedule
-        self.seed = seed
-        self.stages = stages
-        self.limit = limit
 
     @property
     def cumulative(self) -> VisitationMatrix:
@@ -823,35 +738,11 @@ def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
 # condition checks
 
 
-class StarReport:
+class StarReport(Record):
     __slots__ = (
         "stage", "c1_ratio", "c1_pass", "c2_ratio", "c2_threshold", "c2_pass",
         "c3_ratio", "c3_pass", "c4_ratio", "c4_pass",
     )
-
-    def __init__(
-        self,
-        stage: int,
-        c1_ratio: float | None,
-        c1_pass: bool | None,
-        c2_ratio: float,
-        c2_threshold: float,
-        c2_pass: bool,
-        c3_ratio: float,
-        c3_pass: bool,
-        c4_ratio: float,
-        c4_pass: bool,
-    ):
-        self.stage = stage
-        self.c1_ratio = c1_ratio
-        self.c1_pass = c1_pass
-        self.c2_ratio = c2_ratio
-        self.c2_threshold = c2_threshold
-        self.c2_pass = c2_pass
-        self.c3_ratio = c3_ratio
-        self.c3_pass = c3_pass
-        self.c4_ratio = c4_ratio
-        self.c4_pass = c4_pass
 
 
 def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> list[StarReport]:
@@ -890,29 +781,11 @@ def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> li
     return out
 
 
-class DoubleStarReport:
+class DoubleStarReport(Record):
     __slots__ = (
         "stage", "lhs_angle", "lhs_threshold", "lhs_pass",
         "rhs_angle", "rhs_threshold", "rhs_pass",
     )
-
-    def __init__(
-        self,
-        stage: int,
-        lhs_angle: float | None,
-        lhs_threshold: float | None,
-        lhs_pass: bool | None,
-        rhs_angle: float,
-        rhs_threshold: float,
-        rhs_pass: bool,
-    ):
-        self.stage = stage
-        self.lhs_angle = lhs_angle
-        self.lhs_threshold = lhs_threshold
-        self.lhs_pass = lhs_pass
-        self.rhs_angle = rhs_angle
-        self.rhs_threshold = rhs_threshold
-        self.rhs_pass = rhs_pass
 
 
 def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
@@ -943,29 +816,16 @@ def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
     return out
 
 
-class SizeReport:
+class SizeReport(Record):
     __slots__ = (
-        "stage", "upper_bound", "measured_U", "upper_pass",
-        "lower_estimate", "lower_pass", "sandwich_ratio",
+        "stage",
+        "upper_bound",
+        "measured_U",
+        "upper_pass",
+        "lower_estimate",
+        "lower_pass",
+        "sandwich_ratio",  # V_{k-1} / (U_{k-1} * B-window-low), want >= 1/zeta
     )
-
-    def __init__(
-        self,
-        stage: int,
-        upper_bound: float,
-        measured_U: float,
-        upper_pass: bool,
-        lower_estimate: float,
-        lower_pass: bool,
-        sandwich_ratio: float,  # V_{k-1} / (U_{k-1} * B-window-low), want >= 1/zeta
-    ):
-        self.stage = stage
-        self.upper_bound = upper_bound
-        self.measured_U = measured_U
-        self.upper_pass = upper_pass
-        self.lower_estimate = lower_estimate
-        self.lower_pass = lower_pass
-        self.sandwich_ratio = sandwich_ratio
 
 
 def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
@@ -1010,22 +870,14 @@ def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
     return out
 
 
-class AngleMonotonicityReport:
-    __slots__ = ("stage", "lhs_angles", "lhs_monotone", "rhs_angles", "rhs_monotone")
-
-    def __init__(
-        self,
-        stage: int,
-        lhs_angles: tuple[float, ...],  # entry, [after A], after A'
-        lhs_monotone: bool,
-        rhs_angles: tuple[float, ...],  # after T, after B, after B'
-        rhs_monotone: bool,
-    ):
-        self.stage = stage
-        self.lhs_angles = lhs_angles
-        self.lhs_monotone = lhs_monotone
-        self.rhs_angles = rhs_angles
-        self.rhs_monotone = rhs_monotone
+class AngleMonotonicityReport(Record):
+    __slots__ = (
+        "stage",
+        "lhs_angles",  # entry, [after A], after A'
+        "lhs_monotone",
+        "rhs_angles",  # after T, after B, after B'
+        "rhs_monotone",
+    )
 
 
 def check_nue_angles(

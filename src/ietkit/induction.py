@@ -28,7 +28,6 @@ class Iet(Value):
     """Length vector plus permutation pair; the full datum of an exchange."""
 
     __slots__ = ("lengths", "perm")
-    _fields = __slots__
 
     def __init__(self, lengths: tuple[Fraction, ...], perm: LabeledPermutation):
         self.lengths = lengths
@@ -170,20 +169,12 @@ class VisitationMatrix:
 
 
 class InductionTrace(Value):
-    __slots__ = ("start", "edges", "matrix", "induced")
-    _fields = __slots__
-
-    def __init__(
-        self,
-        start: Iet,
-        edges: tuple[RauzyEdge, ...],
-        matrix: VisitationMatrix,
-        induced: Iet,  # unnormalized
-    ):
-        self.start = start
-        self.edges = edges
-        self.matrix = matrix
-        self.induced = induced
+    __slots__ = (
+        "start",
+        "edges",
+        "matrix",
+        "induced",  # unnormalized
+    )
 
     @property
     def steps(self) -> int:

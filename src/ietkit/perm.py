@@ -92,7 +92,6 @@ class LabeledPermutation(Value):
 
 class RauzyEdge(Value):
     __slots__ = ("source", "target", "winner", "loser", "side")
-    _fields = __slots__
 
     def __init__(
         self,

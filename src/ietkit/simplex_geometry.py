@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _rational
-from ._record import Value
+from ._record import Record, Value
 from .errors import DegeneracyError, UsageError
 from .induction import VisitationMatrix
 from .symplectic import SymplecticForm
@@ -35,13 +35,10 @@ def column_l1(col: Sequence[Fraction]) -> Fraction:
     return sum(Fraction(x) for x in col)
 
 
-class ProjectiveSimplex:
+class ProjectiveSimplex(Record):
     """The image of the standard simplex under a non-negative matrix."""
 
-    __slots__ = ("generator",)
-
-    def __init__(self, generator: tuple[tuple[Fraction, ...], ...]):  # rows
-        self.generator = generator
+    __slots__ = ("generator",)  # rows
 
     @staticmethod
     def from_matrix(M) -> "ProjectiveSimplex":
@@ -75,14 +72,10 @@ class ProjectiveSimplex:
         return all(c >= 0 for c in z)
 
 
-class SliceDeltaC:
+class SliceDeltaC(Record):
     """The slice {x in Delta : x_{d-1} + x_d = c}."""
 
     __slots__ = ("d", "c")
-
-    def __init__(self, d: int, c: Fraction):
-        self.d = d
-        self.c = c
 
     def contains(self, point: Sequence) -> bool:
         p = _rational.vec(point)
@@ -156,12 +149,6 @@ class PlaneFamily(Value):
     """
 
     __slots__ = ("d", "u", "v")
-    _fields = __slots__
-
-    def __init__(self, d: int, u: tuple[Fraction, ...], v: tuple[Fraction, ...]):
-        self.d = d
-        self.u = u
-        self.v = v
 
     @property
     def phi(self) -> tuple[Fraction, ...]:

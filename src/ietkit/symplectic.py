@@ -12,25 +12,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _rational
+from ._record import Record
 from .errors import DegeneracyError, IetkitError, UsageError
 from .induction import VisitationMatrix
 from .perm import LabeledPermutation, ReducibilityError
 
 
-class SymplecticForm:
-    __slots__ = ("perm", "matrix", "image_basis", "kernel_basis")
-
-    def __init__(
-        self,
-        perm: LabeledPermutation,
-        matrix: tuple[tuple[int, ...], ...],  # skew integer matrix
-        image_basis: tuple[tuple[Fraction, ...], ...],  # rational, spans Im
-        kernel_basis: tuple[tuple[Fraction, ...], ...],
-    ):
-        self.perm = perm
-        self.matrix = matrix
-        self.image_basis = image_basis
-        self.kernel_basis = kernel_basis
+class SymplecticForm(Record):
+    __slots__ = (
+        "perm",
+        "matrix",  # skew integer matrix
+        "image_basis",  # rational, spans Im
+        "kernel_basis",
+    )
 
     @property
     def d(self) -> int:
@@ -112,18 +106,12 @@ def verify_invariance(
     return all(lhs[i][j] == om_prime[i][j] for i in range(d) for j in range(d))
 
 
-class SingularData:
-    __slots__ = ("values", "input_dirs", "output_dirs")
-
-    def __init__(
-        self,
-        values: tuple[float, ...],  # descending
-        input_dirs: np.ndarray,  # rows are right-singular vectors
-        output_dirs: np.ndarray,  # rows are left-singular vectors
-    ):
-        self.values = values
-        self.input_dirs = input_dirs
-        self.output_dirs = output_dirs
+class SingularData(Record):
+    __slots__ = (
+        "values",  # descending
+        "input_dirs",  # rows are right-singular vectors
+        "output_dirs",  # rows are left-singular vectors
+    )
 
 
 def singular_data(M) -> SingularData:
@@ -174,22 +162,14 @@ def darboux_basis(form: SymplecticForm) -> list[tuple[Fraction, ...]]:
     return out
 
 
-class PairingReport:
-    __slots__ = ("values", "pairs", "defect", "kernel_scale", "restricted_det")
-
-    def __init__(
-        self,
-        values: tuple[float, ...],
-        pairs: tuple[tuple[int, int], ...],
-        defect: float,
-        kernel_scale: Fraction | None,  # |c| with M k' = c k on 1-dim kernels
-        restricted_det: float,
-    ):
-        self.values = values
-        self.pairs = pairs
-        self.defect = defect
-        self.kernel_scale = kernel_scale
-        self.restricted_det = restricted_det
+class PairingReport(Record):
+    __slots__ = (
+        "values",
+        "pairs",
+        "defect",
+        "kernel_scale",  # |c| with M k' = c k on 1-dim kernels
+        "restricted_det",
+    )
 
 
 def _restricted_matrix(
@@ -276,20 +256,12 @@ def reciprocal_pairing(
     return PairingReport(values, tuple(pairs), defect, kernel_scale, restricted_det)
 
 
-class AngleReport:
+class AngleReport(Record):
     __slots__ = (
-        "column_angles", "top_input_vs_last_column", "second_input_vs_first_column",
+        "column_angles",  # d x d symmetric, radians
+        "top_input_vs_last_column",
+        "second_input_vs_first_column",
     )
-
-    def __init__(
-        self,
-        column_angles: np.ndarray,  # d x d symmetric, radians
-        top_input_vs_last_column: float,
-        second_input_vs_first_column: float,
-    ):
-        self.column_angles = column_angles
-        self.top_input_vs_last_column = top_input_vs_last_column
-        self.second_input_vs_first_column = second_input_vs_first_column
 
 
 def vector_angle(u, v) -> float:

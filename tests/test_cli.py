@@ -160,6 +160,19 @@ def test_induct_until_norm_below_one_is_usage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+def test_induct_until_perm_of_another_size_is_usage(tmp_path, capsys):
+    # Rauzy moves keep d, so a d = 3 walk never reaches a d = 4 target; the
+    # run used to go on to the equality case and exit 3
+    code, out = run(
+        ["induct", "--perm", "s3", "--lengths", "1/3,1/5,1/7", "--until", "perm:s4"],
+        tmp_path,
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (out / "induct_trace.json").exists()
+
+
 def test_induct_until_balanced(tmp_path):
     code, out = run(
         ["induct", "--lengths", "509/1009,251/1009,151/1009,98/1009",

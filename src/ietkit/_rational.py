@@ -6,6 +6,7 @@ dozen.  Floats are deliberately absent; callers convert at the boundary.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,12 +20,6 @@ def vec(entries: Iterable) -> Vec:
 
 def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def transpose(m: Mat) -> Mat:
@@ -129,12 +124,34 @@ def solve(m: Mat, b: Sequence) -> Vec | None:
 
 
 def inverse(m: Mat) -> Mat:
+    """m^-1, exact; ZeroDivisionError when m is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) on L * [m | I] over the integers,
+    with L the least common denominator of m.  Every division is exact, so
+    no gcd is taken until the last step: the left block ends as p * I and
+    the right one as p * m^-1, with p = +-det(L * m).
+    """
     n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    rows, pivots = _row_reduce(aug)
-    if pivots[: n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    L = math.lcm(*(x.denominator for row in m for x in row))
+    a = [
+        [x.numerator * (L // x.denominator) for x in row]
+        + [L if j == i else 0 for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
+            if i != k:  # the columns before k are done: zero off the diagonal
+                f = row[k]
+                row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev = p
+    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in a)
 
 
 def lp_feasible(

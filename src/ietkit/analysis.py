@@ -561,15 +561,15 @@ def make_nested_family(
 ) -> NestedFamily:
     a = []
     radii = []
+    areas = [[p.area for p in polys] for polys in levels]
     for lv, polys in enumerate(levels):
-        areas = [p.area for p in polys]
         diams = [p.diameter for p in polys]
         radii.append((max(diams), min(diams)))
         if lv == 0:
             a.append(1.0)
         else:
-            prev = sum(p.area for p in levels[lv - 1])
-            a.append(sum(areas) / prev if prev > 0 else 0.0)
+            prev = sum(areas[lv - 1])
+            a.append(sum(areas[lv]) / prev if prev > 0 else 0.0)
     return NestedFamily(
         tuple(tuple(p) for p in levels),
         tuple(tuple(p) for p in parents),
@@ -645,13 +645,13 @@ def build_nested_family(
     attempts = 0
     while len(out) < planes and attempts < 50 * planes:
         attempts += 1
-        w = rng.dirichlet(np.ones(d))
-        raw = [
-            sum(Fraction(float(w[j])) * m_last[i][j] for j in range(d))
-            for i in range(d)
-        ]
+        # M w / |M w| with the weights read exactly over one power of two
+        ratios = [float(x).as_integer_ratio() for x in rng.dirichlet(np.ones(d))]
+        top = max(den for _, den in ratios)
+        w = [num * (top // den) for num, den in ratios]
+        raw = [sum(x * y for x, y in zip(row, w)) for row in m_last]
         tot = sum(raw)
-        base = [x / tot for x in raw]
+        base = [Fraction(x, tot) for x in raw]
         levels: list[list[Polygon2D]] = []
         parents: list[list[int | None]] = []
         ok = True
@@ -687,20 +687,19 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     if family.depth < 1 or not family.levels[0]:
         raise DegeneracyError("empty family")
     weights: list[list[float]] = []
-    top_areas = [p.area for p in family.levels[0]]
-    total = sum(top_areas)
+    areas = [[p.area for p in polys] for polys in family.levels]
+    total = sum(areas[0])
     if total <= 0:
         raise DegeneracyError("zero-mass family")
-    weights.append([a / total for a in top_areas])
+    weights.append([a / total for a in areas[0]])
     for lv in range(1, family.depth):
         w_prev = weights[-1]
-        polys = family.levels[lv]
         pars = family.parents[lv]
         sums: dict[int, float] = {}
-        for poly, par in zip(polys, pars):
-            sums[par] = sums.get(par, 0.0) + poly.area
+        for area, par in zip(areas[lv], pars):
+            sums[par] = sums.get(par, 0.0) + area
         weights.append(
-            [w_prev[par] * poly.area / sums[par] for poly, par in zip(polys, pars)]
+            [w_prev[par] * area / sums[par] for area, par in zip(areas[lv], pars)]
         )
     deepest = family.levels[-1]
     w_last = weights[-1]

@@ -95,7 +95,7 @@ def _dump_json(doc: dict, path: Path) -> None:
 
 
 def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> Path:
-    path = out / f"{command}_manifest.json"
+    path = _out_file(out, f"{command}_manifest.json")
     _dump_json(
         {"command": command, "config": config, "outputs": sorted(outputs)}, path
     )
@@ -210,10 +210,11 @@ def _count(parse: Callable[[str], int]) -> Callable[[str], int]:
     return count
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_file(out: Path, name: str) -> Path:
+    """out / name, creating ``out`` at its first write, so a run that stops
+    on a usage error leaves no directory behind."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_classes(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     seed_pi = _parse_perm(args.seed_perm)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
     d = seed_pi.d
@@ -240,7 +241,7 @@ def cmd_classes(args) -> int:
         doc["summary"]["contains_pi_L"] = pi_l in graph
         doc["summary"]["contains_pi_R"] = pi_r in graph
     graph_file = f"classes_d{d}.json"
-    _dump_json(doc, out / graph_file)
+    _dump_json(doc, _out_file(out, graph_file))
     _write_manifest(
         out,
         "classes",
@@ -253,7 +254,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_induct(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     T = Iet.make(_parse_lengths(args.lengths), _parse_perm(args.perm))
     if (args.steps is None) == (args.until is None):
         raise UsageError("give exactly one of --steps / --until")
@@ -265,13 +266,15 @@ def cmd_induct(args) -> int:
             trace = induct_until(T, stop, step_budget=args.budget)
     except InductionUndefinedError as exc:
         if exc.partial is not None:
-            (out / "induct_trace.json").write_text(
+            _out_file(out, "induct_trace.json").write_text(
                 exc.partial.to_json() + "\n", encoding="utf-8"
             )
         print(f"induction undefined at step {exc.steps_completed}: {exc}",
               file=sys.stderr)
         return EXIT_INDUCTION
-    (out / "induct_trace.json").write_text(trace.to_json() + "\n", encoding="utf-8")
+    _out_file(out, "induct_trace.json").write_text(
+        trace.to_json() + "\n", encoding="utf-8"
+    )
     _write_manifest(
         out,
         "induct",
@@ -356,7 +359,7 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
 
 
 def cmd_construct(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     config = {
         "d": args.d,
         "k0": args.k0,
@@ -370,11 +373,11 @@ def cmd_construct(args) -> int:
     except StageError as exc:  # main reports it; the manifest records it
         doc = _construct_manifest_doc(config, exc.partial, None)
         doc["error"] = str(exc)
-        _dump_json(doc, out / "construct_manifest.json")
+        _dump_json(doc, _out_file(out, "construct_manifest.json"))
         raise
     doc = _construct_manifest_doc(config, run.stages, run)
-    _dump_json(doc, out / "construct_manifest.json")
-    with (out / "stages.csv").open("w", newline="", encoding="utf-8") as fh:
+    _dump_json(doc, _out_file(out, "construct_manifest.json"))
+    with _out_file(out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["k", "U", "u", "V", "v", "norm",
@@ -515,7 +518,7 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from "
               f"{sorted(_SUITES)}", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
+    out = Path(args.out)
     rng = Random(args.seed)
     report = _SUITES[args.suite](args, rng)
     doc = {
@@ -529,7 +532,7 @@ def cmd_verify(args) -> int:
         "report": report,
     }
     report_file = f"verify_{args.suite}.json"
-    _dump_json(doc, out / report_file)
+    _dump_json(doc, _out_file(out, report_file))
     _write_manifest(out, f"verify_{args.suite}", doc["config"], [report_file])
     parts = [report, *(v for v in report.values() if isinstance(v, dict))]
     status = "VIOLATED" if report.get("violated") else "ok"
@@ -543,7 +546,7 @@ def cmd_estimate_dim(args) -> int:
     import numpy as np
 
     r_grid = _parse_radii(args.r_grid) if args.r_grid else None
-    out = _out_dir(args)
+    out = Path(args.out)
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         print(f"manifest not found: {manifest_path}", file=sys.stderr)
@@ -589,8 +592,8 @@ def cmd_estimate_dim(args) -> int:
         for r, m in zip(fro.radii, fro.masses):
             rows.append([idx, repr(r), repr(m), ""])
     doc["families"] = reports
-    _dump_json(doc, out / "estimate_dim.json")
-    with (out / "dim_fit.csv").open("w", newline="", encoding="utf-8") as fh:
+    _dump_json(doc, _out_file(out, "estimate_dim.json"))
+    with _out_file(out, "dim_fit.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["plane", "r", "ball_mass", "note"])
         writer.writerows(rows)

@@ -3,16 +3,19 @@
 A non-negative matrix M acts on the standard simplex by x -> Mx/|Mx|; the
 image is the sub-simplex spanned by the normalized columns.  Identities
 (volume ratios, Jacobian values, orthogonality of the plane directions) are
-exact rationals.  ``section`` is exact up to its vertices: an integer inverse
-per matrix and an integer vertex test, with Fractions for the surviving
-vertices and floats for the returned polygon.  The float sections of the
-concavity test come from one numpy half-plane intersector that clips all
-sampled planes of a body at once, a block of planes at a time.
+exact rationals.  ``section`` is exact up to its vertices and works in
+integers: a fraction-free inverse per matrix, a table per matrix and plane
+family of what does not depend on the base point, and an integer vertex
+test; each float of the returned polygon is one correctly rounded division
+of its exact value.  The float sections of the concavity test come from one
+numpy half-plane intersector that clips all sampled planes of a body at
+once, a block of planes at a time.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -226,9 +229,9 @@ class Polygon2D:
 
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
-        return 0.5 * abs(
-            float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        )
+        # np.roll(w, -1) without its overhead: the same array, so the same sums
+        x1, y1 = (np.concatenate((w[1:], w[:1])) for w in (x, y))
+        return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
 
     @property
     def diameter(self) -> float:
@@ -332,13 +335,16 @@ def clip_halfplanes(constraints: np.ndarray, box: float = 16.0) -> np.ndarray | 
 
 
 @functools.lru_cache(maxsize=64)
-def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...] | None:
-    """D * M^-1 as an integer matrix, for some integer D > 0; None when M is
-    singular.
+def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], ...], list] | None:
+    """(D * M^-1 as an integer matrix, for some integer D > 0, and the memo
+    of M's plane tables as (family, table) pairs); None when M is singular.
 
     A visitation matrix is a product of elementary Rauzy-Veech matrices, so
     its determinant is 1 and D is 1.  Cached per process, keyed on the rows:
-    a nested family slices the same few stage matrices for every plane.
+    a nested family slices the same few stage matrices for every plane, all
+    with one family.  The memo is searched by equality, which compares the
+    family's fields by identity first, where a hash would hash every
+    Fraction; clearing the cache drops it with the inverse.
     """
     try:
         inv = _rational.inverse(_rational.mat(rows))
@@ -347,15 +353,46 @@ def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...] | No
     D = math.lcm(*(x.denominator for row in inv for x in row))
     return tuple(
         tuple(x.numerator * (D // x.denominator) for x in row) for row in inv
-    )
+    ), []
 
 
-def _numerators(values: Sequence) -> list[int]:
+def _numerators(values: Sequence) -> tuple[list[int], int]:
     """The rationals ``values`` (floats read exactly) as integer numerators
-    over their least common denominator."""
+    over their least common denominator, and that denominator."""
     fs = [Fraction(v) for v in values]
     q = math.lcm(*(f.denominator for f in fs))
-    return [f.numerator * (q // f.denominator) for f in fs]
+    return [f.numerator * (q // f.denominator) for f in fs], q
+
+
+def _plane_table(inv: Sequence[Sequence[int]], family: PlaneFamily):
+    """What ``section`` needs of M and the family but not of the base point:
+    (q, flat, pairs).  Row i of D * M^-1 takes the chart rows (floats, read
+    exactly) to integers (a_i, b_i) over their common denominator q;
+    ``flat`` lists the rows with a_i = b_i = 0, and ``pairs`` each pair of
+    the other rows with a non-zero determinant a_i b_j - a_j b_i, as
+    (i, a_i, b_i, j, a_j, b_j, det, rest): the two rows in the order that
+    makes det > 0, and ``rest`` the other rows as (k, a_k, b_k).
+    """
+    chart = family.chart()
+    nums, q = _numerators([*chart[0], *chart[1]])
+    d = len(inv)
+    u, v = nums[:d], nums[d:]
+    ab = [
+        (sum(map(operator.mul, row, u)), sum(map(operator.mul, row, v)))
+        for row in inv
+    ]
+    flat = [i for i, (a, b) in enumerate(ab) if a == 0 and b == 0]
+    live = [(i, a, b) for i, (a, b) in enumerate(ab) if a != 0 or b != 0]
+    pairs = []
+    for n, (i, a1, b1) in enumerate(live):
+        for j, a2, b2 in live[n + 1 :]:
+            det = a1 * b2 - a2 * b1
+            rest = [r for r in live if r[0] != i and r[0] != j]
+            if det > 0:
+                pairs.append((i, a1, b1, j, a2, b2, det, rest))
+            elif det < 0:
+                pairs.append((j, a2, b2, i, a1, b1, -det, rest))
+    return q, flat, pairs
 
 
 def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
@@ -363,15 +400,20 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
 
     The preimage condition M^-1 x >= 0 turns into d half-planes
     a*s + b*t + c >= 0 in the plane's own chart, so no d-dimensional vertex
-    enumeration happens.  Everything up to the vertices is integer: M^-1
-    comes from one cached exact inverse per matrix as D * M^-1, the base
-    point and the chart rows (floats, read exactly) are numerators over one
-    common denominator, and each half-plane is kept scaled by that positive
-    integer, which moves no vertex.  A candidate vertex is the integer
-    Cramer triple (s_n, t_n, det) of two half-plane boundaries, signs
-    flipped so that det > 0; it is feasible when a*s_n + b*t_n + c*det >= 0
-    for every half-plane, and only the feasible ones become Fractions.  A
-    singular M, which no construction produces, gives None.
+    enumeration happens, and everything up to the returned floats is
+    integer.  What depends only on M and the family is computed once, and
+    kept with M's cached inverse D * M^-1: each row's chart coefficients
+    (a, b) over the chart's common denominator q and the non-zero pair
+    determinants (``_plane_table``).  A call only forms c = D * M^-1 R, with
+    R the base point's numerators over their common denominator S, so the
+    half-planes are a*s + b*t + (q/S)*c >= 0 up to the positive factor D.
+    The vertex of two boundaries is (q/S) * (s_n, t_n) / det with integer
+    Cramer numerators, and it is feasible when a*s_n + b*t_n + c*det >= 0
+    for every half-plane.  Repeats are found by cross-multiplication, the
+    centroid is taken over the product of the surviving dets, and each float
+    (a coordinate, or the angle sort key's offset from the centroid) is one
+    correctly rounded integer division of its exact value.  A singular M,
+    which no construction produces, gives None.
     """
     import numpy as np
 
@@ -379,50 +421,54 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     p0 = np.array([float(x) for x in base_point])
     if abs(p0.sum() - 1.0) > 1e-9:
         return None  # plane misses the affine hull of the simplex entirely
-    chart = family.chart()
     # M^-1 has entries of size ~ norm(M)^(d-1), so forming it in floats and
     # multiplying cancels catastrophically once the section is much smaller
     # than the simplex; apply it exactly instead
-    inv = _scaled_inverse(tuple(map(tuple, rows)))
-    if inv is None:
+    cached = _scaled_inverse(tuple(map(tuple, rows)))
+    if cached is None:
         return None
-    d = len(inv)
-    nums = _numerators([*base_point, *chart[0], *chart[1]])
-    base_n, u_n, v_n = nums[:d], nums[d : 2 * d], nums[2 * d :]
-    constraints = [
-        (sum(x * y for x, y in zip(row, u_n)),
-         sum(x * y for x, y in zip(row, v_n)),
-         sum(x * y for x, y in zip(row, base_n)))
-        for row in inv
-    ]
-    if any(c < 0 for a, b, c in constraints if a == 0 and b == 0):
+    inv, tables = cached
+    table = next((t for f, t in tables if f == family), None)
+    if table is None:
+        table = _plane_table(inv, family)
+        tables.append((family, table))
+    q, flat, pairs = table
+    base_n, S = _numerators(base_point)
+    c = [sum(map(operator.mul, row, base_n)) for row in inv]
+    if any(c[i] < 0 for i in flat):
         return None
-    rows_abc = [(a, b, c) for a, b, c in constraints if a != 0 or b != 0]
     # vertex enumeration stays exact: the section can sit 20+ orders of
     # magnitude below the chart scale, where any float clipping collapses
-    verts_ex: list[tuple[Fraction, Fraction]] = []
-    for i, (a1, b1, c1) in enumerate(rows_abc):
-        for a2, b2, c2 in rows_abc[i + 1 :]:
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            s_n = c2 * b1 - c1 * b2
-            t_n = a2 * c1 - a1 * c2
-            if det < 0:
-                s_n, t_n, det = -s_n, -t_n, -det
-            if all(a * s_n + b * t_n + c * det >= 0 for a, b, c in rows_abc):
-                vert = (Fraction(s_n, det), Fraction(t_n, det))
-                if vert not in verts_ex:
-                    verts_ex.append(vert)
-    if len(verts_ex) < 3:
+    verts: list[tuple[int, int, int]] = []
+    for i, a1, b1, j, a2, b2, det, rest in pairs:
+        c1, c2 = c[i], c[j]
+        s_n = c2 * b1 - c1 * b2
+        t_n = a2 * c1 - a1 * c2
+        for k, a, b in rest:  # rows i and j hold with equality
+            if a * s_n + b * t_n + c[k] * det < 0:
+                break
+        else:
+            for s, t, e in verts:
+                if s_n * e == s * det and t_n * e == t * det:
+                    break
+            else:
+                verts.append((s_n, t_n, det))
+    n = len(verts)
+    if n < 3:
         return None
-    cs = sum(s for s, _ in verts_ex) / len(verts_ex)
-    ct = sum(t for _, t in verts_ex) / len(verts_ex)
-    order = sorted(
-        verts_ex, key=lambda v: math.atan2(float(v[1] - ct), float(v[0] - cs))
-    )
-    verts = np.array([[float(s), float(t)] for s, t in order])
-    return Polygon2D(verts)
+    P = math.prod(e for _, _, e in verts)
+    weights = [P // e for _, _, e in verts]
+    sum_s = sum(s * w for (s, _, _), w in zip(verts, weights))
+    sum_t = sum(t * w for (_, t, _), w in zip(verts, weights))
+    den = S * P * n  # a vertex less the centroid is q * (n*s_n*w - sum) / den
+    keys = [
+        math.atan2(q * (n * t * w - sum_t) / den, q * (n * s * w - sum_s) / den)
+        for (s, t, _), w in zip(verts, weights)
+    ]
+    order = sorted(range(n), key=keys.__getitem__)
+    return Polygon2D(np.array([
+        [q * s / (S * e), q * t / (S * e)] for s, t, e in (verts[k] for k in order)
+    ]))
 
 
 def illuminated(y: Sequence, simplices: Sequence, phi: Sequence) -> bool:

@@ -463,6 +463,18 @@ def test_estimate_dim_missing_manifest(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args", [
+    ["induct", "--perm", "s3", "--lengths", "1/3,1/5,1/7", "--until", "perm:s4"],
+    ["estimate-dim", "--manifest", "no/such/manifest.json"],
+], ids=["induct-until-other-d", "estimate-dim-missing-manifest"])
+def test_usage_error_leaves_no_out_directory(tmp_path, args):
+    # the --out directory is made at the first write, not before the inputs
+    # are read
+    code, out = run(args, tmp_path)
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_estimate_dim_synthetic_cantor(tmp_path):
     manifest = tmp_path / "synthetic.json"
     manifest.write_text(

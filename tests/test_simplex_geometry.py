@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ietkit import _rational
+from ietkit import _rational, simplex_geometry
 from ietkit.errors import DegeneracyError, UsageError
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import hyperelliptic_permutation
@@ -187,7 +187,9 @@ def section_inputs(draw):
     M is a product of 1-40 elementary Rauzy-Veech matrices, or raw integer
     rows with any non-zero determinant.  With every weight w_j positive the
     base point lies inside M Delta; a negative one may put it outside, so
-    both empty and non-empty sections are compared.
+    both empty and non-empty sections are compared.  The weights are
+    integers, floats read exactly, or rationals with their own denominators,
+    so the base point's coordinates need not share a denominator.
     """
     d = draw(st.integers(4, 6))
     if draw(st.booleans()):
@@ -203,10 +205,21 @@ def section_inputs(draw):
         ))
         assume(_rational.det(_rational.mat(rows)) != 0)
         M = rows
-    w = draw(st.lists(st.integers(-30, 60), min_size=d, max_size=d))
-    x = [sum(r * wj for r, wj in zip(row, w)) for row in rows]
-    assume(sum(x) > 0)
-    base = [Fraction(xi, sum(x)) for xi in x]
+    weights = draw(st.sampled_from(["integer", "float", "rational"]))
+    if weights == "integer":
+        w = draw(st.lists(st.integers(-30, 60), min_size=d, max_size=d))
+        x = [sum(r * wj for r, wj in zip(row, w)) for row in rows]
+        assume(sum(x) > 0)
+        base = [Fraction(xi, sum(x)) for xi in x]
+    else:
+        coords = (
+            st.floats(-0.5, 1.0).map(Fraction) if weights == "float"
+            else st.fractions(-1, 2, max_denominator=10**6)
+        )
+        w = draw(st.lists(coords, min_size=d, max_size=d))
+        x = [sum(r * wj for r, wj in zip(row, w)) for row in rows]
+        assume(sum(x) > 0)
+        base = [xi / sum(x) for xi in x]
 
     def direction():
         raw = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
@@ -232,6 +245,35 @@ def test_section_matches_fraction_reference(inputs):
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got.vertices, want)
+
+
+def test_plane_tables_live_in_the_inverse_cache(monkeypatch):
+    M = random_matrix(5, 30, seed=2)
+    base = [Fraction(sum(row), sum(map(sum, M.rows))) for row in M.rows]  # M 1 / |M 1|
+    families = [
+        PlaneFamily(5, (1, -1, 0, 0, 0), (0, 0, 1, 0, -1)),
+        PlaneFamily(5, (0, 1, 0, -1, 0), (1, 0, -1, 0, 0)),
+    ]
+    inverses, tables = [], []
+    real_inverse, real_table = _rational.inverse, simplex_geometry._plane_table
+    monkeypatch.setattr(
+        _rational, "inverse", lambda m: inverses.append(m) or real_inverse(m)
+    )
+    monkeypatch.setattr(
+        simplex_geometry, "_plane_table",
+        lambda inv, family: tables.append(family) or real_table(inv, family),
+    )
+    simplex_geometry._scaled_inverse.cache_clear()
+    first = [section(M, base, family) for family in families]
+    again = [section(M, base, family) for family in reversed(families)]
+    # one inverse for the matrix, one table per family, both reused
+    assert len(inverses) == 1 and tables == families
+    for a, b in zip(first, reversed(again)):
+        assert np.array_equal(a.vertices, b.vertices)
+    # clearing the inverse cache drops the tables with it
+    simplex_geometry._scaled_inverse.cache_clear()
+    section(M, base, families[0])
+    assert len(inverses) == 2 and tables == [*families, families[0]]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
-"""Small exact linear-algebra kit over ``fractions.Fraction``.
+"""Small exact linear-algebra kit over the rationals.
 
-Matrices are tuples of row tuples.  Everything here is O(n^3) dense Gaussian
-elimination, which is fine: the dimensions in this package never exceed a few
-dozen.  Floats are deliberately absent; callers convert at the boundary.
+Matrices are sequences of rows; entries may be ints, ``Fraction``s or
+floats (read exactly).  ``det``, ``inverse``, ``scaled_inverse``, ``solve``,
+``nullspace`` and ``column_space_basis`` all read their result off one
+elimination, ``_eliminate``: fraction-free Gauss-Jordan (Bareiss) on the
+entries as integers over one common denominator, so no gcd is taken until a
+result is built.  It is O(n^3) integer work, which is fine: the dimensions
+in this package never exceed a few dozen.  Floats are deliberately absent
+from results; callers convert at the boundary.
 """
 from __future__ import annotations
 
@@ -22,136 +27,124 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(sum(x * Fraction(y) for x, y in zip(row, v)) for row in m)
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
 
 
-def det(m: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return sign * result
+def _numerators(values: Sequence) -> tuple[list[int], int]:
+    """The rationals ``values`` (floats read exactly) as integer numerators
+    over their least common denominator, and that denominator."""
+    fs = [Fraction(v) for v in values]
+    q = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (q // f.denominator) for f in fs], q
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place RREF; returns (reduced rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _eliminate(rows: Sequence[Sequence], width: int | None = None):
+    """Fraction-free Gauss-Jordan on q * rows: (rows, pivots, p, sign, q).
+
+    q is the least common denominator of the entries.  Columns are taken in
+    order, up to ``width`` (all by default); one with no non-zero entry
+    below the pivot rows found so far is skipped.  Each step makes every
+    other row ``(p * row - f * top) // prev``, with p the new pivot and prev
+    the one before; every division is exact (Bareiss, Math. Comp. 22, 1968),
+    since each entry stays a minor of q * rows.  So the pivot rows end as
+    p * RREF, with ``pivots`` their columns, and the other rows as zeros up
+    to ``width``.  For a square matrix of full rank, ``sign`` * p is the
+    determinant of q * rows, ``sign`` the parity of the row swaps; p is 1
+    before the first pivot.
+    """
+    ncols = len(rows[0]) if rows else 0
+    nums, q = _numerators([x for row in rows for x in row])
+    a = [nums[i * ncols : (i + 1) * ncols] for i in range(len(rows))]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+    prev = sign = 1
+    for c in range(ncols if width is None else width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(a):
             break
-    return rows, pivots
+    return a, pivots, prev, sign, q
 
 
-def nullspace(m: Mat) -> list[Vec]:
-    """Basis of {x : m x = 0}."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = _row_reduce([list(row) for row in m])
-    free = [c for c in range(ncols) if c not in pivots]
+def det(m: Sequence[Sequence]) -> Fraction:
+    """Determinant of the square matrix m, exact."""
+    _, pivots, p, sign, q = _eliminate(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * p, q ** len(m))
+
+
+def nullspace(m: Sequence[Sequence]) -> list[Vec]:
+    """Basis of {x : m x = 0}; none when m has no rows."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots, p, _, _ = _eliminate(m)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            x[p] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            x[c] = Fraction(-row[f], p)
         basis.append(tuple(x))
     return basis
 
 
-def column_space_basis(m: Mat) -> list[Vec]:
+def column_space_basis(m: Sequence[Sequence]) -> list[Vec]:
     """Basis of the column space, as columns of the original matrix."""
-    cols = transpose(m)
-    _, pivots = _row_reduce([list(row) for row in m])
-    return [cols[p] for p in pivots]
+    return [vec(row[c] for row in m) for c in _eliminate(m)[1]]
 
 
-def solve(m: Mat, b: Sequence) -> Vec | None:
+def solve(m: Sequence[Sequence], b: Sequence) -> Vec | None:
     """One solution of m x = b, or None if inconsistent.
 
     Free variables are set to zero.
     """
     ncols = len(m[0])
-    aug = [list(row) + [Fraction(b_i)] for row, b_i in zip(m, b)]
-    rows, pivots = _row_reduce(aug)
+    rows, pivots, p, _, _ = _eliminate([[*row, b_i] for row, b_i in zip(m, b)])
     # pivot in the augmented column means inconsistency
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[ncols], p)
     return tuple(x)
 
 
-def inverse(m: Mat) -> Mat:
-    """m^-1, exact; ZeroDivisionError when m is singular.
+def scaled_inverse(m: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D * m^-1) with D > 0 the last pivot's size and D * m^-1 an
+    integer matrix; ZeroDivisionError when m is singular.
 
-    Fraction-free Gauss-Jordan (Bareiss) on L * [m | I] over the integers,
-    with L the least common denominator of m.  Every division is exact, so
-    no gcd is taken until the last step: the left block ends as p * I and
-    the right one as p * m^-1, with p = +-det(L * m).
+    The elimination runs on [m | I] over the common denominator of m, so
+    the right block ends as +-D * m^-1.  D is |det(q * m)|: 1 for a
+    unimodular integer matrix.
     """
     n = len(m)
-    L = math.lcm(*(x.denominator for row in m for x in row))
-    a = [
-        [x.numerator * (L // x.denominator) for x in row]
-        + [L if j == i else 0 for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        p = top[k]
-        for i, row in enumerate(a):
-            if i != k:  # the columns before k are done: zero off the diagonal
-                f = row[k]
-                row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], top[k:])]
-        prev = p
-    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in a)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    rows, pivots, p, _, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    s = -1 if p < 0 else 1
+    return s * p, tuple(tuple(s * x for x in row[n:]) for row in rows)
+
+
+def inverse(m: Sequence[Sequence]) -> Mat:
+    """m^-1, exact; ZeroDivisionError when m is singular."""
+    D, scaled = scaled_inverse(m)
+    return tuple(tuple(Fraction(x, D) for x in row) for row in scaled)
 
 
 def lp_feasible(

@@ -24,6 +24,7 @@ from .simplex_geometry import (
     Polygon2D,
     ProjectiveSimplex,
     illuminated,
+    normalized_det,
     plane_family,
     section,
 )
@@ -91,15 +92,21 @@ def sample_simplex(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def sample_simplex_exact(d: int, rng: Random) -> tuple[Fraction, ...]:
-    """One uniform point with exact dyadic coordinates (spacings of sorted
-    uniforms on a 2^53 grid), so downstream induction stays rational."""
+def _sample_gaps(d: int, rng: Random) -> list[int]:
+    """One uniform point of the simplex as d positive integers over GRID:
+    the spacings of sorted uniforms on the grid."""
     while True:
         cuts = sorted(rng.randrange(1, GRID) for _ in range(d - 1))
         pts = [0] + cuts + [GRID]
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         if all(g > 0 for g in gaps):
-            return tuple(Fraction(g, GRID) for g in gaps)
+            return gaps
+
+
+def sample_simplex_exact(d: int, rng: Random) -> tuple[Fraction, ...]:
+    """One uniform point with exact dyadic coordinates (spacings of sorted
+    uniforms on a 2^53 grid), so downstream induction stays rational."""
+    return tuple(Fraction(g, GRID) for g in _sample_gaps(d, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +234,7 @@ def mc_balance(
     limit = int(math.ceil(thresholds[-1]))
     failures = [0] * m
     for _ in range(samples):
-        x = sample_simplex_exact(pi.d, rng)
-        nums = [int(f * GRID) for f in x]  # over GRID; each Fraction is reduced
-        reached = _balance_scan(pi, nums, zeta_f, limit)
+        reached = _balance_scan(pi, _sample_gaps(pi.d, rng), zeta_f, limit)
         for j, t in enumerate(thresholds):
             if reached == 0 or reached > t:
                 failures[j] += 1
@@ -304,20 +309,13 @@ def mc_jacobian_pushforward(
     d = M.d
     if W.d != d:
         raise UsageError("region dimension mismatch")
-    Vw = _rational.mat([[Fraction(x) for x in v] for v in zip(*W.vertices)])
-    if _rational.det(Vw) == 0:
+    if _rational.det(W.vertices) == 0:
         raise DegeneracyError("degenerate region")
     # predicted probability: lambda(M W) / lambda(M Delta), both via the
     # determinant of sum-normalized image vertices
-    m_rat = _rational.mat(M.rows)
-
-    def norm_det(cols: list[tuple[Fraction, ...]]) -> Fraction:
-        normed = [tuple(x / sum(c) for x in c) for c in cols]
-        return abs(_rational.det(_rational.mat(list(zip(*normed)))))
-
-    img_w = [_rational.mat_vec(m_rat, v) for v in W.vertices]
-    img_d = [tuple(Fraction(x) for x in M.column(j)) for j in range(1, d + 1)]
-    predicted = float(norm_det(img_w) / norm_det(img_d))
+    img_w = [M.mat_vec(v) for v in W.vertices]
+    img_d = [M.column(j) for j in range(1, d + 1)]
+    predicted = float(normalized_det(img_w) / normalized_det(img_d))
     rng = np.random.default_rng(seed)
     a = np.array(M.rows, dtype=float)
     verts = a / a.sum(axis=0, keepdims=True)  # columns span M-Delta

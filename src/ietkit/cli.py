@@ -23,7 +23,6 @@ from pathlib import Path
 from random import Random
 from typing import Callable
 
-from . import _rational
 from .analysis import (
     INCONCLUSIVE,
     VIOLATED,
@@ -73,7 +72,9 @@ from .perm import (
     rauzy_class,
     special_permutations,
 )
-from .simplex_geometry import plane_section_concavity_test, simplex_volume_ratio
+from .simplex_geometry import (
+    normalized_det, plane_section_concavity_test, simplex_volume_ratio,
+)
 from .symplectic import verify_invariance
 
 EXIT_OK = 0
@@ -426,10 +427,7 @@ def _verify_volume(args, rng: Random) -> dict:
     for _ in range(args.paths):
         M, _, _ = _random_path(pi0, rng, rng.randrange(1, 21))
         formula = simplex_volume_ratio(M, VisitationMatrix.identity(M.d))
-        cols = [tuple(Fraction(x) for x in M.column(j)) for j in range(1, M.d + 1)]
-        normed = [tuple(x / sum(c) for x in c) for c in cols]
-        det_ratio = abs(_rational.det(_rational.mat(list(zip(*normed)))))
-        if formula != det_ratio:
+        if formula != normalized_det([M.column(j) for j in range(1, M.d + 1)]):
             violations += 1
     return {"paths": args.paths, "violations": violations,
             "violated": violations > 0}

@@ -10,7 +10,6 @@ are plain python integers and may grow without bound.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -129,9 +128,7 @@ class VisitationMatrix:
         return all(x >= 1 for row in self.rows for x in row)
 
     def det(self) -> int:
-        value = _rational.det(_rational.mat(self.rows))
-        assert value.denominator == 1
-        return int(value)
+        return int(_rational.det(self.rows))
 
     def __matmul__(self, other: "VisitationMatrix") -> "VisitationMatrix":
         ot = list(zip(*other.rows))
@@ -153,7 +150,7 @@ class VisitationMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
     def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        x = _rational.solve(_rational.mat(self.rows), b)
+        x = _rational.solve(self.rows, b)
         if x is None:
             raise UsageError("inconsistent system")
         return x
@@ -361,8 +358,7 @@ def _step_lengths(
 def _induct(T: Iet, stop: _StopRule, budget: int) -> InductionTrace:
     """The loop on T's lengths as integers over their least common
     denominator; Fractions are built once, for the trace."""
-    denom = math.lcm(*(x.denominator for x in T.lengths))
-    lens = [x.numerator * (denom // x.denominator) for x in T.lengths]
+    lens, denom = _rational._numerators(T.lengths)
     walk = _Walk(T.perm)
     edges, generic = _step_lengths(walk, lens, stop, budget)
     induced = Iet(tuple(Fraction(x, denom) for x in lens), walk.perm)
@@ -435,8 +431,7 @@ class IntegerIet:
     __slots__ = ("denom", "rights", "shifts")
 
     def __init__(self, T: Iet, *points: Fraction):
-        self.denom = math.lcm(*(x.denominator for x in (*T.lengths, *points)))
-        lengths = [self.scale(x) for x in T.lengths]
+        lengths, self.denom = _rational._numerators([*T.lengths, *points])
         self.rights: list[int] = []
         self.shifts: list[int] = []
         acc = 0

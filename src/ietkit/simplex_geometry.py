@@ -28,10 +28,7 @@ from .symplectic import SymplecticForm
 
 def _columns(M) -> list[tuple[Fraction, ...]]:
     rows = M.rows if isinstance(M, VisitationMatrix) else M
-    return [
-        tuple(Fraction(rows[i][j]) for i in range(len(rows)))
-        for j in range(len(rows[0]))
-    ]
+    return [_rational.vec(col) for col in zip(*rows)]
 
 
 def column_l1(col: Sequence[Fraction]) -> Fraction:
@@ -46,9 +43,7 @@ class ProjectiveSimplex(Record):
     @staticmethod
     def from_matrix(M) -> "ProjectiveSimplex":
         rows = M.rows if isinstance(M, VisitationMatrix) else M
-        return ProjectiveSimplex(
-            tuple(tuple(Fraction(x) for x in row) for row in rows)
-        )
+        return ProjectiveSimplex(_rational.mat(rows))
 
     @property
     def d(self) -> int:
@@ -69,7 +64,7 @@ class ProjectiveSimplex(Record):
         p = _rational.vec(point)
         if sum(p) != 1:
             return False
-        z = _rational.solve(_rational.mat(self.generator), p)
+        z = _rational.solve(self.generator, p)
         if z is None:
             return False
         return all(c >= 0 for c in z)
@@ -100,17 +95,23 @@ def simplex_volume_ratio(M1, M2) -> Fraction:
     Column-norm product formula; the determinant factor covers non-unimodular
     inputs.
     """
-    d1 = _rational.det(_rational.mat(M1.rows if isinstance(M1, VisitationMatrix) else M1))
-    d2 = _rational.det(_rational.mat(M2.rows if isinstance(M2, VisitationMatrix) else M2))
+    d1, d2 = (
+        _rational.det(M.rows if isinstance(M, VisitationMatrix) else M) for M in (M1, M2)
+    )
     if d1 == 0 or d2 == 0:
         raise DegeneracyError("singular matrix spans a degenerate simplex")
-    p1 = Fraction(1)
-    for col in _columns(M1):
-        p1 *= column_l1(col)
-    p2 = Fraction(1)
-    for col in _columns(M2):
-        p2 *= column_l1(col)
+    p1, p2 = (math.prod(map(column_l1, _columns(M))) for M in (M1, M2))
     return abs(d1) / abs(d2) * p2 / p1
+
+
+def normalized_det(cols: Sequence[Sequence]) -> Fraction:
+    """|det| of the matrix whose columns are ``cols``, each scaled to unit
+    sum: the volume of the simplex they span, as a share of the standard
+    simplex's.  The columns are scaled before the determinant is taken, so
+    this does not repeat ``simplex_volume_ratio``'s column-norm formula."""
+    sums = [column_l1(c) for c in cols]
+    # a matrix and its transpose have one determinant: the columns go in as rows
+    return abs(_rational.det([[x / s for x in c] for c, s in zip(cols, sums)]))
 
 
 def jacobian(M, z: Sequence, exact: bool = False):
@@ -245,16 +246,6 @@ class Polygon2D:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def contains(self, pt: np.ndarray, tol: float = 1e-10) -> bool:
-        v = self.vertices
-        n = len(v)
-        signs = []
-        for i in range(n):
-            a, b = v[i], v[(i + 1) % n]
-            cross = (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
-            signs.append(cross)
-        return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
-
     def contains_polygon(self, other: "Polygon2D", tol: float = 1e-9) -> bool:
         """Every vertex of ``other`` lies in this polygon, up to ``tol``
         relative to this polygon's diameter.
@@ -263,14 +254,19 @@ class Polygon2D:
         diameter first, so cross products are O(1) at every scale; sections
         1e-150 across would otherwise give products that underflow.  The
         diameter is taken with ``hypot``, since squaring it underflows too.
+        A vertex is in when its cross products with the edges are all
+        >= -tol or all <= tol, so either orientation is accepted.
         """
         import numpy as np
 
         v = self.vertices
         diff = v[:, None, :] - v[None, :, :]
         scale = float(np.hypot(diff[..., 0], diff[..., 1]).max())
-        unit = Polygon2D((v - v[0]) / scale)
-        return all(unit.contains((p - v[0]) / scale, tol) for p in other.vertices)
+        a = (v - v[0]) / scale
+        edge = np.concatenate((a[1:], a[:1])) - a
+        p = ((other.vertices - v[0]) / scale)[:, None, :]  # (vertices, 1, 2)
+        cross = edge[:, 0] * (p[..., 1] - a[:, 1]) - edge[:, 1] * (p[..., 0] - a[:, 0])
+        return bool(((cross >= -tol).all(1) | (cross <= tol).all(1)).all())
 
 
 _REL_TOL = 1e-12  # a residual or gap below this share of its terms is rounding
@@ -347,21 +343,9 @@ def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], ...
     Fraction; clearing the cache drops it with the inverse.
     """
     try:
-        inv = _rational.inverse(_rational.mat(rows))
+        return _rational.scaled_inverse(rows)[1], []
     except ZeroDivisionError:
         return None
-    D = math.lcm(*(x.denominator for row in inv for x in row))
-    return tuple(
-        tuple(x.numerator * (D // x.denominator) for x in row) for row in inv
-    ), []
-
-
-def _numerators(values: Sequence) -> tuple[list[int], int]:
-    """The rationals ``values`` (floats read exactly) as integer numerators
-    over their least common denominator, and that denominator."""
-    fs = [Fraction(v) for v in values]
-    q = math.lcm(*(f.denominator for f in fs))
-    return [f.numerator * (q // f.denominator) for f in fs], q
 
 
 def _plane_table(inv: Sequence[Sequence[int]], family: PlaneFamily):
@@ -374,7 +358,7 @@ def _plane_table(inv: Sequence[Sequence[int]], family: PlaneFamily):
     makes det > 0, and ``rest`` the other rows as (k, a_k, b_k).
     """
     chart = family.chart()
-    nums, q = _numerators([*chart[0], *chart[1]])
+    nums, q = _rational._numerators([*chart[0], *chart[1]])
     d = len(inv)
     u, v = nums[:d], nums[d:]
     ab = [
@@ -433,7 +417,7 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
         table = _plane_table(inv, family)
         tables.append((family, table))
     q, flat, pairs = table
-    base_n, S = _numerators(base_point)
+    base_n, S = _rational._numerators(base_point)
     c = [sum(map(operator.mul, row, base_n)) for row in inv]
     if any(c[i] < 0 for i in flat):
         return None

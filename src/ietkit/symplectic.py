@@ -49,13 +49,12 @@ class SymplecticForm(Record):
         image bijectively onto itself (image and kernel are orthogonal
         complements for a skew form).
         """
-        m = _rational.mat(self.matrix)
         w = _rational.vec(w)
         # project w onto Im = ker^perp
         for k in self.kernel_basis:
             coeff = _rational.dot(w, k) / _rational.dot(k, k)
             w = tuple(wi - coeff * ki for wi, ki in zip(w, k))
-        y = _rational.solve(m, w)
+        y = _rational.solve(self.matrix, w)
         if y is None:
             raise DegeneracyError("projection did not land in the image")
         for k in self.kernel_basis:
@@ -80,9 +79,8 @@ def _skew_matrix(pi: LabeledPermutation) -> tuple[tuple[int, ...], ...]:
 def omega(pi: LabeledPermutation) -> SymplecticForm:
     """Build the skew form for a permutation pair."""
     m = _skew_matrix(pi)
-    mat = _rational.mat(m)
-    kernel = _rational.nullspace(mat)
-    image = _rational.column_space_basis(mat)
+    kernel = _rational.nullspace(m)
+    image = _rational.column_space_basis(m)
     return SymplecticForm(pi, m, tuple(image), tuple(kernel))
 
 
@@ -184,8 +182,7 @@ def _restricted_matrix(
     D = darboux_basis(form)
     D_prime = darboux_basis(form_prime)
     d = M.d
-    basis_cols = [list(v) for v in D] + [list(v) for v in form.kernel_basis]
-    B = _rational.mat(list(zip(*basis_cols)))  # columns are basis vectors
+    B = list(zip(*D, *form.kernel_basis))  # columns are basis vectors
     S: list[list[Fraction]] = [[Fraction(0)] * len(D_prime) for _ in range(len(D))]
     for j, w in enumerate(D_prime):
         target = M.mat_vec(tuple(Fraction(x) for x in w))
@@ -218,7 +215,7 @@ def reciprocal_pairing(
     S_float = np.array([[float(x) for x in row] for row in S])
     n = len(S)
     svals = np.linalg.svd(S_float, compute_uv=False)
-    S_inv = _rational.inverse(_rational.mat(S))
+    S_inv = _rational.inverse(S)
     inv_vals = np.linalg.svd(
         np.array([[float(x) for x in row] for row in S_inv]), compute_uv=False
     )

@@ -91,17 +91,18 @@ def test_balance_scan_gets_the_sample_over_grid(monkeypatch):
     import ietkit.analysis as analysis
 
     samples, lengths = [], []
-    draw, scan = analysis.sample_simplex_exact, analysis._balance_scan
+    draw, scan = analysis._sample_gaps, analysis._balance_scan
 
     def recorded_draw(d, rng):
-        samples.append(draw(d, rng))
-        return samples[-1]
+        gaps = draw(d, rng)
+        samples.append(tuple(Fraction(g, analysis.GRID) for g in gaps))
+        return gaps
 
     def recorded_scan(pi, lens, zeta, limit):
         lengths.append(list(lens))
         return scan(pi, lens, zeta, limit)
 
-    monkeypatch.setattr(analysis, "sample_simplex_exact", recorded_draw)
+    monkeypatch.setattr(analysis, "_sample_gaps", recorded_draw)
     monkeypatch.setattr(analysis, "_balance_scan", recorded_scan)
     mc_balance(hyperelliptic_permutation(4), zeta=20.0, K=4.0, m=3, samples=40,
                seed=1)

@@ -59,7 +59,7 @@ def test_nested_family_sections_once_per_level(monkeypatch):
     )
     stages = [st.cumulative for st in run.stages]
     calls, inverted = [], []
-    real_section, real_inverse = analysis.section, _rational.inverse
+    real_section, real_inverse = analysis.section, _rational.scaled_inverse
 
     def counting_section(M, base_point, family):
         polygon = real_section(M, base_point, family)
@@ -71,7 +71,7 @@ def test_nested_family_sections_once_per_level(monkeypatch):
         return real_inverse(m)
 
     monkeypatch.setattr(analysis, "section", counting_section)
-    monkeypatch.setattr(_rational, "inverse", counting_inverse)
+    monkeypatch.setattr(_rational, "scaled_inverse", counting_inverse)
     simplex_geometry._scaled_inverse.cache_clear()
     families = analysis.build_nested_family(
         run, analysis.stage_one_planes(run), planes=4, seed=3

@@ -1,4 +1,5 @@
-"""The exact linear-algebra kit: the fraction-free inverse against Fractions."""
+"""The exact linear-algebra kit: the one fraction-free elimination against
+Gaussian elimination over Fractions."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -28,6 +29,83 @@ def reference_inverse(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def times(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def reference_det(m):
+    """Gaussian elimination over Fractions."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        p = a[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            f = a[r][col] / p
+            if f:
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return sign * result
+
+
+def reference_row_reduce(rows):
+    """RREF over Fractions: (reduced rows, pivot column indices)."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_nullspace(m):
+    ncols = len(m[0])
+    rows, pivots = reference_row_reduce(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            x[p] = -rows[r][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def reference_solve(m, b):
+    ncols = len(m[0])
+    rows, pivots = reference_row_reduce([[*row, b_i] for row, b_i in zip(m, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return tuple(x)
+
+
 # mostly-zero matrices need row swaps deep into the elimination and are
 # often singular; the others rarely are either
 sparse = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
@@ -38,11 +116,30 @@ rationals = st.one_of(
 
 
 @st.composite
-def square_matrices(draw):
-    d = draw(st.integers(1, 7))
+def matrices(draw, rows, cols):
+    """rows x cols over one entry kind, at times with a zero column or with
+    its last row a combination of the others (rank-deficient)."""
     entries = draw(st.sampled_from([sparse, integers, rationals]))
-    return _rational.mat(
-        draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    m = [[Fraction(x) for x in row] for row in m]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[zero] = Fraction(0)
+    if rows > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(integers, min_size=rows - 1, max_size=rows - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
+    return _rational.mat(m)
+
+
+def square_matrices():
+    return st.integers(1, 7).flatmap(lambda d: matrices(d, d))
+
+
+def any_matrices():
+    return st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
+        lambda shape: matrices(*shape)
     )
 
 
@@ -103,3 +200,65 @@ def test_inverse_of_a_visitation_matrix_is_integer():
     inv = _rational.inverse(_rational.mat(M.rows))
     assert inv == reference_inverse(_rational.mat(M.rows))
     assert all(x.denominator == 1 for row in inv for x in row)
+
+
+@given(square_matrices())
+def test_det_matches_fraction_elimination(m):
+    assert _rational.det(m) == reference_det(m)
+    assert type(_rational.det(m)) is Fraction
+
+
+@given(any_matrices())
+def test_nullspace_and_column_space_match_fraction_rref(m):
+    assert _rational.nullspace(m) == reference_nullspace(m)
+    _, pivots = reference_row_reduce(m)
+    assert _rational.column_space_basis(m) == [tuple(row[c] for row in m) for c in pivots]
+    for x in _rational.nullspace(m):
+        assert times(m, x) == (0,) * len(m)
+
+
+@given(any_matrices(), st.data())
+def test_solve_matches_fraction_rref(m, data):
+    # b in the column space (consistent), or any b (mostly inconsistent when
+    # m is rank-deficient)
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(integers, min_size=len(m[0]), max_size=len(m[0])))
+        b = times(m, x)
+    else:
+        b = data.draw(st.lists(rationals, min_size=len(m), max_size=len(m)))
+    want = reference_solve(m, b)
+    got = _rational.solve(m, b)
+    assert got == want
+    if got is not None:
+        assert times(m, got) == tuple(b)
+
+
+@pytest.mark.parametrize(
+    "rows, b",
+    [
+        ([[1, 2], [2, 4]], [1, 3]),  # parallel rows, b off their line
+        ([[0, 0], [0, 0]], [0, 1]),  # zero matrix
+        ([[1, 0, 0], [0, 0, 0]], [5, 2]),  # zero row, non-zero right side
+    ],
+)
+def test_inconsistent_systems_have_no_solution(rows, b):
+    assert reference_solve(_rational.mat(rows), b) is None
+    assert _rational.solve(rows, b) is None
+
+
+def test_raw_integer_rows_need_no_wrapping():
+    rows = [[2, 10**30, 0], [1, 0, 3], [0, 7, 1]]
+    m = _rational.mat(rows)
+    assert _rational.det(rows) == reference_det(m)
+    assert _rational.solve(rows, [1, 2, 3]) == reference_solve(m, [1, 2, 3])
+    assert _rational.nullspace(rows) == reference_nullspace(m) == []
+    assert _rational.inverse(rows) == reference_inverse(m)
+
+
+def test_visitation_matrix_det_is_an_int():
+    M = VisitationMatrix.identity(5)
+    for winner, loser in [(1, 5), (5, 2), (3, 1), (2, 4)] * 4:
+        M = M @ VisitationMatrix.elementary(5, winner, loser)
+    assert type(M.det()) is int and M.det() == 1
+    swap = VisitationMatrix([[0, 1], [1, 0]])
+    assert type(swap.det()) is int and swap.det() == -1

@@ -255,9 +255,9 @@ def test_plane_tables_live_in_the_inverse_cache(monkeypatch):
         PlaneFamily(5, (0, 1, 0, -1, 0), (1, 0, -1, 0, 0)),
     ]
     inverses, tables = [], []
-    real_inverse, real_table = _rational.inverse, simplex_geometry._plane_table
+    real_inverse, real_table = _rational.scaled_inverse, simplex_geometry._plane_table
     monkeypatch.setattr(
-        _rational, "inverse", lambda m: inverses.append(m) or real_inverse(m)
+        _rational, "scaled_inverse", lambda m: inverses.append(m) or real_inverse(m)
     )
     monkeypatch.setattr(
         simplex_geometry, "_plane_table",

@@ -227,7 +227,7 @@ def cmd_classes(args) -> int:
     seed_pi = _parse_perm(args.seed_perm)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
     d = seed_pi.d
-    doc = json.loads(graph.to_json())
+    doc = graph.to_doc()
     degrees_ok = all(
         len(graph.out_edges(v)) == 2 and len(graph.in_edges(v)) == 2
         for v in graph.vertices

@@ -216,19 +216,46 @@ def step(T: Iet) -> tuple[Iet, RauzyEdge, VisitationMatrix]:
     return Iet(tuple(new_lengths), edge.target), edge, E
 
 
-class _Walk:
-    """A path through the compiled diagram with its cocycle product, kept as
-    integer columns ``cols`` and their sums ``norms``; a move adds the
-    winner's column to the loser's."""
+_DRAIN = 128  # queued moves at which a walk brings its columns up to date
 
-    __slots__ = ("v", "cols", "norms")
+
+class _Walk:
+    """A path through the compiled diagram with its cocycle product.
+
+    A move updates at once only what the induction loop and its stop rules
+    read: the vertex ``v``, the column sums ``norms`` and, per column, a
+    zero pattern ``zeros`` (bit i set when entry i is 0).  A move adds the
+    winner's column to the loser's, and the entries are non-negative, so the
+    loser's pattern becomes the meet of the two.  The integer columns
+    themselves are brought up to date from a queue of the moves' (loser,
+    winner, count) operations, in order, when ``cols`` or ``matrix()`` is
+    read, or once the queue holds ``_DRAIN`` of them, so a walk whose
+    columns are never read keeps O(d^2) integers however long it runs."""
+
+    __slots__ = ("v", "norms", "zeros", "_cols", "_queue")
 
     def __init__(self, pi: LabeledPermutation):
         if not pi.is_irreducible():
             raise ReducibilityError(f"reducible permutation {pi}")
+        d = pi.d
         self.v = _DIAGRAM.vertex(pi)
-        self.cols = [[int(i == j) for i in range(pi.d)] for j in range(pi.d)]
-        self.norms = [1] * pi.d
+        self.norms = [1] * d
+        self.zeros = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+        self._cols = [[int(i == j) for i in range(d)] for j in range(d)]
+        self._queue: list[tuple[int, int, int]] = []
+
+    @property
+    def cols(self) -> list[list[int]]:
+        """The integer columns, 0-based, up to date."""
+        if self._queue:
+            self._drain()
+        return self._cols
+
+    def _drain(self) -> None:
+        cols = self._cols
+        for l, w, c in self._queue:
+            cols[l] = [x + c * y for x, y in zip(cols[l], cols[w])]
+        self._queue.clear()
 
     @property
     def perm(self) -> LabeledPermutation:
@@ -243,22 +270,28 @@ class _Walk:
         last edge taken.  In closed form: the loser at position i of the run
         cycle gets count // k + (i < count % k) copies of the winner's
         column, which no move of the run changes."""
-        cols, norms = self.cols, self.norms
+        norms, zeros, queue = self.norms, self.zeros, self._queue
         if count == 1:
             self.v, w, l, edge = _DIAGRAM.move(self.v, side)
-            cols[l] = [x + y for x, y in zip(cols[l], cols[w])]
             norms[l] += norms[w]
-            return edge
-        run = _DIAGRAM.cycle(self.v, side)
-        w, k = run.winner, len(run.losers)
-        q, r = divmod(count, k)
-        for i, l in enumerate(run.losers):
-            c = q + (i < r)
-            if c:
-                cols[l] = [x + c * y for x, y in zip(cols[l], cols[w])]
-                norms[l] += c * norms[w]
-        self.v = run.vertices[r]
-        return run.edges[(count - 1) % k]
+            zeros[l] &= zeros[w]
+            queue.append((l, w, 1))
+        else:
+            run = _DIAGRAM.cycle(self.v, side)
+            w, k = run.winner, len(run.losers)
+            q, r = divmod(count, k)
+            W, zw = norms[w], zeros[w]
+            for i, l in enumerate(run.losers):
+                c = q + (i < r)
+                if c:
+                    norms[l] += c * W
+                    zeros[l] &= zw
+                    queue.append((l, w, c))
+            self.v = run.vertices[r]
+            edge = run.edges[(count - 1) % k]
+        if len(queue) >= _DRAIN:
+            self._drain()
+        return edge
 
     def matrix(self) -> VisitationMatrix:
         M = VisitationMatrix.__new__(VisitationMatrix)  # the entries are ints
@@ -312,28 +345,29 @@ class _MatrixPredicate(_StopRule):
 
 def _step_lengths(
     walk: _Walk, lens: list[int], stop: _StopRule, budget: float
-) -> tuple[list[RauzyEdge], bool]:
+) -> tuple[list[tuple[_RunCycle, int]], bool]:
     """The induction loop: step by the integer lengths ``lens`` (updated in
     place; the winner is strictly longer, so they stay positive) until
-    ``stop`` holds.  Returns the edges and False if the equality case came
-    first; more than ``budget`` steps raise BudgetExceededError.
+    ``stop`` holds.  Returns the runs taken, as (run cycle, moves) pairs,
+    and False if the equality case came first; more than ``budget`` steps
+    raise BudgetExceededError.  ``_induct`` expands the runs into edges.
 
     It goes one run at a time: the moves in a row on which one side wins.
     With winner length L, the run has the largest n whose first n losers
     (cycling through ``_RunCycle.losers``) sum below L; whole cycles of
     that sum are counted by one division.  ``stop.advance`` moves the walk
     through the run, or to the step inside it where the loop ends."""
-    edges: list[RauzyEdge] = []
+    runs: list[tuple[_RunCycle, int]] = []
     if stop.holds(walk, 0):
-        return edges, True
+        return runs, True
     last, cycle = _DIAGRAM.last, _DIAGRAM.cycle
+    steps = 0
     while True:
-        steps = len(edges)
         if steps >= budget:
             raise BudgetExceededError(f"step budget {budget} exhausted")
         i, j = last[walk.v]
         if lens[i] == lens[j]:
-            return edges, False
+            return runs, False
         run = cycle(walk.v, TOP_WINS if lens[i] > lens[j] else BOTTOM_WINS)
         losers, L = run.losers, lens[run.winner]
         k = len(losers)
@@ -350,17 +384,22 @@ def _step_lengths(
         take, held = stop.advance(walk, steps, run, min(n, budget - steps))
         c, r = divmod(take, k)
         lens[run.winner] = L - c * sums[-1] - sums[r] if c else L - sums[r]
-        edges += run.edges * c + run.edges[:r]
+        runs.append((run, take))
+        steps += take
         if held:
-            return edges, True
+            return runs, True
 
 
 def _induct(T: Iet, stop: _StopRule, budget: int) -> InductionTrace:
     """The loop on T's lengths as integers over their least common
-    denominator; Fractions are built once, for the trace."""
+    denominator; Fractions and edges are built once, for the trace."""
     lens, denom = _rational._numerators(T.lengths)
     walk = _Walk(T.perm)
-    edges, generic = _step_lengths(walk, lens, stop, budget)
+    runs, generic = _step_lengths(walk, lens, stop, budget)
+    edges: list[RauzyEdge] = []
+    for run, take in runs:
+        c, r = divmod(take, len(run.edges))
+        edges += run.edges * c + run.edges[:r]
     induced = Iet(tuple(Fraction(x, denom) for x in lens), walk.perm)
     trace = InductionTrace(T, tuple(edges), walk.matrix(), induced)
     if not generic:
@@ -383,8 +422,35 @@ def induct(T: Iet, n: int) -> InductionTrace:
     return _induct(T, _AfterSteps(n), n)
 
 
-def norm_at_least(N: int) -> Callable[[VisitationMatrix, LabeledPermutation], bool]:
-    return lambda M, pi: M.norm >= N
+class _NormAtLeast(_StopRule):
+    """Stop once the norm, the largest column sum, reaches ``N``.  It is
+    also a predicate of (matrix, permutation), like ``balanced(zeta)``."""
+
+    def __init__(self, N: int):
+        self.N = N
+
+    def __call__(self, M: VisitationMatrix, pi: LabeledPermutation) -> bool:
+        return M.norm >= self.N
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        return max(walk.norms) >= self.N
+
+    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        """Loser i of the run, with norm x below N, reaches N at its m-th
+        loss, m = ceil((N - x) / W) for the winner's fixed norm W: on step
+        (m - 1) k + i + 1."""
+        norms, N, k = walk.norms, self.N, len(run.losers)
+        W = norms[run.winner]
+        first = min(
+            ((N - norms[l] - 1) // W) * k + i + 1 for i, l in enumerate(run.losers)
+        )
+        t = min(first, n)
+        walk.move(run.side, t)
+        return t, first <= n
+
+
+def norm_at_least(N: int) -> _NormAtLeast:
+    return _NormAtLeast(N)
 
 
 def permutation_is(target: LabeledPermutation):
@@ -405,8 +471,11 @@ def induct_until(
     predicate: Callable[[VisitationMatrix, LabeledPermutation], bool],
     step_budget: int = 10**6,
 ) -> InductionTrace:
-    """Shortest trace whose final (matrix, permutation) satisfies the predicate."""
-    return _induct(T, _MatrixPredicate(predicate), step_budget)
+    """Shortest trace whose final (matrix, permutation) satisfies the
+    predicate.  A predicate that is a stop rule (``norm_at_least``) runs on
+    the walk's norms; any other is given the matrix after every step."""
+    stop = predicate if isinstance(predicate, _StopRule) else _MatrixPredicate(predicate)
+    return _induct(T, stop, step_budget)
 
 
 def drive_path(

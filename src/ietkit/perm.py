@@ -142,9 +142,11 @@ class RauzyClassGraph(Value):
     def in_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
         return list(self._adjacency().get(pi, ((), ()))[1])
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
+        """The graph as a JSON document: vertices, edges by vertex index,
+        and the seed's index."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        doc = {
+        return {
             "vertices": [
                 {"top": list(v.top), "bottom": list(v.bottom)} for v in self.vertices
             ],
@@ -160,7 +162,9 @@ class RauzyClassGraph(Value):
             ],
             "seed": index[self.seed],
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 def hyperelliptic_permutation(d: int) -> LabeledPermutation:

@@ -112,6 +112,24 @@ def test_balance_scan_gets_the_sample_over_grid(monkeypatch):
         assert [Fraction(n, analysis.GRID) for n in lens] == list(x)
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_balance_scans_never_read_columns(monkeypatch, d):
+    # a scan reads only the walk's norms and zero patterns: with the
+    # column read and the matrix refused, mc_balance gives the same report
+    from ietkit.induction import _Walk
+
+    pi = hyperelliptic_permutation(d)
+    expected = mc_balance(pi, zeta=20.0, K=4.0, m=8, samples=300, seed=d)
+
+    def refuse(walk):
+        raise AssertionError("a balance scan read the walk's columns")
+
+    monkeypatch.setattr(_Walk, "cols", property(refuse))
+    monkeypatch.setattr(_Walk, "matrix", refuse)
+    rep = mc_balance(pi, zeta=20.0, K=4.0, m=8, samples=300, seed=d)
+    assert (rep.fractions, rep.sigma_hat) == (expected.fractions, expected.sigma_hat)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=2, max_value=12).flatmap(

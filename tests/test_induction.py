@@ -1,19 +1,24 @@
 """Exact induction steps, the visitation cocycle, and orbits."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ietkit.analysis import GRID, _balance_scan, sample_simplex_exact
+from ietkit.analysis import GRID, _balance_scan, _Balanced, sample_simplex_exact
 from ietkit.errors import BudgetExceededError, InductionUndefinedError, UsageError
 from ietkit.induction import (
     BOTTOM_WINS,
     TOP_WINS,
     Iet,
+    InductionTrace,
     VisitationMatrix,
+    _DRAIN,
+    _step_lengths,
+    _Walk,
     balanced,
     drive_path,
     induct,
@@ -372,20 +377,58 @@ def test_drive_path_rejects_unknown_side():
         drive_path(hyperelliptic_permutation(4), [TOP_WINS, "sideways"])
 
 
-def reference_balance_scan(pi, nums, zeta, limit) -> int:
-    """The balance scan on exact Fraction lengths through ``step``."""
+def reference_balance_path(pi, nums, zeta, cap) -> list[tuple[int, bool]]:
+    """The balance scan on exact Fraction lengths through ``step``, without
+    its limit: per step, the norm and whether the matrix is positive and
+    zeta-balanced, up to that step, the equality case, or a norm past cap."""
     T = Iet(tuple(Fraction(n, GRID) for n in nums), pi)
     M = VisitationMatrix.identity(pi.d)
-    while True:
+    path = []
+    while not path or not path[-1][1] and path[-1][0] <= cap:
         try:
             T, edge, _ = step(T)
         except InductionUndefinedError:
-            return 0
+            break
         M = M.apply_step(edge.winner, edge.loser)
-        if M.norm > limit:
-            return 0
-        if M.balance_ratio() <= zeta and M.is_positive():
-            return M.norm
+        path.append((M.norm, M.balance_ratio() <= zeta and M.is_positive()))
+    return path
+
+
+def reference_balance_stop(pi, nums, zeta, limit, path=None) -> tuple[int, int]:
+    """The reference scan's norm, or 0 if it dies or passes ``limit``, and
+    the number of steps after which it stops."""
+    if path is None:
+        path = reference_balance_path(pi, nums, zeta, limit)
+    for steps, (norm, good) in enumerate(path, 1):
+        if norm > limit:
+            return 0, steps
+        if good:
+            return norm, steps
+    return 0, len(path)
+
+
+def reference_balance_scan(pi, nums, zeta, limit) -> int:
+    return reference_balance_stop(pi, nums, zeta, limit)[0]
+
+
+class RecordedBalanced(_Balanced):
+    """The balance rule, recording per run the bound of its limit shortcut:
+    the largest norm plus ceil(n / k) times the winner's norm."""
+
+    def __init__(self, zeta, limit):
+        super().__init__(zeta, limit)
+        self.bounds = []
+
+    def advance(self, walk, steps, run, n):
+        k, W = len(run.losers), walk.norms[run.winner]
+        self.bounds.append(max(walk.norms) + -(-n // k) * W)
+        return super().advance(walk, steps, run, n)
+
+
+def balance_stop(pi, nums, zeta, limit) -> tuple[int, int]:
+    """``_balance_scan`` and the number of steps after which it stops."""
+    runs, _ = _step_lengths(_Walk(pi), list(nums), _Balanced(zeta, limit), math.inf)
+    return _balance_scan(pi, nums, zeta, limit), sum(t for _, t in runs)
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -401,9 +444,126 @@ def test_balance_scan_matches_step_reference(d):
     # identity, the first run is balanced (not positive) until its losers'
     # norms pass zeta times the winner's, so with zeta = 2 the window opens
     # and closes within a run of hundreds of steps
+    long_runs = []
     for k in range(12):
         zeta = (Fraction(20), Fraction(7, 2), Fraction(2))[k % 3]
         nums = [x.numerator * (GRID // x.denominator) for x in sample_simplex_exact(d, rng)]
         nums[rng.randrange(d)] *= rng.randrange(10**2, 10**3 * 3)
+        long_runs.append((zeta, nums))
         expected = reference_balance_scan(pi, nums, zeta, 4**7)
         assert _balance_scan(pi, nums, zeta, 4**7) == expected
+    # the limit shortcut's boundary: a limit equal to a run's bound, which
+    # no loser can pass within the run, and one below it, where the first
+    # step past the limit has to be found.  The scan reaches that run under
+    # either limit, since every earlier norm is at most the run's first max
+    for zeta, nums in long_runs[:6] + [
+        ((Fraction(20), Fraction(7, 2))[k % 2],
+         [x.numerator for x in sample_simplex_exact(d, rng)])
+        for k in range(10)
+    ]:
+        rule = RecordedBalanced(zeta, 4**8)
+        _step_lengths(_Walk(pi), list(nums), rule, math.inf)
+        path = reference_balance_path(pi, nums, zeta, max(rule.bounds))
+        for bound in rule.bounds:
+            for limit in (bound, bound - 1):
+                assert balance_stop(pi, nums, zeta, limit) == reference_balance_stop(
+                    pi, nums, zeta, limit, path
+                )
+
+
+# -- the deferred columns of a walk ----------------------------------------
+
+
+def zero_pattern(column) -> int:
+    return sum(1 << i for i, x in enumerate(column) if x == 0)
+
+
+def move_blocks():
+    """Blocks of (side, count, repeats, read): up to twice the drain length
+    of single moves, or a few closed-form runs; then maybe a read."""
+    sides = st.sampled_from([TOP_WINS, BOTTOM_WINS])
+    reads = st.sampled_from([None, "cols", "matrix"])
+    return st.one_of(
+        st.tuples(sides, st.just(1), st.integers(1, 2 * _DRAIN), reads),
+        st.tuples(sides, st.integers(2, 40), st.integers(1, 4), reads),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deferred_walk_matches_eager_fold(data):
+    """Norms and zero patterns after every move, and the columns whenever
+    they are read, equal the fold of the elementary matrices along the edges
+    taken; the queue of pending column updates stays below its drain length."""
+    d = data.draw(st.integers(min_value=2, max_value=7))
+    pi = data.draw(irreducible_perms(d))
+    blocks = data.draw(st.lists(move_blocks(), min_size=1, max_size=8))
+    walk, M, end = _Walk(pi), VisitationMatrix.identity(d), pi
+    for side, count, repeats, read in blocks:
+        for _ in range(repeats):
+            last = walk.move(side, count)
+            for _ in range(count):
+                edge = rauzy_move(end, side)
+                M = M @ VisitationMatrix.elementary(d, edge.winner, edge.loser)
+                end = edge.target
+            assert (last, walk.perm) == (edge, end)
+            assert walk.norms == list(M.column_norms())
+            assert walk.zeros == [zero_pattern(M.column(j)) for j in range(1, d + 1)]
+            assert len(walk._queue) < _DRAIN
+        if read == "cols":
+            assert walk.cols == [list(M.column(j)) for j in range(1, d + 1)]
+        elif read == "matrix":
+            assert walk.matrix() == M
+    assert walk.matrix() == M
+
+
+# -- norm_at_least as a stop rule on the norms -------------------------------
+
+
+def until_outcome(T, predicate, budget):
+    """The trace, or what cut it short."""
+    try:
+        return induct_until(T, predicate, step_budget=budget)
+    except InductionUndefinedError as exc:
+        return "undefined", exc.steps_completed, exc.partial
+    except BudgetExceededError:
+        return "budget"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(iets_with_distinct_denominators(), long_run_iets()),
+    st.integers(min_value=1, max_value=10**7),
+)
+def test_norm_rule_matches_generic_predicate(T, N):
+    """The norm rule jumps inside a run; the generic predicate reads the
+    matrix after every step.  The same trace, on the shortest budget and
+    on one step less."""
+    generic = lambda M, pi: M.norm >= N  # noqa: E731
+    expected = until_outcome(T, generic, 5000)
+    assert until_outcome(T, norm_at_least(N), 5000) == expected
+    if isinstance(expected, InductionTrace):
+        shortest = expected.steps
+        assert until_outcome(T, norm_at_least(N), shortest) == expected
+        if shortest:
+            assert until_outcome(T, norm_at_least(N), shortest - 1) == "budget"
+            assert until_outcome(T, generic, shortest - 1) == "budget"
+    assert norm_at_least(N)(VisitationMatrix.identity(T.d), T.perm) == (N <= 1)
+
+
+def test_norm_rule_builds_one_matrix(monkeypatch):
+    """``induct_until`` on the norm rule builds the matrix once, for the
+    trace, not after every step."""
+    built = []
+    matrix = _Walk.matrix
+
+    def counted(walk):
+        built.append(walk)
+        return matrix(walk)
+
+    monkeypatch.setattr(_Walk, "matrix", counted)
+    T = Iet.make(sample_simplex_exact(5, Random(1)), hyperelliptic_permutation(5))
+    trace = induct_until(T, norm_at_least(10**4), step_budget=10**6)
+    assert trace.matrix.norm >= 10**4
+    assert trace.steps > 20
+    assert len(built) == 1

@@ -1,6 +1,8 @@
 """Permutation pairs, Rauzy moves, class enumeration, and subgraphs."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,11 @@ def test_class_json_is_deterministic():
     da, db = json.loads(a), json.loads(b)
     assert da["vertices"] == db["vertices"]
     assert da["edges"] == db["edges"]
+
+
+def test_class_doc_is_the_parsed_json():
+    graph = rauzy_class(hyperelliptic_permutation(5))
+    assert graph.to_doc() == json.loads(graph.to_json())
 
 
 def test_restriction_subgraph_degenerate_below_five():

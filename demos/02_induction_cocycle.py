@@ -35,7 +35,8 @@ def main() -> None:
         ),
         hyperelliptic_permutation(4),
     )
-    print("\n4-interval exchange, inducting until 10-balanced columns:")
+    print("\n4-interval exchange, inducting until the first positive "
+          "10-balanced matrix:")
     trace = induct_until(T4, balanced(10), step_budget=1000)
     print(f"  stopped after {trace.steps} steps, "
           f"balance ratio {float(trace.matrix.balance_ratio()):.3f}, "

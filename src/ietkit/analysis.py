@@ -16,9 +16,9 @@ from ._record import Record
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
 from .induction import (
-    Iet, IntegerIet, VisitationMatrix, _step_lengths, _StopRule, _Walk,
+    Iet, IntegerIet, VisitationMatrix, _Balanced, _step_lengths, _Walk,
 )
-from .perm import LabeledPermutation, _RunCycle
+from .perm import LabeledPermutation
 from .simplex_geometry import (
     PlaneFamily,
     Polygon2D,
@@ -120,77 +120,6 @@ class BalanceReport(Record):
         "sigma_hat",
         "sigma_ci_upper",  # 95% upper confidence bound on the decay ratio
     )
-
-
-class _Balanced(_StopRule):
-    """Stop at the first positive zeta-balanced matrix, zeta = p/q, or once
-    the norm passes ``limit``.  It reads only the walk's norms and zero
-    patterns: the matrix is positive when no column has a zero entry."""
-
-    def __init__(self, zeta: Fraction, limit: int):
-        self.p, self.q, self.limit = zeta.numerator, zeta.denominator, limit
-
-    def holds(self, walk: _Walk, steps: int) -> bool:
-        hi = max(walk.norms)
-        return hi > self.limit or (
-            hi * self.q <= self.p * min(walk.norms) and not any(walk.zeros)
-        )
-
-    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        t = self._first(walk, run, n)
-        walk.move(run.side, t or n)
-        return t or n, t is not None
-
-    def _first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
-        """The first t in 1..n at which the rule holds after t moves of
-        ``run``, or None.  On the norms alone: the winner's norm W stays
-        fixed and bounds the least norm, so balance is out of reach for the
-        rest of the run once max * q > p * W.  No loser loses more than
-        ceil(n / k) times in the run, so the limit is out of reach when
-        max + ceil(n / k) W <= limit; otherwise the first step past it is a
-        division per loser."""
-        p, q, limit = self.p, self.q, self.limit
-        norms, losers, k = walk.norms, run.losers, len(run.losers)
-        W = norms[run.winner]
-        hi = max(norms)
-        below_limit = hi + -(-n // k) * W <= limit
-        if hi * q <= p * W and (positive := _positive_from(walk, run)) is not None:
-            rising = [norms[l] for l in losers]
-            # the least norm the run leaves alone; W is one of them
-            fixed = min(x for j, x in enumerate(norms) if j not in losers)
-            t = 0
-            while hi * q <= p * W:
-                if t == n:
-                    return None
-                i = t % k
-                rising[i] += W
-                t += 1
-                if rising[i] > hi:
-                    hi = rising[i]
-                    if hi > limit:
-                        return t
-                if t >= positive and hi * q <= p * min(fixed, *rising):
-                    return t
-        if below_limit:
-            return None
-        # loser i passes the limit at its m-th loss, on step (m - 1) k + i + 1
-        past = min(((limit - norms[l]) // W) * k + i + 1 for i, l in enumerate(losers))
-        return past if past <= n else None
-
-
-def _positive_from(walk: _Walk, run: _RunCycle) -> int | None:
-    """The first t from which the walk's matrix is positive after t moves of
-    ``run``, or None if it is not positive within the run.  A move adds the
-    winner's column to the loser's, so a column with a 0 turns positive at
-    its first loss, if ever: when it and the winner's have no 0 in common."""
-    zeros, t = walk.zeros, 0
-    zw = zeros[run.winner]
-    for j, zj in enumerate(zeros):
-        if zj:
-            if j not in run.losers or zj & zw:
-                return None
-            t = max(t, run.losers.index(j) + 1)
-    return t
 
 
 def _balance_scan(

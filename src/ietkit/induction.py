@@ -10,6 +10,7 @@ are plain python integers and may grow without bound.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -301,21 +302,22 @@ class _Walk:
 
 class _StopRule:
     """When the induction loop stops.  ``holds`` judges the walk as it
-    stands; ``advance`` takes the walk through one run up to the first
-    step at which the rule holds."""
+    stands; ``first`` finds where in a run the rule first holds, on the
+    walk's vertex, norms and zero patterns, without moving the walk."""
 
     def holds(self, walk: _Walk, steps: int) -> bool:
         raise NotImplementedError
 
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        """The first t in 1..n at which the rule holds after t moves of ``run``, or None."""
+        raise NotImplementedError
+
     def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        """Move ``walk`` along ``run`` until the first t in 1..n after which
-        the rule holds, or n moves if none; return the moves made and
-        whether the rule holds.  By default, one move at a time."""
-        for t in range(1, n + 1):
-            walk.move(run.side)
-            if self.holds(walk, steps + t):
-                return t, True
-        return n, False
+        """Move ``walk`` along ``run`` to that t, or n moves if there is none;
+        return the moves made and whether the rule holds."""
+        t = self.first(walk, steps, run, n)
+        walk.move(run.side, t or n)
+        return t or n, t is not None
 
 
 class _AfterSteps(_StopRule):
@@ -327,20 +329,126 @@ class _AfterSteps(_StopRule):
     def holds(self, walk: _Walk, steps: int) -> bool:
         return steps >= self.n
 
-    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        t = min(n, self.n - steps)
-        walk.move(run.side, t)
-        return t, steps + t >= self.n
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        return self.n - steps if self.n - steps <= n else None
+
+
+def _first_reaching(norms: list[int], run: _RunCycle, N: int) -> int:
+    """The first step of ``run`` at which a norm, all below N, reaches N:
+    loser i with norm x reaches it at its m-th loss, m = ceil((N - x) / W)
+    for the winner's fixed norm W, on step (m - 1) k + i + 1."""
+    W, k = norms[run.winner], len(run.losers)
+    return min(((N - norms[l] - 1) // W) * k + i + 1 for i, l in enumerate(run.losers))
+
+
+class _NormAtLeast(_StopRule):
+    """Stop once the norm, the largest column sum, reaches ``N``.  It is
+    also a predicate of (matrix, permutation)."""
+
+    def __init__(self, N: int):
+        self.N = N
+
+    def __call__(self, M: VisitationMatrix, pi: LabeledPermutation) -> bool:
+        return M.norm >= self.N
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        return max(walk.norms) >= self.N
+
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        return t if (t := _first_reaching(walk.norms, run, self.N)) <= n else None
+
+
+class _Balanced(_StopRule):
+    """Stop at the first positive zeta-balanced matrix, zeta = p/q, or once
+    the norm passes ``limit``; no ``zeta`` is no ratio bound (p/q = 1/0).
+    It reads only the walk's norms and zero patterns: the matrix is
+    positive when no column has a zero entry."""
+
+    def __init__(self, zeta: Fraction | None = None, limit: int | None = None):
+        self.p, self.q = (1, 0) if zeta is None else Fraction(zeta).as_integer_ratio()
+        self.limit = math.inf if limit is None else limit
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        hi, lo = max(walk.norms), min(walk.norms)
+        return hi > self.limit or hi * self.q <= self.p * lo and not any(walk.zeros)
+
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        """The winner's norm W stays fixed and bounds the least norm, so
+        balance is out of reach for the rest of the run once max * q > p * W.
+        No loser loses more than ceil(n / k) times in the run, so the limit
+        is out of reach when max + ceil(n / k) W <= limit."""
+        p, q, limit = self.p, self.q, self.limit
+        norms, losers, k = walk.norms, run.losers, len(run.losers)
+        W, hi = norms[run.winner], max(norms)
+        below_limit = hi + -(-n // k) * W <= limit
+        if hi * q <= p * W and (positive := _positive_from(walk, run)) is not None:
+            t, rising = 0, [norms[l] for l in losers]
+            # the least norm the run leaves alone; W is one of them
+            fixed = min(x for j, x in enumerate(norms) if j not in losers)
+            while hi * q <= p * W:
+                if t == n:
+                    return None
+                i = t % k
+                rising[i] += W
+                t += 1
+                if rising[i] > hi:
+                    hi = rising[i]
+                    if hi > limit:
+                        return t
+                if t >= positive and hi * q <= p * min(fixed, *rising):
+                    return t
+        if below_limit:
+            return None
+        past = _first_reaching(norms, run, limit + 1)
+        return past if past <= n else None
+
+
+def _positive_from(walk: _Walk, run: _RunCycle) -> int | None:
+    """The first t from which the walk's matrix is positive after t moves of
+    ``run``, or None if it is not positive within the run.  A move adds the
+    winner's column to the loser's, so a column with a 0 turns positive at
+    its first loss, if ever: when it and the winner's have no 0 in common."""
+    zeros, zw, t = walk.zeros, walk.zeros[run.winner], 0
+    for j, zj in enumerate(zeros):
+        if zj:
+            if j not in run.losers or zj & zw:
+                return None
+            t = max(t, run.losers.index(j) + 1)
+    return t
+
+
+class _PermutationIs(_StopRule):
+    """Stop at ``target``.  After t moves of a run the walk is at vertex
+    ``run.vertices[t % k]``: the first hit is the target's index there, or k."""
+
+    def __init__(self, target: LabeledPermutation):
+        self.target = target
+
+    def holds(self, walk: _Walk, steps: int) -> bool:
+        return walk.perm == self.target
+
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        v, cycle = _DIAGRAM.ids.get(self.target), run.vertices
+        t = (cycle.index(v) or len(cycle)) if v in cycle else None
+        return t if t and t <= n else None
 
 
 class _MatrixPredicate(_StopRule):
-    """Stop when a predicate of (matrix, permutation) holds."""
+    """Stop when a caller's predicate of (matrix, permutation) holds.  It is
+    given the matrix after every move, so the walk goes one move at a time."""
 
     def __init__(self, predicate: Callable[[VisitationMatrix, LabeledPermutation], bool]):
         self.predicate = predicate
 
     def holds(self, walk: _Walk, steps: int) -> bool:
         return self.predicate(walk.matrix(), walk.perm)
+
+    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        for t in range(1, n + 1):
+            walk.move(run.side)
+            if self.holds(walk, steps + t):
+                return t, True
+        return n, False
 
 
 def _step_lengths(
@@ -422,58 +530,21 @@ def induct(T: Iet, n: int) -> InductionTrace:
     return _induct(T, _AfterSteps(n), n)
 
 
-class _NormAtLeast(_StopRule):
-    """Stop once the norm, the largest column sum, reaches ``N``.  It is
-    also a predicate of (matrix, permutation), like ``balanced(zeta)``."""
-
-    def __init__(self, N: int):
-        self.N = N
-
-    def __call__(self, M: VisitationMatrix, pi: LabeledPermutation) -> bool:
-        return M.norm >= self.N
-
-    def holds(self, walk: _Walk, steps: int) -> bool:
-        return max(walk.norms) >= self.N
-
-    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        """Loser i of the run, with norm x below N, reaches N at its m-th
-        loss, m = ceil((N - x) / W) for the winner's fixed norm W: on step
-        (m - 1) k + i + 1."""
-        norms, N, k = walk.norms, self.N, len(run.losers)
-        W = norms[run.winner]
-        first = min(
-            ((N - norms[l] - 1) // W) * k + i + 1 for i, l in enumerate(run.losers)
-        )
-        t = min(first, n)
-        walk.move(run.side, t)
-        return t, first <= n
-
-
-def norm_at_least(N: int) -> _NormAtLeast:
-    return _NormAtLeast(N)
-
-
-def permutation_is(target: LabeledPermutation):
-    return lambda M, pi: pi == target
-
-
-def balanced(zeta) -> Callable[[VisitationMatrix, LabeledPermutation], bool]:
-    zeta = Fraction(zeta)
-    return lambda M, pi: M.balance_ratio() <= zeta
-
-
-def positive_matrix(M: VisitationMatrix, pi: LabeledPermutation) -> bool:
-    return M.is_positive()
+norm_at_least = _NormAtLeast
+permutation_is = _PermutationIs
+balanced = _Balanced
+positive_matrix = _Balanced()
 
 
 def induct_until(
     T: Iet,
-    predicate: Callable[[VisitationMatrix, LabeledPermutation], bool],
+    predicate: _StopRule | Callable[[VisitationMatrix, LabeledPermutation], bool],
     step_budget: int = 10**6,
 ) -> InductionTrace:
     """Shortest trace whose final (matrix, permutation) satisfies the
-    predicate.  A predicate that is a stop rule (``norm_at_least``) runs on
-    the walk's norms; any other is given the matrix after every step."""
+    predicate.  The stop rules ``norm_at_least``, ``balanced``,
+    ``positive_matrix`` and ``permutation_is`` jump within a run and build
+    one matrix, for the trace; any other callable gets it after every step."""
     stop = predicate if isinstance(predicate, _StopRule) else _MatrixPredicate(predicate)
     return _induct(T, stop, step_budget)
 

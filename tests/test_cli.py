@@ -10,6 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietkit.analysis import sample_simplex_exact
 from ietkit.cli import (
     EXIT_BUDGET,
     EXIT_INDUCTION,
@@ -181,6 +182,19 @@ def test_induct_until_balanced(tmp_path):
     )
     assert code == EXIT_OK
     assert (out / "induct_trace.json").exists()
+    # the stop is the first positive 3-balanced matrix, not the identity
+    lengths = ",".join(map(str, sample_simplex_exact(5, Random(2))))
+    code, out = run(
+        ["induct", "--lengths", lengths, "--perm", "s5", "--until", "balanced:3"],
+        tmp_path, "s5",
+    )
+    assert code == EXIT_OK
+    trace = json.loads((out / "induct_trace.json").read_text())
+    rows = [[int(x) for x in row] for row in trace["matrix"]]
+    norms = [sum(col) for col in zip(*rows)]
+    assert trace["steps"] > 0
+    assert all(x > 0 for row in rows for x in row)
+    assert max(norms) <= 3 * min(norms)
 
 
 def test_induct_big_rationals(tmp_path):

@@ -17,6 +17,7 @@ from ietkit.induction import (
     InductionTrace,
     VisitationMatrix,
     _DRAIN,
+    _NormAtLeast,
     _step_lengths,
     _Walk,
     balanced,
@@ -25,9 +26,13 @@ from ietkit.induction import (
     induct_until,
     norm_at_least,
     orbit,
+    permutation_is,
+    positive_matrix,
     step,
 )
-from ietkit.perm import LabeledPermutation, hyperelliptic_permutation, rauzy_move
+from ietkit.perm import (
+    _DIAGRAM, LabeledPermutation, hyperelliptic_permutation, rauzy_class, rauzy_move,
+)
 
 
 def fib_like() -> Iet:
@@ -98,6 +103,12 @@ def test_column_sums_are_return_times():
 def test_until_balanced():
     trace = induct_until(generic_four(), balanced(10), step_budget=1000)
     assert trace.matrix.balance_ratio() <= 10
+    # the first positive balanced matrix, not the identity at step 0
+    assert (trace.steps, trace.matrix.norm, trace.matrix.is_positive()) == (12, 18, True)
+    T = Iet.make(sample_simplex_exact(5, Random(2)), hyperelliptic_permutation(5))
+    trace = induct_until(T, balanced(3))
+    assert trace.steps == 358
+    assert trace.matrix.is_positive() and trace.matrix.balance_ratio() <= 3
 
 
 def test_until_norm_budget():
@@ -431,6 +442,14 @@ def balance_stop(pi, nums, zeta, limit) -> tuple[int, int]:
     return _balance_scan(pi, nums, zeta, limit), sum(t for _, t in runs)
 
 
+def assert_induct_until_balanced_reaches(pi, nums, zeta, norm) -> None:
+    """A balance scan that stops at ``norm`` stops where ``induct_until``
+    with ``balanced(zeta)`` does on the same lengths: one rule behind both."""
+    if norm:
+        T = Iet(tuple(Fraction(n, GRID) for n in nums), pi)
+        assert induct_until(T, balanced(zeta)).matrix.norm == norm
+
+
 @pytest.mark.parametrize("d", [4, 5])
 def test_balance_scan_matches_step_reference(d):
     rng = Random(d)
@@ -440,6 +459,7 @@ def test_balance_scan_matches_step_reference(d):
         nums = [x.numerator for x in sample_simplex_exact(d, rng)]
         expected = reference_balance_scan(pi, nums, zeta, 4**8)
         assert _balance_scan(pi, nums, zeta, 4**8) == expected
+        assert_induct_until_balanced_reaches(pi, nums, zeta, expected)
     # long runs: one interval 10^2 to 10^3.5 times the others.  From the
     # identity, the first run is balanced (not positive) until its losers'
     # norms pass zeta times the winner's, so with zeta = 2 the window opens
@@ -452,6 +472,7 @@ def test_balance_scan_matches_step_reference(d):
         long_runs.append((zeta, nums))
         expected = reference_balance_scan(pi, nums, zeta, 4**7)
         assert _balance_scan(pi, nums, zeta, 4**7) == expected
+        assert_induct_until_balanced_reaches(pi, nums, zeta, expected)
     # the limit shortcut's boundary: a limit equal to a run's bound, which
     # no loser can pass within the run, and one below it, where the first
     # step past the limit has to be found.  The scan reaches that run under
@@ -530,30 +551,74 @@ def until_outcome(T, predicate, budget):
         return "budget"
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(iets_with_distinct_denominators(), long_run_iets()),
-    st.integers(min_value=1, max_value=10**7),
-)
-def test_norm_rule_matches_generic_predicate(T, N):
-    """The norm rule jumps inside a run; the generic predicate reads the
+def draw_stop_rule(data, T):
+    """A stop rule of ``induct_until`` and the generic predicate of
+    (matrix, permutation) it stands for."""
+    kind = data.draw(st.sampled_from(["norm", "balanced", "positive", "perm"]))
+    if kind == "norm":
+        N = data.draw(st.integers(min_value=1, max_value=10**7))
+        return norm_at_least(N), lambda M, pi: M.norm >= N
+    if kind == "balanced":
+        zeta = data.draw(st.sampled_from([2, Fraction(7, 2), 10, 20]))
+        return balanced(zeta), lambda M, pi: M.is_positive() and M.balance_ratio() <= zeta
+    if kind == "positive":
+        return positive_matrix, lambda M, pi: M.is_positive()
+    # a vertex of the start's class: the start itself, one the walk soon
+    # reaches, or any; the start begins a run, whose last move returns to it
+    visited = [e.target for e in reference_induct(T, 200)[0]] or [T.perm]
+    v = data.draw(st.one_of(
+        st.just(T.perm), st.sampled_from(visited), st.sampled_from(rauzy_class(T.perm).vertices)
+    ))
+    return permutation_is(v), lambda M, pi: pi == v
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(iets_with_distinct_denominators(), long_run_iets()), st.data())
+def test_norm_rule_matches_generic_predicate(T, data):
+    """Each stop rule jumps inside a run; its generic predicate reads the
     matrix after every step.  The same trace, on the shortest budget and
-    on one step less."""
-    generic = lambda M, pi: M.norm >= N  # noqa: E731
+    on one step less.  And from the start, for either side's run and a
+    drawn cut n, ``first`` leaves the walk where it is and gives the first
+    t in 1..n at which the rule holds after t single moves."""
+    rule, generic = draw_stop_rule(data, T)
     expected = until_outcome(T, generic, 5000)
-    assert until_outcome(T, norm_at_least(N), 5000) == expected
+    assert until_outcome(T, rule, 5000) == expected
     if isinstance(expected, InductionTrace):
         shortest = expected.steps
-        assert until_outcome(T, norm_at_least(N), shortest) == expected
+        assert until_outcome(T, rule, shortest) == expected
         if shortest:
-            assert until_outcome(T, norm_at_least(N), shortest - 1) == "budget"
+            assert until_outcome(T, rule, shortest - 1) == "budget"
             assert until_outcome(T, generic, shortest - 1) == "budget"
-    assert norm_at_least(N)(VisitationMatrix.identity(T.d), T.perm) == (N <= 1)
+    if isinstance(rule, _NormAtLeast):
+        assert rule(VisitationMatrix.identity(T.d), T.perm) == (rule.N <= 1)
+        if rule.N <= 1:  # ``first`` is asked only while the norms are below N
+            return
+    for side in (TOP_WINS, BOTTOM_WINS):
+        walk, stepped = _Walk(T.perm), _Walk(T.perm)
+        start, run = walk.v, _DIAGRAM.cycle(walk.v, side)
+        n = data.draw(st.integers(min_value=1, max_value=3 * len(run.losers) + 3))
+        reference = None
+        for t in range(1, n + 1):
+            stepped.move(side)
+            if rule.holds(stepped, t):
+                reference = t
+                break
+        assert rule.first(walk, 0, run, n) == reference
+        assert (walk.v, walk.norms, walk._queue) == (start, [1] * T.d, [])
 
 
-def test_norm_rule_builds_one_matrix(monkeypatch):
-    """``induct_until`` on the norm rule builds the matrix once, for the
+@pytest.mark.parametrize("rule", ["norm", "balanced", "positive", "perm"])
+def test_norm_rule_builds_one_matrix(monkeypatch, rule):
+    """``induct_until`` on a stop rule builds the matrix once, for the
     trace, not after every step."""
+    T = Iet.make(sample_simplex_exact(5, Random(1)), hyperelliptic_permutation(5))
+    rule, generic = {
+        "norm": (norm_at_least(10**4), lambda M, pi: M.norm >= 10**4),
+        "balanced": (balanced(10), lambda M, pi: M.is_positive() and M.balance_ratio() <= 10),
+        "positive": (positive_matrix, lambda M, pi: M.is_positive()),
+        "perm": (permutation_is(target := induct(T, 60).induced.perm),
+                 lambda M, pi: pi == target),
+    }[rule]
     built = []
     matrix = _Walk.matrix
 
@@ -562,8 +627,7 @@ def test_norm_rule_builds_one_matrix(monkeypatch):
         return matrix(walk)
 
     monkeypatch.setattr(_Walk, "matrix", counted)
-    T = Iet.make(sample_simplex_exact(5, Random(1)), hyperelliptic_permutation(5))
-    trace = induct_until(T, norm_at_least(10**4), step_budget=10**6)
-    assert trace.matrix.norm >= 10**4
+    trace = induct_until(T, rule, step_budget=10**6)
+    assert generic(trace.matrix, trace.induced.perm)
     assert trace.steps > 20
     assert len(built) == 1

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
 from typing import Callable
@@ -89,10 +90,62 @@ EXIT_VIOLATED = 5
 # serialization helpers
 
 
+def _key_text(key) -> str:
+    """A dict key as the ``json`` module turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(o, indent: str) -> str:
+    """The JSON text of ``o`` at nesting ``indent``, as the ``json`` module
+    writes it with sorted keys and an indent of 2, in one recursive pass:
+    that module's C encoder does not indent, and its Python one yields a
+    chunk per token."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(x) is int for x in o):
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([_json_text(x, inner) for x in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([
+            encode_basestring_ascii(_key_text(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(o.items())
+        ])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _dump_json(doc: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write ``doc`` as the ``json`` module does with ``sort_keys=True`` and
+    ``indent=2``, byte for byte, and a newline."""
+    path.write_text(_json_text(doc, "") + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> Path:
@@ -417,8 +470,7 @@ def _verify_symplectic(args, rng: Random) -> dict:
         M, pi_end, _ = _random_path(pi, rng, rng.randrange(1, 31))
         if not verify_invariance(M, pi, pi_end):
             violations += 1
-    return {"paths": args.paths, "violations": violations,
-            "violated": violations > 0}
+    return _path_report(args.paths, violations)
 
 
 def _verify_volume(args, rng: Random) -> dict:
@@ -429,8 +481,13 @@ def _verify_volume(args, rng: Random) -> dict:
         formula = simplex_volume_ratio(M, VisitationMatrix.identity(M.d))
         if formula != normalized_det([M.column(j) for j in range(1, M.d + 1)]):
             violations += 1
-    return {"paths": args.paths, "violations": violations,
-            "violated": violations > 0}
+    return _path_report(args.paths, violations)
+
+
+def _path_report(paths: int, violations: int) -> dict:
+    """The report of a suite over random paths; no path checks nothing."""
+    report = {"paths": paths, "violations": violations, "violated": violations > 0}
+    return {**report, "verdict": INCONCLUSIVE} if paths == 0 else report
 
 
 def _verify_jacobian(args, rng: Random) -> dict:

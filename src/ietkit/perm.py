@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import total_ordering
 from typing import Callable
 
 from ._record import Value
@@ -26,6 +27,7 @@ class ReducibilityError(UsageError):
     """The permutation splits into two smaller exchanges."""
 
 
+@total_ordering
 class LabeledPermutation(Value):
     """A pair of orderings of {1..d}; the combinatorial half of an IET.
 
@@ -63,27 +65,17 @@ class LabeledPermutation(Value):
     def bottom_position(self, symbol: int) -> int:
         return self.bottom.index(symbol)
 
-    def _key(self) -> tuple:
-        return self.top, self.bottom
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.top == other.top and self.bottom == other.bottom
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.top, self.bottom))
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
+            return (self.top, self.bottom) < (other.top, other.bottom)
         return NotImplemented
 
     def __repr__(self):
@@ -195,19 +187,21 @@ def rauzy_move(pi: LabeledPermutation, side: str) -> RauzyEdge:
     """One Rauzy move; the loser is reinserted right of the winner."""
     if not pi.is_irreducible():
         raise ReducibilityError(f"reducible permutation {pi}")
-    i, j = pi.top[-1], pi.bottom[-1]
     if side == TOP_WINS:
-        winner, loser = i, j
-        new_bottom = list(pi.bottom[:-1])
-        new_bottom.insert(new_bottom.index(winner) + 1, loser)
-        target = LabeledPermutation(pi.top, tuple(new_bottom))
+        fixed, moved = pi.top, pi.bottom
     elif side == BOTTOM_WINS:
-        winner, loser = j, i
-        new_top = list(pi.top[:-1])
-        new_top.insert(new_top.index(winner) + 1, loser)
-        target = LabeledPermutation(tuple(new_top), pi.bottom)
+        fixed, moved = pi.bottom, pi.top
     else:
         raise UsageError(f"unknown side {side!r}")
+    winner, loser = fixed[-1], moved[-1]
+    row = list(moved[:-1])
+    row.insert(row.index(winner) + 1, loser)
+    # a move of a valid pair is a valid pair: build it without the checks
+    target = LabeledPermutation.__new__(LabeledPermutation)
+    if side == TOP_WINS:
+        target.top, target.bottom = fixed, tuple(row)
+    else:
+        target.top, target.bottom = tuple(row), fixed
     return RauzyEdge(pi, target, winner, loser, side)
 
 
@@ -237,7 +231,9 @@ class _RauzyDiagram:
     Per id: the permutation, its 0-based last symbols and, per side, the move
     (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
     first taken, and the run cycle on that side, made from the moves when
-    first asked for; irreducibility is checked once per vertex and side."""
+    first asked for; irreducibility is checked once per vertex and side.
+    ``skews`` holds, per id, the integer matrix of the vertex's skew form,
+    which ``symplectic`` builds on first use (None until then)."""
 
     def __init__(self):
         self.ids: dict[LabeledPermutation, int] = {}
@@ -245,15 +241,18 @@ class _RauzyDiagram:
         self.last: list[tuple[int, int]] = []
         self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
         self.cycles: list[dict[str, _RunCycle]] = []
+        self.skews: list[tuple[tuple[int, ...], ...] | None] = []
 
     def vertex(self, pi: LabeledPermutation) -> int:
-        if pi not in self.ids:
-            self.ids[pi] = len(self.perms)
+        v = self.ids.get(pi)
+        if v is None:
+            v = self.ids[pi] = len(self.perms)
             self.perms.append(pi)
             self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
             self.moves.append({})
             self.cycles.append({})
-        return self.ids[pi]
+            self.skews.append(None)
+        return v
 
     def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
         moves = self.moves[v]
@@ -295,6 +294,8 @@ def _closure(
     through the compiled diagram.  Vertices are sorted lexicographically on
     (top, bottom) and edges by source and side, so that exports do not
     depend on discovery order."""
+    if vertex_budget < 1:
+        raise BudgetExceededError(f"vertex budget {vertex_budget} holds no seed")
     root = _DIAGRAM.vertex(seed)
     seen = {root}
     queue = deque([root])

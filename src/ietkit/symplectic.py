@@ -10,12 +10,13 @@ exact change to Darboux coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from . import _rational
 from ._record import Record
 from .errors import DegeneracyError, IetkitError, UsageError
 from .induction import VisitationMatrix
-from .perm import LabeledPermutation, ReducibilityError
+from .perm import _DIAGRAM, LabeledPermutation, ReducibilityError
 
 
 class SymplecticForm(Record):
@@ -64,16 +65,23 @@ class SymplecticForm(Record):
 
 
 def _skew_matrix(pi: LabeledPermutation) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix of the form, by the convention above."""
-    if not pi.is_irreducible():
-        raise ReducibilityError(f"reducible permutation {pi}")
-    top = {s: k for k, s in enumerate(pi.top)}
-    bottom = {s: k for k, s in enumerate(pi.bottom)}
-    symbols = range(1, pi.d + 1)
-    return tuple(
-        tuple((top[a] < top[b]) - (bottom[a] < bottom[b]) for b in symbols)
-        for a in symbols
-    )
+    """The integer matrix of the form, by the convention above; built once
+    per vertex of the compiled Rauzy diagram, and refused on every call for
+    a reducible pair."""
+    v = _DIAGRAM.ids.get(pi)
+    m = None if v is None else _DIAGRAM.skews[v]
+    if m is None:
+        if not pi.is_irreducible():  # kept out of the diagram
+            raise ReducibilityError(f"reducible permutation {pi}")
+        v = _DIAGRAM.vertex(pi)
+        top = {s: k for k, s in enumerate(pi.top)}
+        bottom = {s: k for k, s in enumerate(pi.bottom)}
+        symbols = range(1, pi.d + 1)
+        m = _DIAGRAM.skews[v] = tuple(
+            tuple((top[a] < top[b]) - (bottom[a] < bottom[b]) for b in symbols)
+            for a in symbols
+        )
+    return m
 
 
 def omega(pi: LabeledPermutation) -> SymplecticForm:
@@ -87,21 +95,32 @@ def omega(pi: LabeledPermutation) -> SymplecticForm:
 def verify_invariance(
     M: VisitationMatrix, pi: LabeledPermutation, pi_prime: LabeledPermutation
 ) -> bool:
-    """Exact integer check of M^T Omega_pi M == Omega_pi'."""
+    """Exact integer check of M^T Omega_pi M == Omega_pi'.
+
+    Both sides are skew with a zero diagonal, so the strict upper triangle
+    decides.  Omega M adds and subtracts rows of M (Omega's entries are 0 and
+    +-1); entry (i, j) is column i of M dotted with column j of Omega M."""
     om = _skew_matrix(pi)
     om_prime = _skew_matrix(pi_prime)
-    d = M.d
     rows = M.rows
-    # (M^T Omega M)[i][j] = sum_{a,b} M[a][i] Omega[a][b] M[b][j]
-    tmp = [
-        [sum(om[a][b] * rows[b][j] for b in range(d)) for j in range(d)]
-        for a in range(d)
-    ]
-    lhs = [
-        [sum(rows[a][i] * tmp[a][j] for a in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-    return all(lhs[i][j] == om_prime[i][j] for i in range(d) for j in range(d))
+    d = len(rows)
+    zero = (0,) * d
+    product = []  # the rows of Omega M
+    for signs in om:
+        acc = zero
+        for s, row in zip(signs, rows):
+            if s > 0:
+                acc = tuple(map(add, acc, row))
+            elif s < 0:
+                acc = tuple(map(sub, acc, row))
+        product.append(acc)
+    cols, product_cols = tuple(zip(*rows)), tuple(zip(*product))
+    for i in range(d - 1):
+        col, target = cols[i], om_prime[i]
+        for j in range(i + 1, d):
+            if sum(map(mul, col, product_cols[j])) != target[j]:
+                return False
+    return True
 
 
 class SingularData(Record):

@@ -18,6 +18,7 @@ from ietkit.cli import (
     EXIT_STAGE,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    _dump_json,
     main,
 )
 
@@ -47,6 +48,14 @@ def test_classes_d4(tmp_path):
 def test_classes_budget_exceeded(tmp_path):
     code, _ = run(["classes", "--d", "5", "--budget", "3"], tmp_path)
     assert code == EXIT_BUDGET
+
+
+def test_classes_budget_below_one_holds_no_seed(tmp_path):
+    code, _ = run(["classes", "--d", "2", "--budget", "0"], tmp_path, "zero")
+    assert code == EXIT_BUDGET
+    code, out = run(["classes", "--d", "2", "--budget", "1"], tmp_path, "one")
+    assert code == EXIT_OK
+    assert json.loads((out / "classes_d2.json").read_text())["summary"]["vertices"] == 1
 
 
 def test_classes_needs_a_seed(tmp_path):
@@ -318,6 +327,79 @@ def test_json_keys_sorted_and_no_timestamps(tmp_path):
     assert not re.search(r"time|date|stamp", raw, re.IGNORECASE)
 
 
+JSON_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "é\U0001f600"]),
+)
+JSON_INTS = st.one_of(st.integers(), st.integers(-(10**400), 10**400))
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_FLOATS, JSON_TEXT)
+# the keys of one dict are all str, all numbers or bool, or None, so that
+# sorting them raises no TypeError
+JSON_KEYS = (JSON_TEXT, st.one_of(JSON_INTS, JSON_FLOATS, st.booleans()), st.none())
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(JSON_INTS, st.booleans()), max_size=4),
+        *(st.dictionaries(k, children, max_size=4) for k in JSON_KEYS),
+    ),
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=JSON_DOCS)
+def test_dump_json_writes_the_json_module_text(json_dir, doc):
+    path = json_dir / "doc.json"
+    _dump_json(doc, path)
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": object()}, [1, {2, 3}], {"a": [b"bytes"]}, Fraction(1, 2),
+    {(1, 2): 0}, {"a": 1, 2: 3},
+], ids=["object", "set", "bytes", "fraction", "tuple-key", "mixed-keys"])
+def test_dump_json_refuses_what_json_refuses(tmp_path, doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dump_json(doc, tmp_path / "doc.json")
+    assert not (tmp_path / "doc.json").exists()
+
+
+def test_every_json_output_is_the_json_module_text(tmp_path):
+    """Each JSON file a subcommand writes re-encodes to the same bytes."""
+    runs = [
+        ["classes", "--d", "5"],
+        construct_args(),
+        ["estimate-dim", "--manifest", str(tmp_path / "1" / "construct_manifest.json"),
+         "--planes", "2"],
+        *(["verify", suite, "--d", "4", "--paths", "5", "--samples", "200"]
+          for suite in ("symplectic", "volume", "jacobian", "probdecay",
+                        "concavity", "balance")),
+    ]
+    files = []
+    for k, argv in enumerate(runs):
+        code, out = run(argv, tmp_path, str(k))
+        assert code in (EXIT_OK, EXIT_VIOLATED)
+        files += sorted(out.glob("*.json"))
+    assert len(files) == 2 * len(runs) - 1  # construct's manifest is its one
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_rationals_serialized_as_p_over_q(tmp_path):
     _, out = run(construct_args(), tmp_path)
     doc = json.loads((out / "construct_manifest.json").read_text())
@@ -392,6 +474,20 @@ def test_verify_without_samples_is_inconclusive(tmp_path, capsys, suite):
     assert capsys.readouterr().out == f"verify {suite}: inconclusive\n"
     doc = json.loads((out / f"verify_{suite}.json").read_text())
     assert doc["report"]["violated"] is False
+
+
+@pytest.mark.parametrize("suite", ["symplectic", "volume"])
+def test_verify_without_paths_is_inconclusive(tmp_path, capsys, suite):
+    code, out = run(["verify", suite, "--paths", "0"], tmp_path)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"verify {suite}: inconclusive\n"
+    report = json.loads((out / f"verify_{suite}.json").read_text())["report"]
+    assert report == {"paths": 0, "violations": 0, "violated": False,
+                      "verdict": "inconclusive"}
+    code, out = run(["verify", suite, "--paths", "1"], tmp_path, "one")
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"verify {suite}: ok\n"
+    assert "verdict" not in json.loads((out / f"verify_{suite}.json").read_text())["report"]
 
 
 @pytest.mark.parametrize(

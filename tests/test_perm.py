@@ -202,3 +202,34 @@ def test_second_enumeration_makes_no_moves(monkeypatch):
     again = rauzy_class(SEED_1386)
     assert calls == []
     assert again == first
+
+
+def test_budget_below_one_holds_no_seed():
+    with pytest.raises(BudgetExceededError):
+        rauzy_class(hyperelliptic_permutation(2), vertex_budget=0)
+    assert len(rauzy_class(hyperelliptic_permutation(2), vertex_budget=1).vertices) == 1
+
+
+def test_moved_permutation_is_the_constructed_value():
+    """A move builds its target without the constructor's checks; it must
+    still be equal to, hash like and order like the same pair built by the
+    constructor, and unequal to any other class."""
+    vertices = rauzy_class(SEED_1386).vertices
+    for pi in vertices[:200]:
+        for side in (TOP_WINS, BOTTOM_WINS):
+            moved = rauzy_move(pi, side).target
+            built = LabeledPermutation(moved.top, moved.bottom)
+            assert moved == built and not moved != built
+            assert hash(moved) == hash(built) == hash((built.top, built.bottom))
+            assert {moved: 1}[built] == 1
+            assert moved != (moved.top, moved.bottom)
+            assert moved.__eq__((moved.top, moved.bottom)) is NotImplemented
+            assert moved != rauzy_move(pi, side)
+    key = lambda v: (v.top, v.bottom)  # noqa: E731
+    shuffled = sorted(vertices, key=lambda v: hash(v))
+    assert sorted(shuffled) == sorted(shuffled, key=key) == list(vertices)
+    for a, b in zip(vertices[:100], vertices[50:150]):
+        assert (a < b, a <= b, a > b, a >= b, a == b) == (
+            key(a) < key(b), key(a) <= key(b), key(a) > key(b), key(a) >= key(b),
+            key(a) == key(b),
+        )

@@ -6,13 +6,16 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ietkit.induction import BOTTOM_WINS, TOP_WINS, drive_path
+from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import (
+    _DIAGRAM,
     LabeledPermutation,
     ReducibilityError,
     hyperelliptic_class,
     hyperelliptic_permutation,
+    rauzy_class,
 )
 from ietkit.symplectic import (
     angle_report,
@@ -142,3 +145,94 @@ def test_invariance_check_builds_no_bases(monkeypatch):
     assert verify_invariance(M, pi, pi_end)
     with pytest.raises(ReducibilityError):
         verify_invariance(M, LabeledPermutation((1, 2, 3), (2, 1, 3)), pi_end)
+
+
+def reference_invariance(M, pi, pi_prime) -> bool:
+    """The full triple product M^T Omega_pi M against Omega_pi', all d^2
+    entries, with each form built from the convention on its own."""
+
+    def form(p):
+        if not p.is_irreducible():
+            raise ReducibilityError(f"reducible permutation {p}")
+        return [[(p.top.index(a) < p.top.index(b))
+                 - (p.bottom.index(a) < p.bottom.index(b))
+                 for b in range(1, p.d + 1)] for a in range(1, p.d + 1)]
+
+    om, om_prime = form(pi), form(pi_prime)
+    d, rows = M.d, M.rows
+    tmp = [[sum(om[a][b] * rows[b][j] for b in range(d)) for j in range(d)]
+           for a in range(d)]
+    lhs = [[sum(rows[a][i] * tmp[a][j] for a in range(d)) for j in range(d)]
+           for i in range(d)]
+    return lhs == om_prime
+
+
+@st.composite
+def diagram_paths(draw):
+    """A path of drawn sides from a drawn irreducible pair, d = 2..7."""
+    d = draw(st.integers(2, 7))
+    top = draw(st.permutations(range(1, d + 1)))
+    bottom = draw(st.permutations(range(1, d + 1)).filter(
+        lambda b: LabeledPermutation(tuple(top), tuple(b)).is_irreducible()))
+    pi = LabeledPermutation(tuple(top), tuple(bottom))
+    sides = draw(st.lists(st.sampled_from([TOP_WINS, BOTTOM_WINS]), max_size=40))
+    M, pi_end, _ = drive_path(pi, sides)
+    return M, pi, pi_end
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=diagram_paths(), data=st.data())
+def test_invariance_matches_full_triple_product(path, data):
+    M, pi, pi_end = path
+    assert verify_invariance(M, pi, pi_end) is reference_invariance(M, pi, pi_end) is True
+    # a perturbed matrix
+    d = M.d
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    delta = data.draw(st.sampled_from([-2, -1, 1, 3]))
+    rows = [list(r) for r in M.rows]
+    rows[i][j] += delta
+    bent = VisitationMatrix(rows)
+    assert verify_invariance(bent, pi, pi_end) == reference_invariance(bent, pi, pi_end)
+    # another vertex of the class as the target
+    wrong = data.draw(st.sampled_from(rauzy_class(pi).vertices))
+    assert verify_invariance(M, pi, wrong) == reference_invariance(M, pi, wrong)
+
+
+def test_invariance_false_cases_occur():
+    M, pi, pi_end = random_path(5, 12, 4)
+    rows = [list(r) for r in M.rows]
+    rows[0][1] += 1
+    assert not verify_invariance(VisitationMatrix(rows), pi, pi_end)
+    wrong = next(v for v in hyperelliptic_class(5).vertices
+                 if omega(v).matrix != omega(pi_end).matrix)
+    assert not verify_invariance(M, pi, wrong)
+    assert not reference_invariance(M, pi, wrong)
+
+
+def test_reducible_pair_raises_on_every_call():
+    reducible = LabeledPermutation((1, 2, 3), (2, 1, 3))
+    pi = hyperelliptic_permutation(3)
+    M = VisitationMatrix.identity(3)
+    for _ in range(3):
+        for args in ((M, reducible, pi), (M, pi, reducible)):
+            with pytest.raises(ReducibilityError):
+                verify_invariance(*args)
+        with pytest.raises(ReducibilityError):
+            omega(reducible)
+    assert reducible not in _DIAGRAM.ids
+
+
+def test_invariance_reads_only_the_upper_triangle():
+    """Both sides are skew, so the target form's diagonal and lower
+    triangle must not be read."""
+    M, pi, pi_end = random_path(6, 20, 9)
+    assert verify_invariance(M, pi, pi_end)
+    v = _DIAGRAM.vertex(pi_end)
+    form = _DIAGRAM.skews[v]
+    garbled = tuple(tuple(x if i < j else 7 for j, x in enumerate(row))
+                    for i, row in enumerate(form))
+    _DIAGRAM.skews[v] = garbled
+    try:
+        assert verify_invariance(M, pi, pi_end)
+    finally:
+        _DIAGRAM.skews[v] = form

@@ -228,8 +228,12 @@ def test_moved_permutation_is_the_constructed_value():
     key = lambda v: (v.top, v.bottom)  # noqa: E731
     shuffled = sorted(vertices, key=lambda v: hash(v))
     assert sorted(shuffled) == sorted(shuffled, key=key) == list(vertices)
-    for a, b in zip(vertices[:100], vertices[50:150]):
-        assert (a < b, a <= b, a > b, a >= b, a == b) == (
-            key(a) < key(b), key(a) <= key(b), key(a) > key(b), key(a) >= key(b),
-            key(a) == key(b),
-        )
+    moved = [rauzy_move(pi, TOP_WINS).target for pi in vertices[:40]]
+    for a in moved:
+        for b in vertices[:40]:  # both orders, and equal pairs
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                key(a) < key(b), key(a) <= key(b), key(a) > key(b),
+                key(a) >= key(b), key(a) == key(b),
+            )
+    with pytest.raises(TypeError):
+        vertices[0] < (vertices[0].top, vertices[0].bottom)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
+from ._fork import fork_tallies
 from ._record import Record
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
@@ -122,13 +124,17 @@ class BalanceReport(Record):
     )
 
 
+# the rule holds no state, so one per (zeta, limit) serves every scan
+_balance_rule = lru_cache(maxsize=16)(_Balanced)
+
+
 def _balance_scan(
     pi: LabeledPermutation, lengths: Sequence[int], zeta: Fraction, limit: int
 ) -> int:
     """Norm at the first time the matrix is positive and zeta-balanced,
     or 0 when the scan dies (equality) or exceeds the norm limit."""
     walk = _Walk(pi)
-    _, generic = _step_lengths(walk, list(lengths), _Balanced(zeta, limit), math.inf)
+    _, generic = _step_lengths(walk, list(lengths), _balance_rule(zeta, limit), math.inf)
     hi = max(walk.norms)
     return hi if generic and hi <= limit else 0
 
@@ -156,7 +162,9 @@ def mc_balance(
     seed: int,
 ) -> BalanceReport:
     """Failure fractions of reaching a positive zeta-balanced matrix before
-    norm K^j, for j = 1..m, with a geometric-decay fit."""
+    norm K^j, for j = 1..m, with a geometric-decay fit.  The scans run in
+    forked chunks on up to the usable CPUs (``_fork.fork_tallies``), and
+    the report is the same at any number of processes."""
     if zeta <= 1 or K <= 1:
         raise UsageError("need zeta > 1 and K > 1")
     if samples == 0:
@@ -166,12 +174,22 @@ def mc_balance(
     zeta_f = Fraction(zeta).limit_denominator(10**6)
     thresholds = [K**j for j in range(1, m + 1)]
     limit = int(math.ceil(thresholds[-1]))
-    failures = [0] * m
-    for _ in range(samples):
-        reached = _balance_scan(pi, _sample_gaps(pi.d, rng), zeta_f, limit)
-        for j, t in enumerate(thresholds):
-            if reached == 0 or reached > t:
-                failures[j] += 1
+    d = pi.d
+
+    def tally(n: int) -> list[int]:
+        failures = [0] * m
+        for _ in range(n):
+            reached = _balance_scan(pi, _sample_gaps(d, rng), zeta_f, limit)
+            for j, t in enumerate(thresholds):
+                if reached == 0 or reached > t:
+                    failures[j] += 1
+        return failures
+
+    def skip(n: int) -> None:
+        for _ in range(n):
+            _sample_gaps(d, rng)
+
+    failures = fork_tallies(rng, samples, tally, skip)
     fracs = tuple(f / samples for f in failures)
     # geometric fit on the decaying tail (skip the saturated prefix near 1)
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]

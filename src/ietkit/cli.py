@@ -281,14 +281,10 @@ def cmd_classes(args) -> int:
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
     d = seed_pi.d
     doc = graph.to_doc()
-    degrees_ok = all(
-        len(graph.out_edges(v)) == 2 and len(graph.in_edges(v)) == 2
-        for v in graph.vertices
-    )
     doc["summary"] = {
         "vertices": len(graph.vertices),
         "edges": len(graph.edges),
-        "two_in_two_out": degrees_ok,
+        "two_in_two_out": graph.two_in_two_out(),
     }
     if d >= 4:
         pi_l, pi_r, _ = special_permutations(d)

@@ -228,32 +228,42 @@ class _Walk:
     zero pattern ``zeros`` (bit i set when entry i is 0).  A move adds the
     winner's column to the loser's, and the entries are non-negative, so the
     loser's pattern becomes the meet of the two.  The integer columns
-    themselves are brought up to date from a queue of the moves' (loser,
-    winner, count) operations, in order, when ``cols`` or ``matrix()`` is
-    read, or once the queue holds ``_DRAIN`` of them, so a walk whose
-    columns are never read keeps O(d^2) integers however long it runs."""
+    themselves, the identity's at first, are built when ``cols`` or
+    ``matrix()`` is first read, or once the queue of the moves' (loser,
+    winner, count) operations holds ``_DRAIN`` of them, and then brought up
+    to date from that queue, in order; so a walk whose columns are never
+    read keeps O(d^2) integers however long it runs.
+
+    The start permutation is checked for irreducibility until its vertex
+    has a compiled move, which only an irreducible pair has."""
 
     __slots__ = ("v", "norms", "zeros", "_cols", "_queue")
 
     def __init__(self, pi: LabeledPermutation):
-        if not pi.is_irreducible():
-            raise ReducibilityError(f"reducible permutation {pi}")
+        v = _DIAGRAM.ids.get(pi)
+        if v is None or not _DIAGRAM.moves[v]:
+            if not pi.is_irreducible():
+                raise ReducibilityError(f"reducible permutation {pi}")
+            v = _DIAGRAM.vertex(pi)
         d = pi.d
-        self.v = _DIAGRAM.vertex(pi)
+        self.v = v
         self.norms = [1] * d
         self.zeros = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
-        self._cols = [[int(i == j) for i in range(d)] for j in range(d)]
+        self._cols: list[list[int]] | None = None
         self._queue: list[tuple[int, int, int]] = []
 
     @property
     def cols(self) -> list[list[int]]:
         """The integer columns, 0-based, up to date."""
-        if self._queue:
+        if self._queue or self._cols is None:
             self._drain()
         return self._cols
 
     def _drain(self) -> None:
         cols = self._cols
+        if cols is None:
+            d = len(self.norms)
+            cols = self._cols = [[int(i == j) for i in range(d)] for j in range(d)]
         for l, w, c in self._queue:
             cols[l] = [x + c * y for x, y in zip(cols[l], cols[w])]
         self._queue.clear()

@@ -134,6 +134,11 @@ class RauzyClassGraph(Value):
     def in_edges(self, pi: LabeledPermutation) -> list[RauzyEdge]:
         return list(self._adjacency().get(pi, ((), ()))[1])
 
+    def two_in_two_out(self) -> bool:
+        """Whether every vertex has two out-edges and two in-edges, counted
+        on the adjacency in place."""
+        return all(len(o) == 2 and len(i) == 2 for o, i in self._adjacency().values())
+
     def to_doc(self) -> dict:
         """The graph as a JSON document: vertices, edges by vertex index,
         and the seed's index."""

@@ -1,0 +1,202 @@
+"""Balance scans split into forked chunks: the same bytes at any number of
+processes, and no process left behind.
+
+``_fork._usable_cpus`` is patched to force the number of processes, since
+this test process may run numpy's BLAS threads, which turn forking off.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from random import Random
+
+import pytest
+
+import ietkit
+import ietkit._fork as _fork
+import ietkit.analysis as analysis
+from ietkit._fork import _MIN_CHUNK
+from ietkit.analysis import mc_balance
+from ietkit.cli import main
+from ietkit.perm import hyperelliptic_permutation
+
+SRC = Path(ietkit.__file__).resolve().parents[1]
+
+
+def force_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make ``cpus`` CPUs usable; return the list that records each fork."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def balance_files(tmp_path, name, d, samples, seed) -> dict[str, bytes]:
+    out = tmp_path / name
+    code = main(["verify", "balance", "--d", str(d), "--samples", str(samples),
+                 "--seed", str(seed), "--out", str(out)])
+    assert code in (0, 5)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def balance(samples, d=4, seed=7):
+    rep = mc_balance(hyperelliptic_permutation(d), zeta=20.0, K=4.0, m=8,
+                     samples=samples, seed=seed)
+    return repr((rep.fractions, rep.sigma_hat, rep.sigma_ci_upper,
+                 rep.report.estimate, rep.report.stderr, rep.report.verdict))
+
+
+@pytest.mark.parametrize("samples", [
+    0, 3, _MIN_CHUNK - 1, _MIN_CHUNK, 2 * _MIN_CHUNK + 1, 1500, 10**4,
+])
+@pytest.mark.parametrize("d", [2, 4, 5, 7])
+def test_forked_report_is_the_one_process_report(monkeypatch, tmp_path, d, samples):
+    seed = 1000 * d + samples
+    force_cpus(monkeypatch, 1)
+    expected = balance_files(tmp_path, "one", d, samples, seed)
+    forks = force_cpus(monkeypatch, 3)
+    assert balance_files(tmp_path, "many", d, samples, seed) == expected
+    assert len(forks) == max(1, min(3, samples // _MIN_CHUNK)) - 1
+    assert_no_child_left()
+
+
+def test_failed_workers_give_the_one_process_result(monkeypatch):
+    force_cpus(monkeypatch, 1)
+    expected = balance(4 * _MIN_CHUNK)
+    parent, scan = os.getpid(), analysis._balance_scan
+
+    def failing_in_children(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failure")
+        return scan(*args)
+
+    monkeypatch.setattr(analysis, "_balance_scan", failing_in_children)
+    forks = force_cpus(monkeypatch, 4)
+    assert balance(4 * _MIN_CHUNK) == expected
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_a_short_payload_is_tallied_again(monkeypatch):
+    force_cpus(monkeypatch, 1)
+    expected = balance(3 * _MIN_CHUNK)
+    forks = force_cpus(monkeypatch, 3)
+    dumps = _fork.marshal.dumps  # each child exits 0 after a short payload
+    monkeypatch.setattr(_fork.marshal, "dumps", lambda tally: dumps(tally)[:-1])
+    assert balance(3 * _MIN_CHUNK) == expected
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_scan_error_past_the_first_chunk_is_that_of_one_process(monkeypatch):
+    # every sample after the first chunk fails, in whichever process scans it
+    rng = Random(7)
+    draws = [tuple(analysis._sample_gaps(4, rng)) for _ in range(4 * _MIN_CHUNK)]
+    failing, scan = set(draws[_MIN_CHUNK:]), analysis._balance_scan
+
+    def failing_past_first_chunk(pi, lengths, zeta, limit):
+        if tuple(lengths) in failing:
+            raise ArithmeticError("scan failure")
+        return scan(pi, lengths, zeta, limit)
+
+    monkeypatch.setattr(analysis, "_balance_scan", failing_past_first_chunk)
+    for cpus in (1, 4):
+        forks = force_cpus(monkeypatch, cpus)
+        with pytest.raises(ArithmeticError, match="scan failure"):
+            balance(4 * _MIN_CHUNK)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+
+def test_an_interrupt_in_the_parent_reaps_every_child(monkeypatch):
+    forks = force_cpus(monkeypatch, 3)
+    parent, sample, draws = os.getpid(), analysis._sample_gaps, []
+
+    def interrupted(d, rng):  # the parent draws through the children's chunks
+        if os.getpid() == parent:
+            draws.append(d)
+            if len(draws) == 2 * _MIN_CHUNK:
+                raise KeyboardInterrupt
+        return sample(d, rng)
+
+    monkeypatch.setattr(analysis, "_sample_gaps", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        balance(3 * _MIN_CHUNK)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_usable_cpus_is_one_with_a_second_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _fork._usable_cpus() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# a fresh interpreter: one thread, unflushed standard output, an atexit
+# handler, and a caller's finally around a forked mc_balance that succeeds
+# and one whose workers fail
+HYGIENE = """
+import atexit, os, sys
+import ietkit._fork as _fork
+import ietkit.analysis as analysis
+from ietkit.analysis import mc_balance
+from ietkit.perm import hyperelliptic_permutation
+
+log = sys.argv[1]
+assert _fork._usable_cpus() == len(os.sched_getaffinity(0))
+_fork._usable_cpus = lambda: 3
+atexit.register(print, "atexit", os.getpid())
+print("unflushed", os.getpid())
+
+def run(tag):
+    try:
+        return mc_balance(hyperelliptic_permutation(4), 20.0, 4.0, 8, 1500, 3)
+    finally:
+        with open(log, "a") as fh:
+            fh.write(f"{tag} {os.getpid()}\\n")
+
+good = run("success")
+parent, scan = os.getpid(), analysis._balance_scan
+
+def failing_in_children(*args):
+    if os.getpid() != parent:
+        raise RuntimeError("worker failure")
+    return scan(*args)
+
+analysis._balance_scan = failing_in_children
+assert run("failure").fractions == good.fractions
+"""
+
+
+def test_children_run_no_caller_finally_atexit_or_flush(tmp_path):
+    log = tmp_path / "finally.log"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HYGIENE, str(log)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    pid = proc.stdout.split()[1]
+    assert proc.stdout == f"unflushed {pid}\natexit {pid}\n"
+    assert log.read_text() == f"success {pid}\nfailure {pid}\n"

@@ -4,7 +4,8 @@ The exact subcommands never compute a float, so neither importing the CLI
 nor running them loads numpy or scipy; the float layers import numpy inside
 the functions that use it, `verify balance` fits its decay line without it,
 and only the concavity suite loads scipy.  Start-up loads neither
-``dataclasses`` nor ``logging`` either.  The
+``dataclasses`` nor ``logging`` either, and `verify balance` forks its scans
+without ``multiprocessing`` or ``concurrent.futures``.  The
 benchmark's tracer patches only the modules loaded by ``import ietkit.cli``,
 so that import must still load every module its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
 test process has long since imported numpy.
@@ -87,6 +88,25 @@ def test_verify_balance_loads_no_numpy(tmp_path):
         tmp_path,
     )
     assert got == {"code": 0, "numpy": False}
+
+
+def test_forked_balance_scans_load_no_pool_or_numpy(tmp_path):
+    # the scans fork with os.fork alone; 600 samples make two chunks
+    pools = ["concurrent.futures", "multiprocessing", "numpy"]
+    got = fresh(
+        "import json, os, sys\nimport ietkit.cli\n"
+        f"pools = {pools!r}\n"
+        "imported = [m for m in pools if m in sys.modules]\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "code = ietkit.cli.main(['verify', 'balance', '--samples', '600',"
+        " '--out', 'v'])\n"
+        "print(json.dumps({'code': code, 'forks': len(forks), 'imported': imported,"
+        " 'ran': [m for m in pools if m in sys.modules]}))",
+        tmp_path,
+    )
+    forks = min(len(os.sched_getaffinity(0)), 2) - 1
+    assert got == {"code": 0, "forks": forks, "imported": [], "ran": []}
 
 
 def test_exact_subcommands_load_no_numpy(tmp_path):

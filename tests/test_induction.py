@@ -31,7 +31,8 @@ from ietkit.induction import (
     step,
 )
 from ietkit.perm import (
-    _DIAGRAM, LabeledPermutation, hyperelliptic_permutation, rauzy_class, rauzy_move,
+    _DIAGRAM, LabeledPermutation, ReducibilityError, hyperelliptic_permutation,
+    rauzy_class, rauzy_move,
 )
 
 
@@ -536,6 +537,40 @@ def test_deferred_walk_matches_eager_fold(data):
         elif read == "matrix":
             assert walk.matrix() == M
     assert walk.matrix() == M
+
+
+def test_walk_builds_its_columns_when_first_needed():
+    walk = _Walk(hyperelliptic_permutation(5))
+    walk.move(TOP_WINS, 7)
+    assert walk._cols is None  # a balance scan never gets further
+    assert walk.cols == [list(c) for c in zip(*drive_path(
+        hyperelliptic_permutation(5), [TOP_WINS] * 7)[0].rows)]
+    drained = _Walk(hyperelliptic_permutation(5))
+    for _ in range(_DRAIN):
+        drained.move(BOTTOM_WINS)
+    assert drained._cols is not None and drained._queue == []
+
+
+def test_walk_checks_its_start_until_the_vertex_has_a_move(monkeypatch):
+    # a reducible pair raises on every walk, also once it is in the diagram
+    for reducible in (LabeledPermutation((1, 2, 3, 4), (2, 1, 4, 3)),
+                      LabeledPermutation((1, 2, 3, 4), (1, 4, 3, 2))):
+        for _ in range(3):
+            with pytest.raises(ReducibilityError):
+                _Walk(reducible)
+        assert reducible not in _DIAGRAM.ids
+        _DIAGRAM.vertex(reducible)  # as a path search may add its start
+        with pytest.raises(ReducibilityError):
+            _Walk(reducible)
+    pi = LabeledPermutation((2, 4, 1, 3, 5), (5, 3, 1, 4, 2))
+    checked = []
+    check = LabeledPermutation.is_irreducible
+    monkeypatch.setattr(LabeledPermutation, "is_irreducible",
+                        lambda p: checked.append(p) or check(p))
+    _Walk(pi).move(TOP_WINS)
+    _Walk(pi)
+    _Walk(pi)
+    assert checked.count(pi) <= 2  # the walk's and the move's own check
 
 
 # -- norm_at_least as a stop rule on the norms -------------------------------

@@ -73,6 +73,24 @@ def test_every_vertex_two_in_two_out():
         assert len(graph.in_edges(v)) == 2
 
 
+@pytest.mark.parametrize("graph", [
+    *(hyperelliptic_class(d) for d in range(2, 7)),
+    *(restriction_subgraph(d, collapse) for d in (5, 6, 7) for collapse in (False, True)),
+])
+def test_two_in_two_out_counts_in_place(monkeypatch, graph):
+    expected = all(
+        len(graph.out_edges(v)) == 2 and len(graph.in_edges(v)) == 2
+        for v in graph.vertices
+    )
+
+    def copied(self, pi):
+        raise AssertionError("the degree check copied an adjacency list")
+
+    monkeypatch.setattr(type(graph), "out_edges", copied)
+    monkeypatch.setattr(type(graph), "in_edges", copied)
+    assert graph.two_in_two_out() == expected
+
+
 def test_special_permutations_in_class():
     graph = hyperelliptic_class(5)
     pi_l, pi_r, pi_prime = special_permutations(5)

@@ -13,7 +13,6 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
-from ._fork import fork_tallies
 from ._record import Record
 from .construction import ConstructionRun, freedom_rhs_for_window
 from .errors import DegeneracyError, UsageError
@@ -165,6 +164,8 @@ def mc_balance(
     norm K^j, for j = 1..m, with a geometric-decay fit.  The scans run in
     forked chunks on up to the usable CPUs (``_fork.fork_tallies``), and
     the report is the same at any number of processes."""
+    from ._fork import fork_tallies  # off the start-up path, like numpy
+
     if zeta <= 1 or K <= 1:
         raise UsageError("need zeta > 1 and K > 1")
     if samples == 0:

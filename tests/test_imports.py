@@ -91,12 +91,13 @@ def test_verify_balance_loads_no_numpy(tmp_path):
 
 
 def test_forked_balance_scans_load_no_pool_or_numpy(tmp_path):
-    # the scans fork with os.fork alone; 600 samples make two chunks
+    # the scans fork with os.fork alone, and their helper is loaded by the
+    # first scan, not at start-up; 600 samples make two chunks
     pools = ["concurrent.futures", "multiprocessing", "numpy"]
     got = fresh(
         "import json, os, sys\nimport ietkit.cli\n"
         f"pools = {pools!r}\n"
-        "imported = [m for m in pools if m in sys.modules]\n"
+        "imported = [m for m in pools + ['ietkit._fork'] if m in sys.modules]\n"
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "code = ietkit.cli.main(['verify', 'balance', '--samples', '600',"

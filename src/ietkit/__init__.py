@@ -13,7 +13,7 @@ symplectic
     reciprocal pairing of restricted singular values.
 simplex_geometry
     Projective simplices, volume and Jacobian formulas, plane families,
-    polygon sections, and illumination tests.
+    polygon sections, and the concavity test.
 construction
     Staged freedom/restriction path generation with scaled growth
     schedules, the per-stage balance and angle conditions, and the

@@ -145,89 +145,3 @@ def inverse(m: Sequence[Sequence]) -> Mat:
     """m^-1, exact; ZeroDivisionError when m is singular."""
     D, scaled = scaled_inverse(m)
     return tuple(tuple(Fraction(x, D) for x in row) for row in scaled)
-
-
-def lp_feasible(
-    eq_lhs: Sequence[Sequence[Fraction]],
-    eq_rhs: Sequence[Fraction],
-    nonneg: Sequence[bool],
-) -> list[Fraction] | None:
-    """Exact feasibility for {A x = b, x_i >= 0 for flagged i}.
-
-    Phase-one simplex with Bland's rule over Fractions.  Free variables are
-    split into positive and negative parts.  Returns a feasible x or None.
-    """
-    nvars = len(nonneg)
-    # map to all-nonnegative variables
-    col_of: list[tuple[int, int | None]] = []  # (plus column, minus column)
-    ncols = 0
-    for flag in nonneg:
-        if flag:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-    rows = []
-    rhs = []
-    for lhs_row, b in zip(eq_lhs, eq_rhs):
-        row = [Fraction(0)] * ncols
-        for x_i, coeff in enumerate(lhs_row):
-            plus, minus = col_of[x_i]
-            row[plus] += Fraction(coeff)
-            if minus is not None:
-                row[minus] -= Fraction(coeff)
-        b = Fraction(b)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    m = len(rows)
-    # tableau with artificial variables; minimize their sum
-    total = ncols + m
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [ncols + i for i in range(m)]
-    # reduced cost row for min(sum of artificials): start from the raw costs
-    # (1 on artificial columns) and subtract each constraint row once so the
-    # basic artificials get reduced cost 0
-    cost = [Fraction(0)] * ncols + [Fraction(1)] * m + [Fraction(0)]
-    for row in tab:
-        for j in range(total + 1):
-            cost[j] -= row[j]
-    while True:
-        enter = next((j for j in range(total) if cost[j] < 0), None)
-        if enter is None:
-            break
-        # ratio test, Bland tie-break on basis index
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return None  # unbounded phase 1: cannot happen, treat as infeasible
-        p = tab[leave][enter]
-        tab[leave] = [x / p for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
-        basis[leave] = enter
-    if -cost[total] != 0:
-        return None
-    sol = [Fraction(0)] * ncols
-    for i, b_i in enumerate(basis):
-        if b_i < ncols:
-            sol[b_i] = tab[i][total]
-    out = []
-    for plus, minus in col_of:
-        val = sol[plus] - (sol[minus] if minus is not None else Fraction(0))
-        out.append(val)
-    return out

@@ -14,7 +14,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .construction import ConstructionRun, freedom_rhs_for_window
+from .construction import ConstructionRun
 from .errors import DegeneracyError, UsageError
 from .induction import (
     Iet, IntegerIet, VisitationMatrix, _Balanced, _step_lengths, _Walk,
@@ -23,8 +23,6 @@ from .perm import LabeledPermutation
 from .simplex_geometry import (
     PlaneFamily,
     Polygon2D,
-    ProjectiveSimplex,
-    illuminated,
     normalized_det,
     plane_family,
     section,
@@ -87,12 +85,6 @@ def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False
 # simplex sampling
 
 
-def sample_simplex(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n uniform points on the standard (d-1)-simplex, rows summing to 1."""
-    g = rng.standard_exponential((n, d))
-    return g / g.sum(axis=1, keepdims=True)
-
-
 def _sample_gaps(d: int, rng: Random) -> list[int]:
     """One uniform point of the simplex as d positive integers over GRID:
     the spacings of sorted uniforms on the grid."""
@@ -138,18 +130,19 @@ def _balance_scan(
     return hi if generic and hi <= limit else 0
 
 
-def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares line through (xs, ys) in closed form: its slope, and
-    the slope's standard error from the residuals (0.0 with two points)."""
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line through (xs, ys) in closed form: its slope, its
+    intercept, and the slope's standard error from the residuals (0.0 with
+    two points)."""
     n = len(xs)
     x_bar, y_bar = sum(xs) / n, sum(ys) / n
     sxx = sum((x - x_bar) ** 2 for x in xs)
     slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx
-    if n == 2:
-        return slope, 0.0
     intercept = y_bar - slope * x_bar
+    if n == 2:
+        return slope, intercept, 0.0
     sse = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return slope, math.sqrt(sse / (n - 2)) / math.sqrt(sxx)
+    return slope, intercept, math.sqrt(sse / (n - 2)) / math.sqrt(sxx)
 
 
 def mc_balance(
@@ -196,7 +189,7 @@ def mc_balance(
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]
     ys = [math.log(f) for f in fracs if 0 < f < 0.99]
     if len(xs) >= 2:
-        slope, se_slope = _line_fit(xs, ys)
+        slope, _, se_slope = _line_fit(xs, ys)
         sigma_hat = math.exp(slope)
         sigma_up = math.exp(slope + 1.645 * se_slope)
     elif fracs and fracs[-1] == 0.0:
@@ -345,8 +338,8 @@ def prob_decay_sim(
         taus.append((n_sub, t))
     pos = [(n, t) for n, t in taus if t > 0]
     if len(pos) >= 2:
-        slope = np.polyfit([n for n, _ in pos], [math.log(t) for _, t in pos], 1)[0]
-        tau_hat = math.exp(float(slope))
+        slope = _line_fit([n for n, _ in pos], [math.log(t) for _, t in pos])[0]
+        tau_hat = math.exp(slope)
     else:
         tau_hat = 0.0
     est = probs[-1]
@@ -692,7 +685,7 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
         ]
     xs = [x for x, _ in kept]
     ys = [y for _, y in kept]
-    exponent = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else float("nan")
+    exponent = _line_fit(xs, ys)[0] if len(xs) >= 2 else float("nan")
     return FrostmanMeasure(
         tuple(tuple(w) for w in weights), exponent, tuple(radii), tuple(masses)
     )
@@ -725,84 +718,6 @@ def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFi
         raise UsageError("need at least two distinct non-empty scales")
     xs = [math.log(1.0 / r) for r, _ in usable]
     ys = [math.log(n) for _, n in usable]
-    coef = np.polyfit(xs, ys, 1)
-    resid = np.array(ys) - np.polyval(coef, xs)
-    return BoxDimensionFit(
-        float(coef[0]), tuple(counts), tuple(radii), float(np.abs(resid).max())
-    )
-
-
-# ---------------------------------------------------------------------------
-# illumination proportion
-
-
-def illumination_proportion(
-    run: ConstructionRun,
-    stage: int,
-    c: float,
-    samples: int,
-    seed: int,
-    variants: int = 3,
-) -> McReport:
-    """Measured fraction of slice points of the stage family that the fixed
-    direction phi joins to the first face; plus the t_k-neighborhood
-    survival fraction in the extras."""
-    import numpy as np
-
-    if not 0.1 <= c <= 0.9:
-        raise UsageError("slice parameter must lie in [0.1, 0.9]")
-    st = run.stages[stage - 1]
-    d = run.d
-    rng = Random(seed)
-    nrng = np.random.default_rng(seed)
-    # family members: cumulative-through-B with a few regenerated B phases
-    members_vm = [st.checkpoints["B"]]
-    before_b = st.checkpoints["T"]
-    w = run.schedule.stage(stage)
-    for _ in range(variants - 1):
-        alt = freedom_rhs_for_window(st.phase("B").start, w.B, rng)
-        members_vm.append(before_b @ alt.matrix)
-    members = [
-        ProjectiveSimplex(
-            tuple(tuple(Fraction(x) for x in row) for row in vm.rows)
-        )
-        for vm in members_vm
-    ]
-    phi = stage_one_planes(run).phi
-    float_members = [
-        np.array(vm.rows, dtype=float) / np.array(vm.rows, dtype=float).sum(axis=0)
-        for vm in members_vm
-    ]
-    hits = 0
-    survive = 0
-    tried = 0
-    t_k = w.t
-    guard = 0
-    while tried < samples and guard < 100 * samples:
-        guard += 1
-        m_idx = rng.randrange(len(members))
-        verts = float_members[m_idx]
-        w1 = nrng.dirichlet(np.ones(d))
-        w2 = nrng.dirichlet(np.ones(d))
-        p1, p2 = verts @ w1, verts @ w2
-        s1, s2 = p1[-2:].sum(), p2[-2:].sum()
-        if (s1 - c) * (s2 - c) >= 0:
-            continue
-        t = (c - s1) / (s2 - s1)
-        y = p1 + t * (p2 - p1)
-        tried += 1
-        y_rat = tuple(Fraction(float(v)).limit_denominator(10**9) for v in y)
-        tot = sum(y_rat)
-        y_rat = tuple(v / tot for v in y_rat)
-        if illuminated(y_rat, [members[m_idx]], phi):
-            hits += 1
-        bary = w1 + t * (w2 - w1)
-        if bary[0] <= t_k:
-            survive += 1
-    rep = _binomial_report(hits, tried, seed, 0.0)
-    rep.extras["survival_fraction"] = survive / tried if tried else float("nan")
-    rep.extras["t_k"] = t_k
-    rep.extras["members"] = len(members)
-    return McReport(
-        rep.estimate, rep.stderr, rep.samples, seed, 0.0, CONSISTENT, rep.extras
-    )
+    slope, intercept, _ = _line_fit(xs, ys)
+    resid = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    return BoxDimensionFit(slope, tuple(counts), tuple(radii), resid)

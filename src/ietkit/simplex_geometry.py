@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _rational
-from ._record import Record, Value
+from ._record import Value
 from .errors import DegeneracyError, UsageError
 from .induction import VisitationMatrix
 from .symplectic import SymplecticForm
@@ -33,60 +33,6 @@ def _columns(M) -> list[tuple[Fraction, ...]]:
 
 def column_l1(col: Sequence[Fraction]) -> Fraction:
     return sum(Fraction(x) for x in col)
-
-
-class ProjectiveSimplex(Record):
-    """The image of the standard simplex under a non-negative matrix."""
-
-    __slots__ = ("generator",)  # rows
-
-    @staticmethod
-    def from_matrix(M) -> "ProjectiveSimplex":
-        rows = M.rows if isinstance(M, VisitationMatrix) else M
-        return ProjectiveSimplex(_rational.mat(rows))
-
-    @property
-    def d(self) -> int:
-        return len(self.generator)
-
-    def vertices(self) -> list[tuple[Fraction, ...]]:
-        """Unit-sum normalized columns."""
-        out = []
-        for col in _columns(self.generator):
-            s = column_l1(col)
-            if s == 0:
-                raise DegeneracyError("zero column has no projective image")
-            out.append(tuple(x / s for x in col))
-        return out
-
-    def contains(self, point: Sequence) -> bool:
-        """Exact membership: x in M Delta iff the preimage is non-negative."""
-        p = _rational.vec(point)
-        if sum(p) != 1:
-            return False
-        z = _rational.solve(self.generator, p)
-        if z is None:
-            return False
-        return all(c >= 0 for c in z)
-
-
-class SliceDeltaC(Record):
-    """The slice {x in Delta : x_{d-1} + x_d = c}."""
-
-    __slots__ = ("d", "c")
-
-    def contains(self, point: Sequence) -> bool:
-        p = _rational.vec(point)
-        return (
-            len(p) == self.d
-            and sum(p) == 1
-            and all(x >= 0 for x in p)
-            and p[-1] + p[-2] == self.c
-        )
-
-    def barycenter(self) -> tuple[Fraction, ...]:
-        first = (1 - self.c) / (self.d - 2)
-        return tuple([first] * (self.d - 2) + [self.c / 2, self.c / 2])
 
 
 def simplex_volume_ratio(M1, M2) -> Fraction:
@@ -126,37 +72,16 @@ def jacobian(M, z: Sequence, exact: bool = False):
     return s**-d
 
 
-def face_jacobian(M, u: Sequence, face: Sequence[int]):
-    """Face Jacobian up to its matrix constant: (sum_j u_j |C_j|)^{-k}.
-
-    ``u`` is the preimage point, supported on the ``face`` indices and
-    summing to 1.  Only ratios of these values are meaningful.
-    """
-    u = _rational.vec(u)
-    face = tuple(face)
-    if sum(u) != 1 or any(
-        u[j] != 0 for j in range(len(u)) if (j + 1) not in face
-    ):
-        raise UsageError("point must be a unit-sum vector supported on the face")
-    cols = _columns(M)
-    s = sum(u[j - 1] * column_l1(cols[j - 1]) for j in face)
-    return float(s) ** (-len(face))
-
-
 class PlaneFamily(Value):
     """Parallel 2-planes spanned by the construction's two special directions.
 
     u and v live in the direction space of the slice (coordinates sum to
     zero, last two coordinates sum to zero) and are each orthogonal to the
-    restricted-inverse image of the other defining column.  phi, the
-    illumination direction, is u.  Equal when d, u and v are.
+    restricted-inverse image of the other defining column.  Equal when d,
+    u and v are.
     """
 
     __slots__ = ("d", "u", "v")
-
-    @property
-    def phi(self) -> tuple[Fraction, ...]:
-        return self.u
 
     def chart(self) -> np.ndarray:
         """Orthonormal 2 x d chart basis for the plane directions."""
@@ -236,11 +161,13 @@ class Polygon2D:
 
     @property
     def diameter(self) -> float:
+        """The largest vertex distance, taken with ``hypot``: squaring the
+        coordinate differences underflows below about 1e-154."""
         import numpy as np
 
         v = self.vertices
         diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1)).max())
+        return float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
     @property
     def centroid(self) -> np.ndarray:
@@ -252,16 +179,14 @@ class Polygon2D:
 
         Both are moved to this polygon's first vertex and divided by its
         diameter first, so cross products are O(1) at every scale; sections
-        1e-150 across would otherwise give products that underflow.  The
-        diameter is taken with ``hypot``, since squaring it underflows too.
-        A vertex is in when its cross products with the edges are all
-        >= -tol or all <= tol, so either orientation is accepted.
+        1e-150 across would otherwise give products that underflow.  A
+        vertex is in when its cross products with the edges are all >= -tol
+        or all <= tol, so either orientation is accepted.
         """
         import numpy as np
 
         v = self.vertices
-        diff = v[:, None, :] - v[None, :, :]
-        scale = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+        scale = self.diameter
         a = (v - v[0]) / scale
         edge = np.concatenate((a[1:], a[:1])) - a
         p = ((other.vertices - v[0]) / scale)[:, None, :]  # (vertices, 1, 2)
@@ -314,20 +239,6 @@ def _clip_planes(normals: np.ndarray, offsets: np.ndarray):
     full = np.bincount(plane, keep, P) >= 3
     cross = rel[prev, 0] * rel[:, 1] - rel[prev, 1] * rel[:, 0]  # shoelace
     return pts, keep & full[plane], np.where(full, abs(np.bincount(plane, cross, P)) / 2, 0.0)
-
-
-def clip_halfplanes(constraints: np.ndarray, box: float = 16.0) -> np.ndarray | None:
-    """Intersect half-planes a*s + b*t + c >= 0 given as rows (a, b, c).
-
-    Four more rows cut at |s|, |t| <= box, so an unbounded intersection is
-    bounded there; returns vertices counterclockwise, or None when empty.
-    """
-    import numpy as np
-
-    square = [[1, 0, box], [-1, 0, box], [0, 1, box], [0, -1, box]]
-    rows = np.vstack([square, np.asarray(constraints, dtype=float).reshape(-1, 3)])
-    pts, keep, _ = _clip_planes(rows[:, :2], rows[None, :, 2])
-    return pts[keep] if keep.any() else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -455,37 +366,6 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     ]))
 
 
-def illuminated(y: Sequence, simplices: Sequence, phi: Sequence) -> bool:
-    """True iff the line through y in direction phi meets the face F_1.
-
-    F_1 of a family is the convex hull of all member vertices except each
-    member's first.  Exact rational LP feasibility over the barycentric
-    weights and the line parameter; invariant under scaling or flipping phi.
-    """
-    face_points: list[tuple[Fraction, ...]] = []
-    for s in simplices:
-        ps = s if isinstance(s, ProjectiveSimplex) else ProjectiveSimplex.from_matrix(s)
-        face_points.extend(ps.vertices()[1:])
-    if not face_points:
-        raise DegeneracyError("no face points")
-    d = len(face_points[0])
-    y = _rational.vec(y)
-    phi = _rational.vec(phi)
-    if all(x == 0 for x in phi):
-        raise DegeneracyError("zero illumination direction")
-    # unknowns: b_1..b_m >= 0, t free;  sum b_m q_m - t phi = y;  sum b = 1
-    m = len(face_points)
-    eq_lhs = []
-    eq_rhs = []
-    for i in range(d):
-        eq_lhs.append([q[i] for q in face_points] + [-phi[i]])
-        eq_rhs.append(y[i])
-    eq_lhs.append([Fraction(1)] * m + [Fraction(0)])
-    eq_rhs.append(Fraction(1))
-    sol = _rational.lp_feasible(eq_lhs, eq_rhs, [True] * m + [False])
-    return sol is not None
-
-
 def _polytope_halfspaces(body) -> tuple[np.ndarray, np.ndarray]:
     """(A, b) with body = {x : A x <= b}; accepts vertices or the pair itself."""
     import numpy as np
@@ -497,13 +377,6 @@ def _polytope_halfspaces(body) -> tuple[np.ndarray, np.ndarray]:
     hull = ConvexHull(np.asarray(body, dtype=float))
     eq = hull.equations  # rows: a . x + c <= 0
     return eq[:, :-1], -eq[:, -1]
-
-
-def polytope_section_area(
-    A: np.ndarray, b: np.ndarray, point: np.ndarray, chart: np.ndarray
-) -> float:
-    """Area of {x : A x <= b} cut by the plane point + span(chart rows)."""
-    return float(_clip_planes(-(A @ chart.T), (b - A @ point)[None])[2][0])
 
 
 def plane_section_concavity_test(

@@ -123,35 +123,6 @@ def verify_invariance(
     return True
 
 
-class SingularData(Record):
-    __slots__ = (
-        "values",  # descending
-        "input_dirs",  # rows are right-singular vectors
-        "output_dirs",  # rows are left-singular vectors
-    )
-
-
-def singular_data(M) -> SingularData:
-    """Full SVD with a deterministic sign convention.
-
-    Each input direction is flipped so its first non-zero coordinate is
-    positive; the output direction flips with it to keep M v = s u.
-    """
-    import numpy as np
-
-    a = np.array(M.rows if isinstance(M, VisitationMatrix) else M, dtype=float)
-    if abs(np.linalg.det(a)) < 1e-300:
-        raise DegeneracyError("singular matrix has no full decomposition")
-    u, s, vh = np.linalg.svd(a)
-    for k in range(len(s)):
-        row = vh[k]
-        lead = row[np.nonzero(np.abs(row) > 1e-12)[0][0]]
-        if lead < 0:
-            vh[k] = -row
-            u[:, k] = -u[:, k]
-    return SingularData(tuple(float(x) for x in s), vh, u.T)
-
-
 def darboux_basis(form: SymplecticForm) -> list[tuple[Fraction, ...]]:
     """Exact basis (u_1, v_1, u_2, v_2, ...) of Im with form(u_i, v_i) = 1.
 
@@ -270,54 +241,3 @@ def reciprocal_pairing(
             kernel_scale = abs(ratios.pop())
     restricted_det = abs(float(np.linalg.det(S_float)))
     return PairingReport(values, tuple(pairs), defect, kernel_scale, restricted_det)
-
-
-class AngleReport(Record):
-    __slots__ = (
-        "column_angles",  # d x d symmetric, radians
-        "top_input_vs_last_column",
-        "second_input_vs_first_column",
-    )
-
-
-def vector_angle(u, v) -> float:
-    import numpy as np
-
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def angle_report(M) -> AngleReport:
-    """Pairwise column angles plus singular-direction alignment probes.
-
-    The top input direction of M^T aligns with the dominant column; the probe
-    reports its angle to C_d and the angle of the second direction (projected
-    off the first) to C_1.
-    """
-    import numpy as np
-
-    rows = M.rows if isinstance(M, VisitationMatrix) else M
-    a = np.array(rows, dtype=float)
-    d = a.shape[0]
-    angles = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                angles[i][j] = vector_angle(a[:, i], a[:, j])
-            else:
-                angles[i][j] = 0.0
-    sd = singular_data(a.T)
-    w = sd.input_dirs[0]
-    w2 = sd.input_dirs[1]
-    proj = w2 - np.dot(w2, w) * w
-    c1 = a[:, 0]
-    cd = a[:, d - 1]
-    return AngleReport(
-        column_angles=angles,
-        top_input_vs_last_column=vector_angle(w, cd),
-        second_input_vs_first_column=vector_angle(proj, c1)
-        if np.linalg.norm(proj) > 1e-14
-        else float("nan"),
-    )

@@ -19,14 +19,12 @@ from ietkit.analysis import (
     cantor_product_family,
     frostman_measure,
     half_simplex,
-    illumination_proportion,
     keane_check,
     limit_tower_points,
     make_nested_family,
     mc_balance,
     mc_jacobian_pushforward,
     prob_decay_sim,
-    sample_simplex,
     sample_simplex_exact,
     stage_one_planes,
 )
@@ -59,12 +57,6 @@ def test_stage_one_planes_matches_fixture(reference_run, reference_planes):
 
 
 # -- sampling ---------------------------------------------------------------
-
-
-def test_simplex_samples_normalized():
-    pts = sample_simplex(4, np.random.default_rng(0), 100)
-    assert np.allclose(pts.sum(axis=1), 1.0)
-    assert (pts >= 0).all()
 
 
 def test_exact_simplex_sample_sums_to_one():
@@ -146,7 +138,7 @@ def test_line_fit_matches_polyfit(data):
 
     start, ys = data
     xs = list(range(start, start + len(ys)))
-    slope, se = _line_fit(xs, ys)
+    slope, intercept, se = _line_fit(xs, ys)
     fit = np.polyfit(xs, ys, 1)
     resid = np.array(ys) - np.polyval(fit, xs)
     se_np = (
@@ -157,6 +149,7 @@ def test_line_fit_matches_polyfit(data):
     )
     scale = max(1.0, max(abs(y) for y in ys))  # cancellation is relative to |y|
     assert math.isclose(slope, float(fit[0]), rel_tol=1e-12, abs_tol=1e-12 * scale)
+    assert math.isclose(intercept, float(fit[1]), rel_tol=1e-12, abs_tol=1e-12 * scale)
     assert math.isclose(se, se_np, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
@@ -430,19 +423,3 @@ def test_box_dimension_counts_cells_past_the_int64_range():
     # at r = 1e-30 every midpoint has its own cell, though pts / r > 2^63
     fit = box_dimension(cantor_midpoints(3).reshape(-1, 1), [1e-30, 2.0])
     assert fit.counts == (8, 1)
-
-
-# -- illumination -----------------------------------------------------------
-
-
-def test_illumination_stage_one(reference_run):
-    rep = illumination_proportion(reference_run, stage=1, c=0.5, samples=200, seed=0)
-    assert 0.0 <= rep.estimate <= 1.0
-    assert rep.samples == 200
-    assert "survival_fraction" in rep.extras
-    assert rep.extras["t_k"] < 1
-
-
-def test_illumination_slice_domain(reference_run):
-    with pytest.raises(UsageError):
-        illumination_proportion(reference_run, stage=1, c=0.95, samples=10, seed=0)

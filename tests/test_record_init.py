@@ -45,7 +45,7 @@ RECORDS = sorted(
 def test_the_cold_records_bind_through_record():
     names = {c.__name__ for c in RECORDS}
     assert {"BalanceReport", "Window", "Schedule", "PhasePath", "StarReport",
-            "InductionTrace", "PlaneFamily", "SymplecticForm", "AngleReport"} <= names
+            "InductionTrace", "PlaneFamily", "SymplecticForm"} <= names
     assert not names & set(COPYING_INIT_ALLOWED)
 
 

@@ -132,7 +132,6 @@ def test_plane_family_equality():
     assert fam == PlaneFamily(d=4, u=u, v=v)
     assert hash(fam) == hash(PlaneFamily(4, u, v))
     assert fam != PlaneFamily(4, v, u)
-    assert fam.phi == u
 
 
 def test_window_text():

@@ -1,4 +1,4 @@
-"""Projective simplices, volume formulas, sections, and illumination."""
+"""Volume and Jacobian formulas, plane sections, and the half-plane clipper."""
 from __future__ import annotations
 
 import math
@@ -10,24 +10,28 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ietkit import _rational, simplex_geometry
-from ietkit.errors import DegeneracyError, UsageError
+from ietkit.errors import DegeneracyError
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import hyperelliptic_permutation
 from ietkit.simplex_geometry import (
     PlaneFamily,
     Polygon2D,
-    ProjectiveSimplex,
-    SliceDeltaC,
-    clip_halfplanes,
-    face_jacobian,
-    illuminated,
     jacobian,
     plane_section_concavity_test,
-    polytope_section_area,
     section,
     simplex_volume_ratio,
 )
 from ietkit.simplex_geometry import _clip_planes, _polytope_halfspaces
+
+BOX = [[1, 0, 16], [-1, 0, 16], [0, 1, 16], [0, -1, 16]]  # |s|, |t| <= 16
+
+
+def clip(rows):
+    """The vertices ``_clip_planes`` keeps for the one plane cut by the
+    half-planes a*s + b*t + c >= 0 given as rows (a, b, c); None if empty."""
+    rows = np.asarray(rows, dtype=float)
+    pts, keep, _ = _clip_planes(rows[:, :2], rows[None, :, 2])
+    return pts[keep] if keep.any() else None
 
 
 def random_matrix(d: int, length: int, seed: int) -> VisitationMatrix:
@@ -80,38 +84,8 @@ def test_jacobian_float_matches_exact():
     assert jacobian(M, z) == pytest.approx(float(jacobian(M, z, exact=True)))
 
 
-def test_face_jacobian_rejects_off_face_support():
-    M = random_matrix(4, 5, 5)
-    with pytest.raises(UsageError):
-        face_jacobian(M, (Fraction(1, 2), Fraction(1, 2), 0, 0), (1, 3))
-
-
-def test_projective_simplex_membership():
-    M = random_matrix(4, 10, 6)
-    ps = ProjectiveSimplex.from_matrix(M)
-    for v in ps.vertices():
-        assert sum(v) == 1
-        assert ps.contains(v)
-    bary = tuple(
-        sum(col) / 4 for col in zip(*ps.vertices())
-    )
-    assert ps.contains(bary)
-    assert not ps.contains((1, 0, 0, 0)) or M.column(1)[1:] == (0, 0, 0)
-
-
-def test_slice_contains_barycenter():
-    sl = SliceDeltaC(4, Fraction(1, 3))
-    assert sl.contains(sl.barycenter())
-    assert not sl.contains(
-        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
-    )
-
-
 def test_clip_halfplanes_square():
-    cons = np.array(
-        [[1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 1]], dtype=float
-    )
-    verts = clip_halfplanes(cons)
+    verts = clip(BOX + [[1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 1]])
     assert verts is not None
     x, y = verts[:, 0], verts[:, 1]
     area = abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2
@@ -119,8 +93,7 @@ def test_clip_halfplanes_square():
 
 
 def test_clip_halfplanes_empty():
-    cons = np.array([[1, 0, -2], [-1, 0, -2]], dtype=float)
-    assert clip_halfplanes(cons) is None
+    assert clip(BOX + [[1, 0, -2], [-1, 0, -2]]) is None
 
 
 def test_section_through_barycenter_is_a_square():
@@ -131,6 +104,13 @@ def test_section_through_barycenter_is_a_square():
     assert len(poly.vertices) == 4
     assert poly.area == pytest.approx(0.5)
     assert poly.diameter == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-158, 1e-170])
+def test_diameter_scales_below_the_squares_underflow(scale):
+    # a 3-4-5 triangle: squared differences of 1e-170 would read 0
+    poly = Polygon2D(scale * np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
+    assert math.isclose(poly.diameter, 5.0 * scale, rel_tol=1e-15)
 
 
 def test_section_off_the_simplex_plane_is_empty():
@@ -296,32 +276,14 @@ def test_section_of_a_singular_matrix_is_none():
     assert section(rows, base, family) is None
 
 
-def test_illuminated_interior_direction():
-    simplex = ProjectiveSimplex.from_matrix(VisitationMatrix.identity(3))
-    y = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    # direction with a first-coordinate component reaches the far face
-    assert illuminated(y, [simplex], (2, -1, -1))
-    # direction parallel to the face x_1 = const never does
-    assert not illuminated(y, [simplex], (0, 1, -1))
-
-
-def test_illuminated_scaling_invariance():
-    simplex = ProjectiveSimplex.from_matrix(VisitationMatrix.identity(3))
-    y = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    for scale in (1, -3, Fraction(1, 7)):
-        phi = tuple(scale * x for x in (2, -1, -1))
-        assert illuminated(y, [simplex], phi)
-
-
 def test_polytope_section_area_cube():
     cube = [
         (x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)
     ]
     chart = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    from ietkit.simplex_geometry import _polytope_halfspaces
-
     A, b = _polytope_halfspaces(np.array(cube))
-    area = polytope_section_area(A, b, np.array([0.5, 0.5, 0.5]), chart)
+    point = np.array([0.5, 0.5, 0.5])
+    area = _clip_planes(-(A @ chart.T), (b - A @ point)[None])[2][0]
     assert area == pytest.approx(1.0, abs=1e-9)
 
 
@@ -351,10 +313,10 @@ def test_clip_halfplanes_merges_repeated_vertices():
     square = [[1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 1]]
     # s + t >= 0 meets the square's corner (0, 0) only: three boundaries
     # through one vertex, which is listed once
-    verts = clip_halfplanes(np.array(square + [[1, 1, 0]], dtype=float))
+    verts = clip(BOX + square + [[1, 1, 0]])
     assert len(verts) == 4
     # s + t <= 0 leaves only that corner, a point, which is empty
-    assert clip_halfplanes(np.array(square + [[-1, -1, 0]], dtype=float)) is None
+    assert clip(BOX + square + [[-1, -1, 0]]) is None
 
 
 def sutherland_hodgman(constraints, box: float = 16.0, num=float):
@@ -426,7 +388,6 @@ def test_batched_sections_match_the_scalar_clipper(n, npoints, seed):
     _, _, got = _clip_planes(-(A @ chart.T), b - points @ A.T)
     assert ((got > 0) == (ref > 0)).all()
     assert np.abs(got - ref).max() <= 1e-10 * ref.max()
-    assert got[0] == pytest.approx(polytope_section_area(A, b, points[0], chart))
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,7 +396,7 @@ def test_clip_halfplanes_unbounded_matches_the_scalar_clipper(a, b, c):
     # exact: in floats the reference loses a vertex when the line passes
     # within rounding of a box corner (s + t >= 1e-20 gives None)
     ref = sutherland_hodgman([(a, b, c)], num=Fraction)
-    got = clip_halfplanes(np.array([[a, b, c]]))
+    got = clip(BOX + [[a, b, c]])
     assert (got is None) == (ref is None)
     if ref is not None:  # the same vertices, up to merging, cut by the same box
         gaps = np.abs(got[:, None] - ref[None]).max(-1)

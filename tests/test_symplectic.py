@@ -4,7 +4,6 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,11 +17,9 @@ from ietkit.perm import (
     rauzy_class,
 )
 from ietkit.symplectic import (
-    angle_report,
     darboux_basis,
     omega,
     reciprocal_pairing,
-    singular_data,
     verify_invariance,
 )
 
@@ -111,26 +108,6 @@ def test_pairing_on_longer_d5_path():
     M, pi, pi_end = random_path(5, 30, 11)
     rep = reciprocal_pairing(M, pi, pi_end)
     assert rep.defect < 1e-8
-
-
-def test_singular_data_descending_and_consistent():
-    M, _, _ = random_path(4, 20, 2)
-    sd = singular_data(M)
-    assert list(sd.values) == sorted(sd.values, reverse=True)
-    a = np.array(M.rows, dtype=float)
-    for k in range(4):
-        lhs = a @ sd.input_dirs[k]
-        rhs = sd.values[k] * sd.output_dirs[k]
-        assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-6)
-
-
-def test_angle_report_on_positive_matrix():
-    M, _, _ = random_path(4, 40, 5)
-    rep = angle_report(M)
-    # dominant input direction hugs the dominant column
-    assert rep.top_input_vs_last_column < np.pi / 2
-    assert rep.column_angles.shape == (4, 4)
-    assert np.allclose(rep.column_angles, rep.column_angles.T)
 
 
 def test_invariance_check_builds_no_bases(monkeypatch):

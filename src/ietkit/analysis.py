@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
@@ -26,6 +25,7 @@ from .simplex_geometry import (
     normalized_det,
     plane_family,
     section,
+    section_table,
 )
 from .symplectic import omega
 from . import _rational
@@ -115,19 +115,15 @@ class BalanceReport(Record):
     )
 
 
-# the rule holds no state, so one per (zeta, limit) serves every scan
-_balance_rule = lru_cache(maxsize=16)(_Balanced)
-
-
-def _balance_scan(
-    pi: LabeledPermutation, lengths: Sequence[int], zeta: Fraction, limit: int
-) -> int:
+def _balance_scan(pi: LabeledPermutation, lengths: Sequence[int], rule: _Balanced) -> int:
     """Norm at the first time the matrix is positive and zeta-balanced,
-    or 0 when the scan dies (equality) or exceeds the norm limit."""
+    or 0 when the scan dies (equality) or exceeds the norm limit; zeta and
+    the limit are the rule's, which holds no state, so one serves every
+    scan."""
     walk = _Walk(pi)
-    _, generic = _step_lengths(walk, list(lengths), _balance_rule(zeta, limit), math.inf)
+    _, generic = _step_lengths(walk, list(lengths), rule, math.inf)
     hi = max(walk.norms)
-    return hi if generic and hi <= limit else 0
+    return hi if generic and hi <= rule.limit else 0
 
 
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
@@ -167,13 +163,13 @@ def mc_balance(
     rng = Random(seed)
     zeta_f = Fraction(zeta).limit_denominator(10**6)
     thresholds = [K**j for j in range(1, m + 1)]
-    limit = int(math.ceil(thresholds[-1]))
+    rule = _Balanced(zeta_f, int(math.ceil(thresholds[-1])))
     d = pi.d
 
     def tally(n: int) -> list[int]:
         failures = [0] * m
         for _ in range(n):
-            reached = _balance_scan(pi, _sample_gaps(d, rng), zeta_f, limit)
+            reached = _balance_scan(pi, _sample_gaps(d, rng), rule)
             for j, t in enumerate(thresholds):
                 if reached == 0 or reached > t:
                     failures[j] += 1
@@ -573,7 +569,9 @@ def build_nested_family(
 
     Base points are sampled inside the deepest stage's simplex; each stage's
     cumulative simplex is sliced by the same plane, giving a single nested
-    polygon per level for as long as the section stays non-empty.
+    polygon per level for as long as the section stays non-empty.  A
+    level's section table is built the first time a plane reaches it, and
+    serves every later plane.
     """
     import numpy as np
 
@@ -585,6 +583,7 @@ def build_nested_family(
     # exact rationals, because float rounding already exceeds that simplex's
     # width in its thin directions
     m_last = run.stages[-1].cumulative.rows
+    tables: list = []  # per level, reached so far
     out = []
     attempts = 0
     while len(out) < planes and attempts < 50 * planes:
@@ -598,15 +597,15 @@ def build_nested_family(
         base = [Fraction(x, tot) for x in raw]
         levels: list[list[Polygon2D]] = []
         parents: list[list[int | None]] = []
-        ok = True
         for lv, st in enumerate(run.stages):
-            sec = section(st.cumulative, base, family)
+            if lv == len(tables):
+                tables.append(section_table(st.cumulative, family))
+            sec = section(tables[lv], base)
             if sec is None or sec.area <= 0:
-                ok = lv >= 2  # keep chains that survived at least two levels
                 break
             levels.append([sec])
             parents.append([None if lv == 0 else 0])
-        if not levels or len(levels) < 2 or not ok:
+        if len(levels) < 2:  # keep chains that survived at least two levels
             continue
         try:
             out.append(make_nested_family(levels, parents))

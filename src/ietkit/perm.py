@@ -236,9 +236,7 @@ class _RauzyDiagram:
     Per id: the permutation, its 0-based last symbols and, per side, the move
     (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
     first taken, and the run cycle on that side, made from the moves when
-    first asked for; irreducibility is checked once per vertex and side.
-    ``skews`` holds, per id, the integer matrix of the vertex's skew form,
-    which ``symplectic`` builds on first use (None until then)."""
+    first asked for; irreducibility is checked once per vertex and side."""
 
     def __init__(self):
         self.ids: dict[LabeledPermutation, int] = {}
@@ -246,7 +244,6 @@ class _RauzyDiagram:
         self.last: list[tuple[int, int]] = []
         self.moves: list[dict[str, tuple[int, int, int, RauzyEdge]]] = []
         self.cycles: list[dict[str, _RunCycle]] = []
-        self.skews: list[tuple[tuple[int, ...], ...] | None] = []
 
     def vertex(self, pi: LabeledPermutation) -> int:
         v = self.ids.get(pi)
@@ -256,7 +253,6 @@ class _RauzyDiagram:
             self.last.append((pi.top[-1] - 1, pi.bottom[-1] - 1))
             self.moves.append({})
             self.cycles.append({})
-            self.skews.append(None)
         return v
 
     def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:

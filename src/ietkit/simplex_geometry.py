@@ -4,16 +4,16 @@ A non-negative matrix M acts on the standard simplex by x -> Mx/|Mx|; the
 image is the sub-simplex spanned by the normalized columns.  Identities
 (volume ratios, Jacobian values, orthogonality of the plane directions) are
 exact rationals.  ``section`` is exact up to its vertices and works in
-integers: a fraction-free inverse per matrix, a table per matrix and plane
-family of what does not depend on the base point, and an integer vertex
-test; each float of the returned polygon is one correctly rounded division
-of its exact value.  The float sections of the concavity test come from one
-numpy half-plane intersector that clips all sampled planes of a body at
-once, a block of planes at a time.
+integers: ``section_table`` builds, per matrix and plane family, a
+fraction-free inverse and what else does not depend on the base point, the
+caller keeps it while it slices that matrix, and a call runs an integer
+vertex test; each float of the returned polygon is one correctly rounded
+division of its exact value.  The float sections of the concavity test come
+from one numpy half-plane intersector that clips all sampled planes of a
+body at once, a block of planes at a time.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -241,33 +241,26 @@ def _clip_planes(normals: np.ndarray, offsets: np.ndarray):
     return pts, keep & full[plane], np.where(full, abs(np.bincount(plane, cross, P)) / 2, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _scaled_inverse(rows: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], ...], list] | None:
-    """(D * M^-1 as an integer matrix, for some integer D > 0, and the memo
-    of M's plane tables as (family, table) pairs); None when M is singular.
+def section_table(M, family: PlaneFamily):
+    """What ``section`` needs of M and the family but not of the base point:
+    (D * M^-1, q, flat, pairs), or None when M is singular.
 
-    A visitation matrix is a product of elementary Rauzy-Veech matrices, so
-    its determinant is 1 and D is 1.  Cached per process, keyed on the rows:
-    a nested family slices the same few stage matrices for every plane, all
-    with one family.  The memo is searched by equality, which compares the
-    family's fields by identity first, where a hash would hash every
-    Fraction; clearing the cache drops it with the inverse.
+    D * M^-1 is the integer matrix of ``_rational.scaled_inverse``, for some
+    integer D > 0; a visitation matrix is a product of elementary Rauzy-Veech
+    matrices, so its determinant is 1 and D is 1.  Row i of D * M^-1 takes
+    the chart rows (floats, read exactly) to integers (a_i, b_i) over their
+    common denominator q; ``flat`` lists the rows with a_i = b_i = 0, and
+    ``pairs`` each pair of the other rows with a non-zero determinant
+    a_i b_j - a_j b_i, as (i, a_i, b_i, j, a_j, b_j, det, rest): the two
+    rows in the order that makes det > 0, and ``rest`` the other rows as
+    (k, a_k, b_k).  The caller keeps the table for as long as it slices M
+    with planes of this family.
     """
+    rows = M.rows if isinstance(M, VisitationMatrix) else M
     try:
-        return _rational.scaled_inverse(rows)[1], []
+        inv = _rational.scaled_inverse(rows)[1]
     except ZeroDivisionError:
         return None
-
-
-def _plane_table(inv: Sequence[Sequence[int]], family: PlaneFamily):
-    """What ``section`` needs of M and the family but not of the base point:
-    (q, flat, pairs).  Row i of D * M^-1 takes the chart rows (floats, read
-    exactly) to integers (a_i, b_i) over their common denominator q;
-    ``flat`` lists the rows with a_i = b_i = 0, and ``pairs`` each pair of
-    the other rows with a non-zero determinant a_i b_j - a_j b_i, as
-    (i, a_i, b_i, j, a_j, b_j, det, rest): the two rows in the order that
-    makes det > 0, and ``rest`` the other rows as (k, a_k, b_k).
-    """
     chart = family.chart()
     nums, q = _rational._numerators([*chart[0], *chart[1]])
     d = len(inv)
@@ -287,19 +280,19 @@ def _plane_table(inv: Sequence[Sequence[int]], family: PlaneFamily):
                 pairs.append((i, a1, b1, j, a2, b2, det, rest))
             elif det < 0:
                 pairs.append((j, a2, b2, i, a1, b1, -det, rest))
-    return q, flat, pairs
+    return inv, q, flat, pairs
 
 
-def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
+def section(table, base_point: Sequence) -> Polygon2D | None:
     """M Delta sliced by the plane through base_point; None when empty.
 
-    The preimage condition M^-1 x >= 0 turns into d half-planes
-    a*s + b*t + c >= 0 in the plane's own chart, so no d-dimensional vertex
-    enumeration happens, and everything up to the returned floats is
-    integer.  What depends only on M and the family is computed once, and
-    kept with M's cached inverse D * M^-1: each row's chart coefficients
-    (a, b) over the chart's common denominator q and the non-zero pair
-    determinants (``_plane_table``).  A call only forms c = D * M^-1 R, with
+    ``table`` is ``section_table(M, family)``, and None for a singular M,
+    which no construction produces.  The preimage condition M^-1 x >= 0
+    turns into d half-planes a*s + b*t + c >= 0 in the plane's own chart,
+    so no d-dimensional vertex enumeration happens, and everything up to
+    the returned floats is integer.  The table holds D * M^-1, each row's
+    chart coefficients (a, b) over the chart's common denominator q, and
+    the non-zero pair determinants.  A call only forms c = D * M^-1 R, with
     R the base point's numerators over their common denominator S, so the
     half-planes are a*s + b*t + (q/S)*c >= 0 up to the positive factor D.
     The vertex of two boundaries is (q/S) * (s_n, t_n) / det with integer
@@ -307,27 +300,17 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     for every half-plane.  Repeats are found by cross-multiplication, the
     centroid is taken over the product of the surviving dets, and each float
     (a coordinate, or the angle sort key's offset from the centroid) is one
-    correctly rounded integer division of its exact value.  A singular M,
-    which no construction produces, gives None.
+    correctly rounded integer division of its exact value.
     """
     import numpy as np
 
-    rows = M.rows if isinstance(M, VisitationMatrix) else M
     p0 = np.array([float(x) for x in base_point])
-    if abs(p0.sum() - 1.0) > 1e-9:
-        return None  # plane misses the affine hull of the simplex entirely
+    if abs(p0.sum() - 1.0) > 1e-9 or table is None:
+        return None  # the plane misses the affine hull, or M is singular
     # M^-1 has entries of size ~ norm(M)^(d-1), so forming it in floats and
     # multiplying cancels catastrophically once the section is much smaller
     # than the simplex; apply it exactly instead
-    cached = _scaled_inverse(tuple(map(tuple, rows)))
-    if cached is None:
-        return None
-    inv, tables = cached
-    table = next((t for f, t in tables if f == family), None)
-    if table is None:
-        table = _plane_table(inv, family)
-        tables.append((family, table))
-    q, flat, pairs = table
+    inv, q, flat, pairs = table
     base_n, S = _rational._numerators(base_point)
     c = [sum(map(operator.mul, row, base_n)) for row in inv]
     if any(c[i] < 0 for i in flat):
@@ -366,15 +349,11 @@ def section(M, base_point: Sequence, family: PlaneFamily) -> Polygon2D | None:
     ]))
 
 
-def _polytope_halfspaces(body) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) with body = {x : A x <= b}; accepts vertices or the pair itself."""
-    import numpy as np
-
-    if isinstance(body, tuple) and len(body) == 2:
-        return np.asarray(body[0], dtype=float), np.asarray(body[1], dtype=float)
+def _polytope_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) with the hull of ``vertices`` = {x : A x <= b}."""
     from scipy.spatial import ConvexHull
 
-    hull = ConvexHull(np.asarray(body, dtype=float))
+    hull = ConvexHull(vertices)
     eq = hull.equations  # rows: a . x + c <= 0
     return eq[:, :-1], -eq[:, -1]
 
@@ -389,9 +368,10 @@ def plane_section_concavity_test(
 ) -> tuple[float, float, bool]:
     """Fraction of parallel-plane sections with area below eps * max area.
 
-    ``directions`` is a 2 x n array spanning the plane; translates are
-    sampled uniformly over the bounding box of the body's projection onto
-    the orthocomplement.  Returns (fraction, bound, fraction <= bound) with
+    ``body`` is a ball, {"ball": R, "dim": n}, or the (k, n) vertices of a
+    polytope.  ``directions`` is a 2 x n array spanning the plane;
+    translates are sampled uniformly over the bounding box of the body's
+    projection onto the orthocomplement.  Returns (fraction, bound, fraction <= bound) with
     bound = constant * sqrt(eps).
     """
     import numpy as np
@@ -407,30 +387,17 @@ def plane_section_concavity_test(
         r2 = (offsets**2).sum(axis=1)
         areas = np.pi * np.clip(radius**2 - r2, 0.0, None)
     else:
-        A, b = _polytope_halfspaces(body)
+        vertices = np.asarray(body, dtype=float)
+        A, b = _polytope_halfspaces(vertices)
         n = A.shape[1]
         chart_q, _ = np.linalg.qr(np.asarray(directions, dtype=float).T)
         chart = chart_q.T[:2]
         # orthocomplement basis
         full, _ = np.linalg.qr(np.hstack([chart.T, np.eye(n)]))
         comp = full[:, 2:n].T
-        # bounding box of the body via support in +-each comp direction (LP-free:
-        # use vertices when given, else solve support by scipy linprog)
-        try:
-            vertices = np.asarray(body, dtype=float)
-            if vertices.ndim != 2 or vertices.shape[1] != n:
-                raise ValueError
-            proj = vertices @ comp.T
-            lo, hi = proj.min(axis=0), proj.max(axis=0)
-        except (ValueError, TypeError):
-            from scipy.optimize import linprog
-
-            lo = np.empty(n - 2)
-            hi = np.empty(n - 2)
-            for i, c in enumerate(comp):
-                r1 = linprog(c, A_ub=A, b_ub=b, bounds=(None, None))
-                r2 = linprog(-c, A_ub=A, b_ub=b, bounds=(None, None))
-                lo[i], hi[i] = r1.fun, -r2.fun
+        # bounding box of the body's projection, from its vertices
+        proj = vertices @ comp.T
+        lo, hi = proj.min(axis=0), proj.max(axis=0)
         points = rng.uniform(lo, hi, size=(samples, n - 2)) @ comp
         step = max(1, 2 * _BLOCK // len(A) ** 3)  # pairs * rows < m^3 / 2
         areas = np.concatenate([np.zeros(0)] + [

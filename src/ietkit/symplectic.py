@@ -16,7 +16,7 @@ from . import _rational
 from ._record import Record
 from .errors import DegeneracyError, IetkitError, UsageError
 from .induction import VisitationMatrix
-from .perm import _DIAGRAM, LabeledPermutation, ReducibilityError
+from .perm import LabeledPermutation, ReducibilityError
 
 
 class SymplecticForm(Record):
@@ -64,20 +64,20 @@ class SymplecticForm(Record):
         return y
 
 
+_SKEWS: dict[LabeledPermutation, tuple[tuple[int, ...], ...]] = {}
+
+
 def _skew_matrix(pi: LabeledPermutation) -> tuple[tuple[int, ...], ...]:
     """The integer matrix of the form, by the convention above; built once
-    per vertex of the compiled Rauzy diagram, and refused on every call for
-    a reducible pair."""
-    v = _DIAGRAM.ids.get(pi)
-    m = None if v is None else _DIAGRAM.skews[v]
+    per irreducible pair, and refused on every call for a reducible one."""
+    m = _SKEWS.get(pi)
     if m is None:
-        if not pi.is_irreducible():  # kept out of the diagram
+        if not pi.is_irreducible():
             raise ReducibilityError(f"reducible permutation {pi}")
-        v = _DIAGRAM.vertex(pi)
         top = {s: k for k, s in enumerate(pi.top)}
         bottom = {s: k for k, s in enumerate(pi.bottom)}
         symbols = range(1, pi.d + 1)
-        m = _DIAGRAM.skews[v] = tuple(
+        m = _SKEWS[pi] = tuple(
             tuple((top[a] < top[b]) - (bottom[a] < bottom[b]) for b in symbols)
             for a in symbols
         )

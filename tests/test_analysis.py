@@ -90,9 +90,9 @@ def test_balance_scan_gets_the_sample_over_grid(monkeypatch):
         samples.append(tuple(Fraction(g, analysis.GRID) for g in gaps))
         return gaps
 
-    def recorded_scan(pi, lens, zeta, limit):
+    def recorded_scan(pi, lens, rule):
         lengths.append(list(lens))
-        return scan(pi, lens, zeta, limit)
+        return scan(pi, lens, rule)
 
     monkeypatch.setattr(analysis, "_sample_gaps", recorded_draw)
     monkeypatch.setattr(analysis, "_balance_scan", recorded_scan)

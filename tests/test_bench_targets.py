@@ -5,7 +5,8 @@ rename in the package would silently drop a per-layer metric.  It also sums
 the self time and steps of ``induct`` and ``induct_until``; if one called the
 other, the steps would be counted twice.  Its section count means sections
 per nesting level tried, so ``build_nested_family`` must call ``section``
-once per level, and the stage matrices' inverses must come from the cache.
+once per level, and build each level's section table, with its inverse,
+once per call.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ietkit import _rational, analysis, induction, simplex_geometry
+from ietkit import _rational, analysis, induction
 from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.perm import hyperelliptic_permutation
 
@@ -58,21 +59,27 @@ def test_nested_family_sections_once_per_level(monkeypatch):
         4, make_schedule(1, ExponentScale.linear(), stages=3), seed=11
     )
     stages = [st.cumulative for st in run.stages]
-    calls, inverted = [], []
-    real_section, real_inverse = analysis.section, _rational.scaled_inverse
+    calls, built, inverted = [], {}, []
+    real_section, real_table = analysis.section, analysis.section_table
+    real_inverse = _rational.scaled_inverse
 
-    def counting_section(M, base_point, family):
-        polygon = real_section(M, base_point, family)
-        calls.append((M, tuple(base_point), polygon))
+    def counting_section(table, base_point):
+        polygon = real_section(table, base_point)
+        calls.append((built[id(table)], tuple(base_point), polygon))
         return polygon
+
+    def counting_table(M, family):
+        table = real_table(M, family)
+        built[id(table)] = M
+        return table
 
     def counting_inverse(m):
         inverted.append(m)
         return real_inverse(m)
 
     monkeypatch.setattr(analysis, "section", counting_section)
+    monkeypatch.setattr(analysis, "section_table", counting_table)
     monkeypatch.setattr(_rational, "scaled_inverse", counting_inverse)
-    simplex_geometry._scaled_inverse.cache_clear()
     families = analysis.build_nested_family(
         run, analysis.stage_one_planes(run), planes=4, seed=3
     )
@@ -93,6 +100,7 @@ def test_nested_family_sections_once_per_level(monkeypatch):
             and all(tried[lv][1] is nf.levels[lv][0] for lv in range(nf.depth))
             for tried in attempts.values()
         )
-    # one exact inverse per distinct stage matrix, however many planes
-    assert len(inverted) == len(set(inverted))
-    assert len(inverted) == len({M.rows for M, _, _ in calls}) <= len(stages)
+    # one table and one exact inverse per level reached, however many planes
+    reached = max(len(tried) for tried in attempts.values())
+    assert list(built.values()) == stages[:reached]
+    assert inverted == [M.rows for M in stages[:reached]]

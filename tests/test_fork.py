@@ -108,10 +108,10 @@ def test_a_scan_error_past_the_first_chunk_is_that_of_one_process(monkeypatch):
     draws = [tuple(analysis._sample_gaps(4, rng)) for _ in range(4 * _MIN_CHUNK)]
     failing, scan = set(draws[_MIN_CHUNK:]), analysis._balance_scan
 
-    def failing_past_first_chunk(pi, lengths, zeta, limit):
+    def failing_past_first_chunk(pi, lengths, rule):
         if tuple(lengths) in failing:
             raise ArithmeticError("scan failure")
-        return scan(pi, lengths, zeta, limit)
+        return scan(pi, lengths, rule)
 
     monkeypatch.setattr(analysis, "_balance_scan", failing_past_first_chunk)
     for cpus in (1, 4):

@@ -439,8 +439,9 @@ class RecordedBalanced(_Balanced):
 
 def balance_stop(pi, nums, zeta, limit) -> tuple[int, int]:
     """``_balance_scan`` and the number of steps after which it stops."""
-    runs, _ = _step_lengths(_Walk(pi), list(nums), _Balanced(zeta, limit), math.inf)
-    return _balance_scan(pi, nums, zeta, limit), sum(t for _, t in runs)
+    rule = _Balanced(zeta, limit)  # holds no state, so it serves both walks
+    runs, _ = _step_lengths(_Walk(pi), list(nums), rule, math.inf)
+    return _balance_scan(pi, nums, rule), sum(t for _, t in runs)
 
 
 def assert_induct_until_balanced_reaches(pi, nums, zeta, norm) -> None:
@@ -459,7 +460,7 @@ def test_balance_scan_matches_step_reference(d):
         zeta = (Fraction(20), Fraction(7, 2))[k % 2]
         nums = [x.numerator for x in sample_simplex_exact(d, rng)]
         expected = reference_balance_scan(pi, nums, zeta, 4**8)
-        assert _balance_scan(pi, nums, zeta, 4**8) == expected
+        assert _balance_scan(pi, nums, _Balanced(zeta, 4**8)) == expected
         assert_induct_until_balanced_reaches(pi, nums, zeta, expected)
     # long runs: one interval 10^2 to 10^3.5 times the others.  From the
     # identity, the first run is balanced (not positive) until its losers'
@@ -472,7 +473,7 @@ def test_balance_scan_matches_step_reference(d):
         nums[rng.randrange(d)] *= rng.randrange(10**2, 10**3 * 3)
         long_runs.append((zeta, nums))
         expected = reference_balance_scan(pi, nums, zeta, 4**7)
-        assert _balance_scan(pi, nums, zeta, 4**7) == expected
+        assert _balance_scan(pi, nums, _Balanced(zeta, 4**7)) == expected
         assert_induct_until_balanced_reaches(pi, nums, zeta, expected)
     # the limit shortcut's boundary: a limit equal to a run's bound, which
     # no loser can pass within the run, and one below it, where the first

@@ -19,6 +19,7 @@ from ietkit.simplex_geometry import (
     jacobian,
     plane_section_concavity_test,
     section,
+    section_table,
     simplex_volume_ratio,
 )
 from ietkit.simplex_geometry import _clip_planes, _polytope_halfspaces
@@ -99,7 +100,7 @@ def test_clip_halfplanes_empty():
 def test_section_through_barycenter_is_a_square():
     family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
     base = [Fraction(1, 4)] * 4
-    poly = section(VisitationMatrix.identity(4), base, family)
+    poly = section(section_table(VisitationMatrix.identity(4), family), base)
     assert isinstance(poly, Polygon2D)
     assert len(poly.vertices) == 4
     assert poly.area == pytest.approx(0.5)
@@ -116,7 +117,7 @@ def test_diameter_scales_below_the_squares_underflow(scale):
 def test_section_off_the_simplex_plane_is_empty():
     family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
     base = [Fraction(1, 2)] * 4
-    assert section(VisitationMatrix.identity(4), base, family) is None
+    assert section(section_table(VisitationMatrix.identity(4), family), base) is None
 
 
 def reference_section(M, base_point, family):
@@ -221,39 +222,35 @@ def test_section_matches_fraction_reference(inputs):
     M, base, family = inputs
     want = reference_section(M, base, family)
     for matrix in (M, [list(r) for r in getattr(M, "rows", M)]):
-        got = section(matrix, base, family)
+        got = section(section_table(matrix, family), base)
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got.vertices, want)
 
 
-def test_plane_tables_live_in_the_inverse_cache(monkeypatch):
+def test_a_section_table_serves_every_plane_of_its_family(monkeypatch):
+    # one table per family, built once; with the inverse and the chart then
+    # refused, each serves the planes through several base points
     M = random_matrix(5, 30, seed=2)
-    base = [Fraction(sum(row), sum(map(sum, M.rows))) for row in M.rows]  # M 1 / |M 1|
     families = [
         PlaneFamily(5, (1, -1, 0, 0, 0), (0, 0, 1, 0, -1)),
         PlaneFamily(5, (0, 1, 0, -1, 0), (1, 0, -1, 0, 0)),
     ]
-    inverses, tables = [], []
-    real_inverse, real_table = _rational.scaled_inverse, simplex_geometry._plane_table
-    monkeypatch.setattr(
-        _rational, "scaled_inverse", lambda m: inverses.append(m) or real_inverse(m)
-    )
-    monkeypatch.setattr(
-        simplex_geometry, "_plane_table",
-        lambda inv, family: tables.append(family) or real_table(inv, family),
-    )
-    simplex_geometry._scaled_inverse.cache_clear()
-    first = [section(M, base, family) for family in families]
-    again = [section(M, base, family) for family in reversed(families)]
-    # one inverse for the matrix, one table per family, both reused
-    assert len(inverses) == 1 and tables == families
-    for a, b in zip(first, reversed(again)):
-        assert np.array_equal(a.vertices, b.vertices)
-    # clearing the inverse cache drops the tables with it
-    simplex_geometry._scaled_inverse.cache_clear()
-    section(M, base, families[0])
-    assert len(inverses) == 2 and tables == [*families, families[0]]
+    bases = []
+    for w in [(1, 1, 1, 1, 1), (3, 1, 4, 1, 5), (9, 2, 6, 5, 3)]:
+        x = M.mat_vec(w)  # M w / |M w|, inside M Delta
+        bases.append([Fraction(xi, sum(x)) for xi in x])
+    tables = [section_table(M, family) for family in families]
+    want = [[reference_section(M, base, f) for base in bases] for f in families]
+
+    def refuse(*args):
+        raise AssertionError("a section built its table")
+
+    monkeypatch.setattr(_rational, "scaled_inverse", refuse)
+    monkeypatch.setattr(PlaneFamily, "chart", refuse)
+    for table, expected in zip(tables, want):
+        for base, vertices in zip(bases, expected):
+            assert np.array_equal(section(table, base).vertices, vertices)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +270,8 @@ def test_section_of_a_singular_matrix_is_none():
     rows = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
     base = [Fraction(1, 4)] * 4  # in the image of the cone: M (1, 1, 2, 2) / 8
-    assert section(rows, base, family) is None
+    assert section_table(rows, family) is None
+    assert section(section_table(rows, family), base) is None
 
 
 def test_polytope_section_area_cube():

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietkit import symplectic
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import (
     _DIAGRAM,
@@ -204,12 +205,11 @@ def test_invariance_reads_only_the_upper_triangle():
     triangle must not be read."""
     M, pi, pi_end = random_path(6, 20, 9)
     assert verify_invariance(M, pi, pi_end)
-    v = _DIAGRAM.vertex(pi_end)
-    form = _DIAGRAM.skews[v]
+    form = symplectic._SKEWS[pi_end]
     garbled = tuple(tuple(x if i < j else 7 for j, x in enumerate(row))
                     for i, row in enumerate(form))
-    _DIAGRAM.skews[v] = garbled
+    symplectic._SKEWS[pi_end] = garbled
     try:
         assert verify_invariance(M, pi, pi_end)
     finally:
-        _DIAGRAM.skews[v] = form
+        symplectic._SKEWS[pi_end] = form

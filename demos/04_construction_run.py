@@ -3,10 +3,10 @@
 The construction alternates freedom phases (many symbols may win, the
 matrix grows in every direction) with restriction phases (a fixed symbol
 pattern wins, steering all columns toward two competing towers).  Each
-stage is checked against per-stage norm conditions, and the stage
-checkpoints show column directions converging to two distinct cluster
-vertices -- the geometric signature of two independent invariant
-measures surviving in the limit.
+phase path is replayed against its phase's rule, each stage is checked
+against per-stage norm conditions, and the stage checkpoints show column
+directions converging to two distinct cluster vertices -- the geometric
+signature of two independent invariant measures surviving in the limit.
 """
 from ietkit.construction import (
     ExponentScale,
@@ -15,6 +15,7 @@ from ietkit.construction import (
     check_nue_angles,
     make_schedule,
     run_construction,
+    validate_phase,
 )
 
 
@@ -27,6 +28,14 @@ def main() -> None:
         print(f"  stage {st.k}: norm {st.cumulative.norm}, "
               f"U={st.stats['U']}, u={st.stats['u']}, "
               f"V={st.stats['V']}, v={st.stats['v']}")
+
+    print("\nphase paths replayed against their phase rules:")
+    for st in run.stages:
+        text = ", ".join(
+            f"{name} {'; '.join(validate_phase(path)) or 'ok'}"
+            for name, path in st.phases.items() if path is not None
+        )
+        print(f"  stage {st.k}: {text}")
 
     print("\nstage norm conditions:")
     for rep in check_conditions_star(run):

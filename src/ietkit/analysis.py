@@ -227,18 +227,12 @@ class SubSimplex:
         return np.array([[float(x) for x in v] for v in self.vertices], dtype=float).T
 
 
-def half_simplex(d: int, split: Fraction = Fraction(1, 2)) -> SubSimplex:
-    """The sub-simplex where the first vertex is pulled toward the barycenter
-    of vertices 1 and 2: a canonical positive-volume test region."""
-    verts = []
+def half_simplex(d: int) -> SubSimplex:
+    """The sub-simplex whose first vertex is the midpoint of vertices 1 and
+    2: a canonical positive-volume test region."""
     e = lambda i: tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-    mid = tuple(
-        split * a + (1 - split) * b for a, b in zip(e(0), e(1))
-    )
-    verts.append(mid)
-    for i in range(1, d):
-        verts.append(e(i))
-    return SubSimplex(tuple(verts))
+    mid = tuple((a + b) / 2 for a, b in zip(e(0), e(1)))
+    return SubSimplex((mid,) + tuple(e(i) for i in range(1, d)))
 
 
 def mc_jacobian_pushforward(
@@ -352,26 +346,16 @@ def prob_decay_sim(
 
 
 def birkhoff_separation(
-    T: Iet, points: Iterable[Fraction], observable="I1", n: int = 10**5
+    T: Iet, points: Iterable[Fraction], observable: Fraction, n: int = 10**5
 ) -> dict[Fraction, float]:
-    """Birkhoff averages of an indicator along exact orbits.
-
-    observable: "I1" (the first continuity interval) or a Fraction c for the
-    indicator of [0, c).  The orbit runs on integers over the common
-    denominator of all data.
+    """Birkhoff averages of the indicator of [0, observable) along exact
+    orbits.  The orbit runs on integers over the common denominator of all
+    data.
     """
     if n < 1:
         raise UsageError("need n >= 1")
     points = [Fraction(p) for p in points]
-    if observable == "I1":
-        # indicator of the interval labeled 1, wherever it sits on the top row
-        lo = sum(
-            (T.lengths[s - 1] for s in T.perm.top[: T.perm.top_position(1)]),
-            Fraction(0),
-        )
-        hi = lo + T.lengths[0]
-    else:
-        lo, hi = Fraction(0), Fraction(observable)
+    lo, hi = Fraction(0), Fraction(observable)
     out: dict[Fraction, float] = {}
     grid = IntegerIet(T, lo, hi, *points)
     lo_i, hi_i = grid.scale(lo), grid.scale(hi)
@@ -390,10 +374,7 @@ def birkhoff_separation(
 
 
 def limit_tower_points(
-    run: ConstructionRun,
-    T: Iet,
-    horizon: int,
-    fracs: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)),
+    run: ConstructionRun, T: Iet, horizon: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Starting points whose ``horizon``-step itineraries follow the two
     limit-vertex column families.
@@ -401,8 +382,10 @@ def limit_tower_points(
     For each cluster the points sit inside the induced intervals of a run
     checkpoint whose relevant columns (first block for the left cluster,
     last two for the right) have return time at least ``horizon``, so each
-    average reads a single column word of that family.
+    average reads a single column word of that family.  The five points of
+    a cluster sit at 1/2, 1/4 and 3/4 (in turn) of its symbols' intervals.
     """
+    fracs = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
     d = run.d
 
     def pick(cols: Sequence[int], names: Sequence[str]):

@@ -7,6 +7,12 @@ a configurable exponent map; the default linear map preserves the structure
 the condition checks measure (phase ordering by magnitude, the ratio gaps
 between the two sides) at desk scale.
 
+Each phase has one ``PhaseRule`` (``phase_rule``): the moves it admits,
+the vertices it may start at and the vertex it ends at.  The generators
+walk by it, and ``validate_phase`` replays a finished path against it.  The
+norm windows are not part of the rule: they come per stage from the
+schedule, and a generator widens past one with a warning.
+
 Phase paths store runs (winner, loser, side, count) rather than individual
 edges: the restriction phases repeat a single self-loop comparison up to
 millions of times, and a run applies to the matrix in closed form.
@@ -220,7 +226,36 @@ def _validate_schedule(s: Schedule) -> None:
 
 
 # ---------------------------------------------------------------------------
-# phase paths
+# phase rules and phase paths
+
+
+class PhaseRule(Record):
+    """What a phase path may do: take only moves ``admissible`` passes,
+    begin at one of ``starts`` and finish at ``end``."""
+
+    __slots__ = ("phase", "admissible", "starts", "end")
+
+
+def phase_rule(phase: str, d: int) -> PhaseRule:
+    """The rule of ``phase`` for d symbols; the one definition the
+    generators walk by and ``validate_phase`` checks against."""
+    pi_l, pi_r, _ = special_permutations(d)
+    pi_s = hyperelliptic_permutation(d)
+    freedom_lhs = lambda e: e.winner <= d - 2
+    rules = {
+        # freedom-LHS also makes 1 win first; from pi_s that win and the
+        # next lead back through pi_L, as the bridge's two do
+        FREEDOM_LHS: (freedom_lhs, (pi_l, pi_s), pi_s),
+        FREEDOM_LHS_BRIDGE: (freedom_lhs, (pi_s,), pi_l),
+        RESTRICTION_LHS: (lambda e: restricted_lhs_move(e, d), (pi_l,), pi_l),
+        TRANSITION: (lambda e: e.target != pi_l, (pi_l,), pi_s),
+        FREEDOM_RHS: (lambda e: e.winner >= d - 1, (pi_s,), pi_r),
+        RESTRICTION_RHS: (lambda e: e.winner >= d - 1 and e.loser >= d - 1, (pi_r,), pi_s),
+        AVOIDING: (freedom_lhs, (pi_s, pi_l), pi_s),
+    }
+    if phase not in rules:
+        raise UsageError(f"unknown phase {phase}")
+    return PhaseRule(phase, *rules[phase])
 
 
 class PhasePath(Record):
@@ -234,21 +269,21 @@ class PhasePath(Record):
     )
     _defaults = {"warnings": ()}
 
-    def winners(self) -> set[int]:
-        return {w for w, _, _, c in self.runs if c}
-
-    def losers(self) -> set[int]:
-        return {l for _, l, _, c in self.runs if c}
-
     def warn(self, message: str) -> "PhasePath":
         return PhasePath(self.phase, self.start, self.end, self.runs, self.matrix,
                          self.warnings + (message,))
 
 
 class PathBuilder:
-    """Accumulates runs and the phase matrix while walking the diagram."""
+    """Accumulates runs and the phase matrix while walking the diagram
+    from one of ``rule``'s starts."""
 
-    def __init__(self, start: LabeledPermutation):
+    def __init__(self, rule: PhaseRule, start: LabeledPermutation):
+        if start not in rule.starts:
+            raise UsageError(
+                f"{rule.phase} starts at {' or '.join(map(str, rule.starts))}, not {start}"
+            )
+        self.rule = rule
         self.start = start
         self.walk = _Walk(start)
         self.runs: list[list] = []  # mutable [winner, loser, side, count]
@@ -286,9 +321,12 @@ class PathBuilder:
             raise StageError("closed-form repetition needs a self-loop move")
         self.apply_side(side, count)
 
-    def finish(self, phase: str) -> PhasePath:
+    def finish(self) -> PhasePath:
+        """The path walked so far; a StageError unless it is at the rule's end."""
+        if self.pi != self.rule.end:
+            raise StageError(f"{self.rule.phase} ended at {self.pi}, not {self.rule.end}")
         return PhasePath(
-            phase,
+            self.rule.phase,
             self.start,
             self.pi,
             tuple(tuple(r) for r in self.runs),
@@ -296,24 +334,19 @@ class PathBuilder:
         )
 
 
-def _admissible_freedom_lhs(edge: RauzyEdge, d: int) -> bool:
-    return edge.winner <= d - 2
-
-
 def _bfs_path(
-    pi: LabeledPermutation,
-    admissible: Callable[[RauzyEdge, int], bool],
+    b: PathBuilder,
     tail: Callable[[int], list[str] | None],
     shuffle: Callable[[list[str]], None] | None = None,
 ) -> list[str] | None:
-    """Shortest admissible side sequence from pi to the first diagram vertex
-    v with a ``tail(v)``, followed by that tail; None if there is none.
-    ``shuffle`` orders the two sides at each vertex (goals are tested on
-    discovery)."""
-    root = _DIAGRAM.vertex(pi)
+    """Shortest side sequence of moves ``b``'s rule admits, from ``b``'s
+    vertex to the first diagram vertex v with a ``tail(v)``, followed by that
+    tail; None if there is none.  ``shuffle`` orders the two sides at each
+    vertex (goals are tested on discovery)."""
+    root = _DIAGRAM.vertex(b.pi)
     if (last := tail(root)) is not None:
         return last
-    d = pi.d
+    admissible = b.rule.admissible
     parents: dict[int, tuple[int, str]] = {}
     queue = deque([root])
     seen = {root}
@@ -324,7 +357,7 @@ def _bfs_path(
             shuffle(sides)
         for side in sides:
             t, _, _, e = _DIAGRAM.move(v, side)
-            if not admissible(e, d) or t in seen:
+            if not admissible(e) or t in seen:
                 continue
             parents[t] = (v, side)
             if (last := tail(t)) is not None:
@@ -338,25 +371,20 @@ def _bfs_path(
     return None
 
 
-def _steer(
-    pi: LabeledPermutation,
-    target: LabeledPermutation,
-    admissible: Callable[[RauzyEdge, int], bool],
-    rng: Random,
-) -> list[str]:
-    """Shortest admissible side-sequence from pi to target (BFS, rng ties)."""
-    goal = _DIAGRAM.vertex(target)
-    path = _bfs_path(pi, admissible, lambda v: [] if v == goal else None, rng.shuffle)
+def _steer(b: PathBuilder, rng: Random) -> None:
+    """Take the shortest admissible way from ``b``'s vertex to its rule's
+    end (BFS, rng ties)."""
+    goal = _DIAGRAM.vertex(b.rule.end)
+    path = _bfs_path(b, lambda v: [] if v == goal else None, rng.shuffle)
     if path is None:
-        raise StageError(f"no admissible path from {pi} to {target}")
-    return path
+        raise StageError(f"no admissible path from {b.pi} to {b.rule.end}")
+    for side in path:
+        b.apply_side(side)
 
 
-def _steer_to_edge(
-    pi: LabeledPermutation, winners: set[int], loser: int
-) -> list[str]:
-    """Shortest freedom-LHS move sequence ending with someone in ``winners``
-    beating ``loser``."""
+def _steer_to_edge(b: PathBuilder, winners: set[int], loser: int) -> None:
+    """Take the shortest admissible move sequence ending with someone in
+    ``winners`` beating ``loser``."""
 
     def final_side(v: int) -> list[str] | None:
         for side in (TOP_WINS, BOTTOM_WINS):
@@ -365,10 +393,11 @@ def _steer_to_edge(
                 return [side]
         return None
 
-    path = _bfs_path(pi, _admissible_freedom_lhs, final_side)
+    path = _bfs_path(b, final_side)
     if path is None:
         raise StageError(f"no admissible route to a win against {loser}")
-    return path
+    for side in path:
+        b.apply_side(side)
 
 
 def _check_window(path: PhasePath, window: Window) -> PhasePath:
@@ -386,29 +415,23 @@ def _check_window(path: PhasePath, window: Window) -> PhasePath:
 
 
 def _walk_to_window(
-    b: PathBuilder,
-    window: Window,
-    admissible: Callable[[RauzyEdge, int], bool],
-    end: LabeledPermutation,
-    rng: Random,
-    step_budget: int,
-    phase: str,
+    b: PathBuilder, window: Window, rng: Random, budget: int
 ) -> PhasePath:
     """Random admissible moves until the norm reaches the window, then the
-    shortest admissible way to ``end``; an overshoot is kept as a warning."""
-    d = b.start.d
+    shortest admissible way to the rule's end; an overshoot is kept as a
+    warning."""
+    rule = b.rule
     steps = 0
     while b.norm < window.lo:
-        if steps >= step_budget:
-            raise BudgetExceededError(f"{phase} window unreachable within budget")
-        options = [s for s in (TOP_WINS, BOTTOM_WINS) if admissible(b.walk.edge(s), d)]
+        if steps >= budget:
+            raise BudgetExceededError(f"{rule.phase} window unreachable within budget")
+        options = [s for s in (TOP_WINS, BOTTOM_WINS) if rule.admissible(b.walk.edge(s))]
         if not options:
-            raise StageError(f"{phase} walk stuck at {b.pi}")
+            raise StageError(f"{rule.phase} walk stuck at {b.pi}")
         b.apply_side(rng.choice(options))
         steps += 1
-    for side in _steer(b.pi, end, admissible, rng):
-        b.apply_side(side)
-    return _check_window(b.finish(phase), window)
+    _steer(b, rng)
+    return _check_window(b.finish(), window)
 
 
 def gen_freedom_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
@@ -418,16 +441,10 @@ def gen_freedom_lhs(start: LabeledPermutation, window: Window, rng: Random) -> P
     previous stage ends in; the two forced symbol-1 wins that route back
     through pi_L are part of the phase).
     """
-    d = start.d
-    pi_s = hyperelliptic_permutation(d)
-    pi_l, _, _ = special_permutations(d)
-    if start not in (pi_l, pi_s):
-        raise UsageError("freedom on LHS starts at pi_L or pi_s")
-    b = PathBuilder(start)
+    b = PathBuilder(phase_rule(FREEDOM_LHS, start.d), start)
     b.apply_winner(1)  # 1 wins first; forced at pi_s, chosen at pi_L
-    return _walk_to_window(  # the first win counts against the budget
-        b, window, _admissible_freedom_lhs, pi_s, rng, PHASE_BUDGET - 1, FREEDOM_LHS
-    )
+    # the first win counts against the budget
+    return _walk_to_window(b, window, rng, PHASE_BUDGET - 1)
 
 
 def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
@@ -437,31 +454,19 @@ def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) 
     so the norm target is hit in closed form; for d >= 5 the walk lives in
     the embedded smaller class and returns to pi_L.
     """
-    d = start.d
-    pi_l, _, _ = special_permutations(d)
-    if start != pi_l:
-        raise UsageError("restriction on LHS starts at pi_L")
-    b = PathBuilder(start)
-    if d == 4:
+    b = PathBuilder(phase_rule(RESTRICTION_LHS, start.d), start)
+    if start.d == 4:
         count = rng.randint(window.lo - 1, window.hi - 1)
         b.apply_self_loop(TOP_WINS, count)  # 2 beats 1, repeatedly
-        return b.finish(RESTRICTION_LHS)
-    return _walk_to_window(
-        b, window, restricted_lhs_move, pi_l, rng, PHASE_BUDGET, RESTRICTION_LHS
-    )
+        return b.finish()
+    return _walk_to_window(b, window, rng, PHASE_BUDGET)
 
 
 def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
     """pi_L to pi_s, visiting pi_s only at the end, never revisiting pi_L."""
-    d = start.d
-    pi_l, _, _ = special_permutations(d)
-    pi_s = hyperelliptic_permutation(d)
-    if start != pi_l:
-        raise UsageError("transition starts at pi_L")
-    b = PathBuilder(start)
-    for side in _steer(start, pi_s, lambda e, _d: e.target != pi_l, rng):
-        b.apply_side(side)
-    return b.finish(TRANSITION)
+    b = PathBuilder(phase_rule(TRANSITION, start.d), start)
+    _steer(b, rng)
+    return b.finish()
 
 
 def freedom_rhs_for_window(
@@ -474,9 +479,7 @@ def freedom_rhs_for_window(
     d-1, then d beating 1,..,d-2 again; the loop returns to pi_R.
     """
     d = start.d
-    if start != hyperelliptic_permutation(d):
-        raise UsageError("freedom on RHS starts at pi_s")
-    b = PathBuilder(start)
+    b = PathBuilder(phase_rule(FREEDOM_RHS, d), start)
     for _ in range(1, d - 1):
         b.apply_winner(d)  # d beats 1, ..., d-2
     loops = 0
@@ -487,21 +490,17 @@ def freedom_rhs_for_window(
         for _ in range(d - 1):
             b.apply_winner(d)  # d beats d-1, then 1, ..., d-2
         loops += 1
-    return _check_window(b.finish(FREEDOM_RHS), window)
+    return _check_window(b.finish(), window)
 
 
 def gen_restriction_rhs(start: LabeledPermutation, ell: int, stage: StageWindows) -> PhasePath:
     """d-1 beats d exactly ell times at pi_R, then d beats d-1; ends at pi_s."""
-    d = start.d
-    _, pi_r, _ = special_permutations(d)
-    if start != pi_r:
-        raise UsageError("restriction on RHS starts at pi_R")
+    b = PathBuilder(phase_rule(RESTRICTION_RHS, start.d), start)
     if not stage.s <= ell <= 2 * stage.s:
         raise UsageError(f"loop count {ell} outside [s_k, 2 s_k] = [{stage.s}, {2*stage.s}]")
-    b = PathBuilder(start)
     b.apply_self_loop(BOTTOM_WINS, ell)
-    b.apply_winner(d)
-    return b.finish(RESTRICTION_RHS)
+    b.apply_winner(start.d)
+    return b.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -509,59 +508,38 @@ def gen_restriction_rhs(start: LabeledPermutation, ell: int, stage: StageWindows
 
 
 def validate_phase(path: PhasePath) -> list[str]:
-    """Exhaustive winner/loser scan; returns violations (empty when clean)."""
-    d = path.start.d
-    bad: list[str] = []
-    if path.phase == FREEDOM_LHS:
-        if any(w > d - 2 for w in path.winners()):
-            bad.append("a symbol above d-2 won")
-        if path.runs and path.runs[0][0] != 1:
-            bad.append("1 did not win first")
-        if path.end != hyperelliptic_permutation(d):
-            bad.append("does not end at pi_s")
-    elif path.phase == AVOIDING:
-        if any(w > d - 2 for w in path.winners()):
-            bad.append("a symbol above d-2 won")
-        if path.end != hyperelliptic_permutation(d):
-            bad.append("does not end at pi_s")
-    elif path.phase == FREEDOM_LHS_BRIDGE:
-        if any(w > d - 2 for w in path.winners()):
-            bad.append("a symbol above d-2 won")
-        if path.end != special_permutations(d)[0]:
-            bad.append("does not end at pi_L")
-    elif path.phase == RESTRICTION_LHS:
-        if 1 in path.winners():
-            bad.append("symbol 1 won")
-        involved = path.winners() | path.losers()
-        if involved & {d - 1, d}:
-            bad.append("symbols d-1, d were compared")
-        if path.end != special_permutations(d)[0]:
-            bad.append("does not return to pi_L")
-        if path.matrix.rows[0] != tuple(
-            1 if j == 0 else 0 for j in range(d)
-        ):
-            bad.append("first row is not (1, 0, ..., 0)")
-        for j in (d - 1, d):
-            if path.matrix.column(j) != tuple(
-                1 if i == j else 0 for i in range(1, d + 1)
-            ):
-                bad.append(f"column {j} was touched")
-    elif path.phase == TRANSITION:
-        if path.end != hyperelliptic_permutation(d):
-            bad.append("does not end at pi_s")
-    elif path.phase == FREEDOM_RHS:
-        if any(w < d - 1 for w in path.winners()):
-            bad.append("a symbol below d-1 won")
-        if path.end != special_permutations(d)[1]:
-            bad.append("does not end at pi_R")
-    elif path.phase == RESTRICTION_RHS:
-        if path.winners() - {d - 1, d} or path.losers() - {d - 1, d}:
-            bad.append("symbols 1..d-2 were compared")
-        if path.end != hyperelliptic_permutation(d):
-            bad.append("does not end at pi_s")
-    else:
-        bad.append(f"unknown phase {path.phase}")
-    return bad
+    """Replay ``path``'s runs from its start against its phase's rule;
+    returns each kind of violation once (empty when clean).
+
+    Every move of every run must be one the rule admits, with the run's
+    winner and loser; the replay must end at the rule's end, at ``path.end``
+    and with ``path.matrix``.  In restriction-LHS this pins the first row
+    and the last two columns of the matrix: a move adds the winner's column
+    to the loser's, 1 (the one column with a non-zero first entry) never
+    wins and d-1, d never lose."""
+    try:
+        rule = phase_rule(path.phase, path.start.d)
+    except UsageError as exc:
+        return [str(exc)]
+    forbidden = foreign = False
+    walk = _Walk(path.start)
+    for winner, loser, side, count in path.runs:
+        for e in _DIAGRAM.cycle(walk.v, side).edges[:count]:
+            forbidden = forbidden or not rule.admissible(e)
+            foreign = foreign or (e.winner, e.loser) != (winner, loser)
+        walk.move(side, count)
+    starts = " or ".join(map(str, rule.starts))
+    checks = [
+        (path.start not in rule.starts, f"does not start at {starts}"),
+        (forbidden, "takes a move the rule forbids"),
+        (foreign, "a run's winner and loser are not the diagram's"),
+        (rule.phase == FREEDOM_LHS and (not path.runs or path.runs[0][0] != 1),
+         "1 did not win first"),
+        (walk.perm != rule.end, f"does not end at {rule.end}"),
+        (path.end != walk.perm, "its end is not where its runs lead"),
+        (path.matrix != walk.matrix(), "its matrix is not the product of its runs"),
+    ]
+    return [message for failed, message in checks if failed]
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +616,14 @@ def extend_stage(
     """
     w = schedule.stage(k)
     t_cap = Window(0, w.T_cap_exp)  # a transition's norm is only capped
-    pi_l = special_permutations(current.d)[0]
 
     def bridge(start: LabeledPermutation) -> PhasePath:
         # freedom ends at pi_s; restriction needs pi_L: route back with the
         # same two 1-wins freedom itself would use
-        b = PathBuilder(start)
+        b = PathBuilder(phase_rule(FREEDOM_LHS_BRIDGE, start.d), start)
         b.apply_winner(1)
         b.apply_winner(1)
-        if b.pi != pi_l:
-            raise StageError("bridge to pi_L failed")
-        return b.finish(FREEDOM_LHS_BRIDGE)
+        return b.finish()
 
     steps: list[tuple[str, Callable[[LabeledPermutation], PhasePath]]] = []
     if k > 1:
@@ -880,15 +855,13 @@ class AngleMonotonicityReport(Record):
     )
 
 
-def check_nue_angles(
-    run: ConstructionRun, slack: float = 1e-12
-) -> list[AngleMonotonicityReport]:
+def check_nue_angles(run: ConstructionRun) -> list[AngleMonotonicityReport]:
     """Per-stage checkpoint angles to the two coordinate spans.
 
     While a side is active only its own columns are added to each other, so
     the maximal angle of those columns to their coordinate span cannot
     increase; the sequence over that side's checkpoints must be
-    non-increasing (up to float slack).  The opposite side's additions can
+    non-increasing (up to a float slack of 1e-12).  The opposite side's additions can
     and do push the angle back up between stages, which is why the
     comparison is within-stage.
     """
@@ -911,8 +884,8 @@ def check_nue_angles(
             )
             for n in rhs_names
         )
-        lhs_ok = all(b <= a + slack for a, b in zip(lhs, lhs[1:]))
-        rhs_ok = all(b <= a + slack for a, b in zip(rhs, rhs[1:]))
+        lhs_ok = all(b <= a + 1e-12 for a, b in zip(lhs, lhs[1:]))
+        rhs_ok = all(b <= a + 1e-12 for a, b in zip(rhs, rhs[1:]))
         out.append(AngleMonotonicityReport(st.k, lhs, lhs_ok, rhs, rhs_ok))
     return out
 
@@ -921,9 +894,7 @@ def check_nue_angles(
 # hyperplane-avoiding paths (appendix)
 
 
-def hyperplane_avoiding_paths(
-    d: int, i: int, eps0: float = 0.1, reps: int | None = None
-) -> PhasePath:
+def hyperplane_avoiding_paths(d: int, i: int, eps0: float = 0.1) -> PhasePath:
     """Explicit paths whose sub-simplices hug the vertex e_i.
 
     i=1: symbol 1 wins d-1 consecutive times from pi_s (passing through pi_L
@@ -936,16 +907,16 @@ def hyperplane_avoiding_paths(
         raise UsageError("need d >= 4")
     if not 1 <= i <= d - 2:
         raise UsageError("target vertex must be one of 1..d-2")
-    pi_s = hyperelliptic_permutation(d)
+    rule = phase_rule(AVOIDING, d)
     pi_l, _, pi_prime = special_permutations(d)
     if i == 1:
-        b = PathBuilder(pi_s)
+        b = PathBuilder(rule, hyperelliptic_permutation(d))
         waypoints = []
         for _ in range(d - 1):
             b.apply_winner(1)
             waypoints.append(b.pi)
-        path = b.finish(AVOIDING)
-        if pi_l not in waypoints or pi_prime not in waypoints or b.pi != pi_s:
+        path = b.finish()
+        if pi_l not in waypoints or pi_prime not in waypoints:
             raise StageError("i=1 path did not route pi_s -> pi_L -> pi' -> pi_s")
         # exact containment: every vertex has first coordinate >= 1/2
         for j in range(1, d + 1):
@@ -953,8 +924,8 @@ def hyperplane_avoiding_paths(
             if Fraction(col[0], sum(col)) < Fraction(1, 2):
                 raise CalibrationError("i=1 containment failed", achieved_radius=None)
         return path
-    reps = reps if reps is not None else math.ceil(4.0 / eps0)
-    b = PathBuilder(pi_l)
+    reps = math.ceil(4.0 / eps0)
+    b = PathBuilder(rule, pi_l)
     for _ in range(i - 1):
         b.apply_winner(d - 2)  # ferry 1, ..., i-1 out of the way
     if i < d - 2:
@@ -985,11 +956,9 @@ def hyperplane_avoiding_paths(
         heavy = {i} | {
             j for j in range(1, d - 1) if col_dist(j) <= eps0 / 2
         }
-        for side in _steer_to_edge(b.pi, heavy, target):
-            b.apply_side(side)
-    for side in _steer(b.pi, pi_s, _admissible_freedom_lhs, Random(0)):
-        b.apply_side(side)
-    path = b.finish(AVOIDING)
+        _steer_to_edge(b, heavy, target)
+    _steer(b, Random(0))
+    path = b.finish()
     worst = max(col_dist(j) for j in range(1, d - 1))
     if worst > eps0:
         raise CalibrationError(

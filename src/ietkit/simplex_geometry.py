@@ -173,15 +173,15 @@ class Polygon2D:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def contains_polygon(self, other: "Polygon2D", tol: float = 1e-9) -> bool:
-        """Every vertex of ``other`` lies in this polygon, up to ``tol``
+    def contains_polygon(self, other: "Polygon2D") -> bool:
+        """Every vertex of ``other`` lies in this polygon, up to 1e-9
         relative to this polygon's diameter.
 
         Both are moved to this polygon's first vertex and divided by its
         diameter first, so cross products are O(1) at every scale; sections
         1e-150 across would otherwise give products that underflow.  A
-        vertex is in when its cross products with the edges are all >= -tol
-        or all <= tol, so either orientation is accepted.
+        vertex is in when its cross products with the edges are all >= -1e-9
+        or all <= 1e-9, so either orientation is accepted.
         """
         import numpy as np
 
@@ -191,7 +191,7 @@ class Polygon2D:
         edge = np.concatenate((a[1:], a[:1])) - a
         p = ((other.vertices - v[0]) / scale)[:, None, :]  # (vertices, 1, 2)
         cross = edge[:, 0] * (p[..., 1] - a[:, 1]) - edge[:, 1] * (p[..., 0] - a[:, 0])
-        return bool(((cross >= -tol).all(1) | (cross <= tol).all(1)).all())
+        return bool(((cross >= -1e-9).all(1) | (cross <= 1e-9).all(1)).all())
 
 
 _REL_TOL = 1e-12  # a residual or gap below this share of its terms is rounding

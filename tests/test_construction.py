@@ -11,12 +11,16 @@ from ietkit.construction import (
     ExponentScale,
     FREEDOM_LHS,
     RESTRICTION_LHS,
+    TRANSITION,
+    PhasePath,
     check_condition_double_star,
     check_conditions_star,
     check_nue_angles,
     check_size_recursions,
     extend_stage,
+    freedom_rhs_for_window,
     gen_freedom_lhs,
+    gen_restriction_lhs,
     gen_restriction_rhs,
     gen_transition,
     hyperplane_avoiding_paths,
@@ -63,11 +67,64 @@ def test_run_is_deterministic(reference_run):
 
 
 def test_all_phases_pass_grammar_scans(reference_run):
-    for st in reference_run.stages:
-        for name, phase in st.phases.items():
-            if phase is None:
-                continue
-            assert validate_phase(phase) == [], f"stage {st.k} phase {name}"
+    schedule = make_schedule(1, ExponentScale.linear(), stages=4)
+    runs = [reference_run] + [run_construction(d, schedule, seed=3) for d in (4, 5, 6)]
+    for run in runs:
+        for st in run.stages:
+            for name, phase in st.phases.items():
+                if phase is None:
+                    continue
+                assert validate_phase(phase) == [], f"d={run.d} stage {st.k} phase {name}"
+    for d, i in [(4, 1), (4, 2), (5, 2), (5, 3), (6, 4)]:
+        assert validate_phase(hyperplane_avoiding_paths(d, i)) == [], f"avoiding {d}, {i}"
+
+
+def _flagged(path):
+    bad = validate_phase(path)
+    assert bad, path
+    assert len(set(bad)) == len(bad), bad  # each kind of violation once
+    return bad
+
+
+def test_grammar_scan_flags_a_transition_through_pi_l():
+    pi_l, _, _ = special_permutations(5)
+    s = make_schedule(1, ExponentScale.linear(), stages=1)
+    rng = Random(0)
+    back = gen_restriction_lhs(pi_l, s.stage(1).Aprime, rng)  # pi_L to pi_L
+    t = gen_transition(pi_l, rng)
+    bad = _flagged(PhasePath(TRANSITION, pi_l, t.end, back.runs + t.runs,
+                             back.matrix @ t.matrix))
+    assert bad == ["takes a move the rule forbids"]
+
+
+def test_grammar_scan_flags_a_matrix_its_runs_do_not_make():
+    t = gen_transition(special_permutations(5)[0], Random(0))
+    fake = PhasePath(t.phase, t.start, t.end, t.runs, VisitationMatrix.identity(5))
+    assert _flagged(fake) == ["its matrix is not the product of its runs"]
+
+
+def test_grammar_scan_flags_freedom_rhs_runs_labelled_freedom_lhs():
+    s = make_schedule(1, ExponentScale.linear(), stages=1)
+    b = freedom_rhs_for_window(hyperelliptic_permutation(4), s.stage(1).B, Random(0))
+    bad = _flagged(PhasePath(FREEDOM_LHS, b.start, b.end, b.runs, b.matrix))
+    assert "takes a move the rule forbids" in bad
+    assert "1 did not win first" in bad
+
+
+def test_grammar_scan_flags_a_run_the_diagram_does_not_take():
+    s = make_schedule(1, ExponentScale.linear(), stages=1)
+    _, pi_r, _ = special_permutations(4)
+    bp = gen_restriction_rhs(pi_r, s.stage(1).s, s.stage(1))
+    (w, l, side, count), *rest = bp.runs
+    swapped = ((l, w, side, count), *rest)  # d beats d-1 is admissible, not taken
+    bad = _flagged(PhasePath(bp.phase, bp.start, bp.end, swapped, bp.matrix))
+    assert bad == ["a run's winner and loser are not the diagram's"]
+
+
+def test_grammar_scan_flags_an_unknown_phase(reference_run):
+    t = reference_run.stages[0].phase("T")
+    bad = _flagged(PhasePath("no-such-phase", t.start, t.end, t.runs, t.matrix))
+    assert bad == ["unknown phase no-such-phase"]
 
 
 def test_conditions_star(reference_run):
@@ -127,7 +184,7 @@ def test_freedom_lhs_shape():
     assert phase.phase == FREEDOM_LHS
     assert phase.runs[0][0] == 1  # symbol 1 wins first
     assert phase.end == hyperelliptic_permutation(4)
-    assert all(w <= 2 for w in phase.winners())
+    assert all(w <= 2 for w, _, _, _ in phase.runs)
 
 
 def test_restriction_lhs_leaves_last_columns(reference_run):

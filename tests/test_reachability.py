@@ -26,7 +26,6 @@ ALLOWED = {
     "analysis.birkhoff_separation": "acceptance criteria and ROADMAP item 9",
     "analysis.limit_tower_points": "acceptance criteria and ROADMAP item 9",
     "construction.hyperplane_avoiding_paths": "acceptance criteria and ROADMAP item 9",
-    "construction.validate_phase": "acceptance criteria and ROADMAP item 9",
     "analysis.keane_check": "tier-1 checks it on the reference construction; "
                             "a verify suite for it would add a suite name",
     "construction.check_size_recursions": "tier-1 checks it on the reference "

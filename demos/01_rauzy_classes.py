@@ -25,9 +25,7 @@ def main() -> None:
         print(f"  d={d}: {len(g.vertices):3d} vertices, {len(g.edges):3d} edges")
 
     g4 = hyperelliptic_class(4)
-    print("\nevery vertex of the d=4 class is 2-in/2-out:",
-          all(len(g4.out_edges(v)) == 2 and len(g4.in_edges(v)) == 2
-              for v in g4.vertices))
+    print("\nevery vertex of the d=4 class is 2-in/2-out:", g4.two_in_two_out())
 
     pi_l, pi_r, pi_prime = special_permutations(4)
     print("special permutations in the d=4 class:")

@@ -275,31 +275,75 @@ def _out_file(out: Path, name: str) -> Path:
 # subcommands
 
 
+# One edge and one vertex of a class document, as ``_json_text`` writes
+# them at their depth; every vertex has top and bottom rows and every class
+# has edges, so no list here is empty.
+_EDGE_TEXT = """    {
+      "loser": %d,
+      "side": %s,
+      "source": %d,
+      "target": %d,
+      "winner": %d
+    }"""
+_VERTEX_TEXT = """    {
+      "bottom": [
+        %s
+      ],
+      "top": [
+        %s
+      ]
+    }"""
+_ROW_SEP = ",\n        "
+
+
 def cmd_classes(args) -> int:
+    """Write the class as ``_json_text`` would write ``graph.to_doc()`` with
+    the summary added, one template per edge and per vertex; the degrees
+    are counted on the way."""
     out = Path(args.out)
     seed_pi = _parse_perm(args.seed_perm)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
     d = seed_pi.d
-    doc = graph.to_doc()
-    doc["summary"] = {
-        "vertices": len(graph.vertices),
-        "edges": len(graph.edges),
-        "two_in_two_out": graph.two_in_two_out(),
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(index)
+    outs, ins = [0] * n, [0] * n
+    side_text = {TOP_WINS: '"top-wins"', BOTTOM_WINS: '"bottom-wins"'}
+    edges = []
+    for e in graph.edges:
+        source, target = index[e.source], index[e.target]
+        outs[source] += 1
+        ins[target] += 1
+        edges.append(
+            _EDGE_TEXT % (e.loser, side_text[e.side], source, target, e.winner)
+        )
+    summary = {
+        "vertices": n,
+        "edges": len(edges),
+        "two_in_two_out": outs.count(2) == n == ins.count(2),
     }
     if d >= 4:
         pi_l, pi_r, _ = special_permutations(d)
-        doc["summary"]["contains_pi_L"] = pi_l in graph
-        doc["summary"]["contains_pi_R"] = pi_r in graph
+        summary["contains_pi_L"] = pi_l in index
+        summary["contains_pi_R"] = pi_r in index
+    vertices = [
+        _VERTEX_TEXT % (_ROW_SEP.join(map(str, v.bottom)), _ROW_SEP.join(map(str, v.top)))
+        for v in graph.vertices
+    ]
     graph_file = f"classes_d{d}.json"
-    _dump_json(doc, _out_file(out, graph_file))
+    _out_file(out, graph_file).write_text(
+        '{\n  "edges": [\n' + ",\n".join(edges)
+        + f'\n  ],\n  "seed": {index[seed_pi]},\n'
+        + f'  "summary": {_json_text(summary, "  ")},\n'
+        + '  "vertices": [\n' + ",\n".join(vertices) + "\n  ]\n}\n",
+        encoding="utf-8",
+    )
     _write_manifest(
         out,
         "classes",
         {"seed_perm": args.seed_perm, "budget": args.budget, "d": d},
         [graph_file],
     )
-    print(f"class of {args.seed_perm}: {len(graph.vertices)} vertices, "
-          f"{len(graph.edges)} edges")
+    print(f"class of {args.seed_perm}: {n} vertices, {len(edges)} edges")
     return EXIT_OK
 
 

@@ -511,19 +511,22 @@ def validate_phase(path: PhasePath) -> list[str]:
     """Replay ``path``'s runs from its start against its phase's rule;
     returns each kind of violation once (empty when clean).
 
-    Every move of every run must be one the rule admits, with the run's
-    winner and loser; the replay must end at the rule's end, at ``path.end``
-    and with ``path.matrix``.  In restriction-LHS this pins the first row
-    and the last two columns of the matrix: a move adds the winner's column
-    to the loser's, 1 (the one column with a non-zero first entry) never
-    wins and d-1, d never lose."""
+    Every run must name a side of the diagram and at least one move, or
+    nothing is replayed.  Every move of every run must be one the rule
+    admits, with the run's winner and loser; the replay must end at the
+    rule's end, at ``path.end`` and with ``path.matrix``.  In
+    restriction-LHS this pins the first row and the last two columns of the
+    matrix: a move adds the winner's column to the loser's, 1 (the one
+    column with a non-zero first entry) never wins and d-1, d never lose."""
     try:
         rule = phase_rule(path.phase, path.start.d)
     except UsageError as exc:
         return [str(exc)]
+    malformed = any(side not in (TOP_WINS, BOTTOM_WINS) or count < 1
+                    for _, _, side, count in path.runs)
     forbidden = foreign = False
     walk = _Walk(path.start)
-    for winner, loser, side, count in path.runs:
+    for winner, loser, side, count in () if malformed else path.runs:
         for e in _DIAGRAM.cycle(walk.v, side).edges[:count]:
             forbidden = forbidden or not rule.admissible(e)
             foreign = foreign or (e.winner, e.loser) != (winner, loser)
@@ -531,13 +534,15 @@ def validate_phase(path: PhasePath) -> list[str]:
     starts = " or ".join(map(str, rule.starts))
     checks = [
         (path.start not in rule.starts, f"does not start at {starts}"),
+        (malformed, "a run has no side of the diagram or fewer than one move"),
         (forbidden, "takes a move the rule forbids"),
         (foreign, "a run's winner and loser are not the diagram's"),
         (rule.phase == FREEDOM_LHS and (not path.runs or path.runs[0][0] != 1),
          "1 did not win first"),
-        (walk.perm != rule.end, f"does not end at {rule.end}"),
-        (path.end != walk.perm, "its end is not where its runs lead"),
-        (path.matrix != walk.matrix(), "its matrix is not the product of its runs"),
+        (not malformed and walk.perm != rule.end, f"does not end at {rule.end}"),
+        (not malformed and path.end != walk.perm, "its end is not where its runs lead"),
+        (not malformed and path.matrix != walk.matrix(),
+         "its matrix is not the product of its runs"),
     ]
     return [message for failed, message in checks if failed]
 

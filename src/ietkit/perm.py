@@ -11,7 +11,6 @@ the construction's path searches and the induction loop all walk it.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import total_ordering
 from typing import Callable
@@ -49,13 +48,19 @@ class LabeledPermutation(Value):
         return len(self.top)
 
     def is_irreducible(self) -> bool:
-        """True unless a proper prefix of top and bottom use the same symbols."""
-        seen_top: set[int] = set()
-        seen_bottom: set[int] = set()
-        for k in range(self.d - 1):
-            seen_top.add(self.top[k])
-            seen_bottom.add(self.bottom[k])
-            if seen_top == seen_bottom:
+        """True unless a proper prefix of top and bottom use the same symbols.
+
+        The first k+1 top symbols are the first k+1 bottom ones exactly when
+        the furthest bottom position among them is k, so one running maximum
+        decides it in O(d)."""
+        d = len(self.top)
+        position = dict(zip(self.bottom, range(d)))
+        reach = 0
+        for k in range(d - 1):
+            p = position[self.top[k]]
+            if p > reach:
+                reach = p
+            if reach == k:
                 return False
         return True
 
@@ -141,7 +146,9 @@ class RauzyClassGraph(Value):
 
     def to_doc(self) -> dict:
         """The graph as a JSON document: vertices, edges by vertex index,
-        and the seed's index."""
+        and the seed's index.  This is the schema of the ``classes`` graph
+        file, which the CLI writes from templates; the byte test of that
+        writer checks it against this document."""
         index = {v: i for i, v in enumerate(self.vertices)}
         return {
             "vertices": [
@@ -159,9 +166,6 @@ class RauzyClassGraph(Value):
             ],
             "seed": index[self.seed],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 def hyperelliptic_permutation(d: int) -> LabeledPermutation:
@@ -292,34 +296,36 @@ def _closure(
     seed: LabeledPermutation, keep: Callable[[RauzyEdge], bool], vertex_budget: int
 ) -> RauzyClassGraph:
     """The seed's closure under the moves that pass ``keep``, breadth first
-    through the compiled diagram.  Vertices are sorted lexicographically on
-    (top, bottom) and edges by source and side, so that exports do not
-    depend on discovery order."""
+    through the compiled diagram.  The export order is built, not sorted
+    from the edges: the vertices come lexicographically on (top, bottom),
+    and the edges by source in that order, each source's kept moves in
+    side order (bottom-wins before top-wins), so that exports do not depend
+    on discovery order."""
     if vertex_budget < 1:
         raise BudgetExceededError(f"vertex budget {vertex_budget} holds no seed")
+    move, perms = _DIAGRAM.move, _DIAGRAM.perms
     root = _DIAGRAM.vertex(seed)
-    seen = {root}
+    kept: dict[int, list[RauzyEdge]] = {root: []}  # per vertex, in side order
     queue = deque([root])
-    edges: list[RauzyEdge] = []
     while queue:
         v = queue.popleft()
-        for side in (TOP_WINS, BOTTOM_WINS):
-            t, _, _, edge = _DIAGRAM.move(v, side)
+        out = kept[v]
+        for side in (BOTTOM_WINS, TOP_WINS):
+            t, _, _, edge = move(v, side)
             if not keep(edge):
                 continue
-            edges.append(edge)
-            if t not in seen:
-                if len(seen) >= vertex_budget:
+            out.append(edge)
+            if t not in kept:
+                if len(kept) >= vertex_budget:
                     raise BudgetExceededError(
                         f"class enumeration exceeded vertex budget {vertex_budget}"
                     )
-                seen.add(t)
+                kept[t] = []
                 queue.append(t)
-    vertices = sorted(
-        (_DIAGRAM.perms[v] for v in seen), key=lambda v: (v.top, v.bottom)
-    )
-    edges.sort(key=lambda e: (e.source.top, e.source.bottom, e.side))
-    return RauzyClassGraph(tuple(vertices), tuple(edges), seed)
+    order = sorted(kept, key=lambda v: (perms[v].top, perms[v].bottom))
+    vertices = tuple(perms[v] for v in order)
+    edges = tuple(e for v in order for e in kept[v])
+    return RauzyClassGraph(vertices, edges, seed)
 
 
 def rauzy_class(

@@ -21,6 +21,12 @@ from ietkit.cli import (
     _dump_json,
     main,
 )
+from ietkit.perm import (
+    LabeledPermutation,
+    hyperelliptic_permutation,
+    rauzy_class,
+    special_permutations,
+)
 
 
 def run(args, tmp_path, sub="out"):
@@ -56,6 +62,51 @@ def test_classes_budget_below_one_holds_no_seed(tmp_path):
     code, out = run(["classes", "--d", "2", "--budget", "1"], tmp_path, "one")
     assert code == EXIT_OK
     assert json.loads((out / "classes_d2.json").read_text())["summary"]["vertices"] == 1
+
+
+# a vertex of the 1386-vertex d=7 class with 1..7 relabelled
+RELABELLED_1386 = "6,1,4,7,3,2,5/5,7,2,6,3,1,4"
+
+
+@pytest.mark.parametrize("spec", [f"s{d}" for d in range(2, 8)] + [RELABELLED_1386])
+def test_classes_file_is_the_json_module_text(tmp_path, spec):
+    """The templated class file is the ``json`` module's text of the graph's
+    document with the summary added, byte for byte."""
+    code, out = run(["classes", "--seed-perm", spec], tmp_path)
+    assert code == EXIT_OK
+    if spec == RELABELLED_1386:
+        top, bottom = (tuple(map(int, row.split(","))) for row in spec.split("/"))
+        seed = LabeledPermutation(top, bottom)
+    else:
+        seed = hyperelliptic_permutation(int(spec[1:]))
+    graph = rauzy_class(seed)
+    d = seed.d
+    summary = {
+        "vertices": len(graph.vertices),
+        "edges": len(graph.edges),
+        "two_in_two_out": all(
+            len(graph.out_edges(v)) == 2 and len(graph.in_edges(v)) == 2
+            for v in graph.vertices
+        ),
+    }
+    if d >= 4:
+        pi_l, pi_r, _ = special_permutations(d)
+        summary["contains_pi_L"] = pi_l in graph
+        summary["contains_pi_R"] = pi_r in graph
+    expected = json.dumps(
+        {**graph.to_doc(), "summary": summary}, sort_keys=True, indent=2
+    ) + "\n"
+    assert (out / f"classes_d{d}.json").read_text(encoding="utf-8") == expected
+    assert summary["vertices"] == (1386 if spec == RELABELLED_1386 else 2 ** (d - 1) - 1)
+
+
+@pytest.mark.parametrize("spec,d,size", [("s5", 5, 15), (RELABELLED_1386, 7, 1386)])
+def test_classes_budget_of_exactly_the_class(tmp_path, spec, d, size):
+    code, out = run(["classes", "--seed-perm", spec, "--budget", str(size)], tmp_path, "fits")
+    assert code == EXIT_OK
+    assert json.loads((out / f"classes_d{d}.json").read_text())["summary"]["vertices"] == size
+    code, _ = run(["classes", "--seed-perm", spec, "--budget", str(size - 1)], tmp_path, "short")
+    assert code == EXIT_BUDGET
 
 
 def test_classes_needs_a_seed(tmp_path):

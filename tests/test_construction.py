@@ -121,6 +121,16 @@ def test_grammar_scan_flags_a_run_the_diagram_does_not_take():
     assert bad == ["a run's winner and loser are not the diagram's"]
 
 
+@pytest.mark.parametrize("side,count", [("sideways", None), (None, 0), (None, -1)])
+def test_grammar_scan_flags_a_run_of_no_side_or_no_move(side, count):
+    """A malformed run is reported, not raised on or replayed."""
+    t = gen_transition(special_permutations(5)[0], Random(0))
+    (w, l, s, c), *rest = t.runs
+    bad_run = (w, l, side or s, c if count is None else count)
+    bad = _flagged(PhasePath(t.phase, t.start, t.end, (bad_run, *rest), t.matrix))
+    assert bad == ["a run has no side of the diagram or fewer than one move"]
+
+
 def test_grammar_scan_flags_an_unknown_phase(reference_run):
     t = reference_run.stages[0].phase("T")
     bad = _flagged(PhasePath("no-such-phase", t.start, t.end, t.runs, t.matrix))

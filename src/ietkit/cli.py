@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
 from typing import Callable
@@ -90,62 +89,9 @@ EXIT_VIOLATED = 5
 # serialization helpers
 
 
-def _key_text(key) -> str:
-    """A dict key as the ``json`` module turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return _json_text(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_text(o, indent: str) -> str:
-    """The JSON text of ``o`` at nesting ``indent``, as the ``json`` module
-    writes it with sorted keys and an indent of 2, in one recursive pass:
-    that module's C encoder does not indent, and its Python one yields a
-    chunk per token."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(type(x) is int for x in o):
-            body = sep.join(map(int.__repr__, o))
-        else:
-            body = sep.join([_json_text(x, inner) for x in o])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = sep.join([
-            encode_basestring_ascii(_key_text(k)) + ": " + _json_text(v, inner)
-            for k, v in sorted(o.items())
-        ])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 def _dump_json(doc: dict, path: Path) -> None:
-    """Write ``doc`` as the ``json`` module does with ``sort_keys=True`` and
-    ``indent=2``, byte for byte, and a newline."""
-    path.write_text(_json_text(doc, "") + "\n", encoding="utf-8")
+    """Write ``doc`` as JSON with sorted keys, an indent of 2 and a newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> Path:
@@ -275,9 +221,9 @@ def _out_file(out: Path, name: str) -> Path:
 # subcommands
 
 
-# One edge and one vertex of a class document, as ``_json_text`` writes
-# them at their depth; every vertex has top and bottom rows and every class
-# has edges, so no list here is empty.
+# One edge and one vertex of a class document, as ``json.dumps(...,
+# indent=2)`` writes them at their depth; every vertex has top and bottom
+# rows and every class has edges, so no list here is empty.
 _EDGE_TEXT = """    {
       "loser": %d,
       "side": %s,
@@ -297,9 +243,9 @@ _ROW_SEP = ",\n        "
 
 
 def cmd_classes(args) -> int:
-    """Write the class as ``_json_text`` would write ``graph.to_doc()`` with
-    the summary added, one template per edge and per vertex; the degrees
-    are counted on the way."""
+    """Write the class as ``json.dumps(..., indent=2)`` writes
+    ``graph.to_doc()`` with the summary added, one template per edge and
+    per vertex; the degrees are counted on the way."""
     out = Path(args.out)
     seed_pi = _parse_perm(args.seed_perm)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
@@ -332,9 +278,9 @@ def cmd_classes(args) -> int:
     graph_file = f"classes_d{d}.json"
     _out_file(out, graph_file).write_text(
         '{\n  "edges": [\n' + ",\n".join(edges)
-        + f'\n  ],\n  "seed": {index[seed_pi]},\n'
-        + f'  "summary": {_json_text(summary, "  ")},\n'
-        + '  "vertices": [\n' + ",\n".join(vertices) + "\n  ]\n}\n",
+        + f'\n  ],\n  "seed": {index[seed_pi]},\n  "summary": '
+        + json.dumps(summary, sort_keys=True, indent=2).replace("\n", "\n  ")
+        + ',\n  "vertices": [\n' + ",\n".join(vertices) + "\n  ]\n}\n",
         encoding="utf-8",
     )
     _write_manifest(
@@ -637,6 +583,42 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATED if report.get("violated") else EXIT_OK
 
 
+# the fields of a config that ``estimate-dim`` reads, per manifest command,
+# with the types that ``construct`` and ``synthetic-cantor`` write
+_MANIFEST_FIELDS = {
+    "construct": {"d": (int,), "k0": (int,), "stages": (int,), "seed": (int,),
+                  "zeta": (int, float), "scale": (str,)},
+    "synthetic-cantor": {"levels": (int,)},
+}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``, a JSON object; when its command is one that
+    ``estimate-dim`` reads, each config field it reads has its type (a bool
+    is no int here) and a synthetic-cantor run has at least one level."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise UsageError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise UsageError(f"manifest {path} is not a JSON object")
+    command, config = manifest.get("command"), manifest.get("config")
+    fields = _MANIFEST_FIELDS.get(command, {}) if isinstance(command, str) else {}
+    if fields and not isinstance(config, dict):
+        raise UsageError("manifest field 'config' is not an object")
+    for name, kinds in fields.items():
+        if name not in config:
+            raise UsageError(f"manifest config has no field {name!r}")
+        value = config[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise UsageError(f"manifest config field {name!r} must be "
+                             f"{' or '.join(t.__name__ for t in kinds)}, got {value!r}")
+    if "levels" in fields and config["levels"] < 1:
+        raise UsageError(f"manifest config field 'levels' must be >= 1, "
+                         f"got {config['levels']}")
+    return manifest
+
+
 def cmd_estimate_dim(args) -> int:
     import numpy as np
 
@@ -646,7 +628,7 @@ def cmd_estimate_dim(args) -> int:
     if not manifest_path.exists():
         print(f"manifest not found: {manifest_path}", file=sys.stderr)
         return EXIT_USAGE
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(manifest_path)
     rows = []
     doc: dict = {"config": {"manifest": str(manifest_path), "planes": args.planes}}
     if manifest.get("command") == "synthetic-cantor":

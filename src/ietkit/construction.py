@@ -170,7 +170,7 @@ def make_schedule(
     """Concrete per-stage windows; raises ScheduleError when they collapse."""
     if stages < 1:
         raise UsageError("need at least one stage")
-    if not (math.isfinite(zeta) and zeta > 1):  # condition (*) compares against it
+    if not 1 < zeta < math.inf:  # condition (*) compares against it; NaN fails
         raise UsageError(f"zeta must be finite and > 1, got {zeta}")
     p6, p4, p2, p23 = scale.p6, scale.p4, scale.p2, scale.p23
     out = []

@@ -192,9 +192,12 @@ def special_permutations(d: int) -> tuple[LabeledPermutation, LabeledPermutation
     return pi_l, pi_r, pi_prime
 
 
-def rauzy_move(pi: LabeledPermutation, side: str) -> RauzyEdge:
-    """One Rauzy move; the loser is reinserted right of the winner."""
-    if not pi.is_irreducible():
+def rauzy_move(pi: LabeledPermutation, side: str, *, check: bool = True) -> RauzyEdge:
+    """One Rauzy move; the loser is reinserted right of the winner.
+
+    ``check=False`` skips the irreducibility check, for a caller that has
+    made it already."""
+    if check and not pi.is_irreducible():
         raise ReducibilityError(f"reducible permutation {pi}")
     if side == TOP_WINS:
         fixed, moved = pi.top, pi.bottom
@@ -240,7 +243,8 @@ class _RauzyDiagram:
     Per id: the permutation, its 0-based last symbols and, per side, the move
     (target id, winner - 1, loser - 1, edge), made by one ``rauzy_move`` when
     first taken, and the run cycle on that side, made from the moves when
-    first asked for; irreducibility is checked once per vertex and side."""
+    first asked for; irreducibility is checked once per vertex, by its first
+    move."""
 
     def __init__(self):
         self.ids: dict[LabeledPermutation, int] = {}
@@ -262,7 +266,7 @@ class _RauzyDiagram:
     def move(self, v: int, side: str) -> tuple[int, int, int, RauzyEdge]:
         moves = self.moves[v]
         if side not in moves:
-            e = rauzy_move(self.perms[v], side)
+            e = rauzy_move(self.perms[v], side, check=not moves)
             moves[side] = (self.vertex(e.target), e.winner - 1, e.loser - 1, e)
         return moves[side]
 

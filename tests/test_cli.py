@@ -403,20 +403,6 @@ JSON_DOCS = st.recursive(
 )
 
 
-@pytest.fixture(scope="module")
-def json_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("json")
-
-
-@settings(max_examples=400, deadline=None)
-@given(doc=JSON_DOCS)
-def test_dump_json_writes_the_json_module_text(json_dir, doc):
-    path = json_dir / "doc.json"
-    _dump_json(doc, path)
-    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
-
-
 @pytest.mark.parametrize("doc", [
     {"a": object()}, [1, {2, 3}], {"a": [b"bytes"]}, Fraction(1, 2),
     {(1, 2): 0}, {"a": 1, 2: 3},
@@ -518,7 +504,7 @@ def test_construct_zeta_must_be_finite_above_one(tmp_path, capsys, zeta):
     assert not (out / "construct_manifest.json").exists()
 
 
-@pytest.mark.parametrize("suite", ["balance", "probdecay"])
+@pytest.mark.parametrize("suite", ["balance", "jacobian", "probdecay"])
 def test_verify_without_samples_is_inconclusive(tmp_path, capsys, suite):
     code, out = run(["verify", suite, "--samples", "0"], tmp_path)
     assert code == EXIT_OK
@@ -633,6 +619,37 @@ def test_usage_error_leaves_no_out_directory(tmp_path, args):
     # are read
     code, out = run(args, tmp_path)
     assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+CONSTRUCT_CONFIG = {"d": 5, "k0": 1, "stages": 2, "seed": 0, "zeta": 32.0,
+                    "scale": "linear"}
+
+
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe", b"not json", b"[" * 100000 + b"]" * 100000, b"[1,2]",
+    b'{"command":"construct","config":{}}',
+    b'{"command":"construct","config":[]}',
+    b'{"command":"synthetic-cantor","config":{"levels":"x"}}',
+    b'{"command":"synthetic-cantor","config":{"levels":-3}}',
+    b'{"command":"synthetic-cantor","config":{"levels":true}}',
+    json.dumps({"command": "construct",
+                "config": {**CONSTRUCT_CONFIG, "d": "5"}}).encode(),
+    json.dumps({"command": "construct",
+                "config": {**CONSTRUCT_CONFIG, "stages": 2.5}}).encode(),
+], ids=["directory", "not-utf8", "not-json", "too-deep", "list", "no-fields",
+        "config-list", "levels-str", "levels-negative", "levels-bool", "d-str",
+        "stages-float"])
+def test_estimate_dim_malformed_manifest_is_usage(tmp_path, capsys, content):
+    manifest = tmp_path / "manifest.json"
+    if content is None:
+        manifest.mkdir()
+    else:
+        manifest.write_bytes(content)
+    code, out = run(["estimate-dim", "--manifest", str(manifest)], tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -774,4 +791,43 @@ def test_value_flags_never_escape_the_exit_codes(flags_dir, argv):
     if argv[0] == "estimate-dim":
         argv += ["--manifest", str(cantor_manifest(flags_dir, levels=2))]
     code = main(argv + ["--out", str(flags_dir / "out")])
+    assert isinstance(code, int) and 0 <= code <= 5
+
+
+# Config numbers stay within -2..4, so that no draw asks for a long run.
+SMALL_NUMBERS = st.one_of(st.integers(-2, 4), st.floats(-2, 4))
+CONFIG_VALUES = st.one_of(
+    SMALL_NUMBERS, st.booleans(), st.none(), st.lists(SMALL_NUMBERS, max_size=2),
+    st.sampled_from(["linear", "tower", "linear:1,1,1,1", "4", ""]),
+)
+CONFIGS = st.dictionaries(
+    st.sampled_from(["d", "k0", "stages", "seed", "zeta", "scale", "levels"]),
+    CONFIG_VALUES,
+)
+# well-typed configs, mostly in range, so that many draws run to the end
+CONSTRUCT_CONFIGS = st.fixed_dictionaries({
+    "d": st.integers(3, 4), "k0": st.integers(-2, 4), "stages": st.integers(0, 4),
+    "seed": st.integers(-2, 4), "zeta": st.one_of(st.integers(-2, 4), st.floats(1, 4)),
+    "scale": st.sampled_from(["linear", "tower", "linear:1,1,1,1"]),
+})
+MANIFESTS = st.one_of(
+    JSON_DOCS,
+    st.fixed_dictionaries({"command": st.just("construct"), "config": CONSTRUCT_CONFIGS},
+                          optional={"failed": st.booleans()}),
+    st.fixed_dictionaries({"command": st.just("synthetic-cantor"),
+                           "config": st.fixed_dictionaries({"levels": st.integers(-2, 4)})}),
+    st.fixed_dictionaries({
+        "command": st.sampled_from(["construct", "synthetic-cantor", "classes"]),
+        "config": st.one_of(CONFIGS, JSON_SCALARS),
+    }),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(manifest=MANIFESTS)
+def test_manifests_never_escape_the_exit_codes(flags_dir, manifest):
+    path = flags_dir / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["estimate-dim", "--manifest", str(path), "--planes", "2",
+                 "--out", str(flags_dir / "out")])
     assert isinstance(code, int) and 0 <= code <= 5

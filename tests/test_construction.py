@@ -52,6 +52,13 @@ def test_schedule_needs_a_stage():
         make_schedule(1, ExponentScale.linear(), stages=0)
 
 
+def test_schedule_checks_an_int_zeta_beyond_the_float_range():
+    # a manifest's zeta may be any JSON int; the range check compares it exactly
+    assert make_schedule(1, ExponentScale.linear(), stages=1, zeta=10**400).zeta == 10**400
+    with pytest.raises(UsageError):
+        make_schedule(1, ExponentScale.linear(), stages=1, zeta=-(10**400))
+
+
 def test_unscaled_powers_overflow_numeric_windows():
     s = make_schedule(1, ExponentScale.tower(), stages=1)
     with pytest.raises(ScheduleOverflowError):

@@ -241,9 +241,9 @@ def test_second_enumeration_makes_no_moves(monkeypatch):
 
     calls = []
 
-    def counting(pi, side):
+    def counting(pi, side, **kwargs):
         calls.append(pi)
-        return rauzy_move(pi, side)
+        return rauzy_move(pi, side, **kwargs)
 
     monkeypatch.setattr(perm, "rauzy_move", counting)
     first = rauzy_class(SEED_1386)
@@ -252,6 +252,36 @@ def test_second_enumeration_makes_no_moves(monkeypatch):
     again = rauzy_class(SEED_1386)
     assert calls == []
     assert again == first
+
+
+def test_diagram_checks_irreducibility_once_per_vertex(monkeypatch):
+    import ietkit.perm as perm
+    from ietkit.induction import _Walk
+
+    monkeypatch.setattr(perm, "_DIAGRAM", perm._RauzyDiagram())
+    calls = []
+    is_irreducible = LabeledPermutation.is_irreducible
+
+    def counting(pi):
+        calls.append(pi)
+        return is_irreducible(pi)
+
+    monkeypatch.setattr(LabeledPermutation, "is_irreducible", counting)
+    assert len(rauzy_class(SEED_1386).vertices) == 1386
+    assert len(calls) <= 1387  # the seed's own check, then one per vertex
+    reducible = LabeledPermutation((1, 2, 3, 4), (2, 1, 4, 3))
+    for side in (TOP_WINS, BOTTOM_WINS):
+        with pytest.raises(ReducibilityError):
+            rauzy_move(reducible, side)
+    with pytest.raises(ReducibilityError):
+        rauzy_class(reducible)
+    with pytest.raises(ReducibilityError):
+        _Walk(reducible)
+    # a vertex that is known but not compiled is still checked by its first move
+    v = perm._DIAGRAM.vertex(reducible)
+    for side in (TOP_WINS, BOTTOM_WINS):
+        with pytest.raises(ReducibilityError):
+            perm._DIAGRAM.move(v, side)
 
 
 def test_budget_below_one_holds_no_seed():

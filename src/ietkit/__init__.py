@@ -12,8 +12,8 @@ symplectic
     The permutation's skew form, its exact transport along paths, and the
     reciprocal pairing of restricted singular values.
 simplex_geometry
-    Projective simplices, volume and Jacobian formulas, plane families,
-    polygon sections, and the concavity test.
+    Projective simplices, volume formulas, plane families, polygon
+    sections, and the concavity test.
 construction
     Staged freedom/restriction path generation with scaled growth
     schedules, the per-stage balance and angle conditions, and the
@@ -27,7 +27,7 @@ cli
 
 numpy is imported inside the functions that compute in floats, never at
 module level, so importing any module and running the exact computations
-loads neither numpy nor scipy; the balance-decay fit is a closed-form line,
+loads no numpy; the balance-decay fit is a closed-form line,
 so ``analysis.mc_balance`` needs no numpy either.  The records are plain
 classes with ``__slots__``, immutable by convention; those that only store
 their arguments share one initialiser, ``_record.Record``.  ``logging`` is

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .construction import ConstructionRun
-from .errors import DegeneracyError, UsageError
+from .errors import BudgetExceededError, DegeneracyError, UsageError
 from .induction import (
     Iet, IntegerIet, VisitationMatrix, _Balanced, _step_lengths, _Walk,
 )
@@ -37,27 +37,8 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-class McReport:
-    __slots__ = ("estimate", "stderr", "samples", "seed", "claim_bound", "verdict",
-                 "extras")
-
-    def __init__(
-        self,
-        estimate: float,
-        stderr: float,
-        samples: int,
-        seed: int,
-        claim_bound: float,
-        verdict: str,
-        extras: dict | None = None,  # a new empty dict when not given
-    ):
-        self.estimate = estimate
-        self.stderr = stderr
-        self.samples = samples
-        self.seed = seed
-        self.claim_bound = claim_bound
-        self.verdict = verdict
-        self.extras = {} if extras is None else extras
+class McReport(Record):
+    __slots__ = ("estimate", "stderr", "samples", "seed", "claim_bound", "verdict")
 
 
 def _verdict(estimate: float, stderr: float, bound: float, two_sided: bool = False) -> str:
@@ -73,12 +54,12 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1 - p), 1.0 / n) / n)
 
 
-def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False, **extras) -> McReport:
+def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False) -> McReport:
     if n == 0:
-        return McReport(float("nan"), float("inf"), 0, seed, bound, INCONCLUSIVE, extras)
+        return McReport(float("nan"), float("inf"), 0, seed, bound, INCONCLUSIVE)
     p = hits / n
     se = _binomial_se(p, n)
-    return McReport(p, se, n, seed, bound, _verdict(p, se, bound, two_sided), extras)
+    return McReport(p, se, n, seed, bound, _verdict(p, se, bound, two_sided))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +243,7 @@ def mc_jacobian_pushforward(
     z /= z.sum(axis=1, keepdims=True)  # exact preimage direction, normalized
     bary = np.linalg.solve(W.vertex_matrix(), z.T).T
     hits = int(np.count_nonzero((bary > -1e-12).all(axis=1)))
-    return _binomial_report(hits, samples, seed, predicted, two_sided=True,
-                            predicted=predicted)
+    return _binomial_report(hits, samples, seed, predicted, two_sided=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +256,6 @@ class ProbDecayReport(Record):
         "window_probs",  # empirical P(first j trials all fail)
         "window_bounds",  # (1-rho)^j
         "tau_hat",  # fitted decay of P(count < (1-eps) rho N)
-        "count_tail",
     )
 
 
@@ -305,7 +284,7 @@ def prob_decay_sim(
     bounds = tuple((1 - rho) ** j for j in range(1, window + 1))
     if samples == 0:
         rep = McReport(float("nan"), float("inf"), 0, seed, bounds[-1], INCONCLUSIVE)
-        return ProbDecayReport(rep, (), bounds, float("nan"), float("nan"))
+        return ProbDecayReport(rep, (), bounds, float("nan"))
     rng = np.random.default_rng(seed)
     if dependence == "independent":
         seqs = rng.random((samples, N)) < rho
@@ -319,8 +298,6 @@ def prob_decay_sim(
             no_success &= ~seqs[:, t]
     prefix_fail = np.cumprod(~seqs[:, :window], axis=1)
     probs = tuple(float(x) for x in prefix_fail.mean(axis=0))
-    counts = seqs.sum(axis=1)
-    tail = float(np.mean(counts < (1 - eps) * rho * N))
     # decay of the count tail across sub-horizons
     taus = []
     for n_sub in range(max(2, N // 4), N + 1, max(1, N // 4)):
@@ -338,7 +315,7 @@ def prob_decay_sim(
     rep = McReport(
         est, se, samples, seed, bounds[-1], _verdict(est, se, bounds[-1], two_sided)
     )
-    return ProbDecayReport(rep, probs, bounds, tau_hat, tail)
+    return ProbDecayReport(rep, probs, bounds, tau_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +478,17 @@ def make_nested_family(
     )
 
 
+# estimate-dim on 8 levels (4^8 squares) takes about 9 s and 0.6 GB, for
+# frostman_measure's probe-to-centre distances, and each level more about 4x
+MAX_CANTOR_LEVELS = 8
+
+
 def cantor_product_family(levels: int) -> NestedFamily:
     """Middle-thirds Cantor set squared, as a nested polygon family."""
+    if levels > MAX_CANTOR_LEVELS:
+        raise BudgetExceededError(
+            f"{levels} Cantor levels are beyond the cap of {MAX_CANTOR_LEVELS}"
+        )
     out_levels: list[list[Polygon2D]] = []
     out_parents: list[list[int | None]] = []
     squares = [(0.0, 0.0, 1.0)]  # (x, y, side)

@@ -1,22 +1,24 @@
-"""Projective action on the simplex: volumes, Jacobians, slices, sections.
+"""Projective action on the simplex: volumes, slices, sections.
 
 A non-negative matrix M acts on the standard simplex by x -> Mx/|Mx|; the
 image is the sub-simplex spanned by the normalized columns.  Identities
-(volume ratios, Jacobian values, orthogonality of the plane directions) are
-exact rationals.  ``section`` is exact up to its vertices and works in
+(volume ratios, orthogonality of the plane directions) are exact
+rationals.  ``section`` is exact up to its vertices and works in
 integers: ``section_table`` builds, per matrix and plane family, a
 fraction-free inverse and what else does not depend on the base point, the
 caller keeps it while it slices that matrix, and a call runs an integer
 vertex test; each float of the returned polygon is one correctly rounded
 division of its exact value.  The float sections of the concavity test come
 from one numpy half-plane intersector that clips all sampled planes of a
-body at once, a block of planes at a time.
+body at once, a block of planes at a time, by the facets numpy finds from
+the body's vertices.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import _rational
@@ -58,18 +60,6 @@ def normalized_det(cols: Sequence[Sequence]) -> Fraction:
     sums = [column_l1(c) for c in cols]
     # a matrix and its transpose have one determinant: the columns go in as rows
     return abs(_rational.det([[x / s for x in c] for c, s in zip(cols, sums)]))
-
-
-def jacobian(M, z: Sequence, exact: bool = False):
-    """Jacobian of x -> Mx/|Mx| at z in Delta: 1 / (sum_i |C_i| z_i)^d."""
-    cols = _columns(M)
-    d = len(cols)
-    if exact:
-        s = sum(column_l1(c) * Fraction(x) for c, x in zip(cols, z))
-        return 1 / s**d
-    norms = [float(column_l1(c)) for c in cols]
-    s = float(sum(n * float(x) for n, x in zip(norms, z)))
-    return s**-d
 
 
 class PlaneFamily(Value):
@@ -350,12 +340,25 @@ def section(table, base_point: Sequence) -> Polygon2D | None:
 
 
 def _polytope_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) with the hull of ``vertices`` = {x : A x <= b}."""
-    from scipy.spatial import ConvexHull
+    """(A, b) with the hull of the (k, n) ``vertices`` = {x : A x <= b}.
 
-    hull = ConvexHull(vertices)
-    eq = hull.equations  # rows: a . x + c <= 0
-    return eq[:, :-1], -eq[:, -1]
+    Any n of the vertices lie on a hyperplane whose unit normal is a null
+    vector of their differences; a row is emitted for each such hyperplane
+    that has every vertex on one side, up to 1e-9 of the largest coordinate.
+    Every facet is one of them and every other one still supports the hull,
+    so no general position is assumed: a facet of more than n vertices
+    comes once per n of them.
+    """
+    import numpy as np
+
+    n = vertices.shape[1]
+    pts = vertices[list(combinations(range(len(vertices)), n))]  # (subsets, n, n)
+    a = np.linalg.svd(pts[:, 1:] - pts[:, :1])[2][:, -1]
+    b = (a * pts[:, 0]).sum(1)
+    res = vertices @ a.T - b  # (k, subsets)
+    tol = 1e-9 * np.abs(vertices).max()
+    below, above = (res <= tol).all(0), (res >= -tol).all(0)
+    return np.concatenate([a[below], -a[above]]), np.concatenate([b[below], -b[above]])
 
 
 def plane_section_concavity_test(

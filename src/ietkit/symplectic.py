@@ -155,7 +155,6 @@ class PairingReport(Record):
         "values",
         "pairs",
         "defect",
-        "kernel_scale",  # |c| with M k' = c k on 1-dim kernels
         "restricted_det",
     )
 
@@ -228,16 +227,5 @@ def reciprocal_pairing(
         unpaired.remove(j)
         pairs.append((i, j))
         defect = max(defect, abs(values[i] * values[j] - 1.0))
-    kernel_scale = None
-    if len(form_prime.kernel_basis) == 1 and len(form.kernel_basis) == 1:
-        k_prime = form_prime.kernel_basis[0]
-        image = M.mat_vec(tuple(Fraction(x) for x in k_prime))
-        k = form.kernel_basis[0]
-        ratios = {Fraction(a, b) for a, b in zip(image, k) if b != 0}
-        nonzero_match = all(
-            (a == 0) == (b == 0) for a, b in zip(image, k)
-        )
-        if len(ratios) == 1 and nonzero_match:
-            kernel_scale = abs(ratios.pop())
     restricted_det = abs(float(np.linalg.det(S_float)))
-    return PairingReport(values, tuple(pairs), defect, kernel_scale, restricted_det)
+    return PairingReport(values, tuple(pairs), defect, restricted_det)

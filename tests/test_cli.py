@@ -10,7 +10,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietkit.analysis import sample_simplex_exact
+from ietkit import analysis
+from ietkit.analysis import MAX_CANTOR_LEVELS, sample_simplex_exact
 from ietkit.cli import (
     EXIT_BUDGET,
     EXIT_INDUCTION,
@@ -675,6 +676,23 @@ def cantor_manifest(tmp_path, levels=3):
         json.dumps({"command": "synthetic-cantor", "config": {"levels": levels}})
     )
     return manifest
+
+
+@pytest.mark.parametrize("levels", [MAX_CANTOR_LEVELS + 1, 10**6])
+def test_estimate_dim_refuses_cantor_levels_over_the_cap(tmp_path, capsys, monkeypatch,
+                                                         levels):
+    # each level costs about 4 times the one before, so the run stops before
+    # its first square is built
+    def no_square(*args):
+        raise AssertionError("a square was built")
+
+    monkeypatch.setattr(analysis, "_square", no_square)
+    code, out = run(["estimate-dim", "--manifest", str(cantor_manifest(tmp_path, levels))],
+                    tmp_path)
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err == (f"budget exceeded: {levels} Cantor levels are "
+                                       f"beyond the cap of {MAX_CANTOR_LEVELS}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["abc", "0,-1", "nan,inf", "1e-400", "0.5,,0.1"])

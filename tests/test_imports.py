@@ -1,9 +1,9 @@
 """numpy stays off the start-up path, and every layer is still imported there.
 
 The exact subcommands never compute a float, so neither importing the CLI
-nor running them loads numpy or scipy; the float layers import numpy inside
-the functions that use it, `verify balance` fits its decay line without it,
-and only the concavity suite loads scipy.  Start-up loads neither
+nor running them loads numpy; the float layers import numpy inside the
+functions that use it, and `verify balance` fits its decay line without it.
+No job loads scipy, which is not a dependency.  Start-up loads neither
 ``dataclasses`` nor ``logging`` either, and `verify balance` forks its scans
 without ``multiprocessing`` or ``concurrent.futures``.  The
 benchmark's tracer patches only the modules loaded by ``import ietkit.cli``,
@@ -37,7 +37,7 @@ EXACT_RUNS = [
     ["verify", "volume", "--paths", "5"],
 ]
 
-# a tiny run of each float job that needs no scipy: all but verify concavity
+# a tiny run of each float job
 FLOAT_RUNS = [
     ["construct", "--d", "4", "--stages", "2", "--out", "c"],
     ["estimate-dim", "--manifest", "c/construct_manifest.json", "--planes", "2",
@@ -45,6 +45,7 @@ FLOAT_RUNS = [
     ["verify", "balance", "--samples", "20", "--out", "v"],
     ["verify", "jacobian", "--samples", "20", "--out", "v"],
     ["verify", "probdecay", "--samples", "20", "--out", "v"],
+    ["verify", "concavity", "--samples", "20", "--out", "v"],
 ]
 
 
@@ -121,7 +122,7 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
     assert got == {"codes": [0] * len(EXACT_RUNS), "numpy": False, "scipy": False}
 
 
-def test_float_jobs_but_concavity_load_no_scipy(tmp_path):
+def test_float_jobs_load_no_scipy(tmp_path):
     got = fresh(
         "import json, sys\nfrom ietkit.cli import main\n"
         f"codes = [main(argv) for argv in {FLOAT_RUNS!r}]\n"

@@ -34,8 +34,6 @@ ALLOWED = {
     "analysis.sample_simplex_exact": "the exact test-input sampler; it shares "
                                      "_sample_gaps with verify balance",
     "_rational.mat": "acceptance criterion 5 builds its volume oracle with it",
-    "simplex_geometry.jacobian": "the exact Jacobian ROADMAP item 9 weights "
-                                 "its stage-share samples by",
 }
 
 

@@ -23,7 +23,6 @@ from ietkit import (
     rauzy_move,
     restriction_subgraph,
 )
-from ietkit.analysis import McReport
 from ietkit.construction import (
     ExponentScale,
     PhasePath,
@@ -162,17 +161,6 @@ def test_phase_path_warnings_default_and_warn():
     assert (warned.phase, warned.start, warned.end, warned.runs, warned.matrix) == (
         path.phase, path.start, path.end, path.runs, path.matrix
     )
-
-
-def test_mc_report_extras_default():
-    a = McReport(0.5, 0.1, 10, 0, 1.0, "consistent")
-    b = McReport(estimate=0.5, stderr=0.1, samples=10, seed=0, claim_bound=1.0,
-                 verdict="consistent")
-    assert a.extras == {} and b.extras == {}
-    a.extras["k"] = 1
-    assert b.extras == {}  # each report gets its own dict
-    c = McReport(0.5, 0.1, 10, 0, 1.0, "consistent", {"k": 2})
-    assert c.extras == {"k": 2}
 
 
 def test_exponent_scale_and_schedule_defaults():

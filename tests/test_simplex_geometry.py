@@ -1,4 +1,4 @@
-"""Volume and Jacobian formulas, plane sections, and the half-plane clipper."""
+"""Volume formulas, plane sections, polytope facets and the half-plane clipper."""
 from __future__ import annotations
 
 import math
@@ -16,7 +16,6 @@ from ietkit.perm import hyperelliptic_permutation
 from ietkit.simplex_geometry import (
     PlaneFamily,
     Polygon2D,
-    jacobian,
     plane_section_concavity_test,
     section,
     section_table,
@@ -69,20 +68,6 @@ def test_singular_matrix_rejected():
         simplex_volume_ratio(
             ((1, 1), (1, 1)), VisitationMatrix.identity(2)
         )
-
-
-def test_jacobian_at_vertices():
-    M = random_matrix(4, 12, 3)
-    for i in range(4):
-        z = tuple(Fraction(1) if j == i else Fraction(0) for j in range(4))
-        expected = Fraction(1, M.column_norm(i + 1) ** 4)
-        assert jacobian(M, z, exact=True) == expected
-
-
-def test_jacobian_float_matches_exact():
-    M = random_matrix(3, 8, 4)
-    z = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    assert jacobian(M, z) == pytest.approx(float(jacobian(M, z, exact=True)))
 
 
 def test_clip_halfplanes_square():
@@ -283,6 +268,46 @@ def test_polytope_section_area_cube():
     point = np.array([0.5, 0.5, 0.5])
     area = _clip_planes(-(A @ chart.T), (b - A @ point)[None])[2][0]
     assert area == pytest.approx(1.0, abs=1e-9)
+
+
+def same_rows(A, b, rows) -> bool:
+    """Each row (a, b) of A x <= b is within 1e-9 of one of ``rows``, and
+    each of ``rows`` within 1e-9 of one of them."""
+    gap = np.abs(np.column_stack([A, b])[:, None] - np.asarray(rows)[None]).max(-1)
+    return gap.min(0).max() <= 1e-9 and gap.min(1).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(5, 16), st.integers(0, 2**32 - 1))
+def test_polytope_halfspaces_support_the_body(n, npoints, seed):
+    body = np.random.default_rng(seed).standard_normal((npoints, n))
+    A, b = _polytope_halfspaces(body)
+    res = body @ A.T - b  # (vertices, rows)
+    assert (res <= 1e-9 * np.abs(body).max()).all()
+    assert np.allclose(np.linalg.norm(A, axis=1), 1.0)
+    assert (np.isclose(res, 0.0, atol=1e-9).sum(0) >= n).all()
+
+
+def test_polytope_halfspaces_of_the_4_simplex():
+    A, b = _polytope_halfspaces(np.vstack([np.zeros(4), np.eye(4)]))
+    assert len(A) == 5  # x_i >= 0, and x_1 + ... + x_4 <= 1 as a unit row
+    assert same_rows(A, b, [[*-np.eye(4)[i], 0.0] for i in range(4)] + [[0.5] * 5])
+
+
+def test_polytope_halfspaces_of_the_cube_are_its_facets():
+    cube = [(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+    A, b = _polytope_halfspaces(np.array(cube))
+    assert len(A) == 24  # each facet once per three of its four vertices
+    assert same_rows(A, b, [[*e, 1.0] for e in np.eye(3)] + [[*-e, 0.0] for e in np.eye(3)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(5, 16), st.integers(0, 2**32 - 1))
+def test_polytope_halfspaces_are_the_qhull_facets(n, npoints, seed):
+    spatial = pytest.importorskip("scipy.spatial")  # no longer a dependency
+    body = np.random.default_rng(seed).standard_normal((npoints, n))
+    eq = spatial.ConvexHull(body).equations  # rows: a . x + c <= 0
+    assert same_rows(*_polytope_halfspaces(body), np.column_stack([eq[:, :-1], -eq[:, -1]]))
 
 
 def test_concavity_ball_closed_form():

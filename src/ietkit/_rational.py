@@ -3,7 +3,8 @@
 Matrices are sequences of rows; entries may be ints, ``Fraction``s or
 floats (read exactly).  ``det``, ``inverse``, ``scaled_inverse``, ``solve``,
 ``nullspace`` and ``column_space_basis`` all read their result off one
-elimination, ``_eliminate``: fraction-free Gauss-Jordan (Bareiss) on the
+elimination; ``project_out`` is one ``solve`` of normal equations.  The
+elimination is ``_eliminate``: fraction-free Gauss-Jordan (Bareiss) on the
 entries as integers over one common denominator, so no gcd is taken until a
 result is built.  It is O(n^3) integer work, which is fine: the dimensions
 in this package never exceed a few dozen.  Floats are deliberately absent
@@ -12,6 +13,7 @@ from results; callers convert at the boundary.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,8 +29,10 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+def dot(u: Sequence, v: Sequence) -> Fraction | int:
+    """u . v of ints and ``Fraction``s, which multiply exactly as they are;
+    floats go through ``vec`` first."""
+    return sum(map(operator.mul, u, v))
 
 
 def _numerators(values: Sequence) -> tuple[list[int], int]:
@@ -122,6 +126,21 @@ def solve(m: Sequence[Sequence], b: Sequence) -> Vec | None:
     for row, c in zip(rows, pivots):
         x[c] = Fraction(row[ncols], p)
     return tuple(x)
+
+
+def project_out(x: Sequence, vectors: Sequence[Sequence]) -> Vec:
+    """x less its orthogonal projection onto the span of ``vectors``.
+
+    That is x - N c, N the matrix with ``vectors`` as columns and c a
+    solution of N^T N c = N^T x.  The normal equations are consistent and N c
+    is the same for every solution, so the vectors need be neither
+    orthogonal nor independent.  No vectors span {0}: x comes back as it is.
+    """
+    x, n = vec(x), mat(vectors)
+    if not n:
+        return x
+    c = solve([[dot(a, b) for b in n] for a in n], [dot(a, x) for a in n])
+    return tuple(xi - dot(c, col) for xi, col in zip(x, zip(*n)))
 
 
 def scaled_inverse(m: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -250,12 +250,16 @@ def mc_jacobian_pushforward(
 # probability decay
 
 
+DECAY_WINDOW = 10  # trials whose all-failure prefix probabilities are reported
+DECAY_EPS = 0.5  # the relative shortfall of the count tail tau_hat fits
+
+
 class ProbDecayReport(Record):
     __slots__ = (
         "report",
         "window_probs",  # empirical P(first j trials all fail)
         "window_bounds",  # (1-rho)^j
-        "tau_hat",  # fitted decay of P(count < (1-eps) rho N)
+        "tau_hat",  # fitted decay of P(count < (1 - DECAY_EPS) rho N)
     )
 
 
@@ -265,10 +269,11 @@ def prob_decay_sim(
     N: int,
     samples: int,
     seed: int,
-    window: int = 10,
-    eps: float = 0.5,
 ) -> ProbDecayReport:
     """0/1 sequences with conditional success probability >= rho.
+
+    The window bounds cover the first DECAY_WINDOW trials (all N when
+    fewer), and tau_hat fits the tail P(count < (1 - DECAY_EPS) rho n).
 
     independent: each trial is Bernoulli(rho).  adversarial-markov: the chain
     pays exactly rho while its past is all-failures and 0.9 afterwards, which
@@ -280,7 +285,7 @@ def prob_decay_sim(
         raise UsageError("rho must be in (0, 1/2)")
     if dependence not in ("independent", "adversarial-markov"):
         raise UsageError(f"unknown dependence {dependence!r}")
-    window = min(window, N)
+    window = min(DECAY_WINDOW, N)
     bounds = tuple((1 - rho) ** j for j in range(1, window + 1))
     if samples == 0:
         rep = McReport(float("nan"), float("inf"), 0, seed, bounds[-1], INCONCLUSIVE)
@@ -301,7 +306,7 @@ def prob_decay_sim(
     # decay of the count tail across sub-horizons
     taus = []
     for n_sub in range(max(2, N // 4), N + 1, max(1, N // 4)):
-        t = float(np.mean(seqs[:, :n_sub].sum(axis=1) < (1 - eps) * rho * n_sub))
+        t = float(np.mean(seqs[:, :n_sub].sum(axis=1) < (1 - DECAY_EPS) * rho * n_sub))
         taus.append((n_sub, t))
     pos = [(n, t) for n, t in taus if t > 0]
     if len(pos) >= 2:

@@ -345,10 +345,6 @@ def _run_from_config(config: dict):
     return run_construction(config["d"], schedule, config["seed"])
 
 
-# the DoubleStarReport fields a manifest row holds: all but the thresholds
-_DOUBLE_STAR_FIELDS = ("stage", "lhs_angle", "lhs_pass", "rhs_angle", "rhs_pass")
-
-
 def _construct_manifest_doc(config: dict, completed, run) -> dict:
     """The manifest of a run with ``completed`` stages; a ``run`` of None
     failed after them."""
@@ -379,8 +375,7 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
         {f: getattr(r, f) for f in r.__slots__} for r in check_conditions_star(run)
     ]
     doc["conditions_double_star"] = [
-        {f: getattr(r, f) for f in _DOUBLE_STAR_FIELDS}
-        for r in check_condition_double_star(run)
+        {f: getattr(r, f) for f in r.__slots__} for r in check_condition_double_star(run)
     ]
     doc["angle_monotonicity"] = [
         {f: getattr(r, f) for f in r.__slots__} for r in check_nue_angles(run)

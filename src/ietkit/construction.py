@@ -126,24 +126,10 @@ class ExponentScale(Record):
 
 
 class StageWindows(Record):
-    __slots__ = (
-        "k",
-        "A",  # absent at stage 1
-        "Aprime",
-        "T_cap_exp",
-        "B",
-        "Bprime",
-        "s_exp",
-        "t_exp",  # negative
-    )
+    """One norm window per phase of stage k; B' is [s_k, 2 s_k], and the
+    transition's window [1, cap] only caps its norm."""
 
-    @property
-    def s(self) -> int:
-        return _pow10(self.s_exp)
-
-    @property
-    def t(self) -> float:
-        return _float_pow10(self.t_exp)
+    __slots__ = ("k", "A", "Aprime", "T", "B", "Bprime")  # A is absent at stage 1
 
 
 class Schedule(Record):
@@ -188,10 +174,7 @@ def make_schedule(
             b = Window(b_lo, b_lo + p2(k + k0))
             bp_lo = p6(2 * k + 2 + k0) + p4(k + k0)
             bp = Window(bp_lo, bp_lo, double=True)
-            t_exp = -(p6(2 * k + 1 + k0) + p4(k + k0) + p2(k + k0) / 2)
-            out.append(
-                StageWindows(k, a, ap, p2(k + k0), b, bp, s_exp=bp_lo, t_exp=t_exp)
-            )
+            out.append(StageWindows(k, a, ap, Window(0, p2(k + k0)), b, bp))
     except OverflowError:  # k0 (or the scale) beyond the float range
         raise ScheduleOverflowError(
             f"the {scale.name} exponents of k0 = {k0} are beyond the float range"
@@ -493,11 +476,12 @@ def freedom_rhs_for_window(
     return _check_window(b.finish(), window)
 
 
-def gen_restriction_rhs(start: LabeledPermutation, ell: int, stage: StageWindows) -> PhasePath:
-    """d-1 beats d exactly ell times at pi_R, then d beats d-1; ends at pi_s."""
+def gen_restriction_rhs(start: LabeledPermutation, ell: int, window: Window) -> PhasePath:
+    """d-1 beats d exactly ell times at pi_R, then d beats d-1; ends at pi_s.
+    ``window`` is the stage's B' window [s_k, 2 s_k], which holds ell."""
     b = PathBuilder(phase_rule(RESTRICTION_RHS, start.d), start)
-    if not stage.s <= ell <= 2 * stage.s:
-        raise UsageError(f"loop count {ell} outside [s_k, 2 s_k] = [{stage.s}, {2*stage.s}]")
+    if not window.contains(ell):
+        raise UsageError(f"loop count {ell} outside [s_k, 2 s_k] = [{window.lo}, {window.hi}]")
     b.apply_self_loop(BOTTOM_WINS, ell)
     b.apply_winner(start.d)
     return b.finish()
@@ -551,18 +535,30 @@ def validate_phase(path: PhasePath) -> list[str]:
 # stage traces and the full run
 
 
+def _scaled_floats(col: Sequence[int]) -> list[float]:
+    """The integer column as floats, all divided by one power of two 2^k,
+    k = max(0, largest bit length - 500): their squares and products stay in
+    float range, and the factor cancels in every angle.  k is 0 for entries
+    below 2^500, which convert as ``float`` does."""
+    k = max(0, max(abs(x).bit_length() for x in col) - 500)
+    return [x / (1 << k) for x in col]
+
+
 def _span_angle(col: Sequence[int], first_block: bool, d: int) -> float:
-    """Angle from a column to span(e_1..e_{d-2}) or span(e_{d-1}, e_d)."""
-    top = math.sqrt(sum(float(x) ** 2 for x in col[: d - 2]))
-    bottom = math.sqrt(sum(float(x) ** 2 for x in col[d - 2 :]))
+    """Angle from an integer column to span(e_1..e_{d-2}) or span(e_{d-1}, e_d)."""
+    col = _scaled_floats(col)
+    top = math.sqrt(sum(x**2 for x in col[: d - 2]))
+    bottom = math.sqrt(sum(x**2 for x in col[d - 2 :]))
     inside, outside = (top, bottom) if first_block else (bottom, top)
     return math.atan2(outside, inside)
 
 
-def _column_angle(a: Sequence[int], b: Sequence[int]) -> float:
-    na = math.sqrt(sum(float(x) ** 2 for x in a))
-    nb = math.sqrt(sum(float(x) ** 2 for x in b))
-    dot = sum(float(x) * float(y) for x, y in zip(a, b))
+def _column_angle(a: Sequence[float], b: Sequence[float]) -> float:
+    """Angle between two float columns; integer ones go through
+    ``_scaled_floats`` first."""
+    na = math.sqrt(sum(x**2 for x in a))
+    nb = math.sqrt(sum(x**2 for x in b))
+    dot = sum(x * y for x, y in zip(a, b))
     c = max(-1.0, min(1.0, dot / (na * nb)))
     return math.acos(c)
 
@@ -620,7 +616,6 @@ def extend_stage(
     ``(cum, current)`` and the state of ``rng``.
     """
     w = schedule.stage(k)
-    t_cap = Window(0, w.T_cap_exp)  # a transition's norm is only capped
 
     def bridge(start: LabeledPermutation) -> PhasePath:
         # freedom ends at pi_s; restriction needs pi_L: route back with the
@@ -635,9 +630,10 @@ def extend_stage(
         steps += [("A", lambda pi: gen_freedom_lhs(pi, w.A, rng)), ("A-bridge", bridge)]
     steps += [
         ("Aprime", lambda pi: gen_restriction_lhs(pi, w.Aprime, rng)),
-        ("T", lambda pi: _check_window(gen_transition(pi, rng), t_cap)),
+        ("T", lambda pi: _check_window(gen_transition(pi, rng), w.T)),
         ("B", lambda pi: freedom_rhs_for_window(pi, w.B, rng)),
-        ("Bprime", lambda pi: gen_restriction_rhs(pi, rng.randint(w.s, 2 * w.s), w)),
+        ("Bprime", lambda pi: gen_restriction_rhs(
+            pi, rng.randint(w.Bprime.lo, w.Bprime.hi), w.Bprime)),
     ]
     phases: dict[str, PhasePath | None] = {"A": None}  # no freedom A at stage 1
     checkpoints: dict[str, VisitationMatrix] = {"entry": cum}
@@ -725,9 +721,10 @@ class StarReport(Record):
     )
 
 
-def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> list[StarReport]:
-    """The four balance conditions, per stage (the fourth is automatic)."""
-    zeta = zeta if zeta is not None else run.schedule.zeta
+def check_conditions_star(run: ConstructionRun) -> list[StarReport]:
+    """The four balance conditions, per stage (the fourth is automatic),
+    against the schedule's zeta."""
+    zeta = run.schedule.zeta
     d = run.d
     out = []
     for st in run.stages:
@@ -762,37 +759,30 @@ def check_conditions_star(run: ConstructionRun, zeta: float | None = None) -> li
 
 
 class DoubleStarReport(Record):
-    __slots__ = (
-        "stage", "lhs_angle", "lhs_threshold", "lhs_pass",
-        "rhs_angle", "rhs_threshold", "rhs_pass",
-    )
+    __slots__ = ("stage", "lhs_angle", "lhs_pass", "rhs_angle", "rhs_pass")
 
 
 def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
-    """Column-angle conditions at the two per-stage checkpoints."""
+    """Column-angle conditions at the two per-stage checkpoints, each angle
+    below the schedule's threshold for its side and stage."""
     d = run.d
     out = []
     for st in run.stages:
         if "A" in st.checkpoints:
             m = st.checkpoints["A"]
+            cols = [_scaled_floats(m.column(j)) for j in range(1, d - 1)]
             lhs_angle = max(
-                _column_angle(m.column(i), m.column(j))
-                for i in range(1, d - 1)
-                for j in range(i + 1, d - 1)
+                _column_angle(cols[i], cols[j])
+                for i in range(d - 2)
+                for j in range(i + 1, d - 2)
             )
-            lhs_threshold = run.schedule.angle_threshold_lhs(st.k)
-            lhs_pass = lhs_angle < lhs_threshold
+            lhs_pass = lhs_angle < run.schedule.angle_threshold_lhs(st.k)
         else:
-            lhs_angle = lhs_threshold = lhs_pass = None
+            lhs_angle = lhs_pass = None
         m = st.checkpoints["Bprime"]
-        rhs_angle = _column_angle(m.column(d - 1), m.column(d))
-        rhs_threshold = run.schedule.angle_threshold_rhs(st.k)
-        out.append(
-            DoubleStarReport(
-                st.k, lhs_angle, lhs_threshold, lhs_pass,
-                rhs_angle, rhs_threshold, rhs_angle < rhs_threshold,
-            )
-        )
+        rhs_angle = _column_angle(*(_scaled_floats(m.column(j)) for j in (d - 1, d)))
+        rhs_pass = rhs_angle < run.schedule.angle_threshold_rhs(st.k)
+        out.append(DoubleStarReport(st.k, lhs_angle, lhs_pass, rhs_angle, rhs_pass))
     return out
 
 

@@ -92,40 +92,20 @@ class PlaneFamily(Value):
 
 def _project_slice_directions(z: Sequence[Fraction], d: int) -> tuple[Fraction, ...]:
     """Orthogonal projection onto {sum x = 0, x_{d-1}+x_d = 0}."""
-    ones = tuple(Fraction(1) for _ in range(d))
-    last_two = tuple(
-        Fraction(1) if i >= d - 2 else Fraction(0) for i in range(d)
-    )
-    # orthogonalize the second normal against the first
-    shift = _rational.dot(last_two, ones) / _rational.dot(ones, ones)
-    n2 = tuple(x - shift * y for x, y in zip(last_two, ones))
-    out = tuple(Fraction(x) for x in z)
-    for n in (ones, n2):
-        coeff = _rational.dot(out, n) / _rational.dot(n, n)
-        out = tuple(x - coeff * y for x, y in zip(out, n))
-    return out
+    last_two = (0,) * (d - 2) + (1, 1)
+    return _rational.project_out(z, [(1,) * d, last_two])
 
 
 def plane_family(A1prime, B1, form: SymplecticForm) -> PlaneFamily:
     """Build the plane directions from the first-stage product A'_1 B_1."""
     N = A1prime @ B1
     d = N.d
-    c1 = tuple(Fraction(x) for x in N.column(1))
-    cd = tuple(Fraction(x) for x in N.column(d))
-    w_u = form.image_preimage(c1)
-    w_v = form.image_preimage(cd)
-    u0 = _project_slice_directions(w_u, d)
-    v0 = _project_slice_directions(w_v, d)
+    u0 = _project_slice_directions(form.image_preimage(N.column(1)), d)
+    v0 = _project_slice_directions(form.image_preimage(N.column(d)), d)
     if all(x == 0 for x in v0) or all(x == 0 for x in u0):
         raise DegeneracyError("plane direction collapsed to zero")
-    u = tuple(
-        x - (_rational.dot(u0, v0) / _rational.dot(v0, v0)) * y
-        for x, y in zip(u0, v0)
-    )
-    v = tuple(
-        x - (_rational.dot(v0, u0) / _rational.dot(u0, u0)) * y
-        for x, y in zip(v0, u0)
-    )
+    u = _rational.project_out(u0, [v0])
+    v = _rational.project_out(v0, [u0])
     if all(x == 0 for x in u) or all(x == 0 for x in v):
         raise DegeneracyError("plane directions are dependent")
     return PlaneFamily(d, u, v)
@@ -186,6 +166,7 @@ class Polygon2D:
 
 _REL_TOL = 1e-12  # a residual or gap below this share of its terms is rounding
 _BLOCK = 1 << 17  # residuals (1 MB) per block of planes, so memory stays flat
+CONCAVITY_CONSTANT = 4.0  # the concavity bound is this times sqrt(eps)
 
 
 def _clip_planes(normals: np.ndarray, offsets: np.ndarray):
@@ -367,7 +348,6 @@ def plane_section_concavity_test(
     eps: float,
     samples: int,
     seed: int = 0,
-    constant: float = 4.0,
 ) -> tuple[float, float, bool]:
     """Fraction of parallel-plane sections with area below eps * max area.
 
@@ -375,7 +355,7 @@ def plane_section_concavity_test(
     polytope.  ``directions`` is a 2 x n array spanning the plane;
     translates are sampled uniformly over the bounding box of the body's
     projection onto the orthocomplement.  Returns (fraction, bound, fraction <= bound) with
-    bound = constant * sqrt(eps).
+    bound = CONCAVITY_CONSTANT * sqrt(eps).
     """
     import numpy as np
 
@@ -412,5 +392,5 @@ def plane_section_concavity_test(
         raise DegeneracyError("no sampled plane met the body")
     a_max = areas.max()
     fraction = float((areas[hit] < eps * a_max).mean())
-    bound = constant * float(np.sqrt(eps))
+    bound = CONCAVITY_CONSTANT * float(np.sqrt(eps))
     return fraction, bound, fraction <= bound

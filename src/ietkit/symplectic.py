@@ -44,24 +44,23 @@ class SymplecticForm(Record):
         )
 
     def image_preimage(self, w) -> tuple[Fraction, ...]:
-        """Solve Omega y = proj_Im(w) with y in Im(Omega).
+        """The y in Im(Omega) with Omega y = proj_Im(w): the restricted
+        inverse.
 
-        This is the restricted inverse: well defined because Omega maps its
-        image bijectively onto itself (image and kernel are orthogonal
-        complements for a skew form).
+        Image and kernel are orthogonal complements for a skew form, and
+        Omega is non-degenerate on its image, so with B the ``image_basis``
+        the Gram matrix B^T Omega B is invertible.  y = B c for the c with
+        (B^T Omega B) c = B^T w; then Omega y - w is orthogonal to Im, so it
+        lies in the kernel.  B holds columns of Omega, so the Gram matrix is
+        integer; with w and c as numerators over q and p, so is everything up
+        to the one division of each entry of y.
         """
-        w = _rational.vec(w)
-        # project w onto Im = ker^perp
-        for k in self.kernel_basis:
-            coeff = _rational.dot(w, k) / _rational.dot(k, k)
-            w = tuple(wi - coeff * ki for wi, ki in zip(w, k))
-        y = _rational.solve(self.matrix, w)
-        if y is None:
-            raise DegeneracyError("projection did not land in the image")
-        for k in self.kernel_basis:
-            coeff = _rational.dot(y, k) / _rational.dot(k, k)
-            y = tuple(yi - coeff * ki for yi, ki in zip(y, k))
-        return y
+        B = [tuple(map(int, b)) for b in self.image_basis]
+        omega_b = [[_rational.dot(row, b) for row in self.matrix] for b in B]
+        gram = [[_rational.dot(bi, ob) for ob in omega_b] for bi in B]
+        w, q = _rational._numerators(w)
+        c, p = _rational._numerators(_rational.solve(gram, [_rational.dot(b, w) for b in B]))
+        return tuple(Fraction(_rational.dot(c, col), p * q) for col in zip(*B))
 
 
 _SKEWS: dict[LabeledPermutation, tuple[tuple[int, ...], ...]] = {}
@@ -167,20 +166,14 @@ def _restricted_matrix(
     With D, D' Darboux for Omega_pi, Omega_pi', the columns of M D' decompose
     as D S + (kernel of Omega_pi part); S is exactly symplectic w.r.t. the
     standard form, so its singular values pair reciprocally up to float error.
+    The form reads the coordinates off: in D = (u_1, v_1, ...), the
+    u_i-coordinate of x is Omega(x, v_i), its v_i-coordinate is
+    -Omega(x, u_i), and the kernel part pairs to 0.
     """
     D = darboux_basis(form)
-    D_prime = darboux_basis(form_prime)
-    d = M.d
-    B = list(zip(*D, *form.kernel_basis))  # columns are basis vectors
-    S: list[list[Fraction]] = [[Fraction(0)] * len(D_prime) for _ in range(len(D))]
-    for j, w in enumerate(D_prime):
-        target = M.mat_vec(tuple(Fraction(x) for x in w))
-        coeffs = _rational.solve(B, target)
-        if coeffs is None:
-            raise IetkitError("image decomposition failed")
-        for i in range(len(D)):
-            S[i][j] = coeffs[i]
-    return S
+    duals = [D[i + 1] if i % 2 == 0 else tuple(-x for x in D[i - 1]) for i in range(len(D))]
+    targets = [M.mat_vec(w) for w in darboux_basis(form_prime)]
+    return [[form.apply(x, dual) for x in targets] for dual in duals]
 
 
 def reciprocal_pairing(

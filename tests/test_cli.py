@@ -332,6 +332,20 @@ def test_construct_angle_threshold_overflow_is_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+def test_construct_runs_past_the_float_range_of_a_squared_entry(tmp_path, capsys):
+    # the cumulative norm reaches 551 bits at stage 11: squaring a float of
+    # its entries overflowed in the column angles, an OverflowError traceback
+    code, out = run(
+        ["construct", "--d", "4", "--stages", "11", "--seed", "1",
+         "--scale", "linear:0.5,0.25,0.15,0.08"],
+        tmp_path,
+    )
+    assert code == EXIT_OK
+    doc = json.loads((out / "construct_manifest.json").read_text())
+    assert int(doc["stages"][-1]["norm"]).bit_length() > 512
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_construct_unknown_scale_is_usage(tmp_path):
     code, _ = run(["construct", "--scale", "cubic"], tmp_path)
     assert code == EXIT_USAGE

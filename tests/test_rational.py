@@ -262,3 +262,37 @@ def test_visitation_matrix_det_is_an_int():
     assert type(M.det()) is int and M.det() == 1
     swap = VisitationMatrix([[0, 1], [1, 0]])
     assert type(swap.det()) is int and swap.det() == -1
+
+
+@st.composite
+def projection_inputs(draw):
+    """A vector x and up to three vectors to project out, of one length."""
+    n = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(entries), draw(st.lists(entries, max_size=3))
+
+
+@given(projection_inputs(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_project_out_is_the_orthogonal_projection(inputs, coeffs):
+    x, vectors = inputs
+    y = _rational.project_out(x, vectors)
+    assert all(type(e) is Fraction for e in y)
+    for v in vectors:
+        assert _rational.dot(y, v) == 0
+    # what was taken off lies in the span, and projecting again changes nothing
+    assert not any(_rational.project_out([a - b for a, b in zip(x, y)], vectors))
+    assert _rational.project_out(y, vectors) == y
+    # a vector already in the span changes nothing
+    dependent = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(x))]
+    assert _rational.project_out(x, [*vectors, dependent]) == y
+
+
+def test_project_out_of_no_vectors_is_the_identity():
+    x = [1, Fraction(2, 3), 0.5]
+    assert _rational.project_out(x, []) == (1, Fraction(2, 3), Fraction(1, 2))
+
+
+def test_project_out_needs_no_orthogonal_basis():
+    # the plane {x_1 = x_2} through two non-orthogonal spanning vectors
+    assert _rational.project_out([1, 0, 0], [[1, 1, 0], [1, 1, 1]]) == (
+        Fraction(1, 2), Fraction(-1, 2), 0)

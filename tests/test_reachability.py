@@ -33,7 +33,6 @@ ALLOWED = {
                                           "would add a suite name",
     "analysis.sample_simplex_exact": "the exact test-input sampler; it shares "
                                      "_sample_gaps with verify balance",
-    "_rational.mat": "acceptance criterion 5 builds its volume oracle with it",
 }
 
 

@@ -146,13 +146,19 @@ def reference_invariance(M, pi, pi_prime) -> bool:
 
 
 @st.composite
-def diagram_paths(draw):
-    """A path of drawn sides from a drawn irreducible pair, d = 2..7."""
+def irreducible_pairs(draw):
+    """A drawn irreducible pair, d = 2..7."""
     d = draw(st.integers(2, 7))
     top = draw(st.permutations(range(1, d + 1)))
     bottom = draw(st.permutations(range(1, d + 1)).filter(
         lambda b: LabeledPermutation(tuple(top), tuple(b)).is_irreducible()))
-    pi = LabeledPermutation(tuple(top), tuple(bottom))
+    return LabeledPermutation(tuple(top), tuple(bottom))
+
+
+@st.composite
+def diagram_paths(draw):
+    """A path of drawn sides from a drawn irreducible pair, d = 2..7."""
+    pi = draw(irreducible_pairs())
     sides = draw(st.lists(st.sampled_from([TOP_WINS, BOTTOM_WINS]), max_size=40))
     M, pi_end, _ = drive_path(pi, sides)
     return M, pi, pi_end
@@ -213,3 +219,51 @@ def test_invariance_reads_only_the_upper_triangle():
         assert verify_invariance(M, pi, pi_end)
     finally:
         symplectic._SKEWS[pi_end] = form
+
+
+def omega_times(form, y):
+    return [sum(a * b for a, b in zip(row, y)) for row in form.matrix]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi=irreducible_pairs(), data=st.data())
+def test_image_preimage_is_the_restricted_inverse(pi, data):
+    """y lies in Im (it is orthogonal to the kernel) and Omega y - w lies in
+    the kernel (it is orthogonal to Im): the two properties that fix y."""
+    form = omega(pi)
+    w = data.draw(st.lists(st.integers(-20, 20), min_size=pi.d, max_size=pi.d))
+    y = form.image_preimage(w)
+    for k in form.kernel_basis:
+        assert sum(a * b for a, b in zip(y, k)) == 0
+    residual = [a - b for a, b in zip(omega_times(form, y), w)]
+    for b in form.image_basis:
+        assert sum(a * c for a, c in zip(residual, b)) == 0
+
+
+def test_image_preimage_with_a_three_dimensional_kernel():
+    # the kernel basis the elimination returns is not orthogonal here
+    form = omega(LabeledPermutation((1, 2, 3, 4, 5), (2, 3, 4, 5, 1)))
+    assert form.rank == 2
+    quarter = Fraction(1, 4)
+    assert form.image_preimage((1, 0, 0, 0, 0)) == (0, quarter, quarter, quarter, quarter)
+    assert form.image_preimage((1, 2, 3, 4, 5)) == (
+        Fraction(-7, 2), quarter, quarter, quarter, quarter)
+
+
+@pytest.mark.parametrize("pi", [
+    hyperelliptic_permutation(4),
+    hyperelliptic_permutation(5),
+    LabeledPermutation((1, 2, 3, 4, 5), (2, 3, 4, 5, 1)),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_restricted_matrix_decomposes_the_image(pi, seed):
+    """Each column M d'_j less sum_i S_ij d_i is in the kernel of Omega_pi."""
+    rng = Random(seed)
+    M, pi_end, _ = drive_path(pi, [rng.choice([TOP_WINS, BOTTOM_WINS]) for _ in range(25)])
+    form, form_prime = omega(pi), omega(pi_end)
+    S = symplectic._restricted_matrix(M, form, form_prime)
+    D = darboux_basis(form)
+    for j, w in enumerate(darboux_basis(form_prime)):
+        rest = [x - sum(S[i][j] * b[r] for i, b in enumerate(D))
+                for r, x in enumerate(M.mat_vec(w))]
+        assert not any(omega_times(form, rest))

@@ -178,7 +178,7 @@ def mc_balance(
     if math.isnan(sigma_hat):  # fewer than two fractions in the fit window
         verdict = INCONCLUSIVE
     else:
-        verdict = CONSISTENT if sigma_hat < 1 else VIOLATED
+        verdict = CONSISTENT if sigma_up < 1 else VIOLATED
     rep = McReport(last, se, samples, seed, 1.0, verdict)
     return BalanceReport(rep, fracs, sigma_hat, sigma_up)
 

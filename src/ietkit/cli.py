@@ -345,6 +345,11 @@ def _run_from_config(config: dict):
     return run_construction(config["d"], schedule, config["seed"])
 
 
+# a stage's row in the construct manifest and in stages.csv: k, then its stats
+_STAGE_COLUMNS = ("k", "U", "u", "V", "v", "norm",
+                  "angle_first_to_span", "angle_last_to_span")
+
+
 def _construct_manifest_doc(config: dict, completed, run) -> dict:
     """The manifest of a run with ``completed`` stages; a ``run`` of None
     failed after them."""
@@ -356,21 +361,11 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
     }
     if run is None:
         return doc
-    stages = []
-    for st in completed:
-        stages.append(
-            {
-                "k": st.k,
-                "U": str(st.stats["U"]),
-                "u": str(st.stats["u"]),
-                "V": str(st.stats["V"]),
-                "v": str(st.stats["v"]),
-                "norm": str(st.cumulative.norm),
-                "angle_first_to_span": st.stats["angle_first_to_span"],
-                "angle_last_to_span": st.stats["angle_last_to_span"],
-            }
-        )
-    doc["stages"] = stages
+    doc["stages"] = [  # the integers as decimal strings, the angles as floats
+        {"k": st.k, **{c: str(x) if isinstance(x := st.stats[c], int) else x
+                       for c in _STAGE_COLUMNS[1:]}}
+        for st in completed
+    ]
     doc["conditions_star"] = [
         {f: getattr(r, f) for f in r.__slots__} for r in check_conditions_star(run)
     ]
@@ -413,16 +408,10 @@ def cmd_construct(args) -> int:
     doc = _construct_manifest_doc(config, run.stages, run)
     _dump_json(doc, _out_file(out, "construct_manifest.json"))
     with _out_file(out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "U", "u", "V", "v", "norm",
-             "angle_first_to_span", "angle_last_to_span"]
-        )
+        writer = csv.writer(fh)  # writes a float as its repr
+        writer.writerow(_STAGE_COLUMNS)
         for st in doc["stages"]:
-            writer.writerow(
-                [st["k"], st["U"], st["u"], st["V"], st["v"], st["norm"],
-                 repr(st["angle_first_to_span"]), repr(st["angle_last_to_span"])]
-            )
+            writer.writerow([st[c] for c in _STAGE_COLUMNS])
     for r in doc["conditions_star"]:
         c1 = "-" if r["c1_pass"] is None else ("pass" if r["c1_pass"] else "FAIL")
         print(
@@ -536,7 +525,7 @@ def _verify_balance(args, rng: Random) -> dict:
     }
     if rep.report.verdict == INCONCLUSIVE:  # no samples, or no decay to fit
         return {**doc, "verdict": INCONCLUSIVE, "violated": False}
-    return {**doc, "violated": not rep.sigma_ci_upper < 1.0}
+    return {**doc, "violated": rep.report.verdict == VIOLATED}
 
 
 _SUITES = {

@@ -13,9 +13,12 @@ walk by it, and ``validate_phase`` replays a finished path against it.  The
 norm windows are not part of the rule: they come per stage from the
 schedule, and a generator widens past one with a warning.
 
-Phase paths store runs (winner, loser, side, count) rather than individual
-edges: the restriction phases repeat a single self-loop comparison up to
-millions of times, and a run applies to the matrix in closed form.
+A phase path stores its moves as runs (side, count): count moves in a row
+on one side, the unit ``_Walk.move`` applies in closed form.  The diagram
+fixes each move's winner and loser from the vertex and the side, so a run
+records neither, and ``PathBuilder`` merges consecutive moves on one side:
+the millions of repeats of a restriction phase, or one symbol beating
+several others in turn, take one run.
 """
 from __future__ import annotations
 
@@ -246,7 +249,7 @@ class PhasePath(Record):
         "phase",
         "start",
         "end",
-        "runs",  # (winner, loser, side, count)
+        "runs",  # (side, count), count >= 1, no two neighbours on one side
         "matrix",
         "warnings",
     )
@@ -269,7 +272,7 @@ class PathBuilder:
         self.rule = rule
         self.start = start
         self.walk = _Walk(start)
-        self.runs: list[list] = []  # mutable [winner, loser, side, count]
+        self.runs: list[list] = []  # mutable [side, count]
 
     @property
     def pi(self) -> LabeledPermutation:
@@ -282,10 +285,10 @@ class PathBuilder:
 
     def apply_side(self, side: str, count: int = 1) -> RauzyEdge:
         edge = self.walk.move(side, count)
-        if self.runs and self.runs[-1][:3] == [edge.winner, edge.loser, side]:
-            self.runs[-1][3] += count
+        if self.runs and self.runs[-1][0] == side:
+            self.runs[-1][1] += count
         else:
-            self.runs.append([edge.winner, edge.loser, side, count])
+            self.runs.append([side, count])
         return edge
 
     def apply_winner(self, winner: int) -> RauzyEdge:
@@ -297,12 +300,6 @@ class PathBuilder:
         raise StageError(
             f"symbol {winner} cannot win at {self.pi} (last symbols {i}, {j})"
         )
-
-    def apply_self_loop(self, side: str, count: int) -> None:
-        """Closed form for a self-loop repeated ``count`` times."""
-        if self.walk.edge(side).target != self.pi:
-            raise StageError("closed-form repetition needs a self-loop move")
-        self.apply_side(side, count)
 
     def finish(self) -> PhasePath:
         """The path walked so far; a StageError unless it is at the rule's end."""
@@ -439,8 +436,9 @@ def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) 
     """
     b = PathBuilder(phase_rule(RESTRICTION_LHS, start.d), start)
     if start.d == 4:
-        count = rng.randint(window.lo - 1, window.hi - 1)
-        b.apply_self_loop(TOP_WINS, count)  # 2 beats 1, repeatedly
+        count = rng.randint(window.lo - 1, window.hi - 1)  # the norm is count + 1
+        if count:  # a window of [1, 2] may take no move
+            b.apply_side(TOP_WINS, count)  # 2 beats 1, repeatedly
         return b.finish()
     return _walk_to_window(b, window, rng, PHASE_BUDGET)
 
@@ -469,7 +467,7 @@ def freedom_rhs_for_window(
     while b.norm < window.lo:
         if loops >= PHASE_BUDGET:
             raise BudgetExceededError("freedom-RHS window unreachable")
-        b.apply_self_loop(BOTTOM_WINS, rng.randint(1, 3))  # d-1 beats d at pi_R
+        b.apply_side(BOTTOM_WINS, rng.randint(1, 3))  # d-1 beats d at pi_R
         for _ in range(d - 1):
             b.apply_winner(d)  # d beats d-1, then 1, ..., d-2
         loops += 1
@@ -482,7 +480,7 @@ def gen_restriction_rhs(start: LabeledPermutation, ell: int, window: Window) -> 
     b = PathBuilder(phase_rule(RESTRICTION_RHS, start.d), start)
     if not window.contains(ell):
         raise UsageError(f"loop count {ell} outside [s_k, 2 s_k] = [{window.lo}, {window.hi}]")
-    b.apply_self_loop(BOTTOM_WINS, ell)
+    b.apply_side(BOTTOM_WINS, ell)  # a self-loop at pi_R
     b.apply_winner(start.d)
     return b.finish()
 
@@ -496,9 +494,9 @@ def validate_phase(path: PhasePath) -> list[str]:
     returns each kind of violation once (empty when clean).
 
     Every run must name a side of the diagram and at least one move, or
-    nothing is replayed.  Every move of every run must be one the rule
-    admits, with the run's winner and loser; the replay must end at the
-    rule's end, at ``path.end`` and with ``path.matrix``.  In
+    nothing is replayed.  Every move replayed must be one the rule admits,
+    and a freedom-LHS path's first move a win of 1; the replay must end at
+    the rule's end, at ``path.end`` and with ``path.matrix``.  In
     restriction-LHS this pins the first row and the last two columns of the
     matrix: a move adds the winner's column to the loser's, 1 (the one
     column with a non-zero first entry) never wins and d-1, d never lose."""
@@ -507,22 +505,19 @@ def validate_phase(path: PhasePath) -> list[str]:
     except UsageError as exc:
         return [str(exc)]
     malformed = any(side not in (TOP_WINS, BOTTOM_WINS) or count < 1
-                    for _, _, side, count in path.runs)
-    forbidden = foreign = False
+                    for side, count in path.runs)
+    replayed: list[RauzyEdge] = []  # each run's moves, up to one period
     walk = _Walk(path.start)
-    for winner, loser, side, count in () if malformed else path.runs:
-        for e in _DIAGRAM.cycle(walk.v, side).edges[:count]:
-            forbidden = forbidden or not rule.admissible(e)
-            foreign = foreign or (e.winner, e.loser) != (winner, loser)
+    for side, count in () if malformed else path.runs:
+        replayed += _DIAGRAM.cycle(walk.v, side).edges[:count]
         walk.move(side, count)
     starts = " or ".join(map(str, rule.starts))
     checks = [
         (path.start not in rule.starts, f"does not start at {starts}"),
         (malformed, "a run has no side of the diagram or fewer than one move"),
-        (forbidden, "takes a move the rule forbids"),
-        (foreign, "a run's winner and loser are not the diagram's"),
-        (rule.phase == FREEDOM_LHS and (not path.runs or path.runs[0][0] != 1),
-         "1 did not win first"),
+        (not all(map(rule.admissible, replayed)), "takes a move the rule forbids"),
+        (rule.phase == FREEDOM_LHS and not malformed
+         and (not replayed or replayed[0].winner != 1), "1 did not win first"),
         (not malformed and walk.perm != rule.end, f"does not end at {rule.end}"),
         (not malformed and path.end != walk.perm, "its end is not where its runs lead"),
         (not malformed and path.matrix != walk.matrix(),
@@ -539,7 +534,10 @@ def _scaled_floats(col: Sequence[int]) -> list[float]:
     """The integer column as floats, all divided by one power of two 2^k,
     k = max(0, largest bit length - 500): their squares and products stay in
     float range, and the factor cancels in every angle.  k is 0 for entries
-    below 2^500, which convert as ``float`` does."""
+    below 2^500, which convert as ``float`` does.  The angles square by
+    ``x * x``, which is correctly rounded, so the factor cancels exactly;
+    ``x ** 2`` goes through the C ``pow``, which rounds some ties away from
+    even (``108139285.0 ** 2``)."""
     k = max(0, max(abs(x).bit_length() for x in col) - 500)
     return [x / (1 << k) for x in col]
 
@@ -547,8 +545,8 @@ def _scaled_floats(col: Sequence[int]) -> list[float]:
 def _span_angle(col: Sequence[int], first_block: bool, d: int) -> float:
     """Angle from an integer column to span(e_1..e_{d-2}) or span(e_{d-1}, e_d)."""
     col = _scaled_floats(col)
-    top = math.sqrt(sum(x**2 for x in col[: d - 2]))
-    bottom = math.sqrt(sum(x**2 for x in col[d - 2 :]))
+    top = math.sqrt(sum(x * x for x in col[: d - 2]))
+    bottom = math.sqrt(sum(x * x for x in col[d - 2 :]))
     inside, outside = (top, bottom) if first_block else (bottom, top)
     return math.atan2(outside, inside)
 
@@ -556,8 +554,8 @@ def _span_angle(col: Sequence[int], first_block: bool, d: int) -> float:
 def _column_angle(a: Sequence[float], b: Sequence[float]) -> float:
     """Angle between two float columns; integer ones go through
     ``_scaled_floats`` first."""
-    na = math.sqrt(sum(x**2 for x in a))
-    nb = math.sqrt(sum(x**2 for x in b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
     dot = sum(x * y for x, y in zip(a, b))
     c = max(-1.0, min(1.0, dot / (na * nb)))
     return math.acos(c)
@@ -571,9 +569,6 @@ class StageTrace(Record):
         "cumulative",
         "stats",
     )
-
-    def phase(self, name: str) -> PhasePath | None:
-        return self.phases[name]
 
     @property
     def end(self) -> LabeledPermutation:
@@ -652,7 +647,6 @@ def extend_stage(
         "v": min(cum.column_norm(j) for j in last),
         "angle_first_to_span": max(_span_angle(cum.column(j), True, d) for j in first),
         "angle_last_to_span": max(_span_angle(cum.column(j), False, d) for j in last),
-        "ell": phases["Bprime"].runs[0][3],  # the times d-1 beats d in B'
         "norm": cum.norm,
     }
     return StageTrace(k, phases, checkpoints, cum, stats)
@@ -728,18 +722,18 @@ def check_conditions_star(run: ConstructionRun) -> list[StarReport]:
     d = run.d
     out = []
     for st in run.stages:
-        a = st.phase("A")
+        a = st.phases["A"]
         if a is None:
             c1_ratio, c1_pass = None, None
         else:
             c1_ratio = float(a.matrix.balance_ratio(range(1, d - 1)))
             c1_pass = c1_ratio < zeta
-        ap = st.phase("Aprime").matrix @ st.phase("T").matrix
+        ap = st.phases["Aprime"].matrix @ st.phases["T"].matrix
         c2_ratio = float(ap.balance_ratio(range(1, d - 1)))
         c2_threshold = run.schedule.star2_threshold(st.k)
-        b = st.phase("B").matrix
+        b = st.phases["B"].matrix
         c3_ratio = float(b.balance_ratio((d - 1, d)))
-        bp = st.phase("Bprime").matrix
+        bp = st.phases["Bprime"].matrix
         c4_ratio = float(bp.balance_ratio((d - 1, d)))
         out.append(
             StarReport(
@@ -810,22 +804,22 @@ def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
     d = run.d
     out = []
     for prev, st in zip(run.stages, run.stages[1:]):
-        ap_prev = prev.phase("Aprime").matrix
-        t_prev = prev.phase("T").matrix
-        a = st.phase("A").matrix
+        ap_prev = prev.phases["Aprime"].matrix
+        t_prev = prev.phases["T"].matrix
+        a = st.phases["A"].matrix
         u_prev = float(prev.stats["U"])
         v_prev = float(prev.stats["V"])
         upper = (u_prev * ap_prev.norm * t_prev.norm + v_prev) * a.norm
         measured = float(st.stats["U"])
         apt = ap_prev @ t_prev
         bal_apt = float(apt.balance_ratio(range(1, d - 1)))
-        bal_b = float(prev.phase("B").matrix.balance_ratio((d - 1, d)))
+        bal_b = float(prev.phases["B"].matrix.balance_ratio((d - 1, d)))
         bal_a = float(a.balance_ratio(range(1, d - 1)))
         lower = (
             u_prev * min(apt.column_norm(j) for j in range(1, d - 1)) / bal_apt
             + v_prev / bal_b
         ) * (a.norm / bal_a)
-        sandwich = v_prev / (u_prev * prev.phase("B").matrix.norm)
+        sandwich = v_prev / (u_prev * prev.phases["B"].matrix.norm)
         out.append(
             SizeReport(
                 st.k,

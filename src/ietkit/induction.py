@@ -352,14 +352,10 @@ def _first_reaching(norms: list[int], run: _RunCycle, N: int) -> int:
 
 
 class _NormAtLeast(_StopRule):
-    """Stop once the norm, the largest column sum, reaches ``N``.  It is
-    also a predicate of (matrix, permutation)."""
+    """Stop once the norm, the largest column sum, reaches ``N``."""
 
     def __init__(self, N: int):
         self.N = N
-
-    def __call__(self, M: VisitationMatrix, pi: LabeledPermutation) -> bool:
-        return M.norm >= self.N
 
     def holds(self, walk: _Walk, steps: int) -> bool:
         return max(walk.norms) >= self.N

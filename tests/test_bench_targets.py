@@ -60,6 +60,7 @@ def test_nested_family_sections_once_per_level(monkeypatch):
     )
     stages = [st.cumulative for st in run.stages]
     calls, built, inverted = [], {}, []
+    building = [False]  # inside the real section_table
     real_section, real_table = analysis.section, analysis.section_table
     real_inverse = _rational.scaled_inverse
 
@@ -69,12 +70,17 @@ def test_nested_family_sections_once_per_level(monkeypatch):
         return polygon
 
     def counting_table(M, family):
-        table = real_table(M, family)
+        building[0] = True
+        try:
+            table = real_table(M, family)
+        finally:
+            building[0] = False
         built[id(table)] = M
         return table
 
-    def counting_inverse(m):
-        inverted.append(m)
+    def counting_inverse(m):  # other exact inverses on the path do not count
+        if building[0]:
+            inverted.append(m)
         return real_inverse(m)
 
     monkeypatch.setattr(analysis, "section", counting_section)

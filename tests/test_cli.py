@@ -19,9 +19,11 @@ from ietkit.cli import (
     EXIT_STAGE,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    _STAGE_COLUMNS,
     _dump_json,
     main,
 )
+from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.perm import (
     LabeledPermutation,
     hyperelliptic_permutation,
@@ -312,6 +314,13 @@ def test_construct_manifest_contents(tmp_path):
     assert doc["limit"]["inter"] > 0.5
 
 
+def test_stage_stats_are_the_stage_columns():
+    # the manifest and stages.csv name each stage column once, from the stats
+    run_ = run_construction(4, make_schedule(1, ExponentScale.linear(), 3), seed=11)
+    for st in run_.stages:
+        assert sorted(st.stats) == sorted(_STAGE_COLUMNS[1:])
+
+
 def test_construct_tower_scale_overflows(tmp_path):
     code, _ = run(
         ["construct", "--d", "4", "--scale", "tower", "--stages", "1"],
@@ -487,6 +496,21 @@ def test_verify_balance_ok(tmp_path):
     assert code == EXIT_OK
     doc = json.loads((out / "verify_balance.json").read_text())
     assert doc["report"]["sigma_hat"] < 1
+
+
+def test_balance_decides_by_the_upper_bound(tmp_path, monkeypatch):
+    """A decay ratio fitted below 1 whose 95% upper bound is not is a
+    violation, in the report as on the command line."""
+    # slope log 0.9 with standard error 0.2: sigma_hat 0.9, upper bound 1.25
+    monkeypatch.setattr(analysis, "_line_fit", lambda xs, ys: (math.log(0.9), 0.0, 0.2))
+    rep = analysis.mc_balance(hyperelliptic_permutation(4), zeta=20.0, K=4.0, m=8,
+                              samples=300, seed=0)
+    assert rep.sigma_hat == pytest.approx(0.9)
+    assert rep.sigma_ci_upper == pytest.approx(1.25, abs=0.01)
+    assert rep.report.verdict == analysis.VIOLATED
+    code, out = run(["verify", "balance", "--d", "4", "--samples", "300"], tmp_path)
+    assert code == EXIT_VIOLATED
+    assert json.loads((out / "verify_balance.json").read_text())["report"]["violated"]
 
 
 def test_verify_inconclusive_is_not_ok(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ietkit.construction import (
     ExponentScale,
@@ -34,8 +34,8 @@ from ietkit.construction import (
     validate_phase,
 )
 from ietkit.errors import ScheduleOverflowError, UsageError
-from ietkit.induction import VisitationMatrix
-from ietkit.perm import hyperelliptic_permutation, special_permutations
+from ietkit.induction import VisitationMatrix, drive_path
+from ietkit.perm import TOP_WINS, hyperelliptic_permutation, special_permutations
 
 
 @pytest.fixture(scope="module")
@@ -122,28 +122,18 @@ def test_grammar_scan_flags_freedom_rhs_runs_labelled_freedom_lhs():
     assert "1 did not win first" in bad
 
 
-def test_grammar_scan_flags_a_run_the_diagram_does_not_take():
-    s = make_schedule(1, ExponentScale.linear(), stages=1)
-    _, pi_r, _ = special_permutations(4)
-    bp = gen_restriction_rhs(pi_r, s.stage(1).Bprime.lo, s.stage(1).Bprime)
-    (w, l, side, count), *rest = bp.runs
-    swapped = ((l, w, side, count), *rest)  # d beats d-1 is admissible, not taken
-    bad = _flagged(PhasePath(bp.phase, bp.start, bp.end, swapped, bp.matrix))
-    assert bad == ["a run's winner and loser are not the diagram's"]
-
-
 @pytest.mark.parametrize("side,count", [("sideways", None), (None, 0), (None, -1)])
 def test_grammar_scan_flags_a_run_of_no_side_or_no_move(side, count):
     """A malformed run is reported, not raised on or replayed."""
     t = gen_transition(special_permutations(5)[0], Random(0))
-    (w, l, s, c), *rest = t.runs
-    bad_run = (w, l, side or s, c if count is None else count)
+    (s, c), *rest = t.runs
+    bad_run = (side or s, c if count is None else count)
     bad = _flagged(PhasePath(t.phase, t.start, t.end, (bad_run, *rest), t.matrix))
     assert bad == ["a run has no side of the diagram or fewer than one move"]
 
 
 def test_grammar_scan_flags_an_unknown_phase(reference_run):
-    t = reference_run.stages[0].phase("T")
+    t = reference_run.stages[0].phases["T"]
     bad = _flagged(PhasePath("no-such-phase", t.start, t.end, t.runs, t.matrix))
     assert bad == ["unknown phase no-such-phase"]
 
@@ -203,9 +193,10 @@ def test_freedom_lhs_shape():
     s = make_schedule(1, ExponentScale.linear(), stages=2)
     phase = gen_freedom_lhs(pi_l, s.stage(2).A, Random(0))
     assert phase.phase == FREEDOM_LHS
-    assert phase.runs[0][0] == 1  # symbol 1 wins first
+    winners = [e.winner for e in _edges_of(phase)]
+    assert winners[0] == 1  # symbol 1 wins first
     assert phase.end == hyperelliptic_permutation(4)
-    assert all(w <= 2 for w, _, _, _ in phase.runs)
+    assert all(w <= 2 for w in winners)
 
 
 def test_restriction_lhs_leaves_last_columns(reference_run):
@@ -230,14 +221,48 @@ def test_transition_avoids_restriction_entry():
     assert pi_l not in [e.target for e in _edges_of(phase)][:-1]
 
 
-def _edges_of(phase):
-    from ietkit.induction import drive_path
+def _sides_of(phase):
+    return [side for side, count in phase.runs for _ in range(count)]
 
-    sides = []
-    for winner, loser, side, count in phase.runs:
-        sides.extend([side] * count)
-    _, _, edges = drive_path(phase.start, sides)
-    return edges
+
+def _edges_of(phase):
+    return drive_path(phase.start, _sides_of(phase))[2]
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_phase_runs_are_maximal_and_replay_move_by_move(d):
+    """Each run of a phase path is one side, taken at least once, and its
+    neighbours are on the other side; one move at a time, the sides give
+    the path's matrix and end.  A smaller scale than the default keeps the
+    restriction phases' runs to thousands of moves."""
+    schedule = make_schedule(1, ExponentScale.linear(0.35, 0.175, 0.1, 0.05), stages=3)
+    for seed in range(3):
+        for st in run_construction(d, schedule, seed).stages:
+            for path in filter(None, st.phases.values()):
+                sides = [side for side, _ in path.runs]
+                assert all(a != b for a, b in zip(sides, sides[1:])), path.runs
+                assert all(count >= 1 for _, count in path.runs), path.runs
+                M, end, _ = drive_path(path.start, _sides_of(path))
+                assert (M, end) == (path.matrix, path.end)
+                assert validate_phase(path) == []
+
+
+def test_one_run_holds_a_winner_beating_several_losers():
+    # d beats 1, ..., d-2 from pi_s: four moves on the top side, four losers
+    s = make_schedule(1, ExponentScale.linear(), stages=1)
+    path = freedom_rhs_for_window(hyperelliptic_permutation(6), s.stage(1).B, Random(0))
+    assert path.runs[0] == (TOP_WINS, 4)
+    assert [(e.winner, e.loser) for e in _edges_of(path)[:4]] == [(6, 1), (6, 2), (6, 3), (6, 4)]
+    assert validate_phase(path) == []
+
+
+def test_restriction_lhs_of_no_move_records_no_run():
+    # at d=4 the phase takes norm - 1 moves; a window [1, 2] may take none
+    pi_l, _, _ = special_permutations(4)
+    window = Window(0, 0, double=True)
+    paths = [gen_restriction_lhs(pi_l, window, Random(seed)) for seed in range(8)]
+    assert {p.runs for p in paths} == {(), ((TOP_WINS, 1),)}
+    assert all(validate_phase(p) == [] for p in paths)
 
 
 def test_restriction_rhs_window_enforced():
@@ -284,7 +309,7 @@ def test_window_overshoot_is_logged(caplog):
     assert overshoots[0].getMessage() == (
         "freedom-LHS norm 799 overshot window [10^2.45, 10^2.75]; widening"
     )
-    assert run.stages[1].phase("A").warnings == (
+    assert run.stages[1].phases["A"].warnings == (
         "freedom-LHS: norm 799 overshot window [10^2.45, 10^2.75]; widened",
     )
 
@@ -297,14 +322,14 @@ def test_every_phase_overshoot_is_logged(caplog):
     assert "freedom-RHS norm 342 overshot window [10^2.1, 10^2.5]; widening" in [
         r.getMessage() for r in caplog.records if r.name == "ietkit.construction"
     ]
-    assert run.stages[0].phase("B").warnings == (
+    assert run.stages[0].phases["B"].warnings == (
         "freedom-RHS: norm 342 overshot window [10^2.1, 10^2.5]; widened",
     )
     schedule = make_schedule(1, ExponentScale.linear(), stages=1)
     schedule.stage(1).T = Window(0, 0)  # a cap of 1: every transition overshoots
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ietkit.construction"):
-        t = run_construction(4, schedule, seed=3).stages[0].phase("T")
+        t = run_construction(4, schedule, seed=3).stages[0].phases["T"]
     norm = t.matrix.norm
     assert t.warnings == (f"transition: norm {norm} overshot window [10^0, 10^0]; widened",)
     assert f"transition norm {norm} overshot window [10^0, 10^0]; widening" in [
@@ -342,6 +367,7 @@ def test_stage_depends_only_on_its_parent(d):
 
 
 @settings(max_examples=50, deadline=None)
+@example(cols=[[0, 0, 0, 1], [0, 0, 1, 108139285]])  # 108139285.0 ** 2 rounds a tie up
 @given(cols=st.integers(4, 7).flatmap(lambda d: st.lists(
     st.lists(st.integers(0, 2**60), min_size=d, max_size=d).filter(any),
     min_size=2, max_size=2)))

@@ -626,7 +626,7 @@ def test_norm_rule_matches_generic_predicate(T, data):
             assert until_outcome(T, rule, shortest - 1) == "budget"
             assert until_outcome(T, generic, shortest - 1) == "budget"
     if isinstance(rule, _NormAtLeast):
-        assert rule(VisitationMatrix.identity(T.d), T.perm) == (rule.N <= 1)
+        assert rule.holds(_Walk(T.perm), 0) == (rule.N <= 1)
         if rule.N <= 1:  # ``first`` is asked only while the norms are below N
             return
     for side in (TOP_WINS, BOTTOM_WINS):

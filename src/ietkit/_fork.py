@@ -36,8 +36,10 @@ def fork_tallies(
 ) -> list[int]:
     """The sum of ``tally`` over n samples, on up to ``_usable_cpus()``
     processes with at least ``_MIN_CHUNK`` samples each.  ``tally(k)`` draws
-    the next k samples from ``rng`` and counts them; ``skip(k)`` only draws
-    them.  A child's chunk whose tally does not arrive (no fork, a non-zero
+    the next k samples from ``rng`` and counts them; ``skip(k)``, which the
+    parent runs to draw through a child's chunk, leaves ``rng`` where
+    ``tally(k)`` would and does no more of the work than that takes (for
+    ``mc_balance``, it draws the cuts of each sample).  A child's chunk whose tally does not arrive (no fork, a non-zero
     exit, a short payload) is tallied here from the generator state saved
     for it, so the result, or the error, is that of one process.  Every
     child is reaped before this returns or raises."""

@@ -8,7 +8,10 @@ used wherever a downstream check needs identities to hold on the nose
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 from random import Random
 from typing import Iterable, Sequence
 
@@ -66,15 +69,33 @@ def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False
 # simplex sampling
 
 
+_TOP = GRID - 1  # the one 53-bit word that randrange(1, GRID) draws again
+
+
+def _draw_cuts(d: int, rng: Random) -> list[int]:
+    """One sample's d - 1 cuts, each less 1, in increasing order: the draws
+    of ``sorted(rng.randrange(1, GRID) for _ in range(d - 1))``, all drawn
+    again while two coincide.  randrange draws a cut as 1 plus a
+    ``getrandbits(53)`` word and draws again on the one word, ``_TOP``,
+    that would put it on GRID; so does this, and it leaves the generator
+    where that expression would."""
+    bits = rng.getrandbits
+    while True:
+        words = list(map(bits, repeat(53, d - 1)))
+        while _TOP in words:
+            words.remove(_TOP)
+            words.append(bits(53))
+        if len(set(words)) == d - 1:
+            words.sort()
+            return words
+
+
 def _sample_gaps(d: int, rng: Random) -> list[int]:
     """One uniform point of the simplex as d positive integers over GRID:
-    the spacings of sorted uniforms on the grid."""
-    while True:
-        cuts = sorted(rng.randrange(1, GRID) for _ in range(d - 1))
-        pts = [0] + cuts + [GRID]
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        if all(g > 0 for g in gaps):
-            return gaps
+    the spacings of sorted uniforms on the grid, whose cuts ``_draw_cuts``
+    takes from ``rng`` exactly as ``randrange(1, GRID)`` would."""
+    pts = [-1, *_draw_cuts(d, rng), _TOP]
+    return list(map(sub, pts[1:], pts))
 
 
 def sample_simplex_exact(d: int, rng: Random) -> tuple[Fraction, ...]:
@@ -148,20 +169,21 @@ def mc_balance(
     d = pi.d
 
     def tally(n: int) -> list[int]:
-        failures = [0] * m
+        """Samples per bucket: bucket j < m holds the scans that reached
+        balance by thresholds[j] but not by the ones before, bucket m the
+        rest; a sample fails threshold j when its bucket is above j."""
+        buckets = [0] * (m + 1)
         for _ in range(n):
             reached = _balance_scan(pi, _sample_gaps(d, rng), rule)
-            for j, t in enumerate(thresholds):
-                if reached == 0 or reached > t:
-                    failures[j] += 1
-        return failures
+            buckets[bisect_left(thresholds, reached) if reached else m] += 1
+        return buckets
 
     def skip(n: int) -> None:
         for _ in range(n):
-            _sample_gaps(d, rng)
+            _draw_cuts(d, rng)
 
-    failures = fork_tallies(rng, samples, tally, skip)
-    fracs = tuple(f / samples for f in failures)
+    buckets = fork_tallies(rng, samples, tally, skip)
+    fracs = tuple(sum(buckets[j + 1:]) / samples for j in range(m))
     # geometric fit on the decaying tail (skip the saturated prefix near 1)
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]
     ys = [math.log(f) for f in fracs if 0 < f < 0.99]
@@ -169,16 +191,12 @@ def mc_balance(
         slope, _, se_slope = _line_fit(xs, ys)
         sigma_hat = math.exp(slope)
         sigma_up = math.exp(slope + 1.645 * se_slope)
-    elif fracs and fracs[-1] == 0.0:
-        sigma_hat, sigma_up = 0.0, 0.0
-    else:
+        verdict = CONSISTENT if sigma_up < 1 else VIOLATED
+    else:  # fewer than two fractions in the fit window: no decay to fit
         sigma_hat = sigma_up = float("nan")
+        verdict = INCONCLUSIVE
     last = fracs[-1]
     se = _binomial_se(last, samples)
-    if math.isnan(sigma_hat):  # fewer than two fractions in the fit window
-        verdict = INCONCLUSIVE
-    else:
-        verdict = CONSISTENT if sigma_up < 1 else VIOLATED
     rep = McReport(last, se, samples, seed, 1.0, verdict)
     return BalanceReport(rep, fracs, sigma_hat, sigma_up)
 

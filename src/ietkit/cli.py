@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -195,14 +196,26 @@ def _parse_scale(spec: str) -> ExponentScale:
     raise UsageError(f"unknown scale spec {spec!r}")
 
 
+def _whole(text: str) -> int:
+    """A whole number in decimal or scientific notation, read exactly:
+    ``2000``, ``1e5`` and ``1.5e3``, not ``2.7``; up to the float range, so
+    a huge exponent builds no huge integer."""
+    try:
+        x = Decimal(text)
+    except InvalidOperation:
+        raise UsageError(f"not a number: {text!r}") from None
+    if not x.is_finite() or x != x.to_integral_value():
+        raise UsageError(f"count must be a whole number, got {text!r}")
+    if abs(x) > sys.float_info.max:
+        raise UsageError(f"count out of range: {text!r}")
+    return int(x)
+
+
 def _count(parse: Callable[[str], int]) -> Callable[[str], int]:
     """An argparse type: a count read by ``parse``, refused when negative."""
 
     def count(text: str) -> int:
-        try:
-            n = parse(text)
-        except OverflowError:  # int(float("inf"))
-            raise UsageError(f"count out of range: {text!r}") from None
+        n = parse(text)
         if n < 0:
             raise UsageError(f"count must be non-negative, got {text!r}")
         return n
@@ -715,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="|".join(sorted(_SUITES)))
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--paths", type=_count(int), default=1000)
-    p.add_argument("--samples", type=_count(lambda s: int(float(s))),
+    p.add_argument("--samples", type=_count(_whole),
                    default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")

@@ -278,31 +278,45 @@ class _Walk:
 
     def move(self, side: str, count: int = 1) -> RauzyEdge:
         """Take the move on ``side`` ``count`` times in a row and return the
-        last edge taken.  In closed form: the loser at position i of the run
-        cycle gets count // k + (i < count % k) copies of the winner's
-        column, which no move of the run changes."""
-        norms, zeros, queue = self.norms, self.zeros, self._queue
+        last edge taken: one move from the compiled diagram, more as a run
+        through ``take``.  The induction loop, which has the run cycle at
+        hand, calls ``take`` itself."""
         if count == 1:
+            norms, zeros = self.norms, self.zeros
             self.v, w, l, edge = _DIAGRAM.move(self.v, side)
             norms[l] += norms[w]
             zeros[l] &= zeros[w]
-            queue.append((l, w, 1))
-        else:
-            run = _DIAGRAM.cycle(self.v, side)
-            w, k = run.winner, len(run.losers)
-            q, r = divmod(count, k)
-            W, zw = norms[w], zeros[w]
-            for i, l in enumerate(run.losers):
+            self._queue.append((l, w, 1))
+            if len(self._queue) >= _DRAIN:
+                self._drain()
+            return edge
+        run = _DIAGRAM.cycle(self.v, side)
+        self.take(run, count)
+        return run.edges[(count - 1) % len(run.edges)]
+
+    def take(self, run: _RunCycle, count: int) -> None:
+        """Take ``count`` moves of ``run``, which starts at the walk's
+        vertex, in closed form: the loser at position i of the run cycle gets
+        count // k + (i < count % k) copies of the winner's column, which no
+        move of the run changes."""
+        norms, zeros, queue = self.norms, self.zeros, self._queue
+        w, losers = run.winner, run.losers
+        q, r = divmod(count, len(losers))
+        W, zw = norms[w], zeros[w]
+        if q:
+            for i, l in enumerate(losers):
                 c = q + (i < r)
-                if c:
-                    norms[l] += c * W
-                    zeros[l] &= zw
-                    queue.append((l, w, c))
-            self.v = run.vertices[r]
-            edge = run.edges[(count - 1) % k]
+                norms[l] += c * W
+                zeros[l] &= zw
+                queue.append((l, w, c))
+        else:
+            for l in losers[:r]:
+                norms[l] += W
+                zeros[l] &= zw
+                queue.append((l, w, 1))
+        self.v = run.vertices[r]
         if len(queue) >= _DRAIN:
             self._drain()
-        return edge
 
     def matrix(self) -> VisitationMatrix:
         M = VisitationMatrix.__new__(VisitationMatrix)  # the entries are ints
@@ -313,7 +327,8 @@ class _Walk:
 class _StopRule:
     """When the induction loop stops.  ``holds`` judges the walk as it
     stands; ``first`` finds where in a run the rule first holds, on the
-    walk's vertex, norms and zero patterns, without moving the walk."""
+    walk's vertex, norms and zero patterns, without moving the walk, and
+    the loop then takes the run up to there itself."""
 
     def holds(self, walk: _Walk, steps: int) -> bool:
         raise NotImplementedError
@@ -321,13 +336,6 @@ class _StopRule:
     def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
         """The first t in 1..n at which the rule holds after t moves of ``run``, or None."""
         raise NotImplementedError
-
-    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        """Move ``walk`` along ``run`` to that t, or n moves if there is none;
-        return the moves made and whether the rule holds."""
-        t = self.first(walk, steps, run, n)
-        walk.move(run.side, t or n)
-        return t or n, t is not None
 
 
 class _AfterSteps(_StopRule):
@@ -384,13 +392,12 @@ class _Balanced(_StopRule):
         No loser loses more than ceil(n / k) times in the run, so the limit
         is out of reach when max + ceil(n / k) W <= limit."""
         p, q, limit = self.p, self.q, self.limit
-        norms, losers, k = walk.norms, run.losers, len(run.losers)
-        W, hi = norms[run.winner], max(norms)
-        below_limit = hi + -(-n // k) * W <= limit
+        norms, losers = walk.norms, run.losers
+        k, W, hi = len(losers), norms[run.winner], max(norms)
         if hi * q <= p * W and (positive := _positive_from(walk, run)) is not None:
             t, rising = 0, [norms[l] for l in losers]
             # the least norm the run leaves alone; W is one of them
-            fixed = min(x for j, x in enumerate(norms) if j not in losers)
+            fixed = min([norms[j] for j in run.fixed])
             while hi * q <= p * W:
                 if t == n:
                     return None
@@ -403,7 +410,7 @@ class _Balanced(_StopRule):
                         return t
                 if t >= positive and hi * q <= p * min(fixed, *rising):
                     return t
-        if below_limit:
+        if hi + -(-n // k) * W <= limit:
             return None
         past = _first_reaching(norms, run, limit + 1)
         return past if past <= n else None
@@ -412,14 +419,21 @@ class _Balanced(_StopRule):
 def _positive_from(walk: _Walk, run: _RunCycle) -> int | None:
     """The first t from which the walk's matrix is positive after t moves of
     ``run``, or None if it is not positive within the run.  A move adds the
-    winner's column to the loser's, so a column with a 0 turns positive at
-    its first loss, if ever: when it and the winner's have no 0 in common."""
-    zeros, zw, t = walk.zeros, walk.zeros[run.winner], 0
-    for j, zj in enumerate(zeros):
-        if zj:
-            if j not in run.losers or zj & zw:
+    winner's column, which the run never changes, to the loser's; so a
+    column with a 0 turns positive at its first loss if the winner's column
+    has no 0, and never otherwise.  The winner is no loser, so its position
+    0 would say as much; it is read first because, early in a scan, it
+    decides most runs."""
+    zeros = walk.zeros
+    if zeros[run.winner]:
+        return None
+    t = 0
+    for z, i in zip(zeros, run.positions):
+        if z:
+            if not i:
                 return None
-            t = max(t, run.losers.index(j) + 1)
+            if i > t:
+                t = i
     return t
 
 
@@ -450,6 +464,9 @@ class _MatrixPredicate(_StopRule):
         return self.predicate(walk.matrix(), walk.perm)
 
     def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
+        """Move ``walk`` along ``run`` to the first of n moves after which
+        the predicate holds, or n moves; return the moves made and whether
+        it held."""
         for t in range(1, n + 1):
             walk.move(run.side)
             if self.holds(walk, steps + t):
@@ -469,12 +486,15 @@ def _step_lengths(
     It goes one run at a time: the moves in a row on which one side wins.
     With winner length L, the run has the largest n whose first n losers
     (cycling through ``_RunCycle.losers``) sum below L; whole cycles of
-    that sum are counted by one division.  ``stop.advance`` moves the walk
-    through the run, or to the step inside it where the loop ends."""
+    that sum are counted by one division.  ``stop.first`` finds the step
+    inside the run where the loop ends, if there is one, and the loop takes
+    the run up to there with ``_Walk.take``.  Only ``_MatrixPredicate``,
+    which needs the matrix after every step, moves the walk itself."""
     runs: list[tuple[_RunCycle, int]] = []
     if stop.holds(walk, 0):
         return runs, True
-    last, cycle = _DIAGRAM.last, _DIAGRAM.cycle
+    last, cycle, take_run = _DIAGRAM.last, _DIAGRAM.cycle, walk.take
+    stepwise = isinstance(stop, _MatrixPredicate)
     steps = 0
     while True:
         if steps >= budget:
@@ -495,7 +515,13 @@ def _step_lengths(
         else:  # the run goes round the cycle: c whole cycles, then r moves
             c = (L - 1) // s
             n = c * k + bisect_left(sums, L - c * s) - 1
-        take, held = stop.advance(walk, steps, run, min(n, budget - steps))
+        n = min(n, budget - steps)
+        if stepwise:
+            take, held = stop.advance(walk, steps, run, n)
+        else:
+            t = stop.first(walk, steps, run, n)
+            take, held = t or n, t is not None
+            take_run(run, take)
         c, r = divmod(take, k)
         lens[run.winner] = L - c * sums[-1] - sums[r] if c else L - sums[r]
         runs.append((run, take))

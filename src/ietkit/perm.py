@@ -224,17 +224,23 @@ class _RunCycle:
     cycle through the symbols right of it in the other row; after ``k``
     moves the walk is back where it started.  Step t of a run (from 0)
     starts at ``vertices[t % k]``, makes ``losers[t % k]`` lose and takes
-    ``edges[t % k]``.  Symbols are 0-based."""
+    ``edges[t % k]``.  Symbols are 0-based.  Per symbol, ``positions`` holds
+    1 + its index in ``losers``, or 0 for a symbol the run leaves alone;
+    ``fixed`` lists those symbols, the winner among them."""
 
-    __slots__ = ("side", "winner", "losers", "vertices", "edges")
+    __slots__ = ("side", "winner", "losers", "vertices", "edges", "positions",
+                 "fixed")
 
     def __init__(self, side: str, winner: int, losers: tuple[int, ...],
-                 vertices: tuple[int, ...], edges: tuple[RauzyEdge, ...]):
+                 vertices: tuple[int, ...], edges: tuple[RauzyEdge, ...],
+                 positions: tuple[int, ...], fixed: tuple[int, ...]):
         self.side = side
         self.winner = winner
         self.losers = losers
         self.vertices = vertices
         self.edges = edges
+        self.positions = positions
+        self.fixed = fixed
 
 
 class _RauzyDiagram:
@@ -283,8 +289,12 @@ class _RauzyDiagram:
                 if t == v:
                     break
                 u = t
-            cycles[side] = _RunCycle(side, w, tuple(losers), tuple(vertices),
-                                     tuple(edges))
+            symbols = range(self.perms[v].d)
+            cycles[side] = _RunCycle(
+                side, w, tuple(losers), tuple(vertices), tuple(edges),
+                tuple(losers.index(j) + 1 if j in losers else 0 for j in symbols),
+                tuple(j for j in symbols if j not in losers),
+            )
         return cycles[side]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietkit.analysis import (
     CONSISTENT,
+    GRID,
     INCONCLUSIVE,
     Polygon2D,
     birkhoff_separation,
@@ -27,6 +28,7 @@ from ietkit.analysis import (
     prob_decay_sim,
     sample_simplex_exact,
     stage_one_planes,
+    _sample_gaps,
 )
 from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.errors import DegeneracyError, UsageError
@@ -63,6 +65,74 @@ def test_exact_simplex_sample_sums_to_one():
     x = sample_simplex_exact(5, Random(3))
     assert sum(x) == 1
     assert all(v >= 0 for v in x)
+
+
+def reference_gaps(d, rng):
+    """The sampler as randrange spells it: sorted cuts on the grid, drawn
+    again while two coincide."""
+    while True:
+        cuts = sorted(rng.randrange(1, GRID) for _ in range(d - 1))
+        pts = [0] + cuts + [GRID]
+        gaps = [b - a for a, b in zip(pts, pts[1:])]
+        if all(g > 0 for g in gaps):
+            return gaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=2, max_value=8))
+def test_sample_gaps_draw_the_randrange_stream(seed, d):
+    rng, reference = Random(seed), Random(seed)
+    for _ in range(50):
+        assert _sample_gaps(d, rng) == reference_gaps(d, reference)
+    assert rng.getstate() == reference.getstate()
+
+
+class ScriptedWords(Random):
+    """A generator whose 53-bit words come from a script: randrange draws
+    through ``getrandbits`` too, so both samplers read the same words."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        assert k == 53
+        return self.words.pop(0)
+
+
+def test_sample_gaps_redraw_the_top_word_and_a_repeated_cut():
+    # d = 3: the first sample repeats a cut and is drawn again; in the
+    # second, the word 2^53 - 1, which would put a cut on GRID, is redrawn
+    top = GRID - 1
+    script = [4, 4, top, 7, 3, 99]
+    sampler, reference = ScriptedWords(script), ScriptedWords(script)
+    assert _sample_gaps(3, sampler) == reference_gaps(3, reference) == [4, 4, GRID - 8]
+    assert sampler.words == reference.words == [99]
+
+
+def test_skip_leaves_the_generator_where_the_draws_would(monkeypatch):
+    # fork_tallies' skip(n) draws through n samples without scanning them
+    import ietkit._fork as _fork
+
+    fork_tallies, checked = _fork.fork_tallies, []
+
+    def checking(rng, n, tally, skip):
+        state = rng.getstate()
+        for k in (1, 3, 40):
+            rng.setstate(state)
+            skip(k)
+            skipped = rng.getstate()
+            rng.setstate(state)
+            for _ in range(k):
+                _sample_gaps(5, rng)
+            assert rng.getstate() == skipped
+            checked.append(k)
+        rng.setstate(state)
+        return fork_tallies(rng, n, tally, skip)
+
+    monkeypatch.setattr(_fork, "fork_tallies", checking)
+    mc_balance(hyperelliptic_permutation(5), zeta=20.0, K=4.0, m=8, samples=20, seed=9)
+    assert checked == [1, 3, 40]
 
 
 # -- balance decay ----------------------------------------------------------
@@ -157,6 +227,17 @@ def test_balance_zero_samples_inconclusive():
     rep = mc_balance(
         hyperelliptic_permutation(2), zeta=10.0, K=2.0, m=3, samples=0, seed=0
     )
+    assert rep.report.verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_balance_without_two_fitted_fractions_is_inconclusive(samples):
+    # seed 3 at d = 4: every scan balances between norms 4^2 and 4^3, so the
+    # fractions read 1, 1, 0, ..., 0, with none in the fit window
+    rep = mc_balance(hyperelliptic_permutation(4), zeta=20.0, K=4.0, m=8,
+                     samples=samples, seed=3)
+    assert rep.fractions == (1.0, 1.0) + (0.0,) * 6
+    assert math.isnan(rep.sigma_hat) and math.isnan(rep.sigma_ci_upper)
     assert rep.report.verdict == INCONCLUSIVE
 
 

@@ -21,6 +21,7 @@ from ietkit.cli import (
     EXIT_VIOLATED,
     _STAGE_COLUMNS,
     _dump_json,
+    build_parser,
     main,
 )
 from ietkit.construction import ExponentScale, make_schedule, run_construction
@@ -534,6 +535,18 @@ def test_verify_balance_without_a_decay_fit_is_inconclusive(tmp_path, capsys):
     assert report["violated"] is False
 
 
+def test_verify_balance_from_one_sample_is_inconclusive(tmp_path, capsys):
+    # fractions 1, 1, 0, ..., 0: none in the fit window, so no decay ratio
+    code, out = run(["verify", "balance", "--d", "4", "--samples", "1", "--seed", "3"],
+                    tmp_path)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "verify balance: inconclusive\n"
+    report = json.loads((out / "verify_balance.json").read_text())["report"]
+    assert report["fractions"] == [1.0, 1.0] + [0.0] * 6
+    assert report["verdict"] == "inconclusive" and report["violated"] is False
+    assert math.isnan(report["sigma_hat"]) and math.isnan(report["sigma_ci_upper"])
+
+
 @pytest.mark.parametrize("zeta", ["nan", "inf", "-1", "1"])
 def test_construct_zeta_must_be_finite_above_one(tmp_path, capsys, zeta):
     code, out = run(["construct", "--d", "4", "--stages", "1", "--zeta", zeta],
@@ -595,6 +608,24 @@ def test_negative_counts_are_usage(tmp_path, capsys, args):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["2.7", "-0.5", "1e-3", "nan", "abc", "1e400"])
+def test_samples_that_are_not_whole_are_usage(tmp_path, capsys, text):
+    code, out = run(["verify", "balance", "--samples", text], tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, samples", [
+    ("2000", 2000), ("1e5", 10**5), ("1.5e3", 1500), ("2.0", 2),
+    ("123456789012345678901", 123456789012345678901),  # past float precision
+])
+def test_whole_samples_are_read_exactly(text, samples):
+    args = build_parser().parse_args(["verify", "balance", "--samples", text])
+    assert args.samples == samples
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ this test process may run numpy's BLAS threads, which turn forking off.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -74,6 +75,25 @@ def test_forked_report_is_the_one_process_report(monkeypatch, tmp_path, d, sampl
     assert_no_child_left()
 
 
+# sha256 of verify_balance.json for the balance-mc job sizes, from the
+# per-threshold loop that the bucket tally and the word sampler replaced
+PINNED_BALANCE_FILES = {
+    (4, 1500, 1): "c2f060b1436551b5748964303cef514a735436bd80dbd111f56575fa7635e032",
+    (4, 1500, 2): "b37f57a9881a41b395f657aab725c6c42d1e430c270cb3e71d13370e4f2d5e67",
+    (5, 750, 1): "7e62806b04497969cd057ef4b19f09f0878d475b1573b28bba0897651ac8c9d7",
+    (5, 750, 2): "9a04d828f375f0d813742c3eadb230e8dc2cd9adb80de6a83a8c710764f33ca1",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_balance_files_keep_their_pinned_bytes(monkeypatch, tmp_path, cpus):
+    force_cpus(monkeypatch, cpus)
+    for (d, samples, seed), digest in PINNED_BALANCE_FILES.items():
+        files = balance_files(tmp_path, f"{d}-{seed}", d, samples, seed)
+        assert hashlib.sha256(files["verify_balance.json"]).hexdigest() == digest
+    assert_no_child_left()
+
+
 def test_failed_workers_give_the_one_process_result(monkeypatch):
     force_cpus(monkeypatch, 1)
     expected = balance(4 * _MIN_CHUNK)
@@ -124,16 +144,17 @@ def test_a_scan_error_past_the_first_chunk_is_that_of_one_process(monkeypatch):
 
 def test_an_interrupt_in_the_parent_reaps_every_child(monkeypatch):
     forks = force_cpus(monkeypatch, 3)
-    parent, sample, draws = os.getpid(), analysis._sample_gaps, []
+    parent, cuts, draws = os.getpid(), analysis._draw_cuts, []
 
     def interrupted(d, rng):  # the parent draws through the children's chunks
         if os.getpid() == parent:
             draws.append(d)
-            if len(draws) == 2 * _MIN_CHUNK:
+            if len(draws) == 2 * _MIN_CHUNK:  # the last draw of that skip
+                assert len(forks) == 2
                 raise KeyboardInterrupt
-        return sample(d, rng)
+        return cuts(d, rng)
 
-    monkeypatch.setattr(analysis, "_sample_gaps", interrupted)
+    monkeypatch.setattr(analysis, "_draw_cuts", interrupted)
     with pytest.raises(KeyboardInterrupt):
         balance(3 * _MIN_CHUNK)
     assert len(forks) == 2

@@ -425,16 +425,17 @@ def reference_balance_scan(pi, nums, zeta, limit) -> int:
 
 class RecordedBalanced(_Balanced):
     """The balance rule, recording per run the bound of its limit shortcut:
-    the largest norm plus ceil(n / k) times the winner's norm."""
+    the largest norm plus ceil(n / k) times the winner's norm.  The loop
+    asks ``first`` once per run."""
 
     def __init__(self, zeta, limit):
         super().__init__(zeta, limit)
         self.bounds = []
 
-    def advance(self, walk, steps, run, n):
+    def first(self, walk, steps, run, n):
         k, W = len(run.losers), walk.norms[run.winner]
         self.bounds.append(max(walk.norms) + -(-n // k) * W)
-        return super().advance(walk, steps, run, n)
+        return super().first(walk, steps, run, n)
 
 
 def balance_stop(pi, nums, zeta, limit) -> tuple[int, int]:

@@ -160,7 +160,7 @@ def mc_balance(
     if zeta <= 1 or K <= 1:
         raise UsageError("need zeta > 1 and K > 1")
     if samples == 0:
-        rep = McReport(float("nan"), float("inf"), 0, seed, 0.0, INCONCLUSIVE)
+        rep = _binomial_report(0, 0, seed, 1.0)
         return BalanceReport(rep, (), float("nan"), float("nan"))
     rng = Random(seed)
     zeta_f = Fraction(zeta).limit_denominator(10**6)
@@ -306,7 +306,7 @@ def prob_decay_sim(
     window = min(DECAY_WINDOW, N)
     bounds = tuple((1 - rho) ** j for j in range(1, window + 1))
     if samples == 0:
-        rep = McReport(float("nan"), float("inf"), 0, seed, bounds[-1], INCONCLUSIVE)
+        rep = _binomial_report(0, 0, seed, bounds[-1])
         return ProbDecayReport(rep, (), bounds, float("nan"))
     rng = np.random.default_rng(seed)
     if dependence == "independent":

@@ -6,10 +6,14 @@ flag set: keys are sorted, no timestamps are recorded, rationals are
 serialized as "p/q" strings and big integers as decimal strings, so
 repeated runs produce byte-identical files.
 
-Exit codes: 0 success (an inconclusive verification included), 1 usage
-error or any other package error, 2 budget exceeded, 3 induction hit the
-equality case, 4 construction stage failure, 5 a verification verdict was
-"violated".  Errors print one line on stderr, never a traceback.
+Exit codes: 0 success, an inconclusive verification included; 1 a usage
+error, argparse's own included ("usage error: ..."), or any other package
+error ("error: <Type>: ..."); 2 budget exceeded ("budget exceeded: ...");
+3 induction hit the equality case ("induction undefined: ..."); 4 a
+construction stage failed ("stage failure: ..."); 5 a verification verdict
+was "violated".  A subcommand returns 0 or 5, or raises: ``main`` is the
+one way out of a failure, printing its one stderr line, never a traceback,
+and picking the exit code.
 """
 from __future__ import annotations
 
@@ -260,7 +264,8 @@ def cmd_classes(args) -> int:
     ``graph.to_doc()`` with the summary added, one template per edge and
     per vertex; the degrees are counted on the way."""
     out = Path(args.out)
-    seed_pi = _parse_perm(args.seed_perm)
+    spec = f"hyperelliptic:{args.d}" if args.seed_perm is None else args.seed_perm
+    seed_pi = _parse_perm(spec)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
     d = seed_pi.d
     index = {v: i for i, v in enumerate(graph.vertices)}
@@ -299,10 +304,10 @@ def cmd_classes(args) -> int:
     _write_manifest(
         out,
         "classes",
-        {"seed_perm": args.seed_perm, "budget": args.budget, "d": d},
+        {"seed_perm": spec, "budget": args.budget, "d": d},
         [graph_file],
     )
-    print(f"class of {args.seed_perm}: {n} vertices, {len(edges)} edges")
+    print(f"class of {spec}: {n} vertices, {len(edges)} edges")
     return EXIT_OK
 
 
@@ -317,14 +322,12 @@ def cmd_induct(args) -> int:
         else:
             stop = _parse_until(args.until, T.perm.d)
             trace = induct_until(T, stop, step_budget=args.budget)
-    except InductionUndefinedError as exc:
+    except InductionUndefinedError as exc:  # main reports it; the trace records it
         if exc.partial is not None:
             _out_file(out, "induct_trace.json").write_text(
                 exc.partial.to_json() + "\n", encoding="utf-8"
             )
-        print(f"induction undefined at step {exc.steps_completed}: {exc}",
-              file=sys.stderr)
-        return EXIT_INDUCTION
+        raise
     _out_file(out, "induct_trace.json").write_text(
         trace.to_json() + "\n", encoding="utf-8"
     )
@@ -379,15 +382,11 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
                        for c in _STAGE_COLUMNS[1:]}}
         for st in completed
     ]
-    doc["conditions_star"] = [
-        {f: getattr(r, f) for f in r.__slots__} for r in check_conditions_star(run)
-    ]
-    doc["conditions_double_star"] = [
-        {f: getattr(r, f) for f in r.__slots__} for r in check_condition_double_star(run)
-    ]
-    doc["angle_monotonicity"] = [
-        {f: getattr(r, f) for f in r.__slots__} for r in check_nue_angles(run)
-    ]
+    # the pairs are built per call, since a tracer may have replaced these names
+    for key, check in (("conditions_star", check_conditions_star),
+                       ("conditions_double_star", check_condition_double_star),
+                       ("angle_monotonicity", check_nue_angles)):
+        doc[key] = [{f: getattr(r, f) for f in r.__slots__} for r in check(run)]
     doc["limit"] = {
         "vertex_lhs": list(run.limit.vertex_lhs),
         "vertex_rhs": list(run.limit.vertex_rhs),
@@ -552,10 +551,6 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; choose from "
-              f"{sorted(_SUITES)}", file=sys.stderr)
-        return EXIT_USAGE
     out = Path(args.out)
     rng = Random(args.seed)
     report = _SUITES[args.suite](args, rng)
@@ -590,9 +585,10 @@ _MANIFEST_FIELDS = {
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest at ``path``, a JSON object; when its command is one that
-    ``estimate-dim`` reads, each config field it reads has its type (a bool
-    is no int here) and a synthetic-cantor run has at least one level."""
+    """The manifest at ``path``: a JSON object whose command is one that
+    ``estimate-dim`` reads, each config field it reads with its type (a bool
+    is no int here), a synthetic-cantor run of at least one level, and a
+    construct run that did not fail."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -600,8 +596,10 @@ def _read_manifest(path: Path) -> dict:
     if not isinstance(manifest, dict):
         raise UsageError(f"manifest {path} is not a JSON object")
     command, config = manifest.get("command"), manifest.get("config")
-    fields = _MANIFEST_FIELDS.get(command, {}) if isinstance(command, str) else {}
-    if fields and not isinstance(config, dict):
+    fields = _MANIFEST_FIELDS.get(command) if isinstance(command, str) else None
+    if fields is None:
+        raise UsageError("manifest is not a construct or synthetic-cantor manifest")
+    if not isinstance(config, dict):
         raise UsageError("manifest field 'config' is not an object")
     for name, kinds in fields.items():
         if name not in config:
@@ -613,6 +611,8 @@ def _read_manifest(path: Path) -> dict:
     if "levels" in fields and config["levels"] < 1:
         raise UsageError(f"manifest config field 'levels' must be >= 1, "
                          f"got {config['levels']}")
+    if command == "construct" and manifest.get("failed"):
+        raise UsageError("manifest records a failed run")
     return manifest
 
 
@@ -622,27 +622,16 @@ def cmd_estimate_dim(args) -> int:
     r_grid = _parse_radii(args.r_grid) if args.r_grid else None
     out = Path(args.out)
     manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        print(f"manifest not found: {manifest_path}", file=sys.stderr)
-        return EXIT_USAGE
     manifest = _read_manifest(manifest_path)
     rows = []
     doc: dict = {"config": {"manifest": str(manifest_path), "planes": args.planes}}
-    if manifest.get("command") == "synthetic-cantor":
-        fam = cantor_product_family(manifest["config"]["levels"])
-        families = [fam]
-    elif manifest.get("command") == "construct":
-        if manifest.get("failed"):
-            print("manifest records a failed run", file=sys.stderr)
-            return EXIT_USAGE
+    if manifest["command"] == "synthetic-cantor":
+        families = [cantor_product_family(manifest["config"]["levels"])]
+    else:
         run = _run_from_config(manifest["config"])
         families = build_nested_family(
             run, stage_one_planes(run), planes=args.planes, seed=args.seed
         )
-    else:
-        print("manifest is not a construct or synthetic-cantor manifest",
-              file=sys.stderr)
-        return EXIT_USAGE
     reports = []
     for idx, nf in enumerate(families):
         fro = frostman_measure(nf)
@@ -686,8 +675,16 @@ def cmd_estimate_dim(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its errors as ``UsageError`` for ``main`` to
+    print; ``add_subparsers`` makes the subcommand parsers of this class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ietkit",
         description="Exact Rauzy-Veech induction, staged constructions, and "
         "desk-scale measure analysis.",
@@ -695,10 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", help="enumerate a Rauzy class")
-    p.add_argument("--d", type=int, default=None,
-                   help="shorthand for --seed-perm hyperelliptic:D")
-    p.add_argument("--seed-perm", default=None,
-                   help="seed permutation spec (default hyperelliptic:D)")
+    seed = p.add_mutually_exclusive_group(required=True)
+    seed.add_argument("--d", type=int, help="shorthand for --seed-perm hyperelliptic:D")
+    seed.add_argument("--seed-perm", help="seed permutation spec")
     p.add_argument("--budget", type=_count(int), default=10**6)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_classes)
@@ -725,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="|".join(sorted(_SUITES)))
+    p.add_argument("suite", choices=sorted(_SUITES), metavar="suite",
+                   help="|".join(sorted(_SUITES)))
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--paths", type=_count(int), default=1000)
     p.add_argument("--samples", type=_count(_whole),
@@ -750,22 +747,11 @@ def main(argv=None) -> int:
     # int/str conversion cap of Python 3.11+ (4300 digits) for them
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except UsageError as exc:  # raised by the _count argument types
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "classes":
-        if args.seed_perm is None:
-            if args.d is None:
-                print("classes needs --d or --seed-perm", file=sys.stderr)
-                return EXIT_USAGE
-            args.seed_perm = f"hyperelliptic:{args.d}"
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help; argparse's errors raise UsageError
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

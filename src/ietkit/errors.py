@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit-code contract, so new error types should
-subclass one of the existing families rather than ``Exception`` directly.
+The CLI's subcommands raise these, argparse's own errors included as
+``UsageError``, and ``cli.main`` alone turns each into one stderr line and
+an exit code: "usage error:" 1, "budget exceeded:" 2 (``ScheduleOverflowError``
+too), "induction undefined:" 3, "stage failure:" 4, and "error: <Type>:" 1 for
+any other.  New error types should subclass one of these families rather
+than ``Exception`` directly.
 """
 from __future__ import annotations
 

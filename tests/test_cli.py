@@ -1,6 +1,8 @@
 """Subcommand exit codes, manifest determinism, and JSON conventions."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -803,6 +805,60 @@ def test_estimate_dim_from_construct_manifest(tmp_path):
         assert all(0 < a <= 1 for a in fam["a"])
 
 
+# -- one stderr line per failure --------------------------------------------
+
+# the prefixes of the stderr line that main prints for each failing exit code
+PREFIXES = {
+    EXIT_USAGE: ("usage error: ", "error: "),
+    EXIT_BUDGET: ("budget exceeded: ",),
+    EXIT_INDUCTION: ("induction undefined: ",),
+    EXIT_STAGE: ("stage failure: ",),
+}
+
+
+def assert_one_way_out(code: int, err: str) -> None:
+    """A run that exits 1-4 ends its stderr with one line carrying its exit
+    code's prefix, and prints no usage block and no traceback."""
+    if code in PREFIXES:
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(PREFIXES[code]), err
+        assert "usage:" not in err and "Traceback" not in err, err
+
+
+EQUALITY_CASE = ["induct", "--lengths", "3/7,2/7,1/7,1/7", "--perm", "s4", "--steps", "10"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "balance", "--paths", "1.5"], EXIT_USAGE),
+    (["verify", "balance", "--samples", "-1e5"], EXIT_USAGE),
+    (["verify", "astrology"], EXIT_USAGE),
+    (["no-such-command"], EXIT_USAGE),
+    ([], EXIT_USAGE),
+    (["classes"], EXIT_USAGE),
+    (["classes", "--d", "4", "--seed-perm", "s4"], EXIT_USAGE),
+    (["estimate-dim", "--manifest", "{tmp}/missing.json"], EXIT_USAGE),
+    (["estimate-dim", "--manifest", "{tmp}/failed.json"], EXIT_USAGE),
+    (["estimate-dim", "--manifest", "{tmp}/classes/classes_manifest.json"], EXIT_USAGE),
+    (EQUALITY_CASE, EXIT_INDUCTION),
+], ids=["paths-not-whole", "samples-negative-exponent", "unknown-suite",
+        "unknown-command", "no-arguments", "classes-no-seed", "classes-both-seeds",
+        "manifest-missing", "manifest-failed-run", "manifest-of-classes",
+        "induct-equality"])
+def test_every_failure_prints_one_stderr_line(tmp_path, capsys, args, code):
+    assert main(["classes", "--d", "3", "--out", str(tmp_path / "classes")]) == EXIT_OK
+    (tmp_path / "failed.json").write_text(json.dumps({
+        "command": "construct", "config": CONSTRUCT_CONFIG, "failed": True,
+        "stages_completed": 0, "error": "stage 1 failed",
+    }))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in args]
+    assert main(argv + ["--out", str(out)] if argv else argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(PREFIXES[code][0]) and err.count("\n") == 1, err
+    if args == EQUALITY_CASE:  # the partial trace is still written
+        assert json.loads((out / "induct_trace.json").read_text())["steps"] == 3
+
+
 # -- value flags under arbitrary input --------------------------------------
 
 # Malformed values are drawn freely; well-formed ones stay tiny (counts up to
@@ -877,8 +933,10 @@ def flags_dir(tmp_path_factory):
 def test_value_flags_never_escape_the_exit_codes(flags_dir, argv):
     if argv[0] == "estimate-dim":
         argv += ["--manifest", str(cantor_manifest(flags_dir, levels=2))]
-    code = main(argv + ["--out", str(flags_dir / "out")])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv + ["--out", str(flags_dir / "out")])
     assert isinstance(code, int) and 0 <= code <= 5
+    assert_one_way_out(code, err.getvalue())
 
 
 # Config numbers stay within -2..4, so that no draw asks for a long run.
@@ -915,6 +973,8 @@ MANIFESTS = st.one_of(
 def test_manifests_never_escape_the_exit_codes(flags_dir, manifest):
     path = flags_dir / "manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
-    code = main(["estimate-dim", "--manifest", str(path), "--planes", "2",
-                 "--out", str(flags_dir / "out")])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["estimate-dim", "--manifest", str(path), "--planes", "2",
+                     "--out", str(flags_dir / "out")])
     assert isinstance(code, int) and 0 <= code <= 5
+    assert_one_way_out(code, err.getvalue())

@@ -37,8 +37,9 @@ def dot(u: Sequence, v: Sequence) -> Fraction | int:
 
 def _numerators(values: Sequence) -> tuple[list[int], int]:
     """The rationals ``values`` (floats read exactly) as integer numerators
-    over their least common denominator, and that denominator."""
-    fs = [Fraction(v) for v in values]
+    over their least common denominator, and that denominator.  Ints and
+    ``Fraction``s are read as they are, with no conversion."""
+    fs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     q = math.lcm(*(f.denominator for f in fs))
     return [f.numerator * (q // f.denominator) for f in fs], q
 

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
-from operator import sub
+from operator import mul, sub
 from random import Random
 from typing import Iterable, Sequence
 
@@ -501,8 +501,9 @@ def make_nested_family(
     )
 
 
-# estimate-dim on 8 levels (4^8 squares) takes about 9 s and 0.6 GB, for
-# frostman_measure's probe-to-centre distances, and each level more about 4x
+# estimate-dim on 8 levels (4^8 squares) takes about 4 s, half of it to build
+# the family and most of the rest in frostman_measure, and peaks at about
+# 420 MB, for its two (probe, centre) arrays; each level more costs about 4x
 MAX_CANTOR_LEVELS = 8
 
 
@@ -581,10 +582,10 @@ def build_nested_family(
     while len(out) < planes and attempts < 50 * planes:
         attempts += 1
         # M w / |M w| with the weights read exactly over one power of two
-        ratios = [float(x).as_integer_ratio() for x in rng.dirichlet(np.ones(d))]
+        ratios = [x.as_integer_ratio() for x in rng.dirichlet(np.ones(d)).tolist()]
         top = max(den for _, den in ratios)
         w = [num * (top // den) for num, den in ratios]
-        raw = [sum(x * y for x, y in zip(row, w)) for row in m_last]
+        raw = [sum(map(mul, row, w)) for row in m_last]
         tot = sum(raw)
         base = [Fraction(x, tot) for x in raw]
         levels: list[list[Polygon2D]] = []
@@ -604,6 +605,16 @@ def build_nested_family(
         except UsageError:
             continue
     return out
+
+
+_RADII_ELEMENTS = 1 << 16  # array elements per block of radii (512 KB of floats)
+
+
+def _radii_block(per_radius: int) -> int:
+    """Radii per block when each takes ``per_radius`` array elements: as
+    many as fit in ``_RADII_ELEMENTS``, and at least one, so a block is
+    never larger than one radius's array or that bound."""
+    return max(1, _RADII_ELEMENTS // max(per_radius, 1))
 
 
 class FrostmanMeasure(Record):
@@ -655,11 +666,22 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     if len(radii) < 2:
         radii = [r_hi, r_hi / 2.0]
     w_arr = np.array(w_last)
-    dist = np.sqrt(
-        ((probe[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    )
+    # probe-to-centre distances, squared and summed in place: the floats of
+    # sqrt(((probe - centre) ** 2).sum(-1)), in two (probe, centre) arrays
+    dist = probe[:, None, 0] - centers[None, :, 0]
+    dy = probe[:, None, 1] - centers[None, :, 1]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
+    # the ball masses of every probe at a block of radii at once; each sum
+    # runs over the centres, in their order, as one radius alone would
+    r_arr, step = np.array(radii), _radii_block(dist.size)
     masses = [
-        float((w_arr[None, :] * (dist <= r)).sum(axis=1).max()) for r in radii
+        float(m)
+        for k in range(0, len(radii), step)
+        for m in (w_arr * (dist <= r_arr[k : k + step, None, None])).sum(-1).max(-1)
     ]
     # Radii comparable to the family's diameter saturate the sup ball mass at
     # the total measure; those points carry no scaling information and would
@@ -699,11 +721,18 @@ def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFi
     if pts.ndim == 1:
         pts = pts[:, None]
     radii = sorted(float(r) for r in r_grid)
-    counts = []
-    for r in radii:
+    counts: list[int] = []
+    step = _radii_block(pts.size)
+    for k in range(0, len(radii), step):
         # float cell indices: an int64 cast wraps once pts / r passes 2^63
-        cells = np.floor(pts / r)
-        counts.append(len({tuple(c) for c in cells}))
+        cells = np.floor(pts / np.array(radii[k : k + step])[:, None, None])
+        # each radius's cells in order; a cell unequal to the one before it
+        # is new, as in a set of tuples (a NaN equals nothing)
+        order = np.lexsort(np.moveaxis(cells, -1, 0)[::-1])
+        cells = np.take_along_axis(cells, order[..., None], 1)
+        new = np.ones(order.shape, dtype=bool)
+        new[:, 1:] = (cells[:, 1:] != cells[:, :-1]).any(-1)
+        counts += new.sum(1).tolist()
     usable = [(r, n) for r, n in zip(radii, counts) if n > 0]
     if len({r for r, _ in usable}) < 2:
         raise UsageError("need at least two distinct non-empty scales")

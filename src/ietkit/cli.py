@@ -323,10 +323,9 @@ def cmd_induct(args) -> int:
             stop = _parse_until(args.until, T.perm.d)
             trace = induct_until(T, stop, step_budget=args.budget)
     except InductionUndefinedError as exc:  # main reports it; the trace records it
-        if exc.partial is not None:
-            _out_file(out, "induct_trace.json").write_text(
-                exc.partial.to_json() + "\n", encoding="utf-8"
-            )
+        _out_file(out, "induct_trace.json").write_text(
+            exc.partial.to_json() + "\n", encoding="utf-8"
+        )
         raise
     _out_file(out, "induct_trace.json").write_text(
         trace.to_json() + "\n", encoding="utf-8"

@@ -400,15 +400,20 @@ def _walk_to_window(
     """Random admissible moves until the norm reaches the window, then the
     shortest admissible way to the rule's end; an overshoot is kept as a
     warning."""
-    rule = b.rule
+    rule, walk, lo = b.rule, b.walk, window.lo
+    sides: dict[int, list[str]] = {}  # the admissible sides of each vertex reached
     steps = 0
-    while b.norm < window.lo:
+    while max(walk.norms) < lo:
         if steps >= budget:
             raise BudgetExceededError(f"{rule.phase} window unreachable within budget")
-        options = [s for s in (TOP_WINS, BOTTOM_WINS) if rule.admissible(b.walk.edge(s))]
+        options = sides.get(walk.v)
+        if options is None:
+            options = sides[walk.v] = [
+                s for s in (TOP_WINS, BOTTOM_WINS) if rule.admissible(walk.edge(s))
+            ]
         if not options:
             raise StageError(f"{rule.phase} walk stuck at {b.pi}")
-        b.apply_side(rng.choice(options))
+        b.apply_side(rng.choice(options))  # draws even from one option
         steps += 1
     _steer(b, rng)
     return _check_window(b.finish(), window)
@@ -463,8 +468,8 @@ def freedom_rhs_for_window(
     b = PathBuilder(phase_rule(FREEDOM_RHS, d), start)
     for _ in range(1, d - 1):
         b.apply_winner(d)  # d beats 1, ..., d-2
-    loops = 0
-    while b.norm < window.lo:
+    loops, lo = 0, window.lo
+    while b.norm < lo:
         if loops >= PHASE_BUDGET:
             raise BudgetExceededError("freedom-RHS window unreachable")
         b.apply_side(BOTTOM_WINS, rng.randint(1, 3))  # d-1 beats d at pi_R
@@ -673,12 +678,10 @@ def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
 
 
 def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
-    verts = []
-    for j in range(1, d + 1):
-        col = M.column(j)
+    fverts = []  # each column over its sum, one correctly rounded division each
+    for col in zip(*M.rows):
         n = sum(col)
-        verts.append(tuple(Fraction(x, n) for x in col))
-    fverts = [tuple(float(x) for x in v) for v in verts]
+        fverts.append(tuple(x / n for x in col))
 
     def avg(vs):
         s = [sum(c) for c in zip(*vs)]
@@ -696,10 +699,10 @@ def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
         _column_angle(a, b) for a in fverts[: d - 2] for b in fverts[d - 2 :]
     )
     pi_l, _, _ = special_permutations(d)
-    # exact interior representative: image of the barycenter
-    w = M.mat_vec(tuple(Fraction(1, d) for _ in range(d)))
+    # exact interior representative: image of the barycenter, M 1 / |M 1|
+    w = [sum(row) for row in M.rows]
     total = sum(w)
-    representative = Iet(tuple(x / total for x in w), pi_l)
+    representative = Iet(tuple(Fraction(x, total) for x in w), pi_l)
 
     return LimitInfo(lhs, rhs, intra_lhs, intra_rhs, inter, representative)
 

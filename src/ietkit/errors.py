@@ -25,13 +25,13 @@ class BudgetExceededError(IetkitError):
 class InductionUndefinedError(IetkitError):
     """Rauzy induction hit the equality case x_i = x_j (CLI exit code 3).
 
-    ``steps_completed`` counts the steps that did succeed, and ``partial``
-    carries whatever trace was accumulated before the equality.
+    ``partial`` carries the trace accumulated before the equality, when
+    the induction loop raises it; its ``steps`` count the steps that did
+    succeed.  A single ``step`` raises it without one.
     """
 
-    def __init__(self, message: str, steps_completed: int = 0, partial=None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.steps_completed = steps_completed
         self.partial = partial
 
 

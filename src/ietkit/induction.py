@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from . import _rational
@@ -115,7 +116,7 @@ class VisitationMatrix:
         return sum(row[j - 1] for row in self.rows)
 
     def column_norms(self) -> tuple[int, ...]:
-        return tuple(self.column_norm(j) for j in range(1, self.d + 1))
+        return tuple(map(sum, zip(*self.rows)))
 
     @property
     def norm(self) -> int:
@@ -133,12 +134,11 @@ class VisitationMatrix:
 
     def __matmul__(self, other: "VisitationMatrix") -> "VisitationMatrix":
         ot = list(zip(*other.rows))
-        return VisitationMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.rows
-            ]
+        M = VisitationMatrix.__new__(VisitationMatrix)  # the entries are ints
+        M.rows = tuple(
+            [tuple([sum(map(mul, row, col)) for col in ot]) for row in self.rows]
         )
+        return M
 
     def apply_step(self, winner: int, loser: int) -> "VisitationMatrix":
         """Right-multiply by the elementary factor: adds column winner to loser."""
@@ -547,7 +547,6 @@ def _induct(T: Iet, stop: _StopRule, budget: int) -> InductionTrace:
         raise InductionUndefinedError(
             f"equality at step {k}: equal last lengths x_{i} = x_{j} = "
             f"{induced.lengths[i - 1]}: induction undefined",
-            steps_completed=k,
             partial=trace,
         )
     return trace

@@ -16,9 +16,9 @@ the body's vertices.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import _rational
@@ -112,32 +112,23 @@ def plane_family(A1prime, B1, form: SymplecticForm) -> PlaneFamily:
 
 
 class Polygon2D:
-    """A convex polygon in plane-chart coordinates."""
+    """A convex polygon in plane-chart coordinates, with its area and
+    diameter, each computed once, when it is made."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "area", "diameter")
 
     def __init__(self, vertices: np.ndarray):  # (n, 2), convex, either orientation
-        self.vertices = vertices
-
-    @property
-    def area(self) -> float:
         import numpy as np
 
-        v = self.vertices
+        self.vertices = v = vertices
         x, y = v[:, 0], v[:, 1]
         # np.roll(w, -1) without its overhead: the same array, so the same sums
         x1, y1 = (np.concatenate((w[1:], w[:1])) for w in (x, y))
-        return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
-
-    @property
-    def diameter(self) -> float:
-        """The largest vertex distance, taken with ``hypot``: squaring the
-        coordinate differences underflows below about 1e-154."""
-        import numpy as np
-
-        v = self.vertices
+        self.area = 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
+        # the largest vertex distance, taken with ``hypot``: squaring the
+        # coordinate differences underflows below about 1e-154
         diff = v[:, None, :] - v[None, :, :]
-        return float(np.hypot(diff[..., 0], diff[..., 1]).max())
+        self.diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
     @property
     def centroid(self) -> np.ndarray:
@@ -153,15 +144,15 @@ class Polygon2D:
         vertex is in when its cross products with the edges are all >= -1e-9
         or all <= 1e-9, so either orientation is accepted.
         """
-        import numpy as np
-
-        v = self.vertices
-        scale = self.diameter
-        a = (v - v[0]) / scale
-        edge = np.concatenate((a[1:], a[:1])) - a
-        p = ((other.vertices - v[0]) / scale)[:, None, :]  # (vertices, 1, 2)
-        cross = edge[:, 0] * (p[..., 1] - a[:, 1]) - edge[:, 1] * (p[..., 0] - a[:, 0])
-        return bool(((cross >= -1e-9).all(1) | (cross <= 1e-9).all(1)).all())
+        (x0, y0), scale = self.vertices[0].tolist(), self.diameter
+        a = [((x - x0) / scale, (y - y0) / scale) for x, y in self.vertices.tolist()]
+        edges = [(bx - ax, by - ay, ax, ay) for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1])]
+        for x, y in other.vertices.tolist():
+            px, py = (x - x0) / scale, (y - y0) / scale
+            cross = [ex * (py - ay) - ey * (px - ax) for ex, ey, ax, ay in edges]
+            if not (all(c >= -1e-9 for c in cross) or all(c <= 1e-9 for c in cross)):
+                return False
+        return True
 
 
 _REL_TOL = 1e-12  # a residual or gap below this share of its terms is rounding
@@ -222,10 +213,15 @@ def section_table(M, family: PlaneFamily):
     the chart rows (floats, read exactly) to integers (a_i, b_i) over their
     common denominator q; ``flat`` lists the rows with a_i = b_i = 0, and
     ``pairs`` each pair of the other rows with a non-zero determinant
-    a_i b_j - a_j b_i, as (i, a_i, b_i, j, a_j, b_j, det, rest): the two
-    rows in the order that makes det > 0, and ``rest`` the other rows as
-    (k, a_k, b_k).  The caller keeps the table for as long as it slices M
-    with planes of this family.
+    det = a_i b_j - a_j b_i, in row order, as (i, a_i, b_i, j, a_j, b_j,
+    det, rest, signed): the two rows in the order that makes det > 0.
+    ``rest`` holds the other rows k as (k, alpha, beta), with alpha =
+    a_k b_i - a_i b_k and beta = a_j b_k - a_k b_j, so that the pair's
+    vertex meets row k when alpha * c_j + beta * c_i + det * c_k >= 0.  Rows
+    with alpha < 0 and beta < 0 come first, then those with one sign
+    negative; ``signed`` is that prefix, the rows with alpha, beta >= 0
+    left out.  The caller keeps the table for as long as it slices M with
+    planes of this family.
     """
     rows = M.rows if isinstance(M, VisitationMatrix) else M
     try:
@@ -236,21 +232,22 @@ def section_table(M, family: PlaneFamily):
     nums, q = _rational._numerators([*chart[0], *chart[1]])
     d = len(inv)
     u, v = nums[:d], nums[d:]
-    ab = [
-        (sum(map(operator.mul, row, u)), sum(map(operator.mul, row, v)))
-        for row in inv
-    ]
+    ab = [(sum(map(mul, row, u)), sum(map(mul, row, v))) for row in inv]
     flat = [i for i, (a, b) in enumerate(ab) if a == 0 and b == 0]
     live = [(i, a, b) for i, (a, b) in enumerate(ab) if a != 0 or b != 0]
     pairs = []
-    for n, (i, a1, b1) in enumerate(live):
-        for j, a2, b2 in live[n + 1 :]:
-            det = a1 * b2 - a2 * b1
-            rest = [r for r in live if r[0] != i and r[0] != j]
-            if det > 0:
-                pairs.append((i, a1, b1, j, a2, b2, det, rest))
-            elif det < 0:
-                pairs.append((j, a2, b2, i, a1, b1, -det, rest))
+    for n, first in enumerate(live):
+        for second in live[n + 1 :]:
+            det = first[1] * second[2] - second[1] * first[2]
+            if det == 0:
+                continue
+            (i, a1, b1), (j, a2, b2) = (first, second) if det > 0 else (second, first)
+            det = abs(det)
+            rest = [(k, a * b1 - a1 * b, a2 * b - a * b2)
+                    for k, a, b in live if k != i and k != j]
+            rest.sort(key=lambda r: (r[1] >= 0) + (r[2] >= 0))  # stable
+            signed = [r for r in rest if r[1] < 0 or r[2] < 0]
+            pairs.append((i, a1, b1, j, a2, b2, det, rest, signed))
     return inv, q, flat, pairs
 
 
@@ -266,37 +263,47 @@ def section(table, base_point: Sequence) -> Polygon2D | None:
     the non-zero pair determinants.  A call only forms c = D * M^-1 R, with
     R the base point's numerators over their common denominator S, so the
     half-planes are a*s + b*t + (q/S)*c >= 0 up to the positive factor D.
-    The vertex of two boundaries is (q/S) * (s_n, t_n) / det with integer
-    Cramer numerators, and it is feasible when a*s_n + b*t_n + c*det >= 0
-    for every half-plane.  Repeats are found by cross-multiplication, the
-    centroid is taken over the product of the surviving dets, and each float
-    (a coordinate, or the angle sort key's offset from the centroid) is one
-    correctly rounded integer division of its exact value.
+    The base point is off the simplex's affine hull when its coordinates
+    sum to more than 1e-9 away from 1, exactly.  The vertex of two
+    boundaries i, j is (q/S) * (s_n, t_n) / det with integer Cramer
+    numerators; it meets row k when a_k*s_n + b_k*t_n + c_k*det >= 0, which
+    is the orientation test alpha*c_j + beta*c_i + det*c_k >= 0 on the
+    table's coefficients, so s_n and t_n are formed only for the vertices
+    that meet every row.  When every c is positive, as for a base point
+    inside M Delta, the rows with alpha, beta >= 0 hold by sign and are
+    not tested.  Repeats are found by cross-multiplication, the centroid is
+    taken over the product of the surviving dets, the vertices are sorted
+    by the angle about it (stable, so vertices that tie in angle keep the
+    pairs' order), and each float (a coordinate, or the angle's offset from
+    the centroid) is one correctly rounded integer division of its exact
+    value.
     """
     import numpy as np
 
-    p0 = np.array([float(x) for x in base_point])
-    if abs(p0.sum() - 1.0) > 1e-9 or table is None:
-        return None  # the plane misses the affine hull, or M is singular
+    if table is None:
+        return None  # M is singular
     # M^-1 has entries of size ~ norm(M)^(d-1), so forming it in floats and
     # multiplying cancels catastrophically once the section is much smaller
     # than the simplex; apply it exactly instead
     inv, q, flat, pairs = table
     base_n, S = _rational._numerators(base_point)
-    c = [sum(map(operator.mul, row, base_n)) for row in inv]
-    if any(c[i] < 0 for i in flat):
+    if abs(sum(base_n) - S) * 10**9 > S:
+        return None  # the plane misses the affine hull
+    c = [sum(map(mul, row, base_n)) for row in inv]
+    inside = min(c) > 0
+    if not inside and any(c[i] < 0 for i in flat):
         return None
     # vertex enumeration stays exact: the section can sit 20+ orders of
     # magnitude below the chart scale, where any float clipping collapses
     verts: list[tuple[int, int, int]] = []
-    for i, a1, b1, j, a2, b2, det, rest in pairs:
-        c1, c2 = c[i], c[j]
-        s_n = c2 * b1 - c1 * b2
-        t_n = a2 * c1 - a1 * c2
-        for k, a, b in rest:  # rows i and j hold with equality
-            if a * s_n + b * t_n + c[k] * det < 0:
+    for i, a1, b1, j, a2, b2, det, rest, signed in pairs:
+        ci, cj = c[i], c[j]
+        for k, alpha, beta in signed if inside else rest:
+            if alpha * cj + beta * ci + det * c[k] < 0:
                 break
         else:
+            s_n = cj * b1 - ci * b2
+            t_n = a2 * ci - a1 * cj
             for s, t, e in verts:
                 if s_n * e == s * det and t_n * e == t * det:
                     break
@@ -305,19 +312,18 @@ def section(table, base_point: Sequence) -> Polygon2D | None:
     n = len(verts)
     if n < 3:
         return None
-    P = math.prod(e for _, _, e in verts)
-    weights = [P // e for _, _, e in verts]
-    sum_s = sum(s * w for (s, _, _), w in zip(verts, weights))
-    sum_t = sum(t * w for (_, t, _), w in zip(verts, weights))
-    den = S * P * n  # a vertex less the centroid is q * (n*s_n*w - sum) / den
-    keys = [
-        math.atan2(q * (n * t * w - sum_t) / den, q * (n * s * w - sum_s) / den)
-        for (s, t, _), w in zip(verts, weights)
-    ]
+    P = math.prod([e for _, _, e in verts])
+    SP = S * P
+    qx, qy = [], []  # vertex k is (qx[k], qy[k]) / SP
+    for s, t, e in verts:
+        w = q * (P // e)
+        qx.append(s * w)
+        qy.append(t * w)
+    cx, cy = sum(qx), sum(qy)  # n * SP times the centroid
+    den = n * SP  # a vertex less the centroid is (n * qx - cx, n * qy - cy) / den
+    keys = [math.atan2((n * y - cy) / den, (n * x - cx) / den) for x, y in zip(qx, qy)]
     order = sorted(range(n), key=keys.__getitem__)
-    return Polygon2D(np.array([
-        [q * s / (S * e), q * t / (S * e)] for s, t, e in (verts[k] for k in order)
-    ]))
+    return Polygon2D(np.array([[qx[k] / SP, qy[k] / SP] for k in order]))
 
 
 def _polytope_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ietkit.analysis as analysis
 from ietkit.analysis import (
     CONSISTENT,
     GRID,
@@ -464,6 +465,58 @@ def test_frostman_sibling_weights_sum_to_parent():
             sums[par] = sums.get(par, 0.0) + w
         for par, total in sums.items():
             assert total == pytest.approx(fro.weights[lv - 1][par])
+
+
+def per_radius_masses(family, fro) -> tuple[float, ...]:
+    """``frostman_measure``'s ball masses taken one radius at a time: the
+    reference for the loop that takes a block of radii at once."""
+    deepest = family.levels[-1]
+    centers = np.array([p.centroid for p in deepest])
+    stride = max(1, len(centers) // 256)
+    probe = np.concatenate([centers[::stride]] + [p.vertices for p in deepest[:16]])
+    w_arr = np.array(fro.weights[-1])
+    dist = np.sqrt(((probe[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1))
+    return tuple(
+        float((w_arr[None, :] * (dist <= r)).sum(axis=1).max()) for r in fro.radii
+    )
+
+
+def per_radius_counts(points: np.ndarray, radii) -> tuple[int, ...]:
+    """``box_dimension``'s occupied boxes, one radius and one set at a time."""
+    return tuple(len({tuple(c) for c in np.floor(points / r)}) for r in sorted(radii))
+
+
+def assert_fits_match_per_radius(family):
+    fro = frostman_measure(family)
+    assert fro.masses == per_radius_masses(family, fro)
+    pts = np.array([p.centroid for p in family.levels[-1]])
+    assert box_dimension(pts, fro.radii).counts == per_radius_counts(pts, fro.radii)
+
+
+# the default blocks hold 1 to 13107 radii across these families; the large
+# bound takes several radii per block on the deepest ones as well
+@pytest.mark.parametrize("elements", [None, 1 << 22])
+@pytest.mark.parametrize("levels", range(1, 7))
+def test_batched_fits_match_a_per_radius_loop_on_cantor(monkeypatch, levels, elements):
+    if elements is not None:
+        monkeypatch.setattr(analysis, "_RADII_ELEMENTS", elements)
+    assert_fits_match_per_radius(cantor_product_family(levels))
+
+
+def test_batched_fits_match_a_per_radius_loop_on_a_chain(reference_run, reference_planes):
+    families = build_nested_family(reference_run, reference_planes, planes=5, seed=7)
+    assert families
+    for family in families:
+        assert_fits_match_per_radius(family)
+
+
+def test_batched_box_counts_keep_set_semantics():
+    # repeated points, a NaN (equal to nothing, so each its own box) and
+    # points on both sides of zero
+    pts = np.array([[0.25, 0.5], [0.25, 0.5], [-0.0, 0.0], [0.0, -0.0],
+                    [np.nan, 1.0], [np.nan, 1.0], [-0.3, 0.9], [np.inf, 2.0]])
+    radii = [0.05, 0.2, 1.0, 4.0]
+    assert box_dimension(pts, radii).counts == per_radius_counts(pts, radii)
 
 
 def test_box_dimension_segment_and_square():

@@ -1,0 +1,60 @@
+"""The construct-section benchmark's job sizes keep their output bytes.
+
+sha256 of the files ``construct`` and ``estimate-dim`` write for two runs of
+the benchmark's sizes (6 stages, then 30 planes), taken before the walk
+step, the exact sections and the dimension estimators were made cheaper.
+The manifests and ``stages.csv`` hold the construction's exact integers and
+its float angles; ``estimate_dim.json`` and ``dim_fit.csv`` hold the
+floats of the sections and the fits, which also pass through numpy's
+dirichlet stream (the base points) and its BLAS (the polygon areas).  The
+pins were taken with numpy 2.4.6.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from ietkit.cli import main
+
+# (d, construct --seed, estimate-dim --seed) -> file -> sha256
+PINNED = {
+    (6, 244788, 148551): {
+        "construct_manifest.json":
+            "a3be54d1d661c081da3f00ff466bace3c193f2606432c640a083700af6db51d0",
+        "stages.csv":
+            "d7dc1c9a9c2fa6deee83c0deddff27a76975ede57cb448516d3191be24188a0e",
+        "estimate_dim.json":
+            "5a8acb073dcd1714f890e6e9586e028d4aba6bf71e09e2949ac3acc372e67620",
+        "dim_fit.csv":
+            "d66c604e1f7331e5783293f7726df1d729cce56c2af30edf0ac86877f0c486a4",
+    },
+    (5, 115850, 961563): {
+        "construct_manifest.json":
+            "92ab4e2a38ed98a7e1d5db3b2aac1cb62487d9eababc6a02a56ff8badaed6e11",
+        "stages.csv":
+            "c7b8c15d9764d8ce349fe07b7bd4af852f9b8f71d8addee1964fb0ce76596a79",
+        "estimate_dim.json":
+            "70560a30c00100805f31d8c1f7cfdbe931332a66ff8e14c40d0fa3ba3304892e",
+        "dim_fit.csv":
+            "4770a3405ca7a419c06c56a85f01905b507dedc99433fd32be8116609a75c55d",
+    },
+}
+
+
+@pytest.mark.parametrize(("d", "construct_seed", "estimate_seed"), list(PINNED))
+def test_construct_section_files_keep_their_pinned_bytes(
+    monkeypatch, tmp_path, d, construct_seed, estimate_seed
+):
+    # estimate_dim.json records the manifest path as given: keep it relative
+    monkeypatch.chdir(tmp_path)
+    out = f"d{d}"
+    assert main(["construct", "--d", str(d), "--stages", "6",
+                 "--seed", str(construct_seed), "--out", out]) == 0
+    assert main(["estimate-dim", "--manifest", f"{out}/construct_manifest.json",
+                 "--planes", "30", "--seed", str(estimate_seed), "--out", out]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+        for name in PINNED[d, construct_seed, estimate_seed]
+    }
+    assert digests == PINNED[d, construct_seed, estimate_seed]

@@ -82,8 +82,6 @@ def test_equality_case_reports_step():
     )
     with pytest.raises(InductionUndefinedError) as exc:
         induct(T, 10)
-    assert exc.value.steps_completed == 3
-    assert exc.value.partial is not None
     assert exc.value.partial.steps == 3
 
 
@@ -239,8 +237,8 @@ def test_induct_matches_step_reference(T, n):
     if error is not None:
         with pytest.raises(InductionUndefinedError) as exc:
             induct(T, n)
-        assert exc.value.steps_completed == len(edges)
         trace = exc.value.partial
+        assert trace.steps == len(edges)
     else:
         trace = induct(T, n)
     assert trace.start == T
@@ -264,7 +262,7 @@ def test_equality_case_matches_step_reference(data):
     with pytest.raises(InductionUndefinedError) as exc:
         induct(T, 50)
     k = len(edges)
-    assert exc.value.steps_completed == k
+    assert exc.value.partial.steps == k
     assert str(exc.value) == f"equality at step {k}: {error}"
     partial = exc.value.partial
     assert (partial.start, partial.edges, partial.matrix, partial.induced) == (
@@ -324,8 +322,8 @@ def test_long_runs_match_step_reference(data):
     if error is not None:
         with pytest.raises(InductionUndefinedError) as exc:
             induct(T, cut)
-        assert exc.value.steps_completed == len(edges)
         trace = exc.value.partial
+        assert trace.steps == len(edges)
     else:
         trace = induct(T, cut)
     assert equal_at is None or (error is not None and len(edges) == equal_at)
@@ -583,7 +581,7 @@ def until_outcome(T, predicate, budget):
     try:
         return induct_until(T, predicate, step_budget=budget)
     except InductionUndefinedError as exc:
-        return "undefined", exc.steps_completed, exc.partial
+        return "undefined", exc.partial.steps, exc.partial
     except BudgetExceededError:
         return "budget"
 

@@ -25,8 +25,6 @@ COPYING_INIT_ALLOWED = {
                  "about 2800 times for a 1386-vertex class",
     "_RunCycle": "built once per vertex and side of the compiled diagram "
                  "that a run reaches, as RauzyEdge is per move",
-    "Polygon2D": "built for every plane section; cantor_product_family "
-                 "builds 4^levels of them",
 }
 
 

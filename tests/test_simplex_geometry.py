@@ -7,9 +7,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ietkit import _rational, simplex_geometry
+from ietkit.analysis import stage_one_planes
+from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.errors import DegeneracyError
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
 from ietkit.perm import hyperelliptic_permutation
@@ -97,6 +99,53 @@ def test_diameter_scales_below_the_squares_underflow(scale):
     # a 3-4-5 triangle: squared differences of 1e-170 would read 0
     poly = Polygon2D(scale * np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
     assert math.isclose(poly.diameter, 5.0 * scale, rel_tol=1e-15)
+
+
+def numpy_contains(outer: Polygon2D, inner: np.ndarray) -> bool:
+    """The containment test as one numpy cross product of every vertex with
+    every edge: the reference for the per-vertex loop in floats."""
+    v = outer.vertices
+    a = (v - v[0]) / outer.diameter
+    edge = np.concatenate((a[1:], a[:1])) - a
+    p = ((inner - v[0]) / outer.diameter)[:, None, :]
+    cross = edge[:, 0] * (p[..., 1] - a[:, 1]) - edge[:, 1] * (p[..., 0] - a[:, 0])
+    return bool(((cross >= -1e-9).all(1) | (cross <= 1e-9).all(1)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-160, 3), st.lists(st.floats(0, 2 * math.pi), min_size=3, max_size=6),
+    st.booleans(), st.floats(-12, 0), st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 1.5]),
+    st.lists(st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 1)), min_size=1,
+             max_size=5),
+)
+def test_containment_matches_the_numpy_reference(exp, angles, flip, thin, reach, points):
+    # ellipses of any scale and aspect, either orientation, and points inside,
+    # on and beyond them
+    scale, width = 10.0**exp, 10.0**thin
+    angles = sorted(angles, reverse=flip)
+    outer = Polygon2D(scale * np.array([[math.cos(t), width * math.sin(t)] for t in angles]))
+    assume(outer.diameter > 0)
+    inner = np.concatenate([
+        scale * reach * np.array([[r * math.cos(t), width * r * math.sin(t)]
+                                  for t, r in points]),
+        outer.vertices[:2],
+    ])
+    assert outer.contains_polygon(Polygon2D(inner)) == numpy_contains(outer, inner)
+
+
+@pytest.mark.parametrize(("excess", "empty"), [
+    (Fraction(1, 10**10), False),
+    (Fraction(1, 10**9), False),
+    (Fraction(11, 10**10), True),
+    (-Fraction(11, 10**10), True),
+])
+def test_section_takes_base_points_that_sum_to_1_within_1e_9(excess, empty):
+    # the sum is compared with 1 exactly, not in floats
+    family = PlaneFamily(4, (1, -1, 0, 0), (0, 0, 1, -1))
+    base = [Fraction(1, 4)] * 3 + [Fraction(1, 4) + excess]
+    poly = section(section_table(VisitationMatrix.identity(4), family), base)
+    assert (poly is None) == empty
 
 
 def test_section_off_the_simplex_plane_is_empty():
@@ -201,8 +250,36 @@ def section_inputs(draw):
     return M, base, family
 
 
+def needle_inputs() -> list[tuple]:
+    """Needle sections: the level-5 and level-6 tables of two runs of the
+    construct-section benchmark's size (construct --d 6 --stages 6 --seed
+    244788 and --d 5 --seed 115850), cut by their stage-one planes through
+    M w / |M w| for the deepest stage's M.  The sections are some 1e-107 and
+    1e-153 long and far thinner; the two vertices at each end tie in
+    atan2 about the centroid in some of them, so their order is the order
+    the vertices were found in."""
+    out = []
+    for d, seed in ((6, 244788), (5, 115850)):
+        run = run_construction(d, make_schedule(1, ExponentScale.linear(), 6), seed)
+        family = stage_one_planes(run)
+        for w in [(1,) * d, tuple(range(1, d + 1))]:
+            x = run.cumulative.mat_vec(w)
+            base = [Fraction(xi, sum(x)) for xi in x]
+            out += [(run.stages[lv].cumulative, base, family) for lv in (4, 5)]
+    return out
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=150, deadline=None)
 @given(section_inputs())
+@with_examples(needle_inputs())
 def test_section_matches_fraction_reference(inputs):
     M, base, family = inputs
     want = reference_section(M, base, family)

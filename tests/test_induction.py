@@ -581,7 +581,7 @@ def until_outcome(T, predicate, budget):
     try:
         return induct_until(T, predicate, step_budget=budget)
     except InductionUndefinedError as exc:
-        return "undefined", exc.partial.steps, exc.partial
+        return "undefined", exc.partial
     except BudgetExceededError:
         return "budget"
 

@@ -33,7 +33,7 @@ def main() -> None:
     for st in run.stages:
         text = ", ".join(
             f"{name} {'; '.join(validate_phase(path)) or 'ok'}"
-            for name, path in st.phases.items() if path is not None
+            for name, path in st.phases.items()
         )
         print(f"  stage {st.k}: {text}")
 

@@ -391,10 +391,8 @@ def limit_tower_points(
     def pick(cols: Sequence[int], names: Sequence[str]):
         for st in run.stages:
             for name in names:
-                m = st.checkpoints.get(name)
-                if m is None or name not in st.phases or st.phases[name] is None:
-                    continue
-                if min(m.column_norm(j) for j in cols) >= horizon:
+                m = st.checkpoints.get(name)  # no "A" at stage 1
+                if m is not None and min(m.column_norm(j) for j in cols) >= horizon:
                     return m, st.phases[name].end
         raise UsageError("no checkpoint deep enough for this horizon")
 

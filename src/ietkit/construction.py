@@ -7,10 +7,13 @@ a configurable exponent map; the default linear map preserves the structure
 the condition checks measure (phase ordering by magnitude, the ratio gaps
 between the two sides) at desk scale.
 
-Each phase has one ``PhaseRule`` (``phase_rule``): the moves it admits,
-the vertices it may start at and the vertex it ends at.  The generators
-walk by it, and ``validate_phase`` replays a finished path against it.  The
-norm windows are not part of the rule: they come per stage from the
+Each phase has one ``PhaseRule``: the moves it admits, the vertices it may
+start at and the vertex it ends at; ``phase_rules(d)`` builds all of them.
+A stage is one loop over a table of (name, phase, window, generator) rows
+in draw order, and every generator has one shape: ``gen(b, window, rng)``
+continues the ``PathBuilder`` b, which starts under the phase's rule, and
+finishes it.  ``validate_phase`` replays a finished path against its rule.
+The norm windows are not part of the rule: they come per stage from the
 schedule, and a generator widens past one with a warning.
 
 A phase path stores its moves as runs (side, count): count moves in a row
@@ -92,9 +95,6 @@ class Window(Record):
     @property
     def hi(self) -> int:
         return 2 * self.lo if self.double else _pow10(self.hi_exp)
-
-    def contains(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
 
     def __str__(self):
         return f"[10^{self.lo_exp:g}, {'2x' if self.double else ''}10^{self.hi_exp:g}]"
@@ -222,8 +222,8 @@ class PhaseRule(Record):
     __slots__ = ("phase", "admissible", "starts", "end")
 
 
-def phase_rule(phase: str, d: int) -> PhaseRule:
-    """The rule of ``phase`` for d symbols; the one definition the
+def phase_rules(d: int) -> dict[str, PhaseRule]:
+    """The rule of each phase for d symbols; the one definition the
     generators walk by and ``validate_phase`` checks against."""
     pi_l, pi_r, _ = special_permutations(d)
     pi_s = hyperelliptic_permutation(d)
@@ -239,9 +239,7 @@ def phase_rule(phase: str, d: int) -> PhaseRule:
         RESTRICTION_RHS: (lambda e: e.winner >= d - 1 and e.loser >= d - 1, (pi_r,), pi_s),
         AVOIDING: (freedom_lhs, (pi_s, pi_l), pi_s),
     }
-    if phase not in rules:
-        raise UsageError(f"unknown phase {phase}")
-    return PhaseRule(phase, *rules[phase])
+    return {phase: PhaseRule(phase, *rule) for phase, rule in rules.items()}
 
 
 class PhasePath(Record):
@@ -419,28 +417,34 @@ def _walk_to_window(
     return _check_window(b.finish(), window)
 
 
-def gen_freedom_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
+def gen_freedom_lhs(b: PathBuilder, window: Window, rng: Random) -> PhasePath:
     """Freedom on the left: only 1..d-2 win, 1 wins first, ends at pi_s.
 
-    ``start`` may be pi_L (the canonical start) or pi_s (the state the
+    ``b`` may start at pi_L (the canonical start) or pi_s (the state the
     previous stage ends in; the two forced symbol-1 wins that route back
     through pi_L are part of the phase).
     """
-    b = PathBuilder(phase_rule(FREEDOM_LHS, start.d), start)
     b.apply_winner(1)  # 1 wins first; forced at pi_s, chosen at pi_L
     # the first win counts against the budget
     return _walk_to_window(b, window, rng, PHASE_BUDGET - 1)
 
 
-def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) -> PhasePath:
+def gen_bridge(b: PathBuilder, window: None, rng: Random) -> PhasePath:
+    """Freedom ends at pi_s and restriction needs pi_L: route back with the
+    same two 1-wins freedom itself would use.  No window, no draw."""
+    b.apply_winner(1)
+    b.apply_winner(1)
+    return b.finish()
+
+
+def gen_restriction_lhs(b: PathBuilder, window: Window, rng: Random) -> PhasePath:
     """Restriction on the left: 1 never wins, d-1 and d are never compared.
 
     For d=4 the restricted diagram is the single self-loop where 2 beats 1,
     so the norm target is hit in closed form; for d >= 5 the walk lives in
     the embedded smaller class and returns to pi_L.
     """
-    b = PathBuilder(phase_rule(RESTRICTION_LHS, start.d), start)
-    if start.d == 4:
+    if b.start.d == 4:
         count = rng.randint(window.lo - 1, window.hi - 1)  # the norm is count + 1
         if count:  # a window of [1, 2] may take no move
             b.apply_side(TOP_WINS, count)  # 2 beats 1, repeatedly
@@ -448,24 +452,21 @@ def gen_restriction_lhs(start: LabeledPermutation, window: Window, rng: Random) 
     return _walk_to_window(b, window, rng, PHASE_BUDGET)
 
 
-def gen_transition(start: LabeledPermutation, rng: Random) -> PhasePath:
-    """pi_L to pi_s, visiting pi_s only at the end, never revisiting pi_L."""
-    b = PathBuilder(phase_rule(TRANSITION, start.d), start)
-    _steer(b, rng)
-    return b.finish()
+def gen_transition(b: PathBuilder, window: Window, rng: Random) -> PhasePath:
+    """pi_L to pi_s, visiting pi_s only at the end, never revisiting pi_L.
+    The window's floor 10^0 holds at the start, so no random step is drawn
+    before the shortest way to pi_s; a higher floor would draw them first."""
+    return _walk_to_window(b, window, rng, PHASE_BUDGET)
 
 
-def freedom_rhs_for_window(
-    start: LabeledPermutation, window: Window, rng: Random
-) -> PhasePath:
+def gen_freedom_rhs(b: PathBuilder, window: Window, rng: Random) -> PhasePath:
     """Freedom on the right: d sweeps 1..d-2, then loops at pi_R until the
     norm enters the window.
 
     Each loop is 1 to 3 (drawn) moves of d-1 beating d, one move of d beating
     d-1, then d beating 1,..,d-2 again; the loop returns to pi_R.
     """
-    d = start.d
-    b = PathBuilder(phase_rule(FREEDOM_RHS, d), start)
+    d = b.start.d
     for _ in range(1, d - 1):
         b.apply_winner(d)  # d beats 1, ..., d-2
     loops, lo = 0, window.lo
@@ -479,14 +480,11 @@ def freedom_rhs_for_window(
     return _check_window(b.finish(), window)
 
 
-def gen_restriction_rhs(start: LabeledPermutation, ell: int, window: Window) -> PhasePath:
-    """d-1 beats d exactly ell times at pi_R, then d beats d-1; ends at pi_s.
-    ``window`` is the stage's B' window [s_k, 2 s_k], which holds ell."""
-    b = PathBuilder(phase_rule(RESTRICTION_RHS, start.d), start)
-    if not window.contains(ell):
-        raise UsageError(f"loop count {ell} outside [s_k, 2 s_k] = [{window.lo}, {window.hi}]")
-    b.apply_side(BOTTOM_WINS, ell)  # a self-loop at pi_R
-    b.apply_winner(start.d)
+def gen_restriction_rhs(b: PathBuilder, window: Window, rng: Random) -> PhasePath:
+    """d-1 beats d ell times at pi_R, then d beats d-1; ends at pi_s.  ell is
+    drawn from the stage's B' window [s_k, 2 s_k]."""
+    b.apply_side(BOTTOM_WINS, rng.randint(window.lo, window.hi))  # a self-loop at pi_R
+    b.apply_winner(b.start.d)
     return b.finish()
 
 
@@ -506,9 +504,11 @@ def validate_phase(path: PhasePath) -> list[str]:
     matrix: a move adds the winner's column to the loser's, 1 (the one
     column with a non-zero first entry) never wins and d-1, d never lose."""
     try:
-        rule = phase_rule(path.phase, path.start.d)
-    except UsageError as exc:
+        rule = phase_rules(path.start.d)[path.phase]
+    except UsageError as exc:  # d < 4
         return [str(exc)]
+    except KeyError:
+        return [f"unknown phase {path.phase}"]
     malformed = any(side not in (TOP_WINS, BOTTOM_WINS) or count < 1
                     for side, count in path.runs)
     replayed: list[RauzyEdge] = []  # each run's moves, up to one period
@@ -610,35 +610,29 @@ def extend_stage(
     """Stage ``k`` from the cumulative matrix ``cum`` at vertex ``current``.
 
     The phases are freedom A and its bridge back to pi_L (from stage 2 on),
-    restriction A', the transition T, freedom B and restriction B'.  They
-    draw from ``rng`` in that order, so a run is a fold of this function
-    over one ``Random``, and a stage depends only on its parent's
-    ``(cum, current)`` and the state of ``rng``.
+    restriction A', the transition T, freedom B and restriction B': one
+    table of (name, phase, window, generator) rows.  The stage builds its
+    rules once, and each generator continues a ``PathBuilder`` from the
+    vertex the last phase ended at.  They draw from ``rng`` in that order,
+    so a run is a fold of this function over one ``Random``, and a stage
+    depends only on its parent's ``(cum, current)`` and the state of ``rng``.
     """
     w = schedule.stage(k)
-
-    def bridge(start: LabeledPermutation) -> PhasePath:
-        # freedom ends at pi_s; restriction needs pi_L: route back with the
-        # same two 1-wins freedom itself would use
-        b = PathBuilder(phase_rule(FREEDOM_LHS_BRIDGE, start.d), start)
-        b.apply_winner(1)
-        b.apply_winner(1)
-        return b.finish()
-
-    steps: list[tuple[str, Callable[[LabeledPermutation], PhasePath]]] = []
-    if k > 1:
-        steps += [("A", lambda pi: gen_freedom_lhs(pi, w.A, rng)), ("A-bridge", bridge)]
-    steps += [
-        ("Aprime", lambda pi: gen_restriction_lhs(pi, w.Aprime, rng)),
-        ("T", lambda pi: _check_window(gen_transition(pi, rng), w.T)),
-        ("B", lambda pi: freedom_rhs_for_window(pi, w.B, rng)),
-        ("Bprime", lambda pi: gen_restriction_rhs(
-            pi, rng.randint(w.Bprime.lo, w.Bprime.hi), w.Bprime)),
+    table = [  # (name, phase, window, generator), in draw order
+        ("A", FREEDOM_LHS, w.A, gen_freedom_lhs),
+        ("A-bridge", FREEDOM_LHS_BRIDGE, None, gen_bridge),
+        ("Aprime", RESTRICTION_LHS, w.Aprime, gen_restriction_lhs),
+        ("T", TRANSITION, w.T, gen_transition),
+        ("B", FREEDOM_RHS, w.B, gen_freedom_rhs),
+        ("Bprime", RESTRICTION_RHS, w.Bprime, gen_restriction_rhs),
     ]
-    phases: dict[str, PhasePath | None] = {"A": None}  # no freedom A at stage 1
+    if k == 1:  # no freedom A, so no bridge, at stage 1
+        del table[:2]
+    rules = phase_rules(current.d)
+    phases: dict[str, PhasePath] = {}
     checkpoints: dict[str, VisitationMatrix] = {"entry": cum}
-    for name, gen in steps:
-        path = gen(current)
+    for name, phase, window, gen in table:
+        path = gen(PathBuilder(rules[phase], current), window, rng)
         phases[name] = path
         cum = cum @ path.matrix
         current = path.end
@@ -725,7 +719,7 @@ def check_conditions_star(run: ConstructionRun) -> list[StarReport]:
     d = run.d
     out = []
     for st in run.stages:
-        a = st.phases["A"]
+        a = st.phases.get("A")
         if a is None:
             c1_ratio, c1_pass = None, None
         else:
@@ -899,7 +893,7 @@ def hyperplane_avoiding_paths(d: int, i: int, eps0: float = 0.1) -> PhasePath:
         raise UsageError("need d >= 4")
     if not 1 <= i <= d - 2:
         raise UsageError("target vertex must be one of 1..d-2")
-    rule = phase_rule(AVOIDING, d)
+    rule = phase_rules(d)[AVOIDING]
     pi_l, _, pi_prime = special_permutations(d)
     if i == 1:
         b = PathBuilder(rule, hyperelliptic_permutation(d))

@@ -1,8 +1,10 @@
 """The construct-section benchmark's job sizes keep their output bytes.
 
-sha256 of the files ``construct`` and ``estimate-dim`` write for two runs of
-the benchmark's sizes (6 stages, then 30 planes), taken before the walk
-step, the exact sections and the dimension estimators were made cheaper.
+sha256 of the files ``construct`` and ``estimate-dim`` write for runs of the
+benchmark's sizes (6 stages, then 30 planes).  The d = 6 and d = 5 pins were
+taken before the walk step, the exact sections and the dimension estimators
+were made cheaper; the d = 4 pin, which runs the closed-form restriction,
+before each stage became one loop over its phase table.
 The manifests and ``stages.csv`` hold the construction's exact integers and
 its float angles; ``estimate_dim.json`` and ``dim_fit.csv`` hold the
 floats of the sections and the fits, which also pass through numpy's
@@ -19,6 +21,16 @@ from ietkit.cli import main
 
 # (d, construct --seed, estimate-dim --seed) -> file -> sha256
 PINNED = {
+    (4, 11, 3): {
+        "construct_manifest.json":
+            "8f0b6bfb456bdc779bf04afcdac68ed83202b8939faedf081eb990253f65c878",
+        "stages.csv":
+            "4252818698f408767b403c972154c0e6e684152a23e2e5782b1fd90542d219ff",
+        "estimate_dim.json":
+            "c0a1c38083e33516a7040d9ee1c6a40c89dfe8220f48d8de3fdbfbfd7088dc52",
+        "dim_fit.csv":
+            "358e17cdc9fe10dc17e6bd6fae018545e8a27d0417773da5df212142d92e27c0",
+    },
     (6, 244788, 148551): {
         "construct_manifest.json":
             "a3be54d1d661c081da3f00ff466bace3c193f2606432c640a083700af6db51d0",

@@ -8,11 +8,14 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ietkit.construction as construction
 from ietkit.construction import (
     ExponentScale,
     FREEDOM_LHS,
+    FREEDOM_RHS,
     RESTRICTION_LHS,
     TRANSITION,
+    PathBuilder,
     PhasePath,
     Window,
     _column_angle,
@@ -23,25 +26,41 @@ from ietkit.construction import (
     check_nue_angles,
     check_size_recursions,
     extend_stage,
-    freedom_rhs_for_window,
     gen_freedom_lhs,
+    gen_freedom_rhs,
     gen_restriction_lhs,
-    gen_restriction_rhs,
     gen_transition,
     hyperplane_avoiding_paths,
     make_schedule,
+    phase_rules,
     run_construction,
     validate_phase,
 )
 from ietkit.errors import ScheduleOverflowError, UsageError
 from ietkit.induction import VisitationMatrix, drive_path
-from ietkit.perm import TOP_WINS, hyperelliptic_permutation, special_permutations
+from ietkit.perm import (
+    BOTTOM_WINS,
+    TOP_WINS,
+    hyperelliptic_permutation,
+    special_permutations,
+)
 
 
 @pytest.fixture(scope="module")
 def reference_run():
     schedule = make_schedule(1, ExponentScale.linear(), stages=3)
     return run_construction(4, schedule, seed=11)
+
+
+def _gen(gen, phase, start, window, rng):
+    """One phase path: ``gen`` continues a builder at ``start`` under the rule."""
+    return gen(PathBuilder(phase_rules(start.d)[phase], start), window, rng)
+
+
+def _transition(d, rng):
+    """A transition from pi_L under stage 1's window, which caps its norm only."""
+    window = make_schedule(1, ExponentScale.linear(), stages=1).stage(1).T
+    return _gen(gen_transition, TRANSITION, special_permutations(d)[0], window, rng)
 
 
 def test_schedule_windows_monotone():
@@ -83,8 +102,6 @@ def test_all_phases_pass_grammar_scans(reference_run):
     for run in runs:
         for st in run.stages:
             for name, phase in st.phases.items():
-                if phase is None:
-                    continue
                 assert validate_phase(phase) == [], f"d={run.d} stage {st.k} phase {name}"
     for d, i in [(4, 1), (4, 2), (5, 2), (5, 3), (6, 4)]:
         assert validate_phase(hyperplane_avoiding_paths(d, i)) == [], f"avoiding {d}, {i}"
@@ -101,22 +118,24 @@ def test_grammar_scan_flags_a_transition_through_pi_l():
     pi_l, _, _ = special_permutations(5)
     s = make_schedule(1, ExponentScale.linear(), stages=1)
     rng = Random(0)
-    back = gen_restriction_lhs(pi_l, s.stage(1).Aprime, rng)  # pi_L to pi_L
-    t = gen_transition(pi_l, rng)
+    # pi_L to pi_L
+    back = _gen(gen_restriction_lhs, RESTRICTION_LHS, pi_l, s.stage(1).Aprime, rng)
+    t = _transition(5, rng)
     bad = _flagged(PhasePath(TRANSITION, pi_l, t.end, back.runs + t.runs,
                              back.matrix @ t.matrix))
     assert bad == ["takes a move the rule forbids"]
 
 
 def test_grammar_scan_flags_a_matrix_its_runs_do_not_make():
-    t = gen_transition(special_permutations(5)[0], Random(0))
+    t = _transition(5, Random(0))
     fake = PhasePath(t.phase, t.start, t.end, t.runs, VisitationMatrix.identity(5))
     assert _flagged(fake) == ["its matrix is not the product of its runs"]
 
 
 def test_grammar_scan_flags_freedom_rhs_runs_labelled_freedom_lhs():
     s = make_schedule(1, ExponentScale.linear(), stages=1)
-    b = freedom_rhs_for_window(hyperelliptic_permutation(4), s.stage(1).B, Random(0))
+    b = _gen(gen_freedom_rhs, FREEDOM_RHS, hyperelliptic_permutation(4), s.stage(1).B,
+             Random(0))
     bad = _flagged(PhasePath(FREEDOM_LHS, b.start, b.end, b.runs, b.matrix))
     assert "takes a move the rule forbids" in bad
     assert "1 did not win first" in bad
@@ -125,7 +144,7 @@ def test_grammar_scan_flags_freedom_rhs_runs_labelled_freedom_lhs():
 @pytest.mark.parametrize("side,count", [("sideways", None), (None, 0), (None, -1)])
 def test_grammar_scan_flags_a_run_of_no_side_or_no_move(side, count):
     """A malformed run is reported, not raised on or replayed."""
-    t = gen_transition(special_permutations(5)[0], Random(0))
+    t = _transition(5, Random(0))
     (s, c), *rest = t.runs
     bad_run = (side or s, c if count is None else count)
     bad = _flagged(PhasePath(t.phase, t.start, t.end, (bad_run, *rest), t.matrix))
@@ -191,7 +210,7 @@ def test_limit_cluster_geometry(reference_run):
 def test_freedom_lhs_shape():
     pi_l, _, _ = special_permutations(4)
     s = make_schedule(1, ExponentScale.linear(), stages=2)
-    phase = gen_freedom_lhs(pi_l, s.stage(2).A, Random(0))
+    phase = _gen(gen_freedom_lhs, FREEDOM_LHS, pi_l, s.stage(2).A, Random(0))
     assert phase.phase == FREEDOM_LHS
     winners = [e.winner for e in _edges_of(phase)]
     assert winners[0] == 1  # symbol 1 wins first
@@ -215,7 +234,7 @@ def test_restriction_lhs_leaves_last_columns(reference_run):
 
 def test_transition_avoids_restriction_entry():
     pi_l, _, _ = special_permutations(4)
-    phase = gen_transition(pi_l, Random(3))
+    phase = _transition(4, Random(3))
     assert phase.end == hyperelliptic_permutation(4)
     # intermediate vertices never revisit the restriction entry point
     assert pi_l not in [e.target for e in _edges_of(phase)][:-1]
@@ -238,7 +257,7 @@ def test_phase_runs_are_maximal_and_replay_move_by_move(d):
     schedule = make_schedule(1, ExponentScale.linear(0.35, 0.175, 0.1, 0.05), stages=3)
     for seed in range(3):
         for st in run_construction(d, schedule, seed).stages:
-            for path in filter(None, st.phases.values()):
+            for path in st.phases.values():
                 sides = [side for side, _ in path.runs]
                 assert all(a != b for a, b in zip(sides, sides[1:])), path.runs
                 assert all(count >= 1 for _, count in path.runs), path.runs
@@ -250,7 +269,8 @@ def test_phase_runs_are_maximal_and_replay_move_by_move(d):
 def test_one_run_holds_a_winner_beating_several_losers():
     # d beats 1, ..., d-2 from pi_s: four moves on the top side, four losers
     s = make_schedule(1, ExponentScale.linear(), stages=1)
-    path = freedom_rhs_for_window(hyperelliptic_permutation(6), s.stage(1).B, Random(0))
+    path = _gen(gen_freedom_rhs, FREEDOM_RHS, hyperelliptic_permutation(6), s.stage(1).B,
+                Random(0))
     assert path.runs[0] == (TOP_WINS, 4)
     assert [(e.winner, e.loser) for e in _edges_of(path)[:4]] == [(6, 1), (6, 2), (6, 3), (6, 4)]
     assert validate_phase(path) == []
@@ -260,17 +280,33 @@ def test_restriction_lhs_of_no_move_records_no_run():
     # at d=4 the phase takes norm - 1 moves; a window [1, 2] may take none
     pi_l, _, _ = special_permutations(4)
     window = Window(0, 0, double=True)
-    paths = [gen_restriction_lhs(pi_l, window, Random(seed)) for seed in range(8)]
+    paths = [_gen(gen_restriction_lhs, RESTRICTION_LHS, pi_l, window, Random(seed))
+             for seed in range(8)]
     assert {p.runs for p in paths} == {(), ((TOP_WINS, 1),)}
     assert all(validate_phase(p) == [] for p in paths)
 
 
-def test_restriction_rhs_window_enforced():
-    s = make_schedule(1, ExponentScale.linear(), stages=1)
-    pi_s = hyperelliptic_permutation(4)
-    w = s.stage(1)
-    with pytest.raises(UsageError):
-        gen_restriction_rhs(pi_s, ell=w.Bprime.lo * 3, window=w.Bprime)
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_restriction_rhs_loop_count_is_in_its_window(d):
+    # B' draws its own loop count ell from [s_k, 2 s_k]: ell self-loops, then d wins
+    schedule = make_schedule(1, ExponentScale.linear(), stages=3)
+    for st in run_construction(d, schedule, seed=3).stages:
+        window = schedule.stage(st.k).Bprime
+        (side, ell), last = st.phases["Bprime"].runs
+        assert side == BOTTOM_WINS and window.lo <= ell <= window.hi
+        assert last == (TOP_WINS, 1)
+
+
+def test_a_stage_builds_its_phase_rules_once(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return phase_rules(d)
+
+    monkeypatch.setattr(construction, "phase_rules", counted)
+    run_construction(6, make_schedule(1, ExponentScale.linear(), stages=6), seed=0)
+    assert calls == [6] * 6
 
 
 def test_avoiding_path_first_vertex_half():

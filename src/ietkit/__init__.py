@@ -32,7 +32,11 @@ so ``analysis.mc_balance`` needs no numpy either.  The records are plain
 classes with ``__slots__``, immutable by convention; those that only store
 their arguments share one initialiser, ``_record.Record``.  ``logging`` is
 imported by the first construction warning, so start-up loads neither
-``dataclasses`` nor ``logging``.
+``dataclasses`` nor ``logging``.  At the other end a CLI job skips the
+interpreter's teardown: ``cli.console_main`` flushes stdout and leaves by
+``os._exit``, since every output file is closed before ``cli.main``
+returns and nothing relies on ``atexit``; a profiled or traced job exits
+normally, so its report is written.
 """
 from __future__ import annotations
 

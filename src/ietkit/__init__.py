@@ -36,7 +36,11 @@ imported by the first construction warning, so start-up loads neither
 interpreter's teardown: ``cli.console_main`` flushes stdout and leaves by
 ``os._exit``, since every output file is closed before ``cli.main``
 returns and nothing relies on ``atexit``; a profiled or traced job exits
-normally, so its report is written.
+normally, so its report is written.  Before ``main`` runs, ``console_main``
+defaults ``OPENBLAS_NUM_THREADS`` to 1, so a CLI job runs numpy's BLAS on
+one thread: the pool numpy's OpenBLAS would start costs about 70 ms a job
+and serves calls on a few dozen entries.  A value set in the environment
+is kept; importing the package changes nothing.
 """
 from __future__ import annotations
 

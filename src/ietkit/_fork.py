@@ -20,8 +20,10 @@ _MIN_CHUNK = 256  # samples below which a chunk does not pay for its fork
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where a fork is unsafe: no
-    ``os.fork``, or more than one thread (numpy's BLAS pool counts), since a
-    child keeps only the forking thread but every lock the others held."""
+    ``os.fork``, or more than one thread, since a child keeps only the
+    forking thread but every lock the others held.  numpy's BLAS pool
+    counts; a CLI job has none, as ``cli.console_main`` defaults
+    ``OPENBLAS_NUM_THREADS`` to 1 (set it higher to get the pool back)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     try:

@@ -15,10 +15,15 @@ was "violated".  A subcommand returns 0 or 5, or raises: ``main`` is the
 one way out of a failure, printing its one stderr line, never a traceback,
 and picking the exit code.
 
-A job ends through ``console_main``, the entry of both ``ietkit`` and
-``python -m ietkit.cli``: it flushes stdout after ``main`` returns and
-leaves by ``os._exit``, skipping the interpreter's teardown, about 10 ms of
-every job.  So every file the CLI writes is closed before ``main`` returns,
+A job runs through ``console_main``, the entry of both ``ietkit`` and
+``python -m ietkit.cli``.  It first defaults ``OPENBLAS_NUM_THREADS`` to 1,
+so numpy's BLAS runs on one thread: the pool numpy's OpenBLAS starts as it
+loads costs about 70 ms a job, for calls on a few dozen entries.  A value
+set in the environment is kept, so ``OPENBLAS_NUM_THREADS=2 ietkit ...``
+gets the pool back, and ``main`` leaves the environment alone.  After
+``main`` returns, ``console_main`` flushes stdout and leaves by
+``os._exit``, skipping the interpreter's teardown, about 10 ms of every
+job.  So every file the CLI writes is closed before ``main`` returns,
 and nothing in the CLI process may rely on ``atexit``.  Under ``cProfile``
 or ``trace`` the job keeps the normal exit, so their reports are written.
 """
@@ -777,15 +782,21 @@ def main(argv=None) -> int:
 
 
 def console_main() -> NoReturn:
-    """The process entry of ``ietkit`` and ``python -m ietkit.cli``: run
-    ``main``, flush stdout, and leave by ``os._exit`` without tearing the
-    interpreter down.  Every output file is closed before ``main`` returns,
-    and stderr is line-buffered with every line ended, so only stdout's
-    buffer is still open.  An exception escaping ``main``, a failed flush
+    """The process entry of ``ietkit`` and ``python -m ietkit.cli``:
+    default ``OPENBLAS_NUM_THREADS`` to 1, keeping a value the caller set
+    (a higher one gives BLAS its pool back), run ``main``, flush stdout,
+    and leave by ``os._exit`` without tearing the interpreter down.  Every
+    output file is closed before ``main`` returns, and stderr is
+    line-buffered with every line ended, so only stdout's buffer is still
+    open.  An exception escaping ``main``, a failed flush
     and a profiled or traced process take the normal exit instead: the
     first prints its traceback, the second its "Exception ignored" line
     and exit code 120, and the third lets the profiler or tracer write its
     report."""
+    # OpenBLAS reads this once, as numpy loads; importing this module loads
+    # no numpy (tests/test_imports.py), so none is loaded yet.  One thread
+    # also leaves the process free to fork (_fork._usable_cpus).
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     if not _observed():
         try:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import combinations, starmap
 from random import Random
 from typing import Callable, Sequence
 
@@ -684,10 +685,7 @@ def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
 
     lhs = avg(fverts[: d - 2])
     rhs = avg(fverts[d - 2 :])
-    intra_lhs = max(
-        (_column_angle(a, b) for a in fverts[: d - 2] for b in fverts[: d - 2]),
-        default=0.0,
-    )
+    intra_lhs = max(starmap(_column_angle, combinations(fverts[: d - 2], 2)))
     intra_rhs = _column_angle(fverts[d - 2], fverts[d - 1])
     inter = min(
         _column_angle(a, b) for a in fverts[: d - 2] for b in fverts[d - 2 :]
@@ -762,11 +760,7 @@ def check_condition_double_star(run: ConstructionRun) -> list[DoubleStarReport]:
         if "A" in st.checkpoints:
             m = st.checkpoints["A"]
             cols = [_scaled_floats(m.column(j)) for j in range(1, d - 1)]
-            lhs_angle = max(
-                _column_angle(cols[i], cols[j])
-                for i in range(d - 2)
-                for j in range(i + 1, d - 2)
-            )
+            lhs_angle = max(starmap(_column_angle, combinations(cols, 2)))
             lhs_pass = lhs_angle < run.schedule.angle_threshold_lhs(st.k)
         else:
             lhs_angle = lhs_pass = None

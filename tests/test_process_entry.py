@@ -7,12 +7,15 @@ output files, stdout, stderr and exit code must be equal.  The reference
 runs in its own interpreter rather than in this one because pytest's log
 capture would take the construction's warnings off stderr here.
 ``PYTHONUNBUFFERED`` is removed, so stdout is block-buffered and a lost
-flush loses the lines.  A closed stdout pipe and a profiled or traced
-process take the normal exit, which the last tests pin.
+flush loses the lines.  ``OPENBLAS_NUM_THREADS`` is removed too, so the
+entry runs BLAS on the one thread it defaults to and the reference on
+OpenBLAS's pool, and each case compares the two.  A closed stdout pipe and
+a profiled or traced process take the normal exit, which the last tests pin.
 """
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -61,13 +64,17 @@ CASES = {
     "violated": (
         [["verify", "concavity", "--samples", "1000", "--seed", "428225"]],
         EXIT_VIOLATED, None),
+    # a sample count at which LAPACK's solve could run on the pool
+    "jacobian": ([["verify", "jacobian", "--samples", "200000"]], EXIT_OK, None),
+    "concavity": ([["verify", "concavity", "--samples", "1000"]], EXIT_OK, None),
 }
 
 
 def environment(site: Path | None = None) -> dict[str, str]:
-    """This process's environment with ``src`` (and ``site``) on the path
-    and stdout left block-buffered."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    """This process's environment with ``src`` (and ``site``) on the path,
+    stdout left block-buffered and OpenBLAS's thread count unset."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
     parts = [str(site) if site else None, str(SRC), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, parts))
     return env
@@ -120,6 +127,58 @@ def test_the_entry_matches_the_normal_exit(tmp_path, name):
     if name == "estimate-dim-30-planes":
         lines = got[1].decode().splitlines()
         assert sum(line.startswith("plane ") for line in lines) == 30
+
+
+# wraps the first call ``estimate-dim`` makes after it has imported numpy
+THREAD_PROBE = """\
+import json, os, sys
+import ietkit.analysis
+from ietkit import _fork
+
+measure = ietkit.analysis.frostman_measure
+
+def frostman_measure(*args, **kwargs):
+    with open("probe.json", "w") as fh:
+        json.dump({"numpy": "numpy" in sys.modules,
+                   "threads": len(os.listdir("/proc/self/task")),
+                   "usable_cpus": _fork._usable_cpus(),
+                   "cpus": len(os.sched_getaffinity(0)),
+                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, fh)
+    return measure(*args, **kwargs)
+
+ietkit.analysis.frostman_measure = frostman_measure
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_a_job_runs_blas_on_one_thread_unless_told_otherwise(tmp_path, preset):
+    """With numpy loaded, an ``estimate-dim`` job is one thread and may
+    fork on every CPU; a thread count the caller set is kept."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(THREAD_PROBE)
+    env = environment(site)
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    (tmp_path / "m.json").write_text(
+        json.dumps({"command": "synthetic-cantor", "config": {"levels": 3}}))
+    proc = subprocess.run(
+        [*ENTRY, "estimate-dim", "--manifest", "m.json", "--out", "e"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads((tmp_path / "probe.json").read_text())
+    assert probe["numpy"]
+    if preset is None:
+        assert probe["blas_threads"] == "1"
+        assert probe["threads"] == 1
+        assert probe["usable_cpus"] == probe["cpus"]
+    else:
+        assert probe["blas_threads"] == preset
+        if probe["cpus"] >= 2:  # OpenBLAS starts no more threads than CPUs
+            assert probe["threads"] == 2
+            assert probe["usable_cpus"] == 1
 
 
 def test_a_closed_stdout_pipe_keeps_the_normal_exit(tmp_path):

@@ -38,7 +38,7 @@ interpreter's teardown: ``cli.console_main`` flushes stdout and leaves by
 returns and nothing relies on ``atexit``; a profiled or traced job exits
 normally, so its report is written.  Before ``main`` runs, ``console_main``
 defaults ``OPENBLAS_NUM_THREADS`` to 1, so a CLI job runs numpy's BLAS on
-one thread: the pool numpy's OpenBLAS would start costs about 70 ms a job
+one thread: the pool numpy's OpenBLAS would start costs up to 70 ms a job
 and serves calls on a few dozen entries.  A value set in the environment
 is kept; importing the package changes nothing.
 """

@@ -18,7 +18,7 @@ and picking the exit code.
 A job runs through ``console_main``, the entry of both ``ietkit`` and
 ``python -m ietkit.cli``.  It first defaults ``OPENBLAS_NUM_THREADS`` to 1,
 so numpy's BLAS runs on one thread: the pool numpy's OpenBLAS starts as it
-loads costs about 70 ms a job, for calls on a few dozen entries.  A value
+loads costs up to 70 ms a job, for calls on a few dozen entries.  A value
 set in the environment is kept, so ``OPENBLAS_NUM_THREADS=2 ietkit ...``
 gets the pool back, and ``main`` leaves the environment alone.  After
 ``main`` returns, ``console_main`` flushes stdout and leaves by

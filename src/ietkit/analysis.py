@@ -450,53 +450,44 @@ def keane_check(T: Iet, N: int) -> KeaneReport:
 
 
 class NestedFamily:
+    """Polygons nested level by level: each polygon of level k > 0 lies in
+    the polygon of level k - 1 that ``parents[k]`` indexes.  ``a[k]`` is the
+    area of level k over that of level k - 1 (1.0 at level 0, and 0.0 under
+    a level of no area), and ``radii[k]`` is the largest and the smallest
+    polygon diameter of level k.  An empty level raises ``DegeneracyError``
+    and a child outside its parent ``UsageError``."""
+
     __slots__ = ("levels", "parents", "a", "radii")
 
     def __init__(
         self,
-        levels: tuple[tuple[Polygon2D, ...], ...],
-        parents: tuple[tuple[int | None, ...], ...],  # index into previous level
-        a: tuple[float, ...],  # retained-measure fraction per level > 0
-        radii: tuple[tuple[float, float], ...],  # (max diameter, min diameter)
+        levels: Sequence[Sequence[Polygon2D]],
+        parents: Sequence[Sequence[int | None]],  # index into previous level
     ):
-        self.levels = levels
-        self.parents = parents
-        self.a = a
-        self.radii = radii
+        self.levels = tuple(map(tuple, levels))
+        self.parents = tuple(map(tuple, parents))
+        a: list[float] = []
+        radii: list[tuple[float, float]] = []
+        prev = 0.0
         for lv, (polys, pars) in enumerate(zip(self.levels, self.parents)):
+            if not polys:
+                raise DegeneracyError(f"level {lv} is empty")
+            diams = [p.diameter for p in polys]
+            radii.append((max(diams), min(diams)))
+            area = sum(p.area for p in polys)
+            a.append(1.0 if lv == 0 else (area / prev if prev > 0 else 0.0))
+            prev = area
             if lv == 0:
                 continue
             for poly, par in zip(polys, pars):
-                parent = self.levels[lv - 1][par]
-                if not parent.contains_polygon(poly):
+                if not self.levels[lv - 1][par].contains_polygon(poly):
                     raise UsageError(f"level {lv}: child escapes its parent")
+        self.a = tuple(a)
+        self.radii = tuple(radii)
 
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-
-def make_nested_family(
-    levels: Sequence[Sequence[Polygon2D]],
-    parents: Sequence[Sequence[int | None]],
-) -> NestedFamily:
-    a = []
-    radii = []
-    areas = [[p.area for p in polys] for polys in levels]
-    for lv, polys in enumerate(levels):
-        diams = [p.diameter for p in polys]
-        radii.append((max(diams), min(diams)))
-        if lv == 0:
-            a.append(1.0)
-        else:
-            prev = sum(areas[lv - 1])
-            a.append(sum(areas[lv]) / prev if prev > 0 else 0.0)
-    return NestedFamily(
-        tuple(tuple(p) for p in levels),
-        tuple(tuple(p) for p in parents),
-        tuple(a),
-        tuple(radii),
-    )
 
 
 # estimate-dim on 8 levels (4^8 squares) takes about 4 s, half of it to build
@@ -528,7 +519,7 @@ def cantor_product_family(levels: int) -> NestedFamily:
         squares = nxt
         out_levels.append([_square(*sq) for sq in squares])
         out_parents.append(pars)
-    return make_nested_family(out_levels, out_parents)
+    return NestedFamily(out_levels, out_parents)
 
 
 def _square(x: float, y: float, s: float) -> Polygon2D:
@@ -560,9 +551,10 @@ def build_nested_family(
 
     Base points are sampled inside the deepest stage's simplex; each stage's
     cumulative simplex is sliced by the same plane, giving a single nested
-    polygon per level for as long as the section stays non-empty.  A
-    level's section table is built the first time a plane reaches it, and
-    serves every later plane.
+    polygon per level for as long as the section stays non-empty.  A chain
+    of at least two levels becomes a ``NestedFamily``, unless a section
+    escapes the one before it.  A level's section table is built the first
+    time a plane reaches it, and serves every later plane.
     """
     import numpy as np
 
@@ -579,10 +571,9 @@ def build_nested_family(
     attempts = 0
     while len(out) < planes and attempts < 50 * planes:
         attempts += 1
-        # M w / |M w| with the weights read exactly over one power of two
-        ratios = [x.as_integer_ratio() for x in rng.dirichlet(np.ones(d)).tolist()]
-        top = max(den for _, den in ratios)
-        w = [num * (top // den) for num, den in ratios]
+        # M w / |M w| with the weights read exactly over their common
+        # denominator, a power of two
+        w = _rational._numerators(rng.dirichlet(np.ones(d)).tolist())[0]
         raw = [sum(map(mul, row, w)) for row in m_last]
         tot = sum(raw)
         base = [Fraction(x, tot) for x in raw]
@@ -599,7 +590,7 @@ def build_nested_family(
         if len(levels) < 2:  # keep chains that survived at least two levels
             continue
         try:
-            out.append(make_nested_family(levels, parents))
+            out.append(NestedFamily(levels, parents))
         except UsageError:
             continue
     return out
@@ -628,7 +619,7 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
     """The inductive sibling-area measure plus a ball-mass exponent scan."""
     import numpy as np
 
-    if family.depth < 1 or not family.levels[0]:
+    if family.depth < 1:
         raise DegeneracyError("empty family")
     weights: list[list[float]] = []
     areas = [[p.area for p in polys] for polys in family.levels]

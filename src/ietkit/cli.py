@@ -363,6 +363,16 @@ def cmd_induct(args) -> int:
     return EXIT_OK
 
 
+# the config fields of each manifest command that ``estimate-dim`` reads,
+# with the types they are written as; ``construct`` writes its options
+# under these names
+_MANIFEST_FIELDS = {
+    "construct": {"d": (int,), "k0": (int,), "stages": (int,), "seed": (int,),
+                  "zeta": (int, float), "scale": (str,)},
+    "synthetic-cantor": {"levels": (int,)},
+}
+
+
 def _run_from_config(config: dict):
     """The construction a ``construct`` config describes: ``construct`` runs
     it, and ``estimate-dim`` rebuilds it from the manifest."""
@@ -414,14 +424,7 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
 
 def cmd_construct(args) -> int:
     out = Path(args.out)
-    config = {
-        "d": args.d,
-        "k0": args.k0,
-        "scale": args.scale,
-        "stages": args.stages,
-        "seed": args.seed,
-        "zeta": args.zeta,
-    }
+    config = {name: getattr(args, name) for name in _MANIFEST_FIELDS["construct"]}
     try:
         run = _run_from_config(config)
     except StageError as exc:  # main reports it; the manifest records it
@@ -585,15 +588,6 @@ def cmd_verify(args) -> int:
         status = "inconclusive"
     print(f"verify {args.suite}: {status}")
     return EXIT_VIOLATED if report.get("violated") else EXIT_OK
-
-
-# the fields of a config that ``estimate-dim`` reads, per manifest command,
-# with the types that ``construct`` and ``synthetic-cantor`` write
-_MANIFEST_FIELDS = {
-    "construct": {"d": (int,), "k0": (int,), "stages": (int,), "seed": (int,),
-                  "zeta": (int, float), "scale": (str,)},
-    "synthetic-cantor": {"levels": (int,)},
-}
 
 
 def _read_manifest(path: Path) -> dict:

@@ -14,6 +14,7 @@ from ietkit.analysis import (
     CONSISTENT,
     GRID,
     INCONCLUSIVE,
+    NestedFamily,
     Polygon2D,
     birkhoff_separation,
     box_dimension,
@@ -23,7 +24,6 @@ from ietkit.analysis import (
     half_simplex,
     keane_check,
     limit_tower_points,
-    make_nested_family,
     mc_balance,
     mc_jacobian_pushforward,
     prob_decay_sim,
@@ -373,7 +373,7 @@ def test_nested_family_rejects_escaping_child():
     outer = Polygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     escape = Polygon2D(np.array([[0.5, 0.5], [2.0, 0.5], [2.0, 2.0]]))
     with pytest.raises(UsageError):
-        make_nested_family([[outer], [escape]], [[None], [0]])
+        NestedFamily([[outer], [escape]], [[None], [0]])
 
 
 @pytest.mark.parametrize("side", [1e-40, 1e-156])
@@ -381,11 +381,20 @@ def test_nested_family_containment_is_scale_relative(side):
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     outer = Polygon2D(side * unit)
     inner = Polygon2D(side * (0.5 * unit + 0.25))
-    make_nested_family([[outer], [inner]], [[None], [0]])
+    NestedFamily([[outer], [inner]], [[None], [0]])
     # a child sticking out of its parent by 1% of the parent's side
     shifted = Polygon2D(side * (0.5 * unit + [-0.01, 0.25]))
     with pytest.raises(UsageError):
-        make_nested_family([[outer], [shifted]], [[None], [0]])
+        NestedFamily([[outer], [shifted]], [[None], [0]])
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_nested_family_with_an_empty_level_is_degenerate(empty):
+    square = Polygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    levels = [[square]] * empty + [[]]
+    parents = [[None] if lv == 0 else [0] for lv in range(empty)] + [[]]
+    with pytest.raises(DegeneracyError, match=f"level {empty} is empty"):
+        NestedFamily(levels, parents)
 
 
 def test_cantor_product_family_shape():
@@ -444,7 +453,7 @@ def test_frostman_uniform_subdivision_is_area_measure():
                     for j in range(n)
                 ]
             )
-    fam = make_nested_family(levels, parents)
+    fam = NestedFamily(levels, parents)
     fro = frostman_measure(fam)
     assert all(a == pytest.approx(1.0) for a in fam.a)
     assert fro.exponent == pytest.approx(2.0, abs=0.2)

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietkit import analysis
+from ietkit import analysis, cli
 from ietkit.analysis import MAX_CANTOR_LEVELS, sample_simplex_exact
 from ietkit.cli import (
     EXIT_BUDGET,
@@ -315,6 +315,24 @@ def test_construct_manifest_contents(tmp_path):
     for rep in doc["angle_monotonicity"]:
         assert rep["lhs_monotone"] and rep["rhs_monotone"]
     assert doc["limit"]["inter"] > 0.5
+
+
+def test_construct_config_round_trips_through_estimate_dim(tmp_path):
+    # every option away from its default, so a dropped or renamed field shows
+    code, out = run(["construct", "--d", "5", "--k0", "2",
+                     "--scale", "linear:0.7,0.35,0.2,0.1", "--stages", "3",
+                     "--seed", "7", "--zeta", "16"], tmp_path)
+    assert code == EXIT_OK
+    config = json.loads((out / "construct_manifest.json").read_text())["config"]
+    assert config == {"d": 5, "k0": 2, "scale": "linear:0.7,0.35,0.2,0.1",
+                      "stages": 3, "seed": 7, "zeta": 16.0}
+    rebuilt = cli._run_from_config(config)
+    scale = ExponentScale.linear(0.7, 0.35, 0.2, 0.1)
+    direct = run_construction(5, make_schedule(2, scale, 3, zeta=16), 7)
+    assert [st.cumulative.rows for st in rebuilt.stages] == [
+        st.cumulative.rows for st in direct.stages
+    ]
+    assert len(rebuilt.stages) == 3
 
 
 def test_stage_stats_are_the_stage_columns():

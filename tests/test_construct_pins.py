@@ -70,3 +70,40 @@ def test_construct_section_files_keep_their_pinned_bytes(
         for name in PINNED[d, construct_seed, estimate_seed]
     }
     assert digests == PINNED[d, construct_seed, estimate_seed]
+
+
+# estimate-dim on a synthetic-cantor manifest of this many levels -> file -> sha256
+CANTOR_PINNED = {
+    1: {
+        "estimate_dim.json":
+            "98f4eb5e2f6457d6e16e968598fb8e566f8798a9c63a330ee307ef561922e9ca",
+        "dim_fit.csv":
+            "802490f2fb3c11fa664116b623d4b7228d81dc1e8d2ab8a17ce9b28e946a5fa1",
+    },
+    3: {
+        "estimate_dim.json":
+            "1da55be9843480173da4e063c9e72000c9abc1604b62c2183ec2d56419b140dc",
+        "dim_fit.csv":
+            "e42855963418c8e3eec479d6bf2404e91386ae7be0947b2283a3dfa9a52a5006",
+    },
+    6: {
+        "estimate_dim.json":
+            "5e7a7e057a07adc0f582420ccaf5a8a15af1de535784a1bca88f356412b737a2",
+        "dim_fit.csv":
+            "cff4ef2abf577524ee46ad94ddb0f48ca65499529895ab4c4434d1922fb90aca",
+    },
+}
+
+
+@pytest.mark.parametrize("levels", list(CANTOR_PINNED))
+def test_synthetic_cantor_files_keep_their_pinned_bytes(monkeypatch, tmp_path, levels):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "synthetic.json").write_text(
+        '{"command": "synthetic-cantor", "config": {"levels": %d}}' % levels
+    )
+    assert main(["estimate-dim", "--manifest", "synthetic.json", "--out", "out"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in CANTOR_PINNED[levels]
+    }
+    assert digests == CANTOR_PINNED[levels]

@@ -23,14 +23,16 @@ DEMOS = ROOT / "demos"
 
 # module.name -> why it stays with no caller in the package or the demos
 ALLOWED = {
-    "analysis.birkhoff_separation": "acceptance criteria and ROADMAP item 9",
-    "analysis.limit_tower_points": "acceptance criteria and ROADMAP item 9",
-    "construction.hyperplane_avoiding_paths": "acceptance criteria and ROADMAP item 9",
-    "analysis.keane_check": "tier-1 checks it on the reference construction; "
-                            "a verify suite for it would add a suite name",
+    "analysis.birkhoff_separation": "acceptance criterion 10 (two-measure evidence)",
+    "analysis.limit_tower_points": "acceptance criterion 10 (two-measure evidence)",
+    "construction.hyperplane_avoiding_paths": "acceptance criterion 13 (avoiding paths)",
+    "analysis.keane_check": "tier-1 checks it on the reference construction "
+                            "until ROADMAP item 9's verify stage-share suite "
+                            "makes it a report line or deletes it",
     "construction.check_size_recursions": "tier-1 checks it on the reference "
-                                          "construction; a verify suite for it "
-                                          "would add a suite name",
+                                          "construction until ROADMAP item 9's "
+                                          "verify stage-share suite makes it a "
+                                          "report line or deletes it",
     "analysis.sample_simplex_exact": "the exact test-input sampler; it shares "
                                      "_sample_gaps with verify balance",
 }

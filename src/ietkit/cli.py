@@ -84,6 +84,7 @@ from .induction import (
     positive_matrix,
 )
 from .perm import (
+    VERTEX_BUDGET,
     LabeledPermutation,
     hyperelliptic_class,
     hyperelliptic_permutation,
@@ -701,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = p.add_mutually_exclusive_group(required=True)
     seed.add_argument("--d", type=int, help="shorthand for --seed-perm hyperelliptic:D")
     seed.add_argument("--seed-perm", help="seed permutation spec")
-    p.add_argument("--budget", type=_count(int), default=10**6)
+    p.add_argument("--budget", type=_count(int), default=VERTEX_BUDGET)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_classes)
 

@@ -14,7 +14,8 @@ in draw order, and every generator has one shape: ``gen(b, window, rng)``
 continues the ``PathBuilder`` b, which starts under the phase's rule, and
 finishes it.  ``validate_phase`` replays a finished path against its rule.
 The norm windows are not part of the rule: they come per stage from the
-schedule, and a generator widens past one with a warning.
+schedule, and a generator widens past one with a warning.  ``_steer`` takes
+shortest ways by ``perm``'s walker; a search past its vertex budget fails the stage.
 
 A phase path stores its moves as runs (side, count): count moves in a row
 on one side, the unit ``_Walk.move`` applies in closed form.  The diagram
@@ -26,7 +27,6 @@ several others in turn, take one run.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from itertools import combinations, starmap
 from random import Random
@@ -48,6 +48,7 @@ from .perm import (
     TOP_WINS,
     LabeledPermutation,
     RauzyEdge,
+    _breadth_first,
     hyperelliptic_permutation,
     restricted_lhs_move,
     special_permutations,
@@ -313,70 +314,34 @@ class PathBuilder:
         )
 
 
-def _bfs_path(
-    b: PathBuilder,
-    tail: Callable[[int], list[str] | None],
-    shuffle: Callable[[list[str]], None] | None = None,
-) -> list[str] | None:
-    """Shortest side sequence of moves ``b``'s rule admits, from ``b``'s
-    vertex to the first diagram vertex v with a ``tail(v)``, followed by that
-    tail; None if there is none.  ``shuffle`` orders the two sides at each
-    vertex (goals are tested on discovery)."""
-    root = _DIAGRAM.vertex(b.pi)
-    if (last := tail(root)) is not None:
-        return last
-    admissible = b.rule.admissible
+def _steer(
+    b: PathBuilder, goal: Callable[[RauzyEdge], bool], rng: Random | None = None
+) -> None:
+    """Take the shortest moves ``b``'s rule admits from ``b``'s vertex
+    through the first move that passes ``goal``, found by the diagram's
+    breadth-first walker.  Each vertex taken from its queue tries top-wins
+    then bottom-wins, or the order ``rng`` shuffles for it."""
+
+    def sides() -> list[str]:
+        order = [TOP_WINS, BOTTOM_WINS]
+        if rng is not None:
+            rng.shuffle(order)
+        return order
+
+    root = b.walk.v
     parents: dict[int, tuple[int, str]] = {}
-    queue = deque([root])
-    seen = {root}
-    while queue:
-        v = queue.popleft()
-        sides = [TOP_WINS, BOTTOM_WINS]
-        if shuffle is not None:
-            shuffle(sides)
-        for side in sides:
-            t, _, _, e = _DIAGRAM.move(v, side)
-            if not admissible(e) or t in seen:
-                continue
-            parents[t] = (v, side)
-            if (last := tail(t)) is not None:
-                path = [side]
-                while v != root:
-                    v, s = parents[v]
-                    path.append(s)
-                return path[::-1] + last
-            seen.add(t)
-            queue.append(t)
-    return None
-
-
-def _steer(b: PathBuilder, rng: Random) -> None:
-    """Take the shortest admissible way from ``b``'s vertex to its rule's
-    end (BFS, rng ties)."""
-    goal = _DIAGRAM.vertex(b.rule.end)
-    path = _bfs_path(b, lambda v: [] if v == goal else None, rng.shuffle)
-    if path is None:
-        raise StageError(f"no admissible path from {b.pi} to {b.rule.end}")
-    for side in path:
-        b.apply_side(side)
-
-
-def _steer_to_edge(b: PathBuilder, winners: set[int], loser: int) -> None:
-    """Take the shortest admissible move sequence ending with someone in
-    ``winners`` beating ``loser``."""
-
-    def final_side(v: int) -> list[str] | None:
-        for side in (TOP_WINS, BOTTOM_WINS):
-            e = _DIAGRAM.move(v, side)[3]
-            if e.winner in winners and e.loser == loser:
-                return [side]
-        return None
-
-    path = _bfs_path(b, final_side)
-    if path is None:
-        raise StageError(f"no admissible route to a win against {loser}")
-    for side in path:
-        b.apply_side(side)
+    for v, t, e, new in _breadth_first(root, b.rule.admissible, sides):
+        if goal(e):
+            path = [e.side]
+            while v != root:
+                v, side = parents[v]
+                path.append(side)
+            for side in reversed(path):
+                b.apply_side(side)
+            return
+        if new:
+            parents[t] = (v, e.side)
+    raise StageError(f"{b.rule.phase}: no admissible path from {b.pi} to its goal")
 
 
 def _check_window(path: PhasePath, window: Window) -> PhasePath:
@@ -414,7 +379,8 @@ def _walk_to_window(
             raise StageError(f"{rule.phase} walk stuck at {b.pi}")
         b.apply_side(rng.choice(options))  # draws even from one option
         steps += 1
-    _steer(b, rng)
+    if b.pi != rule.end:
+        _steer(b, lambda e: e.target == rule.end, rng)
     return _check_window(b.finish(), window)
 
 
@@ -936,8 +902,9 @@ def hyperplane_avoiding_paths(d: int, i: int, eps0: float = 0.1) -> PhasePath:
         heavy = {i} | {
             j for j in range(1, d - 1) if col_dist(j) <= eps0 / 2
         }
-        _steer_to_edge(b, heavy, target)
-    _steer(b, Random(0))
+        _steer(b, lambda e: e.winner in heavy and e.loser == target)
+    if b.pi != rule.end:
+        _steer(b, lambda e: e.target == rule.end, Random(0))
     path = b.finish()
     worst = max(col_dist(j) for j in range(1, d - 1))
     if worst > eps0:

@@ -318,6 +318,14 @@ class _Walk:
         if len(queue) >= _DRAIN:
             self._drain()
 
+    def copy(self) -> "_Walk":
+        """The walk as it stands, to move on alone.  It shares the columns,
+        brought up to date: a drain replaces a column, never changes it."""
+        walk = _Walk.__new__(_Walk)
+        walk.v, walk.norms, walk.zeros = self.v, self.norms[:], self.zeros[:]
+        walk._cols, walk._queue = self.cols[:], []
+        return walk
+
     def matrix(self) -> VisitationMatrix:
         M = VisitationMatrix.__new__(VisitationMatrix)  # the entries are ints
         M.rows = tuple(zip(*self.cols))
@@ -455,7 +463,7 @@ class _PermutationIs(_StopRule):
 
 class _MatrixPredicate(_StopRule):
     """Stop when a caller's predicate of (matrix, permutation) holds.  It is
-    given the matrix after every move, so the walk goes one move at a time."""
+    given the matrix after every move, so ``first`` replays runs on a copy."""
 
     def __init__(self, predicate: Callable[[VisitationMatrix, LabeledPermutation], bool]):
         self.predicate = predicate
@@ -463,15 +471,13 @@ class _MatrixPredicate(_StopRule):
     def holds(self, walk: _Walk, steps: int) -> bool:
         return self.predicate(walk.matrix(), walk.perm)
 
-    def advance(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> tuple[int, bool]:
-        """Move ``walk`` along ``run`` to the first of n moves after which
-        the predicate holds, or n moves; return the moves made and whether
-        it held."""
+    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+        replay = walk.copy()
         for t in range(1, n + 1):
-            walk.move(run.side)
-            if self.holds(walk, steps + t):
-                return t, True
-        return n, False
+            replay.move(run.side)
+            if self.holds(replay, steps + t):
+                return t
+        return None
 
 
 def _step_lengths(
@@ -488,13 +494,11 @@ def _step_lengths(
     (cycling through ``_RunCycle.losers``) sum below L; whole cycles of
     that sum are counted by one division.  ``stop.first`` finds the step
     inside the run where the loop ends, if there is one, and the loop takes
-    the run up to there with ``_Walk.take``.  Only ``_MatrixPredicate``,
-    which needs the matrix after every step, moves the walk itself."""
+    the run up to there with ``_Walk.take``."""
     runs: list[tuple[_RunCycle, int]] = []
     if stop.holds(walk, 0):
         return runs, True
     last, cycle, take_run = _DIAGRAM.last, _DIAGRAM.cycle, walk.take
-    stepwise = isinstance(stop, _MatrixPredicate)
     steps = 0
     while True:
         if steps >= budget:
@@ -516,12 +520,9 @@ def _step_lengths(
             c = (L - 1) // s
             n = c * k + bisect_left(sums, L - c * s) - 1
         n = min(n, budget - steps)
-        if stepwise:
-            take, held = stop.advance(walk, steps, run, n)
-        else:
-            t = stop.first(walk, steps, run, n)
-            take, held = t or n, t is not None
-            take_run(run, take)
+        t = stop.first(walk, steps, run, n)
+        take, held = t or n, t is not None
+        take_run(run, take)
         c, r = divmod(take, k)
         lens[run.winner] = L - c * sums[-1] - sums[r] if c else L - sums[r]
         runs.append((run, take))

@@ -7,19 +7,22 @@ right of the winner's position in the other row.  Classes are the connected
 components of the resulting directed graph.  This module owns that graph:
 one process-wide compiled diagram makes each move once, and class
 enumeration, the restricted sub-diagram used by the staged construction,
-the construction's path searches and the induction loop all walk it.
+the construction's path searches and the induction loop all walk it.  One
+breadth-first walker, ``_breadth_first``, searches it for the first three,
+and reaches at most ``VERTEX_BUDGET`` vertices unless given its own budget.
 """
 from __future__ import annotations
 
 from collections import deque
 from functools import total_ordering
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from ._record import Value
 from .errors import BudgetExceededError, DegeneracyError, UsageError
 
 TOP_WINS = "top-wins"
 BOTTOM_WINS = "bottom-wins"
+VERTEX_BUDGET = 10**6  # the vertices a search of the diagram may reach by default
 
 
 class ReducibilityError(UsageError):
@@ -306,36 +309,57 @@ def restricted_lhs_move(edge: RauzyEdge, d: int) -> bool:
     return edge.winner not in (1, d - 1, d) and edge.loser not in (d - 1, d)
 
 
-def _closure(
-    seed: LabeledPermutation, keep: Callable[[RauzyEdge], bool], vertex_budget: int
-) -> RauzyClassGraph:
-    """The seed's closure under the moves that pass ``keep``, breadth first
-    through the compiled diagram.  The export order is built, not sorted
-    from the edges: the vertices come lexicographically on (top, bottom),
-    and the edges by source in that order, each source's kept moves in
-    side order (bottom-wins before top-wins), so that exports do not depend
-    on discovery order."""
-    if vertex_budget < 1:
-        raise BudgetExceededError(f"vertex budget {vertex_budget} holds no seed")
-    move, perms = _DIAGRAM.move, _DIAGRAM.perms
-    root = _DIAGRAM.vertex(seed)
-    kept: dict[int, list[RauzyEdge]] = {root: []}  # per vertex, in side order
+def _breadth_first(
+    root: int,
+    keep: Callable[[RauzyEdge], bool],
+    sides: Callable[[], Sequence[str]],
+    budget: int | None = None,
+) -> Iterator[tuple[int, int, RauzyEdge, bool]]:
+    """Breadth first from the vertex id ``root``, the moves that pass
+    ``keep`` as (source id, target id, edge, new), ``new`` when the move
+    first reaches its target.  Each vertex leaving the queue calls
+    ``sides()`` once for the order of its two moves.  Reaching more than
+    ``budget`` vertices, the root included, raises BudgetExceededError; by
+    default the budget is ``VERTEX_BUDGET`` as the search starts."""
+    if budget is None:
+        budget = VERTEX_BUDGET
+    if budget < 1:
+        raise BudgetExceededError(f"vertex budget {budget} holds no seed")
+    seen = {root}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        out = kept[v]
-        for side in (BOTTOM_WINS, TOP_WINS):
-            t, _, _, edge = move(v, side)
+        for side in sides():
+            t, _, _, edge = _DIAGRAM.move(v, side)
             if not keep(edge):
                 continue
-            out.append(edge)
-            if t not in kept:
-                if len(kept) >= vertex_budget:
+            if new := t not in seen:
+                if len(seen) >= budget:
                     raise BudgetExceededError(
-                        f"class enumeration exceeded vertex budget {vertex_budget}"
+                        f"search of the Rauzy diagram exceeded vertex budget {budget}"
                     )
-                kept[t] = []
+                seen.add(t)
                 queue.append(t)
+            yield v, t, edge, new
+
+
+def _closure(
+    seed: LabeledPermutation, keep: Callable[[RauzyEdge], bool], vertex_budget: int
+) -> RauzyClassGraph:
+    """The seed's closure under the moves that pass ``keep``, from the
+    breadth-first walker.  The export order is built, not sorted from the
+    edges: the vertices come lexicographically on (top, bottom), and the
+    edges by source in that order, each source's kept moves in side order
+    (bottom-wins before top-wins), so that exports do not depend on
+    discovery order."""
+    perms = _DIAGRAM.perms
+    root = _DIAGRAM.vertex(seed)
+    kept: dict[int, list[RauzyEdge]] = {root: []}  # per vertex, in side order
+    walk = _breadth_first(root, keep, lambda: (BOTTOM_WINS, TOP_WINS), vertex_budget)
+    for v, t, edge, new in walk:
+        kept[v].append(edge)
+        if new:
+            kept[t] = []
     order = sorted(kept, key=lambda v: (perms[v].top, perms[v].bottom))
     vertices = tuple(perms[v] for v in order)
     edges = tuple(e for v in order for e in kept[v])
@@ -343,7 +367,7 @@ def _closure(
 
 
 def rauzy_class(
-    seed: LabeledPermutation, vertex_budget: int = 10**6
+    seed: LabeledPermutation, vertex_budget: int = VERTEX_BUDGET
 ) -> RauzyClassGraph:
     """Breadth-first closure of the seed under both moves."""
     if not seed.is_irreducible():
@@ -368,7 +392,7 @@ def restriction_subgraph(d: int, collapse: bool = False) -> RauzyClassGraph:
             "restriction sub-diagram is degenerate (single self-loop) for d < 5"
         )
     pi_l, _, _ = special_permutations(d)
-    graph = _closure(pi_l, lambda e: restricted_lhs_move(e, d), 10**6)
+    graph = _closure(pi_l, lambda e: restricted_lhs_move(e, d), VERTEX_BUDGET)
     ins, outs = graph.in_edges(pi_l), graph.out_edges(pi_l)
     if not collapse or len(ins) != 1 or len(outs) != 1:
         return graph

@@ -397,6 +397,23 @@ def test_construct_failure_counts_completed_stages(tmp_path, capsys, monkeypatch
                              "stages": 3, "zeta": 32.0}
 
 
+def test_construct_steering_past_the_vertex_budget_is_a_stage_failure(
+    tmp_path, capsys, monkeypatch
+):
+    from ietkit import perm
+
+    # stage 1's restriction steers through 2^12 - 2 vertices at d = 16
+    monkeypatch.setattr(perm, "VERTEX_BUDGET", 1000)
+    code, out = run(["construct", "--d", "16", "--stages", "1"], tmp_path)
+    assert code == EXIT_STAGE
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("stage failure: ")]
+    assert failures == ["stage failure: stage 1 failed: search of the Rauzy "
+                        "diagram exceeded vertex budget 1000"]
+    doc = json.loads((out / "construct_manifest.json").read_text())
+    assert doc["failed"] is True and doc["stages_completed"] == 0
+
+
 @pytest.mark.parametrize("k0,scale", [
     (10**62, "tower"),  # float(k0) ** 6 overflows
     (10**300, "linear"),  # a window beyond the integer budget

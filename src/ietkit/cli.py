@@ -55,6 +55,7 @@ from .analysis import (
     stage_one_planes,
 )
 from .construction import (
+    ZETA,
     ExponentScale,
     check_condition_double_star,
     check_conditions_star,
@@ -72,6 +73,7 @@ from .errors import (
 )
 from .induction import (
     BOTTOM_WINS,
+    STEP_BUDGET,
     TOP_WINS,
     Iet,
     VisitationMatrix,
@@ -517,6 +519,8 @@ def _verify_probdecay(args, rng: Random) -> dict:
 
 
 def _verify_concavity(args, rng: Random) -> dict:
+    if args.samples == 0:  # no plane sampled, no case judged
+        return {"cases": [], "verdict": INCONCLUSIVE, "violated": False}
     import numpy as np
 
     results = []
@@ -712,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count(int), default=None)
     p.add_argument("--until", default=None,
                    help="balanced:Z | norm:N | positive | perm:SPEC")
-    p.add_argument("--budget", type=_count(int), default=10**6)
+    p.add_argument("--budget", type=_count(int), default=STEP_BUDGET)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_induct)
 
@@ -723,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear | linear:c6,c4,c2,c23 | tower")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta", type=float, default=32.0)
+    p.add_argument("--zeta", type=float, default=ZETA)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_construct)
 

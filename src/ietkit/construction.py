@@ -57,6 +57,7 @@ from .perm import (
 MAX_EXPONENT = 18  # largest base-10 exponent we will instantiate as an int
 PHASE_BUDGET = 10**6  # moves (or freedom-RHS loops) a phase may take to its window
 CSTAR = 0.5  # the constant in the angle condition thresholds
+ZETA = 32.0  # the default balance bound that condition (*) compares against
 
 FREEDOM_LHS = "freedom-LHS"
 FREEDOM_LHS_BRIDGE = "freedom-LHS-bridge"
@@ -139,7 +140,7 @@ class StageWindows(Record):
 
 class Schedule(Record):
     __slots__ = ("k0", "stages", "scale", "windows", "zeta")
-    _defaults = {"zeta": 32.0}
+    _defaults = {"zeta": ZETA}
 
     def stage(self, k: int) -> StageWindows:
         return self.windows[k - 1]
@@ -156,7 +157,7 @@ class Schedule(Record):
 
 
 def make_schedule(
-    k0: int, scale: ExponentScale, stages: int, zeta: float = 32.0
+    k0: int, scale: ExponentScale, stages: int, zeta: float = ZETA
 ) -> Schedule:
     """Concrete per-stage windows; raises ScheduleError when they collapse."""
     if stages < 1:

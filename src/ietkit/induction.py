@@ -333,30 +333,18 @@ class _Walk:
 
 
 class _StopRule:
-    """When the induction loop stops.  ``holds`` judges the walk as it
+    """When the induction loop stops, judged on the walk alone; the loop
+    counts the steps and keeps the budget.  ``holds`` judges the walk as it
     stands; ``first`` finds where in a run the rule first holds, on the
     walk's vertex, norms and zero patterns, without moving the walk, and
     the loop then takes the run up to there itself."""
 
-    def holds(self, walk: _Walk, steps: int) -> bool:
+    def holds(self, walk: _Walk) -> bool:
         raise NotImplementedError
 
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+    def first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
         """The first t in 1..n at which the rule holds after t moves of ``run``, or None."""
         raise NotImplementedError
-
-
-class _AfterSteps(_StopRule):
-    """Stop after a fixed number of steps."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def holds(self, walk: _Walk, steps: int) -> bool:
-        return steps >= self.n
-
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
-        return self.n - steps if self.n - steps <= n else None
 
 
 def _first_reaching(norms: list[int], run: _RunCycle, N: int) -> int:
@@ -367,22 +355,10 @@ def _first_reaching(norms: list[int], run: _RunCycle, N: int) -> int:
     return min(((N - norms[l] - 1) // W) * k + i + 1 for i, l in enumerate(run.losers))
 
 
-class _NormAtLeast(_StopRule):
-    """Stop once the norm, the largest column sum, reaches ``N``."""
-
-    def __init__(self, N: int):
-        self.N = N
-
-    def holds(self, walk: _Walk, steps: int) -> bool:
-        return max(walk.norms) >= self.N
-
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
-        return t if (t := _first_reaching(walk.norms, run, self.N)) <= n else None
-
-
 class _Balanced(_StopRule):
     """Stop at the first positive zeta-balanced matrix, zeta = p/q, or once
-    the norm passes ``limit``; no ``zeta`` is no ratio bound (p/q = 1/0).
+    the norm passes ``limit``; no ``zeta`` is no ratio bound (p/q = 1/0),
+    and a zeta of 0 never balances, so the rule stops on the limit alone.
     It reads only the walk's norms and zero patterns: the matrix is
     positive when no column has a zero entry."""
 
@@ -390,11 +366,11 @@ class _Balanced(_StopRule):
         self.p, self.q = (1, 0) if zeta is None else Fraction(zeta).as_integer_ratio()
         self.limit = math.inf if limit is None else limit
 
-    def holds(self, walk: _Walk, steps: int) -> bool:
+    def holds(self, walk: _Walk) -> bool:
         hi, lo = max(walk.norms), min(walk.norms)
         return hi > self.limit or hi * self.q <= self.p * lo and not any(walk.zeros)
 
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+    def first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
         """The winner's norm W stays fixed and bounds the least norm, so
         balance is out of reach for the rest of the run once max * q > p * W.
         No loser loses more than ceil(n / k) times in the run, so the limit
@@ -452,10 +428,10 @@ class _PermutationIs(_StopRule):
     def __init__(self, target: LabeledPermutation):
         self.target = target
 
-    def holds(self, walk: _Walk, steps: int) -> bool:
+    def holds(self, walk: _Walk) -> bool:
         return walk.perm == self.target
 
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+    def first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
         v, cycle = _DIAGRAM.ids.get(self.target), run.vertices
         t = (cycle.index(v) or len(cycle)) if v in cycle else None
         return t if t and t <= n else None
@@ -468,26 +444,28 @@ class _MatrixPredicate(_StopRule):
     def __init__(self, predicate: Callable[[VisitationMatrix, LabeledPermutation], bool]):
         self.predicate = predicate
 
-    def holds(self, walk: _Walk, steps: int) -> bool:
+    def holds(self, walk: _Walk) -> bool:
         return self.predicate(walk.matrix(), walk.perm)
 
-    def first(self, walk: _Walk, steps: int, run: _RunCycle, n: int) -> int | None:
+    def first(self, walk: _Walk, run: _RunCycle, n: int) -> int | None:
         replay = walk.copy()
         for t in range(1, n + 1):
             replay.move(run.side)
-            if self.holds(replay, steps + t):
+            if self.holds(replay):
                 return t
         return None
 
 
 def _step_lengths(
-    walk: _Walk, lens: list[int], stop: _StopRule, budget: float
+    walk: _Walk, lens: list[int], stop: _StopRule | None, budget: float
 ) -> tuple[list[tuple[_RunCycle, int]], bool]:
     """The induction loop: step by the integer lengths ``lens`` (updated in
     place; the winner is strictly longer, so they stay positive) until
-    ``stop`` holds.  Returns the runs taken, as (run cycle, moves) pairs,
-    and False if the equality case came first; more than ``budget`` steps
-    raise BudgetExceededError.  ``_induct`` expands the runs into edges.
+    ``stop`` holds or, with no rule, for ``budget`` steps, which the loop
+    counts itself.  Returns the runs taken, as (run cycle, moves) pairs,
+    and False if the equality case came first.  The budget is read before
+    the equality case; a rule that has not held by then raises
+    BudgetExceededError.  ``_induct`` expands the runs into edges.
 
     It goes one run at a time: the moves in a row on which one side wins.
     With winner length L, the run has the largest n whose first n losers
@@ -496,12 +474,14 @@ def _step_lengths(
     inside the run where the loop ends, if there is one, and the loop takes
     the run up to there with ``_Walk.take``."""
     runs: list[tuple[_RunCycle, int]] = []
-    if stop.holds(walk, 0):
+    if stop is not None and stop.holds(walk):
         return runs, True
     last, cycle, take_run = _DIAGRAM.last, _DIAGRAM.cycle, walk.take
     steps = 0
     while True:
         if steps >= budget:
+            if stop is None:
+                return runs, True
             raise BudgetExceededError(f"step budget {budget} exhausted")
         i, j = last[walk.v]
         if lens[i] == lens[j]:
@@ -520,18 +500,18 @@ def _step_lengths(
             c = (L - 1) // s
             n = c * k + bisect_left(sums, L - c * s) - 1
         n = min(n, budget - steps)
-        t = stop.first(walk, steps, run, n)
-        take, held = t or n, t is not None
+        t = None if stop is None else stop.first(walk, run, n)
+        take = t or n
         take_run(run, take)
         c, r = divmod(take, k)
         lens[run.winner] = L - c * sums[-1] - sums[r] if c else L - sums[r]
         runs.append((run, take))
         steps += take
-        if held:
+        if t is not None:
             return runs, True
 
 
-def _induct(T: Iet, stop: _StopRule, budget: int) -> InductionTrace:
+def _induct(T: Iet, stop: _StopRule | None, budget: int) -> InductionTrace:
     """The loop on T's lengths as integers over their least common
     denominator; Fractions and edges are built once, for the trace."""
     lens, denom = _rational._numerators(T.lengths)
@@ -559,10 +539,18 @@ def induct(T: Iet, n: int) -> InductionTrace:
     Raises InductionUndefinedError carrying the partial trace if the equality
     case interrupts before n steps.
     """
-    return _induct(T, _AfterSteps(n), n)
+    return _induct(T, None, n)
 
 
-norm_at_least = _NormAtLeast
+STEP_BUDGET = 10**6  # steps ``induct_until`` may take before the rule holds
+
+
+def norm_at_least(N: int) -> _Balanced:
+    """Stop once the norm, the largest column sum, reaches ``N``: the
+    balance rule with a zeta that never balances and the limit N - 1."""
+    return _Balanced(0, N - 1)
+
+
 permutation_is = _PermutationIs
 balanced = _Balanced
 positive_matrix = _Balanced()
@@ -571,12 +559,14 @@ positive_matrix = _Balanced()
 def induct_until(
     T: Iet,
     predicate: _StopRule | Callable[[VisitationMatrix, LabeledPermutation], bool],
-    step_budget: int = 10**6,
+    step_budget: int = STEP_BUDGET,
 ) -> InductionTrace:
     """Shortest trace whose final (matrix, permutation) satisfies the
-    predicate.  The stop rules ``norm_at_least``, ``balanced``,
-    ``positive_matrix`` and ``permutation_is`` jump within a run and build
-    one matrix, for the trace; any other callable gets it after every step."""
+    predicate; BudgetExceededError if it takes more than ``step_budget``
+    steps.  The stop rules ``norm_at_least``, ``balanced``,
+    ``positive_matrix`` and ``permutation_is`` read the walk, jump within a
+    run and build one matrix, for the trace; any other callable gets the
+    matrix after every step, replayed on a copy of the walk."""
     stop = predicate if isinstance(predicate, _StopRule) else _MatrixPredicate(predicate)
     return _induct(T, stop, step_budget)
 

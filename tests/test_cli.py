@@ -593,7 +593,7 @@ def test_construct_zeta_must_be_finite_above_one(tmp_path, capsys, zeta):
     assert not (out / "construct_manifest.json").exists()
 
 
-@pytest.mark.parametrize("suite", ["balance", "jacobian", "probdecay"])
+@pytest.mark.parametrize("suite", ["balance", "concavity", "jacobian", "probdecay"])
 def test_verify_without_samples_is_inconclusive(tmp_path, capsys, suite):
     code, out = run(["verify", suite, "--samples", "0"], tmp_path)
     assert code == EXIT_OK
@@ -619,8 +619,8 @@ def test_verify_without_paths_is_inconclusive(tmp_path, capsys, suite):
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "concavity", "--samples", "0"],  # DegeneracyError
-        ["construct", "--scale", "linear:0,0,0,0"],  # ScheduleError
+        ["construct", "--scale", "linear:1,-1,1,1"],  # ScheduleError: B' under B
+        ["construct", "--scale", "linear:0,0,0,0"],  # ScheduleError: collapsed
     ],
 )
 def test_other_package_errors_exit_one(tmp_path, capsys, args):

@@ -17,7 +17,6 @@ from ietkit.induction import (
     InductionTrace,
     VisitationMatrix,
     _DRAIN,
-    _NormAtLeast,
     _step_lengths,
     _Walk,
     balanced,
@@ -113,6 +112,29 @@ def test_until_balanced():
 def test_until_norm_budget():
     with pytest.raises(BudgetExceededError):
         induct_until(fib_like(), norm_at_least(10**9), step_budget=5)
+
+
+def test_the_budget_comes_before_equality():
+    """The loop reads its budget before the equality case, which (1/2, 1/3)
+    meets after 2 steps; a budget reached with no rule is success."""
+    T = Iet.make([Fraction(1, 2), Fraction(1, 3)], hyperelliptic_permutation(2))
+    with pytest.raises(BudgetExceededError, match="^step budget 2 exhausted$"):
+        induct_until(T, norm_at_least(100), step_budget=2)
+    with pytest.raises(InductionUndefinedError, match="^equality at step 2: ") as exc:
+        induct_until(T, norm_at_least(100), step_budget=3)
+    assert exc.value.partial.steps == 2
+    trace = induct(T, 2)
+    assert (trace.steps, trace.matrix.norm) == (2, 3)
+
+
+def test_the_start_comes_before_equality():
+    """A trace of 0 steps, or a rule that holds at the start, is returned
+    before the equality case is read; the first step meets it."""
+    T = Iet.make([Fraction(1, 4)] * 4, hyperelliptic_permutation(4))
+    assert induct(T, 0).steps == 0
+    assert induct_until(T, norm_at_least(1)).steps == 0
+    with pytest.raises(InductionUndefinedError, match="^equality at step 0: "):
+        induct(T, 1)
 
 
 def test_drive_path_matches_induction():
@@ -430,10 +452,10 @@ class RecordedBalanced(_Balanced):
         super().__init__(zeta, limit)
         self.bounds = []
 
-    def first(self, walk, steps, run, n):
+    def first(self, walk, run, n):
         k, W = len(run.losers), walk.norms[run.winner]
         self.bounds.append(max(walk.norms) + -(-n // k) * W)
-        return super().first(walk, steps, run, n)
+        return super().first(walk, run, n)
 
 
 def balance_stop(pi, nums, zeta, limit) -> tuple[int, int]:
@@ -587,24 +609,26 @@ def until_outcome(T, predicate, budget):
 
 
 def draw_stop_rule(data, T):
-    """A stop rule of ``induct_until`` and the generic predicate of
-    (matrix, permutation) it stands for."""
+    """A stop rule of ``induct_until``, the generic predicate of
+    (matrix, permutation) it stands for, and the drawn N of a norm rule
+    (None for the other kinds)."""
     kind = data.draw(st.sampled_from(["norm", "balanced", "positive", "perm"]))
     if kind == "norm":
         N = data.draw(st.integers(min_value=1, max_value=10**7))
-        return norm_at_least(N), lambda M, pi: M.norm >= N
+        return norm_at_least(N), lambda M, pi: M.norm >= N, N
     if kind == "balanced":
         zeta = data.draw(st.sampled_from([2, Fraction(7, 2), 10, 20]))
-        return balanced(zeta), lambda M, pi: M.is_positive() and M.balance_ratio() <= zeta
+        return (balanced(zeta),
+                lambda M, pi: M.is_positive() and M.balance_ratio() <= zeta, None)
     if kind == "positive":
-        return positive_matrix, lambda M, pi: M.is_positive()
+        return positive_matrix, lambda M, pi: M.is_positive(), None
     # a vertex of the start's class: the start itself, one the walk soon
     # reaches, or any; the start begins a run, whose last move returns to it
     visited = [e.target for e in reference_induct(T, 200)[0]] or [T.perm]
     v = data.draw(st.one_of(
         st.just(T.perm), st.sampled_from(visited), st.sampled_from(rauzy_class(T.perm).vertices)
     ))
-    return permutation_is(v), lambda M, pi: pi == v
+    return permutation_is(v), lambda M, pi: pi == v, None
 
 
 @settings(max_examples=120, deadline=None)
@@ -615,7 +639,7 @@ def test_norm_rule_matches_generic_predicate(T, data):
     on one step less.  And from the start, for either side's run and a
     drawn cut n, ``first`` leaves the walk where it is and gives the first
     t in 1..n at which the rule holds after t single moves."""
-    rule, generic = draw_stop_rule(data, T)
+    rule, generic, N = draw_stop_rule(data, T)
     expected = until_outcome(T, generic, 5000)
     assert until_outcome(T, rule, 5000) == expected
     if isinstance(expected, InductionTrace):
@@ -624,9 +648,9 @@ def test_norm_rule_matches_generic_predicate(T, data):
         if shortest:
             assert until_outcome(T, rule, shortest - 1) == "budget"
             assert until_outcome(T, generic, shortest - 1) == "budget"
-    if isinstance(rule, _NormAtLeast):
-        assert rule.holds(_Walk(T.perm), 0) == (rule.N <= 1)
-        if rule.N <= 1:  # ``first`` is asked only while the norms are below N
+    if N is not None:
+        assert rule.holds(_Walk(T.perm)) == (N <= 1)
+        if N <= 1:  # ``first`` is asked only while the norms are below N
             return
     for side in (TOP_WINS, BOTTOM_WINS):
         walk, stepped = _Walk(T.perm), _Walk(T.perm)
@@ -635,10 +659,10 @@ def test_norm_rule_matches_generic_predicate(T, data):
         reference = None
         for t in range(1, n + 1):
             stepped.move(side)
-            if rule.holds(stepped, t):
+            if rule.holds(stepped):
                 reference = t
                 break
-        assert rule.first(walk, 0, run, n) == reference
+        assert rule.first(walk, run, n) == reference
         assert (walk.v, walk.norms, walk._queue) == (start, [1] * T.d, [])
 
 

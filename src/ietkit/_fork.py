@@ -2,8 +2,8 @@
 
 ``fork_tallies`` cuts the samples, drawn in order from one ``random.Random``,
 into contiguous chunks and tallies all but the last in forked children.  The
-parent draws through each child's chunk to reach the next one, tallies the
-last chunk itself and adds up the tallies, which the children send back over
+parent draws through each child's chunk with the same draw, tallies the last
+chunk itself and adds up the tallies, which the children send back over
 pipes.  A tally is a list of integers, so the sum does not depend on how many
 chunks there are.  Only the standard library is used.
 """
@@ -13,7 +13,7 @@ import marshal
 import os
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 _MIN_CHUNK = 256  # samples below which a chunk does not pay for its fork
 
@@ -34,17 +34,19 @@ def _usable_cpus() -> int:
 
 
 def fork_tallies(
-    rng: Random, n: int, tally: Callable[[int], list[int]], skip: Callable[[int], None]
+    rng: Random, n: int, draw: Callable[[Random], Any],
+    tally: Callable[[Iterator[Any]], list[int]],
 ) -> list[int]:
     """The sum of ``tally`` over n samples, on up to ``_usable_cpus()``
-    processes with at least ``_MIN_CHUNK`` samples each.  ``tally(k)`` draws
-    the next k samples from ``rng`` and counts them; ``skip(k)``, which the
-    parent runs to draw through a child's chunk, leaves ``rng`` where
-    ``tally(k)`` would and does no more of the work than that takes (for
-    ``mc_balance``, it draws the cuts of each sample).  A child's chunk whose tally does not arrive (no fork, a non-zero
-    exit, a short payload) is tallied here from the generator state saved
-    for it, so the result, or the error, is that of one process.  Every
-    child is reaped before this returns or raises."""
+    processes with at least ``_MIN_CHUNK`` samples each.  ``draw(rng)``
+    returns one sample's input; ``tally(inputs)`` counts an iterator of
+    such inputs, drawn from ``rng`` as it yields them, and must consume all
+    of it.  The parent draws through a child's chunk with the same ``draw``.
+    A child's chunk whose tally does not arrive (no fork, a non-zero exit, a
+    short payload) is tallied here from the generator state saved for it,
+    so the result, or the error, is that of one process.  Every child is
+    reaped before this returns or raises."""
+    chunk = lambda k: (draw(rng) for _ in range(k))
     workers = max(1, min(_usable_cpus(), n // _MIN_CHUNK))
     cuts = [n * i // workers for i in range(workers + 1)]
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
@@ -61,15 +63,16 @@ def fork_tallies(
             if child[0] == 0:  # the child never returns into its caller
                 code = 1
                 try:
-                    payload = memoryview(marshal.dumps(tally(size)))
+                    payload = memoryview(marshal.dumps(tally(chunk(size))))
                     while payload:
                         payload = payload[os.write(w, payload):]
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
-            skip(size)
-        total = tally(sizes[-1])
+            for _ in chunk(size):  # through the child's chunk
+                pass
+        total = tally(chunk(sizes[-1]))
         for child in children:
             pid, r, state, size = child
             part = None
@@ -83,7 +86,7 @@ def fork_tallies(
                         pass
             if part is None:
                 rng.setstate(state)
-                part = tally(size)
+                part = tally(chunk(size))
             total = [a + b for a, b in zip(total, part)]
         return total
     finally:

@@ -168,21 +168,17 @@ def mc_balance(
     rule = _Balanced(zeta_f, int(math.ceil(thresholds[-1])))
     d = pi.d
 
-    def tally(n: int) -> list[int]:
+    def tally(draws: Iterable[list[int]]) -> list[int]:
         """Samples per bucket: bucket j < m holds the scans that reached
         balance by thresholds[j] but not by the ones before, bucket m the
         rest; a sample fails threshold j when its bucket is above j."""
         buckets = [0] * (m + 1)
-        for _ in range(n):
-            reached = _balance_scan(pi, _sample_gaps(d, rng), rule)
+        for gaps in draws:
+            reached = _balance_scan(pi, gaps, rule)
             buckets[bisect_left(thresholds, reached) if reached else m] += 1
         return buckets
 
-    def skip(n: int) -> None:
-        for _ in range(n):
-            _draw_cuts(d, rng)
-
-    buckets = fork_tallies(rng, samples, tally, skip)
+    buckets = fork_tallies(rng, samples, lambda r: _sample_gaps(d, r), tally)
     fracs = tuple(sum(buckets[j + 1:]) / samples for j in range(m))
     # geometric fit on the decaying tail (skip the saturated prefix near 1)
     xs = [j + 1 for j, f in enumerate(fracs) if 0 < f < 0.99]

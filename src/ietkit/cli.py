@@ -425,16 +425,30 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
     return doc
 
 
+def _report_warnings(stages) -> None:
+    """Log each warning the ``stages`` recorded, in stage then phase order,
+    on the construction's logger, with the warning as the message."""
+    for message in (w for st in stages for p in st.phases.values() for w in p.warnings):
+        import logging  # at the first warning, not at start-up
+
+        logging.getLogger("ietkit.construction").warning(message)
+
+
 def cmd_construct(args) -> int:
     out = Path(args.out)
     config = {name: getattr(args, name) for name in _MANIFEST_FIELDS["construct"]}
     try:
         run = _run_from_config(config)
+    except ScheduleOverflowError as exc:  # main reports it
+        _report_warnings(exc.partial or ())
+        raise
     except StageError as exc:  # main reports it; the manifest records it
+        _report_warnings(exc.partial)
         doc = _construct_manifest_doc(config, exc.partial, None)
         doc["error"] = str(exc)
         _dump_json(doc, _out_file(out, "construct_manifest.json"))
         raise
+    _report_warnings(run.stages)
     doc = _construct_manifest_doc(config, run.stages, run)
     _dump_json(doc, _out_file(out, "construct_manifest.json"))
     with _out_file(out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:

@@ -14,8 +14,10 @@ in draw order, and every generator has one shape: ``gen(b, window, rng)``
 continues the ``PathBuilder`` b, which starts under the phase's rule, and
 finishes it.  ``validate_phase`` replays a finished path against its rule.
 The norm windows are not part of the rule: they come per stage from the
-schedule, and a generator widens past one with a warning.  ``_steer`` takes
-shortest ways by ``perm``'s walker; a search past its vertex budget fails the stage.
+schedule, and a generator widens past one with a warning recorded on its
+path, which ``construct`` reports; nothing here logs or prints.  ``_steer``
+takes shortest ways by ``perm``'s walker; a search past its vertex budget
+fails the stage.
 
 A phase path stores its moves as runs (side, count): count moves in a row
 on one side, the unit ``_Walk.move`` applies in closed form.  The diagram
@@ -143,6 +145,11 @@ class Schedule(Record):
     _defaults = {"zeta": ZETA}
 
     def stage(self, k: int) -> StageWindows:
+        if k > len(self.windows):  # past the stage whose windows overflow
+            raise ScheduleOverflowError(
+                f"stage {k} is past stage {len(self.windows)}, whose windows "
+                f"pass 10^{MAX_EXPONENT}"
+            )
         return self.windows[k - 1]
 
     def star2_threshold(self, k: int) -> float:
@@ -159,7 +166,10 @@ class Schedule(Record):
 def make_schedule(
     k0: int, scale: ExponentScale, stages: int, zeta: float = ZETA
 ) -> Schedule:
-    """Concrete per-stage windows; raises ScheduleError when they collapse."""
+    """Concrete per-stage windows; raises ScheduleError when they collapse.
+    Windows stop after the first stage with an exponent above
+    ``MAX_EXPONENT``: a run raises ``ScheduleOverflowError`` in that stage,
+    so it reaches none past it."""
     if stages < 1:
         raise UsageError("need at least one stage")
     if not 1 < zeta < math.inf:  # condition (*) compares against it; NaN fails
@@ -180,7 +190,11 @@ def make_schedule(
             b = Window(b_lo, b_lo + p2(k + k0))
             bp_lo = p6(2 * k + 2 + k0) + p4(k + k0)
             bp = Window(bp_lo, bp_lo, double=True)
-            out.append(StageWindows(k, a, ap, Window(0, p2(k + k0)), b, bp))
+            t = Window(0, p2(k + k0))
+            out.append(StageWindows(k, a, ap, t, b, bp))
+            if any(not e <= MAX_EXPONENT for win in (a, ap, t, b, bp) if win
+                   for e in (win.lo_exp, win.hi_exp)):
+                break  # a run raises in this stage, by _pow10
     except OverflowError:  # k0 (or the scale) beyond the float range
         raise ScheduleOverflowError(
             f"the {scale.name} exponents of k0 = {k0} are beyond the float range"
@@ -346,16 +360,11 @@ def _steer(
 
 
 def _check_window(path: PhasePath, window: Window) -> PhasePath:
-    """``path``, with a warning recorded on it and logged to this module's
-    logger when its norm overshoots ``window``."""
+    """``path``, with a warning recorded on it when its norm overshoots
+    ``window``; ``construct`` reports the recorded warnings."""
     norm = path.matrix.norm
     if norm <= window.hi:
         return path
-    import logging  # loaded on the first warning, not at start-up
-
-    logging.getLogger(__name__).warning(
-        "%s norm %d overshot window %s; widening", path.phase, norm, window
-    )
     return path.warn(f"{path.phase}: norm {norm} overshot window {window}; widened")
 
 
@@ -635,6 +644,9 @@ def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
         raise StageError(
             f"stage {len(stages) + 1} failed: {exc}", partial=tuple(stages)
         ) from exc
+    except ScheduleOverflowError as exc:
+        exc.partial = tuple(stages)
+        raise
     limit = _extract_limit(cum, d)
     return ConstructionRun(d, schedule, seed, tuple(stages), limit)
 

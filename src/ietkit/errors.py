@@ -52,8 +52,10 @@ class ScheduleOverflowError(ScheduleError):
 
     Raised by design when a schedule built from the unscaled exponent maps is
     asked for concrete numbers; such schedules exist for symbolic inspection
-    only.
+    only.  Raised in a run, ``partial`` carries the stages it completed.
     """
+
+    partial = None
 
 
 class DegeneracyError(IetkitError):

@@ -111,31 +111,6 @@ def test_sample_gaps_redraw_the_top_word_and_a_repeated_cut():
     assert sampler.words == reference.words == [99]
 
 
-def test_skip_leaves_the_generator_where_the_draws_would(monkeypatch):
-    # fork_tallies' skip(n) draws through n samples without scanning them
-    import ietkit._fork as _fork
-
-    fork_tallies, checked = _fork.fork_tallies, []
-
-    def checking(rng, n, tally, skip):
-        state = rng.getstate()
-        for k in (1, 3, 40):
-            rng.setstate(state)
-            skip(k)
-            skipped = rng.getstate()
-            rng.setstate(state)
-            for _ in range(k):
-                _sample_gaps(5, rng)
-            assert rng.getstate() == skipped
-            checked.append(k)
-        rng.setstate(state)
-        return fork_tallies(rng, n, tally, skip)
-
-    monkeypatch.setattr(_fork, "fork_tallies", checking)
-    mc_balance(hyperelliptic_permutation(5), zeta=20.0, K=4.0, m=8, samples=20, seed=9)
-    assert checked == [1, 3, 40]
-
-
 # -- balance decay ----------------------------------------------------------
 
 

@@ -5,8 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -374,6 +378,49 @@ def test_construct_runs_past_the_float_range_of_a_squared_entry(tmp_path, capsys
     doc = json.loads((out / "construct_manifest.json").read_text())
     assert int(doc["stages"][-1]["norm"]).bit_length() > 512
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_construct_logs_each_recorded_warning_once_and_estimate_dim_none(tmp_path):
+    # in a fresh interpreter, since pytest's log capture would take the
+    # warnings off stderr here
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def job(*args):
+        return subprocess.run([sys.executable, "-m", "ietkit.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def recorded(stages):
+        run_ = run_construction(4, make_schedule(1, ExponentScale.linear(), stages), 3)
+        return "".join(f"{w}\n" for st in run_.stages
+                       for path in st.phases.values() for w in path.warnings)
+
+    built = job("construct", "--d", "4", "--stages", "3", "--seed", "3", "--out", "c")
+    assert built.returncode == EXIT_OK
+    assert built.stderr == recorded(3) and built.stderr.count("\n") == 2
+    rebuilt = job("estimate-dim", "--manifest", "c/construct_manifest.json",
+                  "--planes", "2", "--out", "e")
+    assert rebuilt.returncode == EXIT_OK
+    assert rebuilt.stderr == ""
+    # a run that overflows at stage 9 still reports the stages it completed
+    overflowed = job("construct", "--d", "4", "--stages", "9", "--seed", "3")
+    assert overflowed.returncode == EXIT_BUDGET
+    warnings, error = overflowed.stderr.rsplit("\n", 2)[:2]
+    assert f"{warnings}\n" == recorded(8)
+    assert error.startswith("budget exceeded: 10^19.5 ")
+
+
+def test_construct_stops_at_the_first_overflowing_stage(tmp_path, capsys):
+    # the schedule builds no window past stage 9, whatever --stages asks for
+    code, _ = run(["construct", "--d", "4", "--stages", "9"], tmp_path, "nine")
+    assert code == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: 10^19.5 ")
+    code, _ = run(["construct", "--d", "4", "--stages", "1000000"], tmp_path, "many")
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err == err
 
 
 def test_construct_unknown_scale_is_usage(tmp_path):

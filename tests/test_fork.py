@@ -94,6 +94,45 @@ def test_balance_files_keep_their_pinned_bytes(monkeypatch, tmp_path, cpus):
     assert_no_child_left()
 
 
+def draw_words(rng: Random) -> list[int]:
+    """A sample of one or more 8-bit words: words are drawn until one is
+    below 64, so each sample reads a different number of them, as
+    ``_draw_cuts`` does when it draws again."""
+    words = [rng.getrandbits(8)]
+    while words[-1] >= 64:
+        words.append(rng.getrandbits(8))
+    return words
+
+
+def tally_words(samples) -> list[int]:
+    counts = [0, 0, 0]  # samples, words, a position-weighted word sum
+    for words in samples:
+        counts[0] += 1
+        counts[1] += len(words)
+        counts[2] += sum(i * w for i, w in enumerate(words, 1))
+    return counts
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_a_caller_with_variable_draws_gets_the_one_stream_totals(monkeypatch, failing):
+    n, seed = 3 * _MIN_CHUNK + 5, 11
+    rng = Random(seed)
+    expected = tally_words(draw_words(rng) for _ in range(n))
+    parent = os.getpid()
+
+    def tally(samples):
+        if failing and os.getpid() != parent:
+            raise RuntimeError("worker failure")
+        return tally_words(samples)
+
+    for cpus in (1, 2, 3):
+        forks = force_cpus(monkeypatch, cpus)
+        rng = Random(seed)
+        assert _fork.fork_tallies(rng, n, draw_words, tally) == expected
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+
 def test_failed_workers_give_the_one_process_result(monkeypatch):
     force_cpus(monkeypatch, 1)
     expected = balance(4 * _MIN_CHUNK)
@@ -149,7 +188,7 @@ def test_an_interrupt_in_the_parent_reaps_every_child(monkeypatch):
     def interrupted(d, rng):  # the parent draws through the children's chunks
         if os.getpid() == parent:
             draws.append(d)
-            if len(draws) == 2 * _MIN_CHUNK:  # the last draw of that skip
+            if len(draws) == 2 * _MIN_CHUNK:  # the parent's last draw through a child
                 assert len(forks) == 2
                 raise KeyboardInterrupt
         return cuts(d, rng)

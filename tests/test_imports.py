@@ -74,8 +74,8 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_logging(tmp_path):
-    # the records are plain slotted classes, and the construction imports
-    # logging at its first warning
+    # the records are plain slotted classes, and construct imports logging
+    # at the first warning it reports
     loaded = modules_after_cli_import(tmp_path)
     assert not {"dataclasses", "inspect", "logging"} & loaded
 

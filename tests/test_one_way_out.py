@@ -7,7 +7,9 @@ second place that reports a failure would drift from the README's table.
 The check reads ``src/ietkit/cli.py`` with ``ast`` and never imports it.
 It fails where ``sys.stderr`` (under any alias of ``sys``) appears outside
 ``main``, and where a ``cmd_*`` function names a failure's exit code or
-returns anything but the two success codes.
+returns anything but the two success codes.  Only the CLI writes output at
+all: a second check reads every other module of the package and fails where
+one imports ``logging`` or calls ``print``.
 """
 from __future__ import annotations
 
@@ -85,3 +87,42 @@ def test_the_check_finds_each_other_way_out():
         "    return EXIT_VIOLATED if rep.violated else EXIT_OK\n"
     )
     assert not other_ways_out(ast.parse(clean))
+
+
+def output_calls(tree: ast.Module) -> list[int]:
+    """Line numbers where a module imports ``logging`` or calls ``print``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "logging" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "logging"
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "print"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_output():
+    found = {}
+    for path in sorted(CLI.parent.glob("*.py")):
+        if path != CLI:
+            lines = output_calls(ast.parse(path.read_text(), str(path)))
+            if lines:
+                found[path.name] = lines
+    assert not found, f"logging or print outside cli.py: {found}"
+
+
+def test_the_check_finds_each_output_call():
+    sources = [
+        "import logging",
+        "def f():\n    import logging.handlers",
+        "import os, logging as log",
+        "from logging import getLogger",
+        "def f(x):\n    print(x)",
+    ]
+    for source in sources:
+        assert output_calls(ast.parse(source)), source
+    assert not output_calls(ast.parse("def f(log):\n    log.print(1)\n    return 'logging'"))

@@ -376,14 +376,15 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _run_from_config(config: dict):
+def _run_from_config(config: dict, report=None):
     """The construction a ``construct`` config describes: ``construct`` runs
-    it, and ``estimate-dim`` rebuilds it from the manifest."""
+    it, reporting each phase path to ``report``, and ``estimate-dim``
+    rebuilds it from the manifest, reporting none."""
     scale = _parse_scale(config["scale"])
     schedule = make_schedule(
         config["k0"], scale, config["stages"], zeta=config["zeta"]
     )
-    return run_construction(config["d"], schedule, config["seed"])
+    return run_construction(config["d"], schedule, config["seed"], report)
 
 
 # a stage's row in the construct manifest and in stages.csv: k, then its stats
@@ -425,10 +426,10 @@ def _construct_manifest_doc(config: dict, completed, run) -> dict:
     return doc
 
 
-def _report_warnings(stages) -> None:
-    """Log each warning the ``stages`` recorded, in stage then phase order,
-    on the construction's logger, with the warning as the message."""
-    for message in (w for st in stages for p in st.phases.values() for w in p.warnings):
+def _report_warnings(path) -> None:
+    """Log each warning the phase ``path`` recorded on the construction's
+    logger, with the warning as the message."""
+    for message in path.warnings:
         import logging  # at the first warning, not at start-up
 
         logging.getLogger("ietkit.construction").warning(message)
@@ -438,17 +439,12 @@ def cmd_construct(args) -> int:
     out = Path(args.out)
     config = {name: getattr(args, name) for name in _MANIFEST_FIELDS["construct"]}
     try:
-        run = _run_from_config(config)
-    except ScheduleOverflowError as exc:  # main reports it
-        _report_warnings(exc.partial or ())
-        raise
+        run = _run_from_config(config, _report_warnings)
     except StageError as exc:  # main reports it; the manifest records it
-        _report_warnings(exc.partial)
         doc = _construct_manifest_doc(config, exc.partial, None)
         doc["error"] = str(exc)
         _dump_json(doc, _out_file(out, "construct_manifest.json"))
         raise
-    _report_warnings(run.stages)
     doc = _construct_manifest_doc(config, run.stages, run)
     _dump_json(doc, _out_file(out, "construct_manifest.json"))
     with _out_file(out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:

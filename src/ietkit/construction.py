@@ -15,9 +15,10 @@ continues the ``PathBuilder`` b, which starts under the phase's rule, and
 finishes it.  ``validate_phase`` replays a finished path against its rule.
 The norm windows are not part of the rule: they come per stage from the
 schedule, and a generator widens past one with a warning recorded on its
-path, which ``construct`` reports; nothing here logs or prints.  ``_steer``
-takes shortest ways by ``perm``'s walker; a search past its vertex budget
-fails the stage.
+path.  A run hands each path to an optional ``report`` as it finishes, and
+``construct`` logs the recorded warnings from there; nothing here logs or
+prints.  ``_steer`` takes shortest ways by ``perm``'s walker; a search past
+its vertex budget fails the stage.
 
 A phase path stores its moves as runs (side, count): count moves in a row
 on one side, the unit ``_Walk.move`` applies in closed form.  The diagram
@@ -583,6 +584,7 @@ def extend_stage(
     k: int,
     schedule: Schedule,
     rng: Random,
+    report: Callable[[PhasePath], None] | None = None,
 ) -> StageTrace:
     """Stage ``k`` from the cumulative matrix ``cum`` at vertex ``current``.
 
@@ -593,6 +595,7 @@ def extend_stage(
     vertex the last phase ended at.  They draw from ``rng`` in that order,
     so a run is a fold of this function over one ``Random``, and a stage
     depends only on its parent's ``(cum, current)`` and the state of ``rng``.
+    ``report``, if given, gets each path as its generator returns it.
     """
     w = schedule.stage(k)
     table = [  # (name, phase, window, generator), in draw order
@@ -610,6 +613,8 @@ def extend_stage(
     checkpoints: dict[str, VisitationMatrix] = {"entry": cum}
     for name, phase, window, gen in table:
         path = gen(PathBuilder(rules[phase], current), window, rng)
+        if report is not None:
+            report(path)
         phases[name] = path
         cum = cum @ path.matrix
         current = path.end
@@ -628,9 +633,12 @@ def extend_stage(
     return StageTrace(k, phases, checkpoints, cum, stats)
 
 
-def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
+def run_construction(
+    d: int, schedule: Schedule, seed: int, report: Callable[[PhasePath], None] | None = None
+) -> ConstructionRun:
     """Fold ``extend_stage`` over all stages from the identity at pi_L, with
-    one ``Random(seed)``, and report the limiting vertex clusters."""
+    one ``Random(seed)`` and one ``report`` (each path, in draw order, those
+    of a failed stage too), and report the limiting vertex clusters."""
     if d < 4:
         raise UsageError("the construction needs d >= 4")
     rng = Random(seed)
@@ -638,15 +646,12 @@ def run_construction(d: int, schedule: Schedule, seed: int) -> ConstructionRun:
     stages: list[StageTrace] = []
     try:
         for k in range(1, schedule.stages + 1):
-            stages.append(extend_stage(cum, current, k, schedule, rng))
+            stages.append(extend_stage(cum, current, k, schedule, rng, report))
             cum, current = stages[-1].cumulative, stages[-1].end
     except (BudgetExceededError, StageError) as exc:
         raise StageError(
             f"stage {len(stages) + 1} failed: {exc}", partial=tuple(stages)
         ) from exc
-    except ScheduleOverflowError as exc:
-        exc.partial = tuple(stages)
-        raise
     limit = _extract_limit(cum, d)
     return ConstructionRun(d, schedule, seed, tuple(stages), limit)
 

@@ -52,10 +52,8 @@ class ScheduleOverflowError(ScheduleError):
 
     Raised by design when a schedule built from the unscaled exponent maps is
     asked for concrete numbers; such schedules exist for symbolic inspection
-    only.  Raised in a run, ``partial`` carries the stages it completed.
+    only.  It carries no stages: a run reports each phase as it finishes.
     """
-
-    partial = None
 
 
 class DegeneracyError(IetkitError):

@@ -412,6 +412,36 @@ def test_construct_logs_each_recorded_warning_once_and_estimate_dim_none(tmp_pat
     assert error.startswith("budget exceeded: 10^19.5 ")
 
 
+def test_construct_logs_the_failed_stage_warnings_before_its_failure(tmp_path):
+    # stage 2's freedom-LHS overshoots, then its restriction runs out of a
+    # budget of 40 moves; in a fresh interpreter, as above
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys\nimport ietkit.construction\n"
+            "ietkit.construction.PHASE_BUDGET = 40\n"
+            "from ietkit.cli import main\nsys.exit(main(sys.argv[1:]))")
+    failed = subprocess.run(
+        [sys.executable, "-c", code, "construct", "--d", "5", "--stages", "3",
+         "--seed", "0", "--out", "c"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert failed.returncode == EXIT_STAGE
+    assert failed.stderr == (
+        "freedom-LHS: norm 799 overshot window [10^2.45, 10^2.75]; widened\n"
+        "stage failure: stage 2 failed: restriction-LHS window unreachable "
+        "within budget\n"
+    )
+    assert json.loads((tmp_path / "c" / "construct_manifest.json").read_text()) == {
+        "command": "construct",
+        "config": {"d": 5, "k0": 1, "scale": "linear", "seed": 0, "stages": 3,
+                   "zeta": 32.0},
+        "error": "stage 2 failed: restriction-LHS window unreachable within budget",
+        "failed": True,
+        "stages_completed": 1,
+    }
+
+
 def test_construct_stops_at_the_first_overflowing_stage(tmp_path, capsys):
     # the schedule builds no window past stage 9, whatever --stages asks for
     code, _ = run(["construct", "--d", "4", "--stages", "9"], tmp_path, "nine")

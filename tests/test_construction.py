@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ import ietkit.construction as construction
 from ietkit.construction import (
     ExponentScale,
     FREEDOM_LHS,
+    FREEDOM_LHS_BRIDGE,
     FREEDOM_RHS,
     RESTRICTION_LHS,
     TRANSITION,
@@ -35,7 +37,7 @@ from ietkit.construction import (
     run_construction,
     validate_phase,
 )
-from ietkit.errors import ScheduleOverflowError, UsageError
+from ietkit.errors import ScheduleOverflowError, StageError, UsageError
 from ietkit.induction import VisitationMatrix, drive_path
 from ietkit.perm import (
     BOTTOM_WINS,
@@ -369,6 +371,30 @@ def test_every_phase_overshoot_is_logged():
     t = run_construction(4, schedule, seed=3).stages[0].phases["T"]
     norm = t.matrix.norm
     assert t.warnings == (f"transition: norm {norm} overshot window [10^0, 10^0]; widened",)
+
+
+def test_report_sees_every_phase_path_in_draw_order():
+    seen = []
+    schedule = make_schedule(1, ExponentScale.linear(), stages=3)
+    run = run_construction(5, schedule, seed=0, report=seen.append)
+    drawn = [p for st in run.stages for p in st.phases.values()]
+    assert len(seen) == len(drawn) and all(map(operator.is_, seen, drawn))
+
+
+def test_report_sees_the_phase_paths_of_a_failed_stage(monkeypatch):
+    # stage 2's freedom-LHS overshoots, then its restriction runs out of moves
+    monkeypatch.setattr(construction, "PHASE_BUDGET", 40)
+    seen = []
+    schedule = make_schedule(1, ExponentScale.linear(), stages=3)
+    with pytest.raises(StageError, match="stage 2 failed") as exc:
+        run_construction(5, schedule, seed=0, report=seen.append)
+    (first,) = exc.value.partial
+    assert seen[:len(first.phases)] == list(first.phases.values())
+    assert [p.phase for p in seen[len(first.phases):]] == [FREEDOM_LHS,
+                                                           FREEDOM_LHS_BRIDGE]
+    assert seen[-2].warnings == (
+        "freedom-LHS: norm 799 overshot window [10^2.45, 10^2.75]; widened",
+    )
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])

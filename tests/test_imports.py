@@ -9,9 +9,17 @@ without ``multiprocessing`` or ``concurrent.futures``.  The
 benchmark's tracer patches only the modules loaded by ``import ietkit.cli``,
 so that import must still load every module its ``TARGETS`` name.  Each check runs in a fresh interpreter, since this
 test process has long since imported numpy.
+
+The last checks read the source with ``ast`` instead: every function of
+``src/ietkit`` that imports numpy is listed in ``NUMPY_SITES``, and the
+check fails on an import of numpy anywhere else, a module-level one
+included, and on a listed site that no longer imports it.  The sites on
+the ``construct`` → ``estimate-dim`` path name the ROADMAP item that takes
+numpy out of them; the float verification suites keep numpy.
 """
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -24,6 +32,7 @@ import pytest
 import ietkit
 
 SRC = Path(ietkit.__file__).resolve().parents[1]
+PKG = SRC / "ietkit"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # a tiny run of each subcommand that computes no float
@@ -140,3 +149,72 @@ def test_cli_import_loads_every_tracer_module(tmp_path):
     spec.loader.exec_module(tracer)
     wanted = {module for module, _, _ in tracer.TARGETS.values()}
     assert wanted <= modules_after_cli_import(tmp_path)
+
+
+# (file, function) -> the ROADMAP item that takes numpy out of it, or None
+# for a float verification suite, which keeps it
+NUMPY_SITES = {
+    # the construct -> estimate-dim path
+    ("simplex_geometry.py", "PlaneFamily.chart"): 1,  # exact geometry
+    ("simplex_geometry.py", "Polygon2D.__init__"): 1,
+    ("simplex_geometry.py", "section"): 1,
+    ("analysis.py", "build_nested_family"): 20,  # exact base points
+    ("analysis.py", "_square"): 17,  # scale-free families and estimators
+    ("analysis.py", "frostman_measure"): 17,
+    ("analysis.py", "box_dimension"): 17,
+    ("cli.py", "cmd_estimate_dim"): 17,
+    # the float verification suites
+    ("analysis.py", "SubSimplex.vertex_matrix"): None,
+    ("analysis.py", "mc_jacobian_pushforward"): None,
+    ("analysis.py", "prob_decay_sim"): None,
+    ("simplex_geometry.py", "_clip_planes"): None,
+    ("simplex_geometry.py", "_polytope_halfspaces"): None,
+    ("simplex_geometry.py", "plane_section_concavity_test"): None,
+    ("symplectic.py", "reciprocal_pairing"): None,
+    ("cli.py", "_verify_concavity"): None,
+}
+
+
+def numpy_imports(tree: ast.Module) -> list[str]:
+    """The dotted name of the class or function around each import of
+    numpy in ``tree``, "<module>" at the top level; one entry per import."""
+    sites = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_numpy_is_imported_only_at_the_listed_sites():
+    found = sorted((path.name, site) for path in PKG.glob("*.py")
+                   for site in numpy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    unlisted = [site for site in found if site not in NUMPY_SITES]
+    gone = sorted(set(NUMPY_SITES) - set(found))
+    assert not unlisted, f"numpy imported at unlisted sites: {unlisted}"
+    assert not gone, f"listed sites that no longer import numpy: {gone}"
+    assert len(found) == len(NUMPY_SITES), f"a site imports numpy twice: {found}"
+
+
+def test_the_numpy_site_scan_sees_every_kind_of_import():
+    tree = ast.parse(
+        "import numpy\n"
+        "def f():\n    import numpy.linalg as la\n"
+        "class C:\n    def m(self):\n        from numpy import dot\n"
+        "    def n(self):\n        def inner():\n            from numpy.random import default_rng\n"
+        "def g():\n    import numpyx, json\n    from . import numpy\n"
+    )
+    assert numpy_imports(tree) == ["<module>", "f", "C.m", "C.n.inner"]

@@ -1,9 +1,15 @@
 """Monte Carlo checks, Birkhoff averages, nested plane sections, dimensions.
 
-Everything here is measurement, not proof: reports carry an estimate, a
-standard error, and a fixed 3-sigma verdict.  Exact rational arithmetic is
-used wherever a downstream check needs identities to hold on the nose
-(orbits, Keane scans, balance scans); floats everywhere else.
+Everything here is measurement, not proof: a check reports an estimate, a
+standard error and a verdict, CONSISTENT, INCONCLUSIVE or VIOLATED.
+``_verdict`` alone compares an estimate with its bound: VIOLATED when the
+estimate less 3 standard errors is above it (two-sided: more than 3 from
+it), INCONCLUSIVE when the standard error is not finite, as for a fraction
+of no trials (``_binomial_report``, NaN estimate), else CONSISTENT.  The
+balance check decides by the 95% upper bound of its decay fit instead.
+Exact rational arithmetic is used wherever a downstream check needs
+identities to hold on the nose (orbits, Keane scans, balance scans);
+floats everywhere else.
 """
 from __future__ import annotations
 
@@ -328,12 +334,8 @@ def prob_decay_sim(
         tau_hat = math.exp(slope)
     else:
         tau_hat = 0.0
-    est = probs[-1]
-    se = _binomial_se(est, samples)
-    two_sided = dependence == "independent"
-    rep = McReport(
-        est, se, samples, seed, bounds[-1], _verdict(est, se, bounds[-1], two_sided)
-    )
+    rep = _binomial_report(int(prefix_fail[:, -1].sum()), samples, seed, bounds[-1],
+                           two_sided=dependence == "independent")
     return ProbDecayReport(rep, probs, bounds, tau_hat)
 
 

@@ -13,7 +13,12 @@ error ("error: <Type>: ..."); 2 budget exceeded ("budget exceeded: ...");
 construction stage failed ("stage failure: ..."); 5 a verification verdict
 was "violated".  A subcommand returns 0 or 5, or raises: ``main`` is the
 one way out of a failure, printing its one stderr line, never a traceback,
-and picking the exit code.
+and picking the exit code.  A ``verify`` suite returns its report and one
+verdict, ``analysis.CONSISTENT``, ``INCONCLUSIVE`` or ``VIOLATED``, a suite
+of several cases the worst of theirs (``_worst``; none is inconclusive),
+and ``cmd_verify`` alone sets the report's ``violated``, adds
+``"verdict": "inconclusive"`` when inconclusive, prints ``ok``,
+``inconclusive`` or ``VIOLATED`` and exits 5 only on VIOLATED.
 
 A job runs through ``console_main``, the entry of both ``ietkit`` and
 ``python -m ietkit.cli``.  It first defaults ``OPENBLAS_NUM_THREADS`` to 1,
@@ -42,6 +47,7 @@ from random import Random
 from typing import Callable, NoReturn
 
 from .analysis import (
+    CONSISTENT,
     INCONCLUSIVE,
     VIOLATED,
     box_dimension,
@@ -472,35 +478,35 @@ def _random_path(pi: LabeledPermutation, rng: Random, n: int):
     return drive_path(pi, [rng.choice([TOP_WINS, BOTTOM_WINS]) for _ in range(n)])
 
 
-def _verify_symplectic(args, rng: Random) -> dict:
+def _worst(verdicts) -> str:
+    """The verdict of a suite of cases: VIOLATED if any case is, else
+    INCONCLUSIVE if any is or there is none, else CONSISTENT."""
+    return max(verdicts, key=(CONSISTENT, INCONCLUSIVE, VIOLATED).index,
+               default=INCONCLUSIVE)
+
+
+def _verify_symplectic(args, rng: Random) -> tuple[dict, str]:
     graph = hyperelliptic_class(args.d)
-    violations = 0
+    verdicts = []
     for _ in range(args.paths):
         pi = graph.vertices[rng.randrange(len(graph.vertices))]
         M, pi_end, _ = _random_path(pi, rng, rng.randrange(1, 31))
-        if not verify_invariance(M, pi, pi_end):
-            violations += 1
-    return _path_report(args.paths, violations)
+        verdicts.append(CONSISTENT if verify_invariance(M, pi, pi_end) else VIOLATED)
+    return {"paths": args.paths, "violations": verdicts.count(VIOLATED)}, _worst(verdicts)
 
 
-def _verify_volume(args, rng: Random) -> dict:
-    violations = 0
+def _verify_volume(args, rng: Random) -> tuple[dict, str]:
+    verdicts = []
     pi0 = hyperelliptic_permutation(args.d)
     for _ in range(args.paths):
         M, _, _ = _random_path(pi0, rng, rng.randrange(1, 21))
         formula = simplex_volume_ratio(M, VisitationMatrix.identity(M.d))
-        if formula != normalized_det([M.column(j) for j in range(1, M.d + 1)]):
-            violations += 1
-    return _path_report(args.paths, violations)
+        exact = normalized_det([M.column(j) for j in range(1, M.d + 1)])
+        verdicts.append(CONSISTENT if formula == exact else VIOLATED)
+    return {"paths": args.paths, "violations": verdicts.count(VIOLATED)}, _worst(verdicts)
 
 
-def _path_report(paths: int, violations: int) -> dict:
-    """The report of a suite over random paths; no path checks nothing."""
-    report = {"paths": paths, "violations": violations, "violated": violations > 0}
-    return {**report, "verdict": INCONCLUSIVE} if paths == 0 else report
-
-
-def _verify_jacobian(args, rng: Random) -> dict:
+def _verify_jacobian(args, rng: Random) -> tuple[dict, str]:
     M, _, _ = _random_path(hyperelliptic_permutation(args.d), rng, 10)
     rep = mc_jacobian_pushforward(M, half_simplex(args.d), args.samples, args.seed)
     return {
@@ -508,13 +514,11 @@ def _verify_jacobian(args, rng: Random) -> dict:
         "predicted": rep.claim_bound,
         "stderr": rep.stderr,
         "verdict": rep.verdict,
-        "violated": rep.verdict == VIOLATED,
-    }
+    }, rep.verdict
 
 
-def _verify_probdecay(args, rng: Random) -> dict:
+def _verify_probdecay(args, rng: Random) -> tuple[dict, str]:
     out = {}
-    violated = False
     for dep in ("independent", "adversarial-markov"):
         rep = prob_decay_sim(0.3, dep, N=60, samples=args.samples, seed=args.seed)
         out[dep] = {
@@ -523,51 +527,39 @@ def _verify_probdecay(args, rng: Random) -> dict:
             "window_probs": list(rep.window_probs),
             "window_bounds": list(rep.window_bounds),
         }
-        violated = violated or rep.report.verdict == VIOLATED
-    out["violated"] = violated
-    return out
+    return out, _worst(case["verdict"] for case in out.values())
 
 
-def _verify_concavity(args, rng: Random) -> dict:
+def _verify_concavity(args, rng: Random) -> tuple[dict, str]:
     if args.samples == 0:  # no plane sampled, no case judged
-        return {"cases": [], "verdict": INCONCLUSIVE, "violated": False}
+        return {"cases": []}, INCONCLUSIVE
     import numpy as np
 
-    results = []
-    violated = False
-    frac, bound, ok = plane_section_concavity_test(
-        {"ball": 1.0, "dim": 4}, np.eye(4)[:2], 1e-2, args.samples, seed=args.seed
-    )
-    results.append({"body": "ball", "eps": 1e-2, "fraction": frac,
-                    "bound": bound, "pass": ok})
-    violated = violated or not ok
     nrng = np.random.default_rng(args.seed)
+    cases = [("ball", {"ball": 1.0, "dim": 4}, 1e-2, args.samples, args.seed)]
     for eps in (1e-2, 1e-4):
         for trial in range(5):
-            verts = nrng.standard_normal((12, 4))
-            frac, bound, ok = plane_section_concavity_test(
-                verts, np.eye(4)[:2], eps, max(args.samples // 10, 100),
-                seed=args.seed + trial,
-            )
-            results.append({"body": f"polytope-{trial}", "eps": eps,
-                            "fraction": frac, "bound": bound, "pass": ok})
-            violated = violated or not ok
-    return {"cases": results, "violated": violated}
+            cases.append((f"polytope-{trial}", nrng.standard_normal((12, 4)), eps,
+                          max(args.samples // 10, 100), args.seed + trial))
+    results, verdicts = [], []
+    for name, body, eps, samples, seed in cases:
+        rep = plane_section_concavity_test(body, np.eye(4)[:2], eps, samples, seed=seed)
+        results.append({"body": name, "eps": eps, "fraction": rep.estimate,
+                        "bound": rep.claim_bound, "pass": rep.verdict != VIOLATED})
+        verdicts.append(rep.verdict)
+    return {"cases": results}, _worst(verdicts)
 
 
-def _verify_balance(args, rng: Random) -> dict:
+def _verify_balance(args, rng: Random) -> tuple[dict, str]:
     rep = mc_balance(
         hyperelliptic_permutation(args.d), zeta=20.0, K=4.0, m=8,
         samples=args.samples, seed=args.seed,
     )
-    doc = {
+    return {
         "fractions": list(rep.fractions),
         "sigma_hat": rep.sigma_hat,
         "sigma_ci_upper": rep.sigma_ci_upper,
-    }
-    if rep.report.verdict == INCONCLUSIVE:  # no samples, or no decay to fit
-        return {**doc, "verdict": INCONCLUSIVE, "violated": False}
-    return {**doc, "violated": rep.report.verdict == VIOLATED}
+    }, rep.report.verdict
 
 
 _SUITES = {
@@ -579,11 +571,16 @@ _SUITES = {
     "balance": _verify_balance,
 }
 
+_STATUS = {CONSISTENT: "ok", INCONCLUSIVE: "inconclusive", VIOLATED: "VIOLATED"}
+
 
 def cmd_verify(args) -> int:
     out = Path(args.out)
     rng = Random(args.seed)
-    report = _SUITES[args.suite](args, rng)
+    report, verdict = _SUITES[args.suite](args, rng)
+    report["violated"] = verdict == VIOLATED
+    if verdict == INCONCLUSIVE:
+        report["verdict"] = INCONCLUSIVE
     doc = {
         "suite": args.suite,
         "config": {
@@ -597,12 +594,8 @@ def cmd_verify(args) -> int:
     report_file = f"verify_{args.suite}.json"
     _dump_json(doc, _out_file(out, report_file))
     _write_manifest(out, f"verify_{args.suite}", doc["config"], [report_file])
-    parts = [report, *(v for v in report.values() if isinstance(v, dict))]
-    status = "VIOLATED" if report.get("violated") else "ok"
-    if status == "ok" and any(p.get("verdict") == INCONCLUSIVE for p in parts):
-        status = "inconclusive"
-    print(f"verify {args.suite}: {status}")
-    return EXIT_VIOLATED if report.get("violated") else EXIT_OK
+    print(f"verify {args.suite}: {_STATUS[verdict]}")
+    return EXIT_VIOLATED if verdict == VIOLATED else EXIT_OK
 
 
 def _read_manifest(path: Path) -> dict:

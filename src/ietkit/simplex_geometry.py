@@ -354,16 +354,22 @@ def plane_section_concavity_test(
     eps: float,
     samples: int,
     seed: int = 0,
-) -> tuple[float, float, bool]:
+) -> McReport:
     """Fraction of parallel-plane sections with area below eps * max area.
 
     ``body`` is a ball, {"ball": R, "dim": n}, or the (k, n) vertices of a
     polytope.  ``directions`` is a 2 x n array spanning the plane;
     translates are sampled uniformly over the bounding box of the body's
-    projection onto the orthocomplement.  Returns (fraction, bound, fraction <= bound) with
-    bound = CONCAVITY_CONSTANT * sqrt(eps).
+    projection onto the orthocomplement.  The report is
+    ``analysis._binomial_report`` over the planes that meet the body, with
+    claim_bound = CONCAVITY_CONSTANT * sqrt(eps): its estimate is the
+    fraction, its samples the planes that met the body, and its verdict the
+    3-sigma rule of every Monte Carlo check.  When no sampled plane meets
+    the body the estimate is NaN and the verdict inconclusive.
     """
     import numpy as np
+
+    from .analysis import _binomial_report  # analysis imports this module
 
     if not 0 < eps <= 1:
         raise UsageError("eps must be in (0, 1]")
@@ -393,10 +399,7 @@ def plane_section_concavity_test(
             _clip_planes(-(A @ chart.T), b - points[k : k + step] @ A.T)[2]
             for k in range(0, samples, step)
         ])
-    hit = areas > 0
-    if not hit.any():
-        raise DegeneracyError("no sampled plane met the body")
-    a_max = areas.max()
-    fraction = float((areas[hit] < eps * a_max).mean())
+    hit = areas[areas > 0]
+    small = int(np.count_nonzero(hit < eps * hit.max(initial=0.0)))
     bound = CONCAVITY_CONSTANT * float(np.sqrt(eps))
-    return fraction, bound, fraction <= bound
+    return _binomial_report(small, len(hit), seed, bound)

@@ -288,9 +288,9 @@ def test_criterion_11_dimension_calibration():
 
 
 def test_criterion_12_section_concavity():
-    frac, _, _ = plane_section_concavity_test(
+    frac = plane_section_concavity_test(
         {"ball": 1.0, "dim": 4}, np.eye(4)[:2], 1e-2, 10**5, seed=0
-    )
+    ).estimate
     # analytic fraction for the ball is exactly eps; binomial 3-sigma band
     n_hit = 10**5 * math.pi / 4
     sigma = math.sqrt(0.01 * 0.99 / n_hit)
@@ -301,9 +301,10 @@ def test_criterion_12_section_concavity():
     for trial in range(50):
         verts = rng.standard_normal((12, 4))
         for eps in (1e-2, 1e-4):
-            f, _, ok = plane_section_concavity_test(
+            rep = plane_section_concavity_test(
                 verts, np.eye(4)[:2], eps, 400, seed=trial
             )
+            f, ok = rep.estimate, rep.estimate <= rep.claim_bound
             ratios.append(f / math.sqrt(eps))
             all_pass = all_pass and ok
     single_constant = max(ratios) <= 4.0

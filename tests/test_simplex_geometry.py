@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ietkit import _rational, simplex_geometry
-from ietkit.analysis import stage_one_planes
+from ietkit.analysis import CONSISTENT, INCONCLUSIVE, VIOLATED, stage_one_planes
 from ietkit.construction import ExponentScale, make_schedule, run_construction
 from ietkit.errors import DegeneracyError
 from ietkit.induction import BOTTOM_WINS, TOP_WINS, VisitationMatrix, drive_path
@@ -388,9 +388,11 @@ def test_polytope_halfspaces_are_the_qhull_facets(n, npoints, seed):
 
 
 def test_concavity_ball_closed_form():
-    frac, bound, ok = plane_section_concavity_test(
+    rep = plane_section_concavity_test(
         {"ball": 1.0, "dim": 4}, np.eye(4)[:2], 1e-2, 20000, seed=0
     )
+    frac, bound = rep.estimate, rep.claim_bound
+    ok = frac <= bound
     assert ok
     assert frac <= bound
     # analytic: sections of a 4-ball have area pi (1 - r^2); the fraction of
@@ -403,10 +405,44 @@ def test_concavity_polytope_bound():
     rng = np.random.default_rng(1)
     verts = rng.standard_normal((12, 4))
     for eps in (1e-2, 1e-4):
-        frac, bound, ok = plane_section_concavity_test(
+        rep = plane_section_concavity_test(
             verts, np.eye(4)[:2], eps, 2000, seed=2
         )
+        frac, bound = rep.estimate, rep.claim_bound
+        ok = frac <= bound
         assert ok, f"fraction {frac} exceeded bound {bound} at eps {eps}"
+
+
+def test_concavity_below_a_planted_bound_is_violated(monkeypatch):
+    # the ball's fraction is about eps = 0.01, far above a bound of 0.001
+    monkeypatch.setattr(simplex_geometry, "CONCAVITY_CONSTANT", 0.01)
+    rep = plane_section_concavity_test(
+        {"ball": 1.0, "dim": 4}, np.eye(4)[:2], 1e-2, 20000, seed=0
+    )
+    assert rep.claim_bound == pytest.approx(0.001)
+    assert rep.verdict == VIOLATED
+
+
+def test_concavity_with_no_plane_in_the_body_is_inconclusive():
+    # seed 8's one offset lies outside the unit disc: its plane misses the ball
+    rep = plane_section_concavity_test(
+        {"ball": 1.0, "dim": 4}, np.eye(4)[:2], 1e-2, 1, seed=8
+    )
+    assert rep.samples == 0
+    assert math.isnan(rep.estimate)
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_concavity_allows_for_its_sampling_error():
+    """3 small sections of 74 is 0.0405 against a bound of 0.04, within
+    three standard errors: ``verify concavity --samples 1000 --seed 428225``
+    read this case as violated while it compared the fraction alone."""
+    rng = np.random.default_rng(428225)
+    verts = [rng.standard_normal((12, 4)) for _ in range(7)][-1]
+    rep = plane_section_concavity_test(verts, np.eye(4)[:2], 1e-4, 100, seed=428226)
+    assert (round(rep.estimate * rep.samples), rep.samples) == (3, 74)
+    assert rep.estimate > rep.claim_bound == pytest.approx(0.04)
+    assert rep.verdict == CONSISTENT
 
 
 def test_clip_halfplanes_merges_repeated_vertices():

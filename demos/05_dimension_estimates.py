@@ -14,7 +14,6 @@ from ietkit.analysis import (
     build_nested_family,
     cantor_product_family,
     frostman_measure,
-    stage_one_planes,
 )
 from ietkit.construction import ExponentScale, make_schedule, run_construction
 
@@ -39,7 +38,7 @@ def main() -> None:
     print("\nnested plane-section families from a 3-stage construction:")
     schedule = make_schedule(1, ExponentScale.linear(), stages=3)
     run = run_construction(4, schedule, seed=11)
-    families = build_nested_family(run, stage_one_planes(run), planes=3, seed=3)
+    families = build_nested_family(run, planes=3, seed=3)
     for idx, nf in enumerate(families):
         fro = frostman_measure(nf)
         areas = [sum(p.area for p in lev) for lev in nf.levels]

@@ -64,10 +64,13 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _binomial_report(hits: int, n: int, seed: int, bound: float, two_sided=False) -> McReport:
+    """The report of ``hits`` in ``n`` trials, judged by ``_verdict``; no
+    trials give a NaN estimate and an infinite standard error."""
     if n == 0:
-        return McReport(float("nan"), float("inf"), 0, seed, bound, INCONCLUSIVE)
-    p = hits / n
-    se = _binomial_se(p, n)
+        p, se = math.nan, math.inf
+    else:
+        p = hits / n
+        se = _binomial_se(p, n)
     return McReport(p, se, n, seed, bound, _verdict(p, se, bound, two_sided))
 
 
@@ -541,11 +544,11 @@ def stage_one_planes(run: ConstructionRun) -> PlaneFamily:
 
 def build_nested_family(
     run: ConstructionRun,
-    family: PlaneFamily,
     planes: int,
     seed: int = 0,
 ) -> list[NestedFamily]:
-    """Per-plane chains of stage-simplex sections.
+    """Per-plane chains of stage-simplex sections, on planes of the run's
+    ``stage_one_planes`` family.
 
     Base points are sampled inside the deepest stage's simplex; each stage's
     cumulative simplex is sliced by the same plane, giving a single nested
@@ -559,6 +562,7 @@ def build_nested_family(
     if len(run.stages) < 2:
         raise UsageError("need a run with at least two stages")
     rng = np.random.default_rng(seed)
+    family = stage_one_planes(run)
     d = run.d
     # base points inside the deepest simplex, so the plane meets every level;
     # exact rationals, because float rounding already exceeds that simplex's

@@ -1,10 +1,18 @@
 """Batch command-line frontend with reproducible manifests.
 
 Every subcommand writes a JSON manifest echoing its fully resolved
-configuration next to its data files.  Output is deterministic given the
-flag set: keys are sorted, no timestamps are recorded, rationals are
-serialized as "p/q" strings and big integers as decimal strings, so
-repeated runs produce byte-identical files.
+configuration next to its data files.  ``build_parser`` reads every
+count flag (``_count``), path (``Path``) and radius grid (``_parse_radii``)
+and checks each pair of alternatives (a required mutually exclusive
+group), so no subcommand reads that text again; the specs, permutations,
+lengths, stop rules and scales, stay text, as the manifests echo them.
+``_config`` builds every manifest's config from what was parsed: each
+option but ``--out`` and ``verify``'s suite, with the values a job
+resolves passed in.
+Output is deterministic given the flag set: keys are sorted, no
+timestamps are recorded, rationals are serialized as "p/q" strings and
+big integers as decimal strings, so repeated runs produce byte-identical
+files.
 
 Exit codes: 0 success, an inconclusive verification included; 1 a usage
 error, argparse's own included ("usage error: ..."), or any other package
@@ -44,7 +52,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from .analysis import (
     CONSISTENT,
@@ -58,7 +66,6 @@ from .analysis import (
     mc_balance,
     mc_jacobian_pushforward,
     prob_decay_sim,
-    stage_one_planes,
 )
 from .construction import (
     ZETA,
@@ -129,6 +136,16 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
     return path
 
 
+def _config(args, **resolved) -> dict:
+    """The config every manifest echoes: each option the subcommand parsed,
+    under its dest, but ``--out`` and ``verify``'s suite, which has its own
+    field; a value the job resolves, given in ``resolved``, replaces the
+    parsed one."""
+    parsed = {name: value for name, value in vars(args).items()
+              if name not in ("command", "func", "out", "suite")}
+    return {**parsed, **resolved}
+
+
 def _frs(x) -> str:
     return str(Fraction(x))
 
@@ -166,8 +183,9 @@ def _parse_lengths(spec: str) -> tuple[Fraction, ...]:
 
 
 def _parse_radii(spec: str) -> list[float]:
-    """Comma-separated box sizes: positive floats whose size and reciprocal
-    are both finite, so each has a finite log scale."""
+    """The argparse type of ``--r-grid``, comma-separated box sizes:
+    positive floats whose size and reciprocal are both finite, so each has a
+    finite log scale.  An empty grid is refused too."""
     try:
         radii = [float(x) for x in spec.split(",")]
     except ValueError as exc:
@@ -222,31 +240,23 @@ def _parse_scale(spec: str) -> ExponentScale:
     raise UsageError(f"unknown scale spec {spec!r}")
 
 
-def _whole(text: str) -> int:
-    """A whole number in decimal or scientific notation, read exactly:
-    ``2000``, ``1e5`` and ``1.5e3``, not ``2.7``; up to the float range, so
-    a huge exponent builds no huge integer."""
+def _count(text: str) -> int:
+    """The argparse type of every count flag: a non-negative whole number in
+    decimal or scientific notation, read exactly: ``2000``, ``1e5`` and
+    ``1.5e3``, not ``2.7`` or ``-1``; up to the float range, so a huge
+    exponent builds no huge integer.  Its errors are argparse's, so the
+    stderr line names the flag."""
     try:
         x = Decimal(text)
     except InvalidOperation:
-        raise UsageError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not x.is_finite() or x != x.to_integral_value():
-        raise UsageError(f"count must be a whole number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"count must be a whole number, got {text!r}")
     if abs(x) > sys.float_info.max:
-        raise UsageError(f"count out of range: {text!r}")
+        raise argparse.ArgumentTypeError(f"count out of range: {text!r}")
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"count must be non-negative, got {text!r}")
     return int(x)
-
-
-def _count(parse: Callable[[str], int]) -> Callable[[str], int]:
-    """An argparse type: a count read by ``parse``, refused when negative."""
-
-    def count(text: str) -> int:
-        n = parse(text)
-        if n < 0:
-            raise UsageError(f"count must be non-negative, got {text!r}")
-        return n
-
-    return count
 
 
 def _out_file(out: Path, name: str) -> Path:
@@ -285,7 +295,6 @@ def cmd_classes(args) -> int:
     """Write the class as ``json.dumps(..., indent=2)`` writes
     ``graph.to_doc()`` with the summary added, one template per edge and
     per vertex; the degrees are counted on the way."""
-    out = Path(args.out)
     spec = f"hyperelliptic:{args.d}" if args.seed_perm is None else args.seed_perm
     seed_pi = _parse_perm(spec)
     graph = rauzy_class(seed_pi, vertex_budget=args.budget)
@@ -316,7 +325,7 @@ def cmd_classes(args) -> int:
         for v in graph.vertices
     ]
     graph_file = f"classes_d{d}.json"
-    _out_file(out, graph_file).write_text(
+    _out_file(args.out, graph_file).write_text(
         '{\n  "edges": [\n' + ",\n".join(edges)
         + f'\n  ],\n  "seed": {index[seed_pi]},\n  "summary": '
         + json.dumps(summary, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -324,20 +333,14 @@ def cmd_classes(args) -> int:
         encoding="utf-8",
     )
     _write_manifest(
-        out,
-        "classes",
-        {"seed_perm": spec, "budget": args.budget, "d": d},
-        [graph_file],
+        args.out, "classes", _config(args, seed_perm=spec, d=d), [graph_file]
     )
     print(f"class of {spec}: {n} vertices, {len(edges)} edges")
     return EXIT_OK
 
 
 def cmd_induct(args) -> int:
-    out = Path(args.out)
     T = Iet.make(_parse_lengths(args.lengths), _parse_perm(args.perm))
-    if (args.steps is None) == (args.until is None):
-        raise UsageError("give exactly one of --steps / --until")
     try:
         if args.steps is not None:
             trace = induct(T, args.steps)
@@ -345,23 +348,17 @@ def cmd_induct(args) -> int:
             stop = _parse_until(args.until, T.perm.d)
             trace = induct_until(T, stop, step_budget=args.budget)
     except InductionUndefinedError as exc:  # main reports it; the trace records it
-        _out_file(out, "induct_trace.json").write_text(
+        _out_file(args.out, "induct_trace.json").write_text(
             exc.partial.to_json() + "\n", encoding="utf-8"
         )
         raise
-    _out_file(out, "induct_trace.json").write_text(
+    _out_file(args.out, "induct_trace.json").write_text(
         trace.to_json() + "\n", encoding="utf-8"
     )
     _write_manifest(
-        out,
+        args.out,
         "induct",
-        {
-            "lengths": [_frs(x) for x in T.lengths],
-            "perm": args.perm,
-            "steps": args.steps,
-            "until": args.until,
-            "budget": args.budget,
-        },
+        _config(args, lengths=[_frs(x) for x in T.lengths]),
         ["induct_trace.json"],
     )
     M = trace.matrix
@@ -373,8 +370,8 @@ def cmd_induct(args) -> int:
 
 
 # the config fields of each manifest command that ``estimate-dim`` reads,
-# with the types they are written as; ``construct`` writes its options
-# under these names
+# with the types they are written as; ``construct``'s config, its parsed
+# options, has exactly these names (tests/test_cli.py ties them to the parser)
 _MANIFEST_FIELDS = {
     "construct": {"d": (int,), "k0": (int,), "stages": (int,), "seed": (int,),
                   "zeta": (int, float), "scale": (str,)},
@@ -442,18 +439,17 @@ def _report_warnings(path) -> None:
 
 
 def cmd_construct(args) -> int:
-    out = Path(args.out)
-    config = {name: getattr(args, name) for name in _MANIFEST_FIELDS["construct"]}
+    config = _config(args)
     try:
         run = _run_from_config(config, _report_warnings)
     except StageError as exc:  # main reports it; the manifest records it
         doc = _construct_manifest_doc(config, exc.partial, None)
         doc["error"] = str(exc)
-        _dump_json(doc, _out_file(out, "construct_manifest.json"))
+        _dump_json(doc, _out_file(args.out, "construct_manifest.json"))
         raise
     doc = _construct_manifest_doc(config, run.stages, run)
-    _dump_json(doc, _out_file(out, "construct_manifest.json"))
-    with _out_file(out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:
+    _dump_json(doc, _out_file(args.out, "construct_manifest.json"))
+    with _out_file(args.out, "stages.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)  # writes a float as its repr
         writer.writerow(_STAGE_COLUMNS)
         for st in doc["stages"]:
@@ -575,25 +571,15 @@ _STATUS = {CONSISTENT: "ok", INCONCLUSIVE: "inconclusive", VIOLATED: "VIOLATED"}
 
 
 def cmd_verify(args) -> int:
-    out = Path(args.out)
     rng = Random(args.seed)
     report, verdict = _SUITES[args.suite](args, rng)
     report["violated"] = verdict == VIOLATED
     if verdict == INCONCLUSIVE:
         report["verdict"] = INCONCLUSIVE
-    doc = {
-        "suite": args.suite,
-        "config": {
-            "d": args.d,
-            "paths": args.paths,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        "report": report,
-    }
+    doc = {"suite": args.suite, "config": _config(args), "report": report}
     report_file = f"verify_{args.suite}.json"
-    _dump_json(doc, _out_file(out, report_file))
-    _write_manifest(out, f"verify_{args.suite}", doc["config"], [report_file])
+    _dump_json(doc, _out_file(args.out, report_file))
+    _write_manifest(args.out, f"verify_{args.suite}", doc["config"], [report_file])
     print(f"verify {args.suite}: {_STATUS[verdict]}")
     return EXIT_VIOLATED if verdict == VIOLATED else EXIT_OK
 
@@ -633,25 +619,20 @@ def _read_manifest(path: Path) -> dict:
 def cmd_estimate_dim(args) -> int:
     import numpy as np
 
-    r_grid = _parse_radii(args.r_grid) if args.r_grid else None
-    out = Path(args.out)
-    manifest_path = Path(args.manifest)
-    manifest = _read_manifest(manifest_path)
+    manifest = _read_manifest(args.manifest)
     rows = []
-    doc: dict = {"config": {"manifest": str(manifest_path), "planes": args.planes}}
+    doc: dict = {"config": _config(args, manifest=str(args.manifest))}
     if manifest["command"] == "synthetic-cantor":
         families = [cantor_product_family(manifest["config"]["levels"])]
     else:
         run = _run_from_config(manifest["config"])
-        families = build_nested_family(
-            run, stage_one_planes(run), planes=args.planes, seed=args.seed
-        )
+        families = build_nested_family(run, planes=args.planes, seed=args.seed)
     reports = []
     for idx, nf in enumerate(families):
         fro = frostman_measure(nf)
         pts = np.array([p.centroid for p in nf.levels[-1]])
         try:
-            fit = box_dimension(pts, r_grid or list(fro.radii))
+            fit = box_dimension(pts, args.r_grid or list(fro.radii))
             box_est = fit.estimate
         except IetkitError:
             box_est = None
@@ -669,13 +650,13 @@ def cmd_estimate_dim(args) -> int:
         for r, m in zip(fro.radii, fro.masses):
             rows.append([idx, repr(r), repr(m), ""])
     doc["families"] = reports
-    _dump_json(doc, _out_file(out, "estimate_dim.json"))
-    with _out_file(out, "dim_fit.csv").open("w", newline="", encoding="utf-8") as fh:
+    _dump_json(doc, _out_file(args.out, "estimate_dim.json"))
+    with _out_file(args.out, "dim_fit.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["plane", "r", "ball_mass", "note"])
         writer.writerows(rows)
     _write_manifest(
-        out, "estimate_dim", doc["config"], ["estimate_dim.json", "dim_fit.csv"]
+        args.out, "estimate_dim", doc["config"], ["estimate_dim.json", "dim_fit.csv"]
     )
     for rep in reports:
         print(
@@ -709,18 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
     seed = p.add_mutually_exclusive_group(required=True)
     seed.add_argument("--d", type=int, help="shorthand for --seed-perm hyperelliptic:D")
     seed.add_argument("--seed-perm", help="seed permutation spec")
-    p.add_argument("--budget", type=_count(int), default=VERTEX_BUDGET)
-    p.add_argument("--out", default=".")
+    p.add_argument("--budget", type=_count, default=VERTEX_BUDGET)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("induct", help="run exact Rauzy-Veech induction")
     p.add_argument("--lengths", required=True, help='e.g. "2/3,1/3"')
     p.add_argument("--perm", required=True, help='e.g. "s2" or "1,2/2,1"')
-    p.add_argument("--steps", type=_count(int), default=None)
-    p.add_argument("--until", default=None,
-                   help="balanced:Z | norm:N | positive | perm:SPEC")
-    p.add_argument("--budget", type=_count(int), default=STEP_BUDGET)
-    p.add_argument("--out", default=".")
+    stop = p.add_mutually_exclusive_group(required=True)
+    stop.add_argument("--steps", type=_count)
+    stop.add_argument("--until", help="balanced:Z | norm:N | positive | perm:SPEC")
+    p.add_argument("--budget", type=_count, default=STEP_BUDGET)
     p.set_defaults(func=cmd_induct)
 
     p = sub.add_parser("construct", help="run a staged construction")
@@ -731,28 +710,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zeta", type=float, default=ZETA)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(_SUITES), metavar="suite",
                    help="|".join(sorted(_SUITES)))
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--paths", type=_count(int), default=1000)
-    p.add_argument("--samples", type=_count(_whole),
-                   default=10**5)
+    p.add_argument("--paths", type=_count, default=1000)
+    p.add_argument("--samples", type=_count, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate-dim", help="dimension estimates from a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--planes", type=_count(int), default=5)
-    p.add_argument("--r-grid", default=None, help="comma-separated radii")
+    p.add_argument("--manifest", type=Path, required=True)
+    p.add_argument("--planes", type=_count, default=5)
+    p.add_argument("--r-grid", type=_parse_radii, help="comma-separated radii")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_estimate_dim)
 
+    for p in sub.choices.values():  # every subcommand writes into --out
+        p.add_argument("--out", type=Path, default=Path("."))
     return parser
 
 

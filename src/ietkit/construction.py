@@ -773,9 +773,8 @@ def check_size_recursions(run: ConstructionRun) -> list[SizeReport]:
     Upper: U_k <= (U_{k-1} |A'_{k-1}| |T_{k-1}| + V_{k-1}) |A_k|; the lower
     analog replaces the symbolic balance constants by the measured balance
     ratios of the same matrices, so it is a slack report, not a theorem.
+    A run of fewer than two stages has no recursion to report.
     """
-    if len(run.stages) < 2:
-        return []
     d = run.d
     out = []
     for prev, st in zip(run.stages, run.stages[1:]):

@@ -181,8 +181,10 @@ def reciprocal_pairing(
 ) -> PairingReport:
     """Singular values of the cocycle restricted to the form's image.
 
-    Greedy pairing: repeatedly match the largest unpaired value with the
-    value closest to its reciprocal, and report max |a * a_paired - 1|.
+    The restricted matrix has even size, since ``darboux_basis`` returns
+    (u, v) pairs.  Greedy pairing: repeatedly match the largest unpaired
+    value with the value closest to its reciprocal, and report
+    max |a * a_paired - 1|.
     Small singular values are recovered as reciprocals of the large singular
     values of the exact inverse, which keeps their relative accuracy.
     """
@@ -203,7 +205,7 @@ def reciprocal_pairing(
     )
     # top half from S, bottom half from 1/svd(S^{-1}), both relatively accurate
     merged = sorted(
-        list(svals[: (n + 1) // 2]) + [1.0 / v for v in inv_vals[: n // 2]],
+        list(svals[: n // 2]) + [1.0 / v for v in inv_vals[: n // 2]],
         reverse=True,
     )
     values = tuple(merged)
@@ -212,10 +214,6 @@ def reciprocal_pairing(
     defect = 0.0
     while unpaired:
         i = unpaired.pop(0)
-        if not unpaired:
-            pairs.append((i, i))  # middle value of an odd count pairs with itself
-            defect = max(defect, abs(values[i] * values[i] - 1.0))
-            break
         j = min(unpaired, key=lambda k: abs(values[k] - 1.0 / values[i]))
         unpaired.remove(j)
         pairs.append((i, j))

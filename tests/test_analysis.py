@@ -382,8 +382,8 @@ def test_cantor_product_family_shape():
     assert r_max == sorted(r_max, reverse=True)
 
 
-def test_build_nested_family_nests(reference_run, reference_planes):
-    families = build_nested_family(reference_run, reference_planes, planes=3, seed=3)
+def test_build_nested_family_nests(reference_run):
+    families = build_nested_family(reference_run, planes=3, seed=3)
     assert len(families) == 3
     for nf in families:
         assert nf.depth == 3
@@ -487,8 +487,8 @@ def test_batched_fits_match_a_per_radius_loop_on_cantor(monkeypatch, levels, ele
     assert_fits_match_per_radius(cantor_product_family(levels))
 
 
-def test_batched_fits_match_a_per_radius_loop_on_a_chain(reference_run, reference_planes):
-    families = build_nested_family(reference_run, reference_planes, planes=5, seed=7)
+def test_batched_fits_match_a_per_radius_loop_on_a_chain(reference_run):
+    families = build_nested_family(reference_run, planes=5, seed=7)
     assert families
     for family in families:
         assert_fits_match_per_radius(family)

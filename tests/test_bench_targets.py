@@ -86,9 +86,7 @@ def test_nested_family_sections_once_per_level(monkeypatch):
     monkeypatch.setattr(analysis, "section", counting_section)
     monkeypatch.setattr(analysis, "section_table", counting_table)
     monkeypatch.setattr(_rational, "scaled_inverse", counting_inverse)
-    families = analysis.build_nested_family(
-        run, analysis.stage_one_planes(run), planes=4, seed=3
-    )
+    families = analysis.build_nested_family(run, planes=4, seed=3)
     assert len(families) == 4
     # one attempt per base point: the stages in order from the first, until
     # an empty section or the last stage

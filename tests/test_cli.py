@@ -1,6 +1,7 @@
 """Subcommand exit codes, manifest determinism, and JSON conventions."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -745,22 +746,53 @@ def test_other_package_errors_exit_one(tmp_path, capsys, args):
         ["verify", "balance", "--samples", "-1"],
         ["verify", "symplectic", "--paths", "-1"],
         ["estimate-dim", "--manifest", "missing.json", "--planes", "-3"],
+        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6", "--steps", "-1"],
+        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6",
+         "--until", "positive", "--budget", "-1"],
+        ["classes", "--d", "4", "--budget", "-1"],
     ],
 )
 def test_negative_counts_are_usage(tmp_path, capsys, args):
     code, out = run(args, tmp_path)
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {args[-2]}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# every count flag of the CLI, after the arguments its subcommand needs
+COUNT_FLAGS = [
+    (["classes", "--d", "4"], "--budget"),
+    (["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6"], "--steps"),
+    (["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6", "--until", "positive"],
+     "--budget"),
+    (["verify", "symplectic"], "--paths"),
+    (["verify", "balance"], "--samples"),
+    (["estimate-dim", "--manifest", "missing.json"], "--planes"),
+]
+
+
+def subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_count_flag_reads_by_one_type():
+    counts = {(name, a.option_strings[0]) for name, p in subparsers().items()
+              for a in p._actions if a.type is cli._count}
+    assert counts == {(argv[0], flag) for argv, flag in COUNT_FLAGS}
 
 
 @pytest.mark.parametrize("text", ["2.7", "-0.5", "1e-3", "nan", "abc", "1e400"])
 def test_samples_that_are_not_whole_are_usage(tmp_path, capsys, text):
-    code, out = run(["verify", "balance", "--samples", text], tmp_path)
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert not out.exists()
+    for argv, flag in COUNT_FLAGS:
+        code, out = run([*argv, flag, text], tmp_path)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, samples", [
@@ -768,24 +800,9 @@ def test_samples_that_are_not_whole_are_usage(tmp_path, capsys, text):
     ("123456789012345678901", 123456789012345678901),  # past float precision
 ])
 def test_whole_samples_are_read_exactly(text, samples):
-    args = build_parser().parse_args(["verify", "balance", "--samples", text])
-    assert args.samples == samples
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6", "--steps", "-1"],
-        ["induct", "--perm", "s3", "--lengths", "1/2,1/3,1/6",
-         "--until", "positive", "--budget", "-1"],
-        ["classes", "--d", "4", "--budget", "-1"],
-    ],
-)
-def test_negative_steps_and_budgets_are_usage(tmp_path, capsys, args):
-    code, out = run(args, tmp_path)
-    assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: ")
-    assert not out.exists()
+    for argv, flag in COUNT_FLAGS:
+        args = build_parser().parse_args([*argv, flag, text])
+        assert getattr(args, flag[2:]) == samples
 
 
 @pytest.mark.parametrize(
@@ -908,7 +925,7 @@ def test_estimate_dim_refuses_cantor_levels_over_the_cap(tmp_path, capsys, monke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["abc", "0,-1", "nan,inf", "1e-400", "0.5,,0.1"])
+@pytest.mark.parametrize("grid", ["abc", "0,-1", "nan,inf", "1e-400", "0.5,,0.1", ""])
 def test_estimate_dim_bad_r_grid_is_usage(tmp_path, capsys, grid):
     code, out = run(
         ["estimate-dim", "--manifest", str(cantor_manifest(tmp_path)),
@@ -947,6 +964,50 @@ def test_estimate_dim_from_construct_manifest(tmp_path):
         assert all(0 < a <= 1 for a in fam["a"])
 
 
+# -- every manifest echoes every parsed option ------------------------------
+
+# a tiny job of each subcommand; estimate-dim's manifest is made by the test
+TINY_JOBS = {
+    "classes": ["classes", "--d", "3"],
+    "induct": ["induct", "--perm", "s3", "--lengths", "1/3,1/5,1/7", "--steps", "2"],
+    "construct": ["construct", "--d", "4", "--stages", "1"],
+    "verify": ["verify", "volume", "--paths", "1"],
+    "estimate-dim": ["estimate-dim", "--manifest"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(subparsers()))
+def test_every_manifest_echoes_every_parsed_option(tmp_path, command):
+    argv = TINY_JOBS[command]
+    if command == "estimate-dim":
+        argv = argv + [str(cantor_manifest(tmp_path, levels=1))]
+    code, out = run(argv, tmp_path)
+    assert code == EXIT_OK
+    (manifest,) = out.glob("*_manifest.json")
+    dests = {a.dest for a in subparsers()[command]._actions} - {"help", "out", "suite"}
+    assert set(json.loads(manifest.read_text())["config"]) == dests
+
+
+def test_construct_config_is_the_schema_estimate_dim_reads():
+    dests = {a.dest for a in subparsers()["construct"]._actions} - {"help", "out"}
+    assert dests == set(cli._MANIFEST_FIELDS["construct"])
+
+
+def test_estimate_dim_echoes_its_seed_and_r_grid(tmp_path):
+    manifest = cantor_manifest(tmp_path)
+    configs = []
+    for seed in (1, 2):
+        code, out = run(["estimate-dim", "--manifest", str(manifest), "--seed", str(seed),
+                         "--r-grid", "1.5,0.5"], tmp_path, f"seed{seed}")
+        assert code == EXIT_OK
+        configs.append(json.loads((out / "estimate_dim_manifest.json").read_text())["config"])
+        assert json.loads((out / "estimate_dim.json").read_text())["config"] == configs[-1]
+    assert configs == [
+        {"manifest": str(manifest), "planes": 5, "r_grid": [1.5, 0.5], "seed": seed}
+        for seed in (1, 2)
+    ]
+
+
 # -- one stderr line per failure --------------------------------------------
 
 # the prefixes of the stderr line that main prints for each failing exit code
@@ -981,10 +1042,13 @@ EQUALITY_CASE = ["induct", "--lengths", "3/7,2/7,1/7,1/7", "--perm", "s4", "--st
     (["estimate-dim", "--manifest", "{tmp}/failed.json"], EXIT_USAGE),
     (["estimate-dim", "--manifest", "{tmp}/classes/classes_manifest.json"], EXIT_USAGE),
     (EQUALITY_CASE, EXIT_INDUCTION),
+    (["induct", "--lengths", "1/2,1/3,1/6", "--perm", "s3"], EXIT_USAGE),
+    (["induct", "--lengths", "1/2,1/3,1/6", "--perm", "s3", "--steps", "1",
+      "--until", "positive"], EXIT_USAGE),
 ], ids=["paths-not-whole", "samples-negative-exponent", "unknown-suite",
         "unknown-command", "no-arguments", "classes-no-seed", "classes-both-seeds",
         "manifest-missing", "manifest-failed-run", "manifest-of-classes",
-        "induct-equality"])
+        "induct-equality", "induct-no-stop", "induct-both-stops"])
 def test_every_failure_prints_one_stderr_line(tmp_path, capsys, args, code):
     assert main(["classes", "--d", "3", "--out", str(tmp_path / "classes")]) == EXIT_OK
     (tmp_path / "failed.json").write_text(json.dumps({

@@ -10,13 +10,16 @@ The manifests and ``stages.csv`` hold the construction's exact integers and
 its float angles; ``estimate_dim.json`` and ``dim_fit.csv`` hold the
 floats of the sections and the fits, which also pass through numpy's
 dirichlet stream (the base points) and its BLAS (the polygon areas).  The
-pins were taken with numpy 2.4.6.  One-stage runs at larger d, and the
-runs of the hyperplane-avoiding paths, pin the moves the breadth-first
-steering chooses.
+pins were taken with numpy 2.4.6.  ``estimate_dim.json`` is pinned in two
+parts: the sha256 of the document less its ``config``, the families, taken
+before the config echoed ``seed`` and ``r_grid``, and the exact config.
+One-stage runs at larger d, and the runs of the hyperplane-avoiding paths,
+pin the moves the breadth-first steering chooses.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -24,7 +27,22 @@ from ietkit.cli import main
 from ietkit.construction import hyperplane_avoiding_paths
 from ietkit.perm import BOTTOM_WINS, TOP_WINS, hyperelliptic_permutation
 
-# (d, construct --seed, estimate-dim --seed) -> file -> sha256
+def digest(path) -> str:
+    """The sha256 of the file at ``path``; of ``estimate_dim.json`` less
+    its config, written as the CLI writes JSON."""
+    if path.name != "estimate_dim.json":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    doc = json.loads(path.read_text())
+    del doc["config"]
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config(path) -> dict:
+    return json.loads(path.read_text())["config"]
+
+
+# (d, construct --seed, estimate-dim --seed) -> file -> sha256 (by ``digest``)
 PINNED = {
     (4, 11, 3): {
         "construct_manifest.json":
@@ -32,7 +50,7 @@ PINNED = {
         "stages.csv":
             "4252818698f408767b403c972154c0e6e684152a23e2e5782b1fd90542d219ff",
         "estimate_dim.json":
-            "c0a1c38083e33516a7040d9ee1c6a40c89dfe8220f48d8de3fdbfbfd7088dc52",
+            "f2a0d70afa9ce6c38067b406e3fcbd5f4c0445a8674985bc0dfa8ff4b0343d0f",
         "dim_fit.csv":
             "358e17cdc9fe10dc17e6bd6fae018545e8a27d0417773da5df212142d92e27c0",
     },
@@ -42,7 +60,7 @@ PINNED = {
         "stages.csv":
             "d7dc1c9a9c2fa6deee83c0deddff27a76975ede57cb448516d3191be24188a0e",
         "estimate_dim.json":
-            "5a8acb073dcd1714f890e6e9586e028d4aba6bf71e09e2949ac3acc372e67620",
+            "f57a2e64d13a7b11898f966b52e3fca64a74d30f56174407a3330dc39a3450c3",
         "dim_fit.csv":
             "d66c604e1f7331e5783293f7726df1d729cce56c2af30edf0ac86877f0c486a4",
     },
@@ -52,7 +70,7 @@ PINNED = {
         "stages.csv":
             "c7b8c15d9764d8ce349fe07b7bd4af852f9b8f71d8addee1964fb0ce76596a79",
         "estimate_dim.json":
-            "70560a30c00100805f31d8c1f7cfdbe931332a66ff8e14c40d0fa3ba3304892e",
+            "38dc496509cf10ee113f9ef027bb1682cebb0e41efdbc72d508a4ec210983044",
         "dim_fit.csv":
             "4770a3405ca7a419c06c56a85f01905b507dedc99433fd32be8116609a75c55d",
     },
@@ -71,29 +89,34 @@ def test_construct_section_files_keep_their_pinned_bytes(
     assert main(["estimate-dim", "--manifest", f"{out}/construct_manifest.json",
                  "--planes", "30", "--seed", str(estimate_seed), "--out", out]) == 0
     digests = {
-        name: hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+        name: digest(tmp_path / out / name)
         for name in PINNED[d, construct_seed, estimate_seed]
     }
     assert digests == PINNED[d, construct_seed, estimate_seed]
+    assert config(tmp_path / out / "estimate_dim.json") == {
+        "manifest": f"{out}/construct_manifest.json", "planes": 30,
+        "r_grid": None, "seed": estimate_seed,
+    }
 
 
-# estimate-dim on a synthetic-cantor manifest of this many levels -> file -> sha256
+# estimate-dim on a synthetic-cantor manifest of this many levels -> file ->
+# sha256 (by ``digest``)
 CANTOR_PINNED = {
     1: {
         "estimate_dim.json":
-            "98f4eb5e2f6457d6e16e968598fb8e566f8798a9c63a330ee307ef561922e9ca",
+            "adea5b867e5391fa1451d73ec67aa15e6bb305426537734c8eedb0fcf996304a",
         "dim_fit.csv":
             "802490f2fb3c11fa664116b623d4b7228d81dc1e8d2ab8a17ce9b28e946a5fa1",
     },
     3: {
         "estimate_dim.json":
-            "1da55be9843480173da4e063c9e72000c9abc1604b62c2183ec2d56419b140dc",
+            "a6c863b800d0debe475c73c9f7fdd0ac345b52a87a81c61e9ba2bad58737c2bf",
         "dim_fit.csv":
             "e42855963418c8e3eec479d6bf2404e91386ae7be0947b2283a3dfa9a52a5006",
     },
     6: {
         "estimate_dim.json":
-            "5e7a7e057a07adc0f582420ccaf5a8a15af1de535784a1bca88f356412b737a2",
+            "9e949eb766c39fba5ae5013fc3992cbabf281f864ac5ddca6004065835dfcc21",
         "dim_fit.csv":
             "cff4ef2abf577524ee46ad94ddb0f48ca65499529895ab4c4434d1922fb90aca",
     },
@@ -107,11 +130,11 @@ def test_synthetic_cantor_files_keep_their_pinned_bytes(monkeypatch, tmp_path, l
         '{"command": "synthetic-cantor", "config": {"levels": %d}}' % levels
     )
     assert main(["estimate-dim", "--manifest", "synthetic.json", "--out", "out"]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in CANTOR_PINNED[levels]
-    }
+    digests = {name: digest(tmp_path / "out" / name) for name in CANTOR_PINNED[levels]}
     assert digests == CANTOR_PINNED[levels]
+    assert config(tmp_path / "out" / "estimate_dim.json") == {
+        "manifest": "synthetic.json", "planes": 5, "r_grid": None, "seed": 0,
+    }
 
 
 # (d, construct --seed) of a one-stage run -> file -> sha256.  The steering

@@ -197,6 +197,11 @@ def test_size_recursion_upper_bounds(reference_run):
         assert rep.measured_U <= rep.upper_bound
 
 
+def test_size_recursions_of_a_one_stage_run_are_empty():
+    run = run_construction(4, make_schedule(1, ExponentScale.linear(), stages=1), seed=11)
+    assert check_size_recursions(run) == []
+
+
 def test_within_stage_angle_monotonicity(reference_run):
     for rep in check_nue_angles(reference_run):
         assert rep.lhs_monotone, rep

@@ -163,6 +163,10 @@ def test_restriction_subgraph_collapses_to_smaller_class(d):
     assert graphs_isomorphic(collapsed, hyperelliptic_class(d - 3))
 
 
+def test_classes_of_different_sizes_are_not_isomorphic():
+    assert not graphs_isomorphic(hyperelliptic_class(4), hyperelliptic_class(5))
+
+
 def test_restriction_subgraph_keeps_entry_vertex():
     full = restriction_subgraph(6, collapse=False)
     pi_l, _, _ = special_permutations(6)

@@ -154,6 +154,15 @@ def test_section_off_the_simplex_plane_is_empty():
     assert section(section_table(VisitationMatrix.identity(4), family), base) is None
 
 
+def test_section_missing_the_simplex_on_a_flat_row_is_empty():
+    # the plane's directions keep x_1 fixed, so row 1 of the identity is flat,
+    # and the base point has x_1 = -1/2: the plane misses the simplex, though
+    # the half-planes of the other rows meet
+    family = PlaneFamily(5, (0, 1, -1, 0, 0), (0, 0, 0, 1, -1))
+    base = [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    assert section(section_table(VisitationMatrix.identity(5), family), base) is None
+
+
 def reference_section(M, base_point, family):
     """The Fraction algorithm: three exact solves against M, then a pairwise
     vertex search over the half-planes; the vertex array, or None."""

@@ -28,7 +28,9 @@ cli
 numpy is imported inside the functions that compute in floats, never at
 module level, so importing any module and running the exact computations
 loads no numpy; the balance-decay fit is a closed-form line,
-so ``analysis.mc_balance`` needs no numpy either.  The records are plain
+so ``analysis.mc_balance`` needs no numpy either, and the nested families
+of a construction compute numpy's floats in pure Python
+(``ietkit._floats``, which ``import ietkit.cli`` does not load).  The records are plain
 classes with ``__slots__``, immutable by convention; those that only store
 their arguments share one initialiser, ``_record.Record``.  ``logging`` is
 imported by the first warning ``construct`` reports, so start-up loads

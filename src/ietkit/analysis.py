@@ -22,7 +22,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .construction import ConstructionRun
+from .construction import ConstructionRun, _total
 from .errors import BudgetExceededError, DegeneracyError, UsageError
 from .induction import (
     Iet, IntegerIet, VisitationMatrix, _Balanced, _step_lengths, _Walk,
@@ -142,13 +142,13 @@ def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, f
     intercept, and the slope's standard error from the residuals (0.0 with
     two points)."""
     n = len(xs)
-    x_bar, y_bar = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - x_bar) ** 2 for x in xs)
-    slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx
+    x_bar, y_bar = _total(xs) / n, _total(ys) / n
+    sxx = _total((x - x_bar) ** 2 for x in xs)
+    slope = _total((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx
     intercept = y_bar - slope * x_bar
     if n == 2:
         return slope, intercept, 0.0
-    sse = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    sse = _total((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     return slope, intercept, math.sqrt(sse / (n - 2)) / math.sqrt(sxx)
 
 
@@ -246,6 +246,8 @@ def mc_jacobian_pushforward(
     against the exact ratio of image volumes (the jacobian integral)."""
     import numpy as np
 
+    from ._floats import seed_entropy
+
     d = M.d
     if W.d != d:
         raise UsageError("region dimension mismatch")
@@ -256,7 +258,7 @@ def mc_jacobian_pushforward(
     img_w = [M.mat_vec(v) for v in W.vertices]
     img_d = [M.column(j) for j in range(1, d + 1)]
     predicted = float(normalized_det(img_w) / normalized_det(img_d))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_entropy(seed))
     a = np.array(M.rows, dtype=float)
     verts = a / a.sum(axis=0, keepdims=True)  # columns span M-Delta
     w = rng.standard_exponential((samples, d))
@@ -304,6 +306,8 @@ def prob_decay_sim(
     """
     import numpy as np
 
+    from ._floats import seed_entropy
+
     if not 0 < rho < 0.5:
         raise UsageError("rho must be in (0, 1/2)")
     if dependence not in ("independent", "adversarial-markov"):
@@ -313,7 +317,7 @@ def prob_decay_sim(
     if samples == 0:
         rep = _binomial_report(0, 0, seed, bounds[-1])
         return ProbDecayReport(rep, (), bounds, float("nan"))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_entropy(seed))
     if dependence == "independent":
         seqs = rng.random((samples, N)) < rho
     else:
@@ -475,7 +479,7 @@ class NestedFamily:
                 raise DegeneracyError(f"level {lv} is empty")
             diams = [p.diameter for p in polys]
             radii.append((max(diams), min(diams)))
-            area = sum(p.area for p in polys)
+            area = _total(p.area for p in polys)
             a.append(1.0 if lv == 0 else (area / prev if prev > 0 else 0.0))
             prev = area
             if lv == 0:
@@ -524,11 +528,7 @@ def cantor_product_family(levels: int) -> NestedFamily:
 
 
 def _square(x: float, y: float, s: float) -> Polygon2D:
-    import numpy as np
-
-    return Polygon2D(
-        np.array([[x, y], [x + s, y], [x + s, y + s], [x, y + s]])
-    )
+    return Polygon2D([(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
 
 
 def stage_one_planes(run: ConstructionRun) -> PlaneFamily:
@@ -555,13 +555,16 @@ def build_nested_family(
     polygon per level for as long as the section stays non-empty.  A chain
     of at least two levels becomes a ``NestedFamily``, unless a section
     escapes the one before it.  A level's section table is built the first
-    time a plane reaches it, and serves every later plane.
+    time a plane reaches it, and serves every later plane.  The base
+    points' weights are ``numpy.random.default_rng(seed).dirichlet(ones(d))``
+    draws, taken without numpy (``_floats.Generator``); a negative seed
+    raises ``UsageError``.
     """
-    import numpy as np
+    from ._floats import Generator
 
     if len(run.stages) < 2:
         raise UsageError("need a run with at least two stages")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     family = stage_one_planes(run)
     d = run.d
     # base points inside the deepest simplex, so the plane meets every level;
@@ -575,7 +578,7 @@ def build_nested_family(
         attempts += 1
         # M w / |M w| with the weights read exactly over their common
         # denominator, a power of two
-        w = _rational._numerators(rng.dirichlet(np.ones(d)).tolist())[0]
+        w = _rational._numerators(rng.dirichlet(d))[0]
         raw = [sum(map(mul, row, w)) for row in m_last]
         tot = sum(raw)
         base = [Fraction(x, tot) for x in raw]
@@ -618,14 +621,15 @@ class FrostmanMeasure(Record):
 
 
 def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
-    """The inductive sibling-area measure plus a ball-mass exponent scan."""
-    import numpy as np
-
+    """The inductive sibling-area measure plus a ball-mass exponent scan.
+    A deepest level of one polygon is a point mass, so every ball about its
+    centroid holds its whole weight; only a level of several polygons
+    takes numpy."""
     if family.depth < 1:
         raise DegeneracyError("empty family")
     weights: list[list[float]] = []
     areas = [[p.area for p in polys] for polys in family.levels]
-    total = sum(areas[0])
+    total = _total(areas[0])
     if total <= 0:
         raise DegeneracyError("zero-mass family")
     weights.append([a / total for a in areas[0]])
@@ -640,13 +644,6 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
         )
     deepest = family.levels[-1]
     w_last = weights[-1]
-    centers = np.array([p.centroid for p in deepest])
-    # an even subsample of centroids is enough for the sup: the measure is
-    # near-homogeneous, and the full probe set only changes the prefactor
-    stride = max(1, len(centers) // 256)
-    probe = np.concatenate(
-        [centers[::stride]] + [p.vertices for p in deepest[: 16]]
-    )
     r_hi = family.radii[0][0]
     r_lo = max(family.radii[-1][1], 1e-12)
     radii = []
@@ -656,28 +653,41 @@ def frostman_measure(family: NestedFamily) -> FrostmanMeasure:
         r /= 2.0
     if len(radii) < 2:
         radii = [r_hi, r_hi / 2.0]
-    w_arr = np.array(w_last)
-    # probe-to-centre distances, squared and summed in place: the floats of
-    # sqrt(((probe - centre) ** 2).sum(-1)), in two (probe, centre) arrays
-    dist = probe[:, None, 0] - centers[None, :, 0]
-    dy = probe[:, None, 1] - centers[None, :, 1]
-    dist *= dist
-    dy *= dy
-    dist += dy
-    del dy
-    np.sqrt(dist, out=dist)
-    # the ball masses of every probe at a block of radii at once; each sum
-    # runs over the centres, in their order, as one radius alone would
-    r_arr, step = np.array(radii), _radii_block(dist.size)
-    masses = [
-        float(m)
-        for k in range(0, len(radii), step)
-        for m in (w_arr * (dist <= r_arr[k : k + step, None, None])).sum(-1).max(-1)
-    ]
+    if len(deepest) == 1:
+        total = w_last[0]
+        masses = [total] * len(radii)
+    else:
+        import numpy as np
+
+        centers = np.array([p.centroid for p in deepest])
+        # an even subsample of centroids is enough for the sup: the measure is
+        # near-homogeneous, and the full probe set only changes the prefactor
+        stride = max(1, len(centers) // 256)
+        probe = np.concatenate(
+            [centers[::stride]] + [p.vertices for p in deepest[: 16]]
+        )
+        w_arr = np.array(w_last)
+        # probe-to-centre distances, squared and summed in place: the floats of
+        # sqrt(((probe - centre) ** 2).sum(-1)), in two (probe, centre) arrays
+        dist = probe[:, None, 0] - centers[None, :, 0]
+        dy = probe[:, None, 1] - centers[None, :, 1]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        # the ball masses of every probe at a block of radii at once; each sum
+        # runs over the centres, in their order, as one radius alone would
+        r_arr, step = np.array(radii), _radii_block(dist.size)
+        masses = [
+            float(m)
+            for k in range(0, len(radii), step)
+            for m in (w_arr * (dist <= r_arr[k : k + step, None, None])).sum(-1).max(-1)
+        ]
+        total = float(w_arr.sum())
     # Radii comparable to the family's diameter saturate the sup ball mass at
     # the total measure; those points carry no scaling information and would
     # flatten the log-log slope, so the fit keeps only the scaling regime.
-    total = float(w_arr.sum())
     kept = [
         (math.log(r), math.log(m))
         for r, m in zip(radii, masses)
@@ -704,26 +714,31 @@ class BoxDimensionFit(Record):
     )
 
 
-def box_dimension(points: np.ndarray, r_grid: Sequence[float]) -> BoxDimensionFit:
-    """Least-squares slope of log N(r) against log(1/r) over occupied boxes."""
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+def box_dimension(points, r_grid: Sequence[float]) -> BoxDimensionFit:
+    """Least-squares slope of log N(r) against log(1/r) over occupied boxes.
+    ``points`` is an (n, k) array, or n scalars; one point fills one box
+    at every scale, and only several take numpy."""
     radii = sorted(float(r) for r in r_grid)
-    counts: list[int] = []
-    step = _radii_block(pts.size)
-    for k in range(0, len(radii), step):
-        # float cell indices: an int64 cast wraps once pts / r passes 2^63
-        cells = np.floor(pts / np.array(radii[k : k + step])[:, None, None])
-        # each radius's cells in order; a cell unequal to the one before it
-        # is new, as in a set of tuples (a NaN equals nothing)
-        order = np.lexsort(np.moveaxis(cells, -1, 0)[::-1])
-        cells = np.take_along_axis(cells, order[..., None], 1)
-        new = np.ones(order.shape, dtype=bool)
-        new[:, 1:] = (cells[:, 1:] != cells[:, :-1]).any(-1)
-        counts += new.sum(1).tolist()
+    if len(points) == 1:
+        counts = [1] * len(radii)
+    else:
+        import numpy as np
+
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        counts = []
+        step = _radii_block(pts.size)
+        for k in range(0, len(radii), step):
+            # float cell indices: an int64 cast wraps once pts / r passes 2^63
+            cells = np.floor(pts / np.array(radii[k : k + step])[:, None, None])
+            # each radius's cells in order; a cell unequal to the one before
+            # it is new, as in a set of tuples (a NaN equals nothing)
+            order = np.lexsort(np.moveaxis(cells, -1, 0)[::-1])
+            cells = np.take_along_axis(cells, order[..., None], 1)
+            new = np.ones(order.shape, dtype=bool)
+            new[:, 1:] = (cells[:, 1:] != cells[:, :-1]).any(-1)
+            counts += new.sum(1).tolist()
     usable = [(r, n) for r, n in zip(radii, counts) if n > 0]
     if len({r for r, _ in usable}) < 2:
         raise UsageError("need at least two distinct non-empty scales")

@@ -30,8 +30,10 @@ and ``cmd_verify`` alone sets the report's ``violated``, adds
 
 A job runs through ``console_main``, the entry of both ``ietkit`` and
 ``python -m ietkit.cli``.  It first defaults ``OPENBLAS_NUM_THREADS`` to 1,
-so numpy's BLAS runs on one thread: the pool numpy's OpenBLAS starts as it
-loads costs up to 70 ms a job, for calls on a few dozen entries.  A value
+so numpy's BLAS runs on one thread in the jobs that load numpy (the float
+``verify`` suites, and ``estimate-dim`` on a synthetic Cantor family): the
+pool numpy's OpenBLAS starts as it loads costs up to 70 ms a job, for
+calls on a few dozen entries.  A value
 set in the environment is kept, so ``OPENBLAS_NUM_THREADS=2 ietkit ...``
 gets the pool back, and ``main`` leaves the environment alone.  After
 ``main`` returns, ``console_main`` flushes stdout and leaves by
@@ -531,7 +533,9 @@ def _verify_concavity(args, rng: Random) -> tuple[dict, str]:
         return {"cases": []}, INCONCLUSIVE
     import numpy as np
 
-    nrng = np.random.default_rng(args.seed)
+    from ._floats import seed_entropy
+
+    nrng = np.random.default_rng(seed_entropy(args.seed))
     cases = [("ball", {"ball": 1.0, "dim": 4}, 1e-2, args.samples, args.seed)]
     for eps in (1e-2, 1e-4):
         for trial in range(5):
@@ -617,8 +621,6 @@ def _read_manifest(path: Path) -> dict:
 
 
 def cmd_estimate_dim(args) -> int:
-    import numpy as np
-
     manifest = _read_manifest(args.manifest)
     rows = []
     doc: dict = {"config": _config(args, manifest=str(args.manifest))}
@@ -630,7 +632,7 @@ def cmd_estimate_dim(args) -> int:
     reports = []
     for idx, nf in enumerate(families):
         fro = frostman_measure(nf)
-        pts = np.array([p.centroid for p in nf.levels[-1]])
+        pts = [p.centroid for p in nf.levels[-1]]
         try:
             fit = box_dimension(pts, args.r_grid or list(fro.radii))
             box_est = fit.estimate
@@ -773,8 +775,10 @@ def console_main() -> NoReturn:
     and exit code 120, and the third lets the profiler or tracer write its
     report."""
     # OpenBLAS reads this once, as numpy loads; importing this module loads
-    # no numpy (tests/test_imports.py), so none is loaded yet.  One thread
-    # also leaves the process free to fork (_fork._usable_cpus).
+    # no numpy (tests/test_imports.py), so none is loaded yet, and the exact
+    # jobs, verify balance and estimate-dim on a construct manifest never
+    # load it.  One thread also leaves the process free to fork
+    # (_fork._usable_cpus).
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     if not _observed():

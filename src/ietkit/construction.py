@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, starmap
+from operator import add
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -525,11 +527,19 @@ def _scaled_floats(col: Sequence[int]) -> list[float]:
     return [x / (1 << k) for x in col]
 
 
+def _total(xs: Iterable[float]) -> float:
+    """The float sum of ``xs``, left to right from 0.0, as ``sum`` adds
+    through Python 3.11.  From 3.12 on ``sum`` compensates its float
+    additions, so a float total that reaches an output is taken here, and
+    the output's bytes do not depend on the Python version."""
+    return reduce(add, xs, 0.0)
+
+
 def _span_angle(col: Sequence[int], first_block: bool, d: int) -> float:
     """Angle from an integer column to span(e_1..e_{d-2}) or span(e_{d-1}, e_d)."""
     col = _scaled_floats(col)
-    top = math.sqrt(sum(x * x for x in col[: d - 2]))
-    bottom = math.sqrt(sum(x * x for x in col[d - 2 :]))
+    top = math.sqrt(_total(x * x for x in col[: d - 2]))
+    bottom = math.sqrt(_total(x * x for x in col[d - 2 :]))
     inside, outside = (top, bottom) if first_block else (bottom, top)
     return math.atan2(outside, inside)
 
@@ -537,9 +547,9 @@ def _span_angle(col: Sequence[int], first_block: bool, d: int) -> float:
 def _column_angle(a: Sequence[float], b: Sequence[float]) -> float:
     """Angle between two float columns; integer ones go through
     ``_scaled_floats`` first."""
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
-    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(_total(x * x for x in a))
+    nb = math.sqrt(_total(x * x for x in b))
+    dot = _total(x * y for x, y in zip(a, b))
     c = max(-1.0, min(1.0, dot / (na * nb)))
     return math.acos(c)
 
@@ -663,8 +673,8 @@ def _extract_limit(M: VisitationMatrix, d: int) -> LimitInfo:
         fverts.append(tuple(x / n for x in col))
 
     def avg(vs):
-        s = [sum(c) for c in zip(*vs)]
-        t = sum(s)
+        s = [_total(c) for c in zip(*vs)]
+        t = _total(s)
         return tuple(x / t for x in s)
 
     lhs = avg(fverts[: d - 2])
@@ -903,9 +913,9 @@ def hyperplane_avoiding_paths(d: int, i: int, eps0: float = 0.1) -> PhasePath:
 
     def col_dist(j: int) -> float:
         col = [float(x) for x in b.walk.cols[j - 1]]
-        t = sum(col)
+        t = _total(col)
         return math.sqrt(
-            sum((x / t - (1.0 if idx == i - 1 else 0.0)) ** 2 for idx, x in enumerate(col))
+            _total((x / t - (1.0 if idx == i - 1 else 0.0)) ** 2 for idx, x in enumerate(col))
         )
 
     # cleanup: route each still-light column under a heavy carrier's win

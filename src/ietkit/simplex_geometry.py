@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import _rational
 from ._record import Value
@@ -73,21 +73,25 @@ class PlaneFamily(Value):
 
     __slots__ = ("d", "u", "v")
 
-    def chart(self) -> np.ndarray:
-        """Orthonormal 2 x d chart basis for the plane directions."""
-        import numpy as np
+    def chart(self) -> tuple[list[float], list[float]]:
+        """Orthonormal 2 x d chart basis for the plane directions, as two
+        rows of floats: u over its norm, then v less its component along
+        that, over its norm, each norm and dot product rounded as numpy's
+        ``np.linalg.norm`` and ``np.dot`` round them (``_floats.dot``)."""
+        from ._floats import dot
 
-        b1 = np.array([float(x) for x in self.u])
-        n1 = np.linalg.norm(b1)
+        b1 = [float(x) for x in self.u]
+        n1 = math.sqrt(dot(b1, b1))
         if not 0 < n1 < math.inf:
             raise DegeneracyError("plane direction u has no float unit vector")
-        b1 /= n1
-        b2 = np.array([float(x) for x in self.v])
-        b2 -= np.dot(b2, b1) * b1
-        n = np.linalg.norm(b2)
+        b1 = [x / n1 for x in b1]
+        b2 = [float(x) for x in self.v]
+        along = dot(b2, b1)
+        b2 = [x - along * y for x, y in zip(b2, b1)]
+        n = math.sqrt(dot(b2, b2))
         if n < 1e-14:
             raise DegeneracyError("plane directions are numerically dependent")
-        return np.vstack([b1, b2 / n])
+        return b1, [x / n for x in b2]
 
 
 def _project_slice_directions(z: Sequence[Fraction], d: int) -> tuple[Fraction, ...]:
@@ -112,27 +116,35 @@ def plane_family(A1prime, B1, form: SymplecticForm) -> PlaneFamily:
 
 
 class Polygon2D:
-    """A convex polygon in plane-chart coordinates, with its area and
-    diameter, each computed once, when it is made."""
+    """A convex polygon in plane-chart coordinates, its vertices (x, y)
+    float pairs, with its area and diameter, each computed once, when it is
+    made.  Each rounds as numpy rounds it on the (n, 2) array of the
+    vertices: the shoelace sums as ``np.dot`` of a column with the other
+    column rolled by one (``_floats.dot_strided``), the diameter as the
+    largest ``np.hypot`` of two vertices' differences (``_floats.hypot``;
+    squaring the differences underflows below about 1e-154), and the
+    centroid as ``mean(axis=0)``, a left-to-right sum over n."""
 
     __slots__ = ("vertices", "area", "diameter")
 
-    def __init__(self, vertices: np.ndarray):  # (n, 2), convex, either orientation
-        import numpy as np
+    def __init__(self, vertices: Iterable[Sequence[float]]):  # convex, either orientation
+        from ._floats import dot_strided, hypot
 
-        self.vertices = v = vertices
-        x, y = v[:, 0], v[:, 1]
-        # np.roll(w, -1) without its overhead: the same array, so the same sums
-        x1, y1 = (np.concatenate((w[1:], w[:1])) for w in (x, y))
-        self.area = 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
-        # the largest vertex distance, taken with ``hypot``: squaring the
-        # coordinate differences underflows below about 1e-154
-        diff = v[:, None, :] - v[None, :, :]
-        self.diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+        self.vertices = v = tuple((float(x), float(y)) for x, y in vertices)
+        x, y = [p[0] for p in v], [p[1] for p in v]
+        self.area = 0.5 * abs(dot_strided(x, y[1:] + y[:1]) - dot_strided(y, x[1:] + x[:1]))
+        self.diameter = max(
+            (hypot(ax - bx, ay - by) for i, (ax, ay) in enumerate(v) for bx, by in v[i + 1 :]),
+            default=0.0,
+        )
 
     @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
+    def centroid(self) -> tuple[float, float]:
+        n, (sx, sy) = len(self.vertices), self.vertices[0]
+        for x, y in self.vertices[1:]:
+            sx += x
+            sy += y
+        return sx / n, sy / n
 
     def contains_polygon(self, other: "Polygon2D") -> bool:
         """Every vertex of ``other`` lies in this polygon, up to 1e-9
@@ -144,10 +156,10 @@ class Polygon2D:
         vertex is in when its cross products with the edges are all >= -1e-9
         or all <= 1e-9, so either orientation is accepted.
         """
-        (x0, y0), scale = self.vertices[0].tolist(), self.diameter
-        a = [((x - x0) / scale, (y - y0) / scale) for x, y in self.vertices.tolist()]
+        (x0, y0), scale = self.vertices[0], self.diameter
+        a = [((x - x0) / scale, (y - y0) / scale) for x, y in self.vertices]
         edges = [(bx - ax, by - ay, ax, ay) for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1])]
-        for x, y in other.vertices.tolist():
+        for x, y in other.vertices:
             px, py = (x - x0) / scale, (y - y0) / scale
             cross = [ex * (py - ay) - ey * (px - ax) for ex, ey, ax, ay in edges]
             if not (all(c >= -1e-9 for c in cross) or all(c <= 1e-9 for c in cross)):
@@ -278,8 +290,6 @@ def section(table, base_point: Sequence) -> Polygon2D | None:
     the centroid) is one correctly rounded integer division of its exact
     value.
     """
-    import numpy as np
-
     if table is None:
         return None  # M is singular
     # M^-1 has entries of size ~ norm(M)^(d-1), so forming it in floats and
@@ -323,7 +333,7 @@ def section(table, base_point: Sequence) -> Polygon2D | None:
     den = n * SP  # a vertex less the centroid is (n * qx - cx, n * qy - cy) / den
     keys = [math.atan2((n * y - cy) / den, (n * x - cx) / den) for x, y in zip(qx, qy)]
     order = sorted(range(n), key=keys.__getitem__)
-    return Polygon2D(np.array([[qx[k] / SP, qy[k] / SP] for k in order]))
+    return Polygon2D([(qx[k] / SP, qy[k] / SP) for k in order])
 
 
 def _polytope_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,11 +379,12 @@ def plane_section_concavity_test(
     """
     import numpy as np
 
+    from ._floats import seed_entropy
     from .analysis import _binomial_report  # analysis imports this module
 
     if not 0 < eps <= 1:
         raise UsageError("eps must be in (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_entropy(seed))
     if isinstance(body, dict) and "ball" in body:
         # exact ball sections: area pi (R^2 - r^2) at offset radius r
         radius = float(body["ball"])

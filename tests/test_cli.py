@@ -1103,6 +1103,8 @@ RADII = st.one_of(
              min_size=1, max_size=4).map(",".join),
     NOISE,
 )
+# seeds far past numpy's SeedSequence words, and negative ones, which it refuses
+SEEDS = st.integers(-(2**70), 2**70).map(str)
 SCALES = st.one_of(
     st.sampled_from(["linear", "tower", "linear:1,2", "linear:"]),
     st.lists(FLOATS, min_size=4, max_size=4).map(
@@ -1114,8 +1116,10 @@ SCALES = st.one_of(
 
 @st.composite
 def cli_argv(draw):
-    """One subcommand with random values for its value flags."""
-    command = draw(st.sampled_from(["classes", "induct", "construct", "estimate-dim"]))
+    """One subcommand with random values for its value flags; ``estimate-dim``
+    reads the manifest that ``FLAG_MANIFESTS`` names."""
+    command = draw(st.sampled_from(
+        ["classes", "induct", "construct", "estimate-dim", "verify"]))
     if command == "classes":
         return ["classes", "--seed-perm", draw(PERMS), "--budget", draw(SMALL_COUNTS)]
     if command == "induct":
@@ -1126,7 +1130,13 @@ def cli_argv(draw):
     if command == "construct":
         return ["construct", "--d", "4", "--stages", "1", "--scale", draw(SCALES),
                 "--zeta", draw(FLOATS)]
-    return ["estimate-dim", "--r-grid", draw(RADII)]
+    if command == "verify":  # the suites that seed numpy's generator
+        suite = draw(st.sampled_from(["jacobian", "probdecay", "concavity"]))
+        return ["verify", suite, "--samples", "20", "--seed", draw(SEEDS)]
+    argv = ["estimate-dim", "--r-grid", draw(RADII)]
+    if draw(st.booleans()):
+        return argv + ["--planes", "2", "--seed", draw(SEEDS), "--manifest", "construct"]
+    return argv + ["--manifest", "cantor"]
 
 
 @pytest.fixture(scope="module")
@@ -1134,11 +1144,20 @@ def flags_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("flags")
 
 
+@pytest.fixture(scope="module")
+def flag_manifests(flags_dir):
+    """The manifests ``cli_argv``'s ``estimate-dim`` runs read, by name."""
+    assert main(["construct", "--d", "4", "--stages", "2", "--out",
+                 str(flags_dir / "construct")]) == 0
+    return {"construct": str(flags_dir / "construct" / "construct_manifest.json"),
+            "cantor": str(cantor_manifest(flags_dir, levels=2))}
+
+
 @settings(max_examples=120, deadline=None)
 @given(argv=cli_argv())
-def test_value_flags_never_escape_the_exit_codes(flags_dir, argv):
+def test_value_flags_never_escape_the_exit_codes(flags_dir, flag_manifests, argv):
     if argv[0] == "estimate-dim":
-        argv += ["--manifest", str(cantor_manifest(flags_dir, levels=2))]
+        argv[-1] = flag_manifests[argv[-1]]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv + ["--out", str(flags_dir / "out")])
     assert isinstance(code, int) and 0 <= code <= 5

@@ -9,8 +9,11 @@ before each stage became one loop over its phase table.
 The manifests and ``stages.csv`` hold the construction's exact integers and
 its float angles; ``estimate_dim.json`` and ``dim_fit.csv`` hold the
 floats of the sections and the fits, which also pass through numpy's
-dirichlet stream (the base points) and its BLAS (the polygon areas).  The
-pins were taken with numpy 2.4.6.  ``estimate_dim.json`` is pinned in two
+Dirichlet stream (the base points), OpenBLAS's ``ddot`` (the chart and the
+polygon areas) and glibc's ``hypot`` (the diameters).  The pins were taken
+with numpy 2.4.6 and Python 3.11; ``ietkit._floats`` now computes those
+floats without numpy, so they hold with numpy blocked from import, on any
+BLAS, and on any Python from 3.10 on.  ``estimate_dim.json`` is pinned in two
 parts: the sha256 of the document less its ``config``, the families, taken
 before the config echoed ``seed`` and ``r_grid``, and the exact config.
 One-stage runs at larger d, and the runs of the hyperplane-avoiding paths,
@@ -20,9 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ietkit
 from ietkit.cli import main
 from ietkit.construction import hyperplane_avoiding_paths
 from ietkit.perm import BOTTOM_WINS, TOP_WINS, hyperelliptic_permutation
@@ -97,6 +105,25 @@ def test_construct_section_files_keep_their_pinned_bytes(
         "manifest": f"{out}/construct_manifest.json", "planes": 30,
         "r_grid": None, "seed": estimate_seed,
     }
+
+
+def test_the_construct_section_pin_holds_without_numpy(tmp_path):
+    # a fresh interpreter in which ``import numpy`` fails
+    src = str(Path(ietkit.__file__).resolve().parents[1])
+    d, construct_seed, estimate_seed = 6, 244788, 148551
+    code = (
+        "import sys\nsys.modules['numpy'] = None\nfrom ietkit.cli import main\n"
+        f"assert main(['construct', '--d', '{d}', '--stages', '6', '--seed',"
+        f" '{construct_seed}', '--out', 'out']) == 0\n"
+        "assert main(['estimate-dim', '--manifest', 'out/construct_manifest.json',"
+        f" '--planes', '30', '--seed', '{estimate_seed}', '--out', 'out']) == 0\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pinned = PINNED[d, construct_seed, estimate_seed]
+    assert {name: digest(tmp_path / "out" / name) for name in pinned} == pinned
 
 
 # estimate-dim on a synthetic-cantor manifest of this many levels -> file ->

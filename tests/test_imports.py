@@ -2,7 +2,9 @@
 
 The exact subcommands never compute a float, so neither importing the CLI
 nor running them loads numpy; the float layers import numpy inside the
-functions that use it, and `verify balance` fits its decay line without it.
+functions that use it, `verify balance` fits its decay line without it, and
+`estimate-dim` on a construct manifest computes numpy's floats without it
+(``ietkit._floats``, which importing the CLI does not load either).
 No job loads scipy, which is not a dependency.  Start-up loads neither
 ``dataclasses`` nor ``logging`` either, and `verify balance` forks its scans
 without ``multiprocessing`` or ``concurrent.futures``.  The
@@ -13,9 +15,10 @@ test process has long since imported numpy.
 The last checks read the source with ``ast`` instead: every function of
 ``src/ietkit`` that imports numpy is listed in ``NUMPY_SITES``, and the
 check fails on an import of numpy anywhere else, a module-level one
-included, and on a listed site that no longer imports it.  The sites on
-the ``construct`` → ``estimate-dim`` path name the ROADMAP item that takes
-numpy out of them; the float verification suites keep numpy.
+included, and on a listed site that no longer imports it.  The two
+estimators, which take numpy only for a level of many polygons, name the
+ROADMAP item that takes numpy out of them; the float verification suites
+keep numpy.
 """
 from __future__ import annotations
 
@@ -80,6 +83,17 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
     loaded = modules_after_cli_import(tmp_path)
     assert "numpy" not in loaded
     assert "scipy" not in loaded
+    assert "ietkit._floats" not in loaded
+
+
+def test_estimate_dim_on_a_construct_manifest_loads_no_numpy(tmp_path):
+    got = fresh(
+        "import json, sys\nfrom ietkit.cli import main\n"
+        f"codes = [main(argv) for argv in {FLOAT_RUNS[:2]!r}]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))",
+        tmp_path,
+    )
+    assert got == {"codes": [0, 0], "numpy": False}
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_logging(tmp_path):
@@ -154,15 +168,9 @@ def test_cli_import_loads_every_tracer_module(tmp_path):
 # (file, function) -> the ROADMAP item that takes numpy out of it, or None
 # for a float verification suite, which keeps it
 NUMPY_SITES = {
-    # the construct -> estimate-dim path
-    ("simplex_geometry.py", "PlaneFamily.chart"): 1,  # exact geometry
-    ("simplex_geometry.py", "Polygon2D.__init__"): 1,
-    ("simplex_geometry.py", "section"): 1,
-    ("analysis.py", "build_nested_family"): 20,  # exact base points
-    ("analysis.py", "_square"): 17,  # scale-free families and estimators
-    ("analysis.py", "frostman_measure"): 17,
+    # the estimators, on a level of many polygons (synthetic Cantor)
+    ("analysis.py", "frostman_measure"): 17,  # scale-free families and estimators
     ("analysis.py", "box_dimension"): 17,
-    ("cli.py", "cmd_estimate_dim"): 17,
     # the float verification suites
     ("analysis.py", "SubSimplex.vertex_matrix"): None,
     ("analysis.py", "mc_jacobian_pushforward"): None,

@@ -131,15 +131,16 @@ def test_the_entry_matches_the_normal_exit(tmp_path, name):
         assert sum(line.startswith("plane ") for line in lines) == 30
 
 
-# wraps the first call ``estimate-dim`` makes after it has imported numpy
+# wraps ``box_dimension``, which ``estimate-dim`` calls after ``frostman_measure``
+# has imported numpy for the synthetic Cantor family's many polygons
 THREAD_PROBE = """\
 import json, os, sys
 import ietkit.analysis
 from ietkit import _fork
 
-measure = ietkit.analysis.frostman_measure
+measure = ietkit.analysis.box_dimension
 
-def frostman_measure(*args, **kwargs):
+def box_dimension(*args, **kwargs):
     with open("probe.json", "w") as fh:
         json.dump({"numpy": "numpy" in sys.modules,
                    "threads": len(os.listdir("/proc/self/task")),
@@ -148,7 +149,7 @@ def frostman_measure(*args, **kwargs):
                    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, fh)
     return measure(*args, **kwargs)
 
-ietkit.analysis.frostman_measure = frostman_measure
+ietkit.analysis.box_dimension = box_dimension
 """
 
 

@@ -104,7 +104,7 @@ def test_diameter_scales_below_the_squares_underflow(scale):
 def numpy_contains(outer: Polygon2D, inner: np.ndarray) -> bool:
     """The containment test as one numpy cross product of every vertex with
     every edge: the reference for the per-vertex loop in floats."""
-    v = outer.vertices
+    v = np.asarray(outer.vertices)
     a = (v - v[0]) / outer.diameter
     edge = np.concatenate((a[1:], a[:1])) - a
     p = ((inner - v[0]) / outer.diameter)[:, None, :]

@@ -760,6 +760,25 @@ def test_negative_counts_are_usage(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate-dim", "--manifest", "c/construct_manifest.json", "--planes", "2"],
+    ["verify", "jacobian", "--samples", "20"],
+    ["verify", "probdecay", "--samples", "20"],
+    ["verify", "concavity", "--samples", "20"],
+], ids=["estimate-dim", "jacobian", "probdecay", "concavity"])
+def test_a_negative_numpy_seed_is_usage(tmp_path, capsys, monkeypatch, args):
+    # each of these seeds numpy's SeedSequence, or its replica, which
+    # refuses a negative entropy
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "estimate-dim":
+        assert main(["construct", "--d", "4", "--stages", "2", "--out", "c"]) == EXIT_OK
+        capsys.readouterr()
+    code, _ = run(args + ["--seed", "-1"], tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: seed must be a non-negative integer, got -1\n"
+
+
 # every count flag of the CLI, after the arguments its subcommand needs
 COUNT_FLAGS = [
     (["classes", "--d", "4"], "--budget"),
@@ -1117,7 +1136,7 @@ SCALES = st.one_of(
 @st.composite
 def cli_argv(draw):
     """One subcommand with random values for its value flags; ``estimate-dim``
-    reads the manifest that ``FLAG_MANIFESTS`` names."""
+    reads the manifest that the ``flag_manifests`` fixture names."""
     command = draw(st.sampled_from(
         ["classes", "induct", "construct", "estimate-dim", "verify"]))
     if command == "classes":
